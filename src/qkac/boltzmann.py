@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collisions import CollisionSpec, build_Q
+from .collisions import CollisionSpec
 from .errors import NumericalContractError
 from .operators import (FactorShape, partial_trace, tensor,
                         validate_density_matrix)
@@ -42,8 +42,7 @@ def wild(spec: CollisionSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = spec.dim
     if a.shape != (d, d) or b.shape != (d, d):
         raise ValueError(f"operands must be {d}x{d} single-particle operators")
-    q = build_Q(spec)
-    return partial_trace(q(tensor(a, b)), FactorShape(2, d), keep=1)
+    return partial_trace(spec.channel(tensor(a, b)), FactorShape(2, d), keep=1)
 
 
 def diagonal_projection(model: SingleParticleModel, a: np.ndarray) -> np.ndarray:
@@ -287,7 +286,3 @@ def conserved_check(spec: CollisionSpec, trajectory: np.ndarray,
     traj = np.asarray(trajectory, dtype=complex)
     vals = np.einsum("tij,ji->t", traj, np.asarray(invariant, dtype=complex))
     return float(np.abs(vals - vals[0]).max())
-
-
-def energy_observable(model: SingleParticleModel) -> np.ndarray:
-    return model.hamiltonian()

@@ -25,16 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boltzmann import qkbe_integrate
-from .collisions import CollisionSpec, build_Q
-from .master import KacGenerator, apply_pair_channel, evolve_master
+from .collisions import CollisionSpec
+from .master import KacGenerator, apply_pair_QN, evolve_master
 from .operators import (FactorShape, partial_trace, permute_factors, tensor,
                         tensor_power, trace_norm, von_neumann_entropy)
 from .tolerances import check_size_guard
-
-
-def _pair_s4(spec: CollisionSpec) -> np.ndarray:
-    d2 = spec.dim ** 2
-    return build_Q(spec).mat.reshape(d2, d2, d2, d2)
 
 
 def gamma_k(spec: CollisionSpec, b: np.ndarray) -> np.ndarray:
@@ -44,13 +39,11 @@ def gamma_k(spec: CollisionSpec, b: np.ndarray) -> np.ndarray:
     k = round(np.log(b.shape[0]) / np.log(d))
     if d ** k != b.shape[0] or b.shape[0] != b.shape[1]:
         raise ValueError(f"operand of shape {b.shape} is not a {d}-level k-particle operator")
-    shape = FactorShape(k + 1, d)
-    check_size_guard(shape.dim)
-    s4 = _pair_s4(spec)
+    gen = KacGenerator(spec, k + 1)
     big = tensor(b, np.eye(d))
     out = np.zeros_like(big)
     for i in range(k):
-        out += apply_pair_channel(big, s4, i, k, shape) - big
+        out += apply_pair_QN(gen, big, i, k) - big
     return 2.0 * out
 
 
@@ -61,14 +54,12 @@ def g_k(spec: CollisionSpec, b: np.ndarray, num_particles: int) -> np.ndarray:
     k = round(np.log(b.shape[0]) / np.log(d))
     if k >= num_particles:
         raise ValueError(f"k={k} must be smaller than N={num_particles}")
-    shape_k = FactorShape(k, d) if k > 1 else None
-    s4 = _pair_s4(spec)
     inblock = np.zeros((d ** (k + 1), d ** (k + 1)), dtype=complex)
     if k >= 2:
+        gen = KacGenerator(spec, k)
         acc = np.zeros_like(b)
-        for i in range(k):
-            for j in range(i + 1, k):
-                acc += apply_pair_channel(b, s4, i, j, shape_k) - b
+        for (i, j) in gen.pairs:
+            acc += apply_pair_QN(gen, b, i, j) - b
         inblock = tensor(acc, np.eye(d))
     n = num_particles
     return (2.0 / (n - 1)) * inblock + ((n - k) / (n - 1)) * gamma_k(spec, b)

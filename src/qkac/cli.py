@@ -36,7 +36,7 @@ from .operators import (random_density, relative_entropy, trace_norm,
                         validate_density_matrix, von_neumann_entropy)
 from .spectra import (SingleParticleModel, classify_shell,
                       commutant_projection, shell_decomposition)
-from .tolerances import NAMED_TOLERANCES, check_size_guard
+from .tolerances import NAMED_TOLERANCES
 
 COMMANDS = ("verify-spec", "ergodicity", "evolve-master", "steady-states",
             "evolve-qkbe", "steady-family", "check-conserved", "chaos", "gap")
@@ -86,8 +86,8 @@ def _parse_matrix(obj, dim: int) -> np.ndarray:
 def _initial_state(params: dict, model: SingleParticleModel, dim: int,
                    rng: np.random.Generator, key: str = "initial") -> np.ndarray:
     init = params.get(key)
-    if init is None:
-        raise ConfigError(f"params.{key} is required")
+    if not isinstance(init, dict):
+        raise ConfigError(f"params.{key} must be an object with a 'kind' field")
     kind = init.get("kind")
     if kind == "maximally_mixed":
         return np.eye(dim, dtype=complex) / dim
@@ -100,6 +100,22 @@ def _initial_state(params: dict, model: SingleParticleModel, dim: int,
     if kind == "random":
         return random_density(dim, rng)
     raise ConfigError(f"unknown initial-state kind '{kind}'")
+
+
+def _tolerances(items, source: str) -> dict:
+    """Named tolerance overrides, each checked for a known name and a number."""
+    if not isinstance(items, dict):
+        raise ConfigError(f"{source} must map tolerance names to numbers")
+    out = {}
+    for name, value in items.items():
+        if name not in NAMED_TOLERANCES:
+            raise ConfigError(f"unknown tolerance {name!r} in {source}; "
+                              f"known: {sorted(NAMED_TOLERANCES)}")
+        try:
+            out[name] = float(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"tolerance {name!r} in {source} needs a numeric value") from None
+    return out
 
 
 def load_config(path: str, output_override: str | None, force_flag: bool,
@@ -134,8 +150,8 @@ def load_config(path: str, output_override: str | None, force_flag: bool,
     except ValueError as exc:
         raise ConfigError(f"field 'model.energies': {exc}") from exc
     tols = dict(NAMED_TOLERANCES)
-    tols.update(doc.get("tolerances", {}))
-    tols.update(tol_overrides)
+    tols.update(_tolerances(doc.get("tolerances", {}), "field 'tolerances'"))
+    tols.update(_tolerances(tol_overrides, "--tol"))
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("field 'params' must be an object")
@@ -158,9 +174,10 @@ def load_config(path: str, output_override: str | None, force_flag: bool,
 def _require_spec(cfg: RunConfig):
     if not cfg.spec_name:
         raise ConfigError("field 'spec' is required for this command")
+    points = (_int_param(cfg, "points_per_angle", minimum=4)
+              if "points_per_angle" in cfg.params else None)
     try:
-        return spec_by_name(cfg.spec_name, cfg.model,
-                            cfg.params.get("points_per_angle"))
+        return spec_by_name(cfg.spec_name, cfg.model, points)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"field 'spec': {exc}") from exc
 
@@ -194,7 +211,6 @@ def _cmd_verify_spec(cfg: RunConfig, rng):
 
 def _cmd_ergodicity(cfg: RunConfig, rng):
     n = _int_param(cfg, "N")
-    check_size_guard(cfg.model.dim ** n, force=cfg.force)
     rows = []
     for E, idxs in shell_decomposition(cfg.model, n, force=cfg.force):
         part = classify_shell(cfg.model, n, E, force=cfg.force)
@@ -309,6 +325,8 @@ def _cmd_gap(cfg: RunConfig, rng):
         raise ConfigError("params.rho_inf must be an object or list of objects")
     rows = []
     for item in states:
+        if not isinstance(item, dict):
+            raise ConfigError(f"params.rho_inf item {item!r} must be an object")
         kind = item.get("kind")
         if kind == "gibbs":
             beta = float(item.get("beta", 0.0))
@@ -409,15 +427,7 @@ def main(argv=None) -> int:
             print(f"error: --tol expects NAME=VALUE, got {item!r}", file=sys.stderr)
             return 1
         name, value = item.split("=", 1)
-        if name not in NAMED_TOLERANCES:
-            print(f"error: unknown tolerance {name!r}; known: "
-                  f"{sorted(NAMED_TOLERANCES)}", file=sys.stderr)
-            return 1
-        try:
-            overrides[name] = float(value)
-        except ValueError:
-            print(f"error: tolerance {name!r} needs a numeric value", file=sys.stderr)
-            return 1
+        overrides[name] = value
     try:
         cfg = load_config(args.config, args.output, args.force, overrides)
         return run(cfg)

@@ -75,15 +75,6 @@ class Superoperator:
         s4 = self.mat.reshape(d, d, d, d)
         return s4.transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
-    def is_hs_self_adjoint(self, tol: float = 1e-9) -> bool:
-        return np.abs(self.mat - self.mat.conj().T).max() <= tol
-
-
-def conjugation_superoperator(u: np.ndarray) -> Superoperator:
-    u = np.asarray(u, dtype=complex)
-    return Superoperator(np.kron(u, u.conj()), u.shape[0])
-
-
 def superoperator_from_nodes(nodes, dim: int) -> Superoperator:
     """Weighted average of unitary conjugations, assembled in one pass."""
     ws = np.array([w for w, _ in nodes])
@@ -116,11 +107,6 @@ class CollisionSpec:
         h = self.model.hamiltonian()
         eye = np.eye(self.dim)
         return tensor(h, eye) + tensor(eye, h)
-
-
-def build_Q(spec: CollisionSpec) -> Superoperator:
-    """The two-particle collision channel of the specification."""
-    return spec.channel
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +385,7 @@ def fixed_space_of_Q(q: Superoperator, tol: float = TOL_FIXED_EIG) -> list:
 
 def is_ergodic(spec: CollisionSpec, tol: float = TOL_FIXED_EIG) -> bool:
     """True iff the channel's fixed space is exactly the pair energy algebra."""
-    fixed = fixed_space_of_Q(build_Q(spec))
+    fixed = fixed_space_of_Q(spec.channel)
     shells = shell_decomposition(spec.model, 2)
     if len(fixed) != len(shells):
         return False

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from .boltzmann import collision_invariants_basis, wild
-from .collisions import CollisionSpec, Superoperator, build_Q
+from .collisions import CollisionSpec, Superoperator
 from .errors import UnsupportedOperationError
 from .operators import FactorShape, partial_trace, tensor
 from .tolerances import TOL_PSD
@@ -123,9 +123,8 @@ def _k_apply_alternate(spec: CollisionSpec, geo: BKMGeometry,
     """
     d = geo.dim
     pair_geo = _pair_geometry(geo)
-    q = build_Q(spec)
     eye = np.eye(d)
-    big = q(tensor(x, eye) + tensor(eye, x))
+    big = spec.channel(tensor(x, eye) + tensor(eye, x))
     w = partial_trace(multiply_super(pair_geo, big), FactorShape(2, d), keep=1)
     raw = 2.0 * (divide_super(geo, w) - x)
     return raw - 2.0 * np.trace(multiply_super(geo, x)) * np.eye(d)

@@ -23,14 +23,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collisions import CollisionSpec, build_Q, is_ergodic
+from .collisions import CollisionSpec, is_ergodic
 from .errors import NumericalContractError
 from .operators import FactorShape, hermitian_function, permute_factors
-from .spectra import (class_projections, commutant_projection,
-                      shell_decomposition, _flat_index)
+from .spectra import class_projections, commutant_projection, shell_structure
 from .tolerances import TAIL_TOL, TOL_FIXED_EIG, TOL_PSD
 
 log = logging.getLogger(__name__)
+
+# Largest Poisson rate N t summed in one jump series.  Past a rate of
+# about 2500 the floating-point sum of the weights stalls short of
+# 1 - TAIL_TOL, so longer times are split into equal pieces, which the
+# semigroup law composes exactly.
+MAX_JUMP_RATE = 1000.0
 
 
 @dataclass
@@ -48,8 +53,7 @@ class KacGenerator:
             raise ValueError("need at least two particles")
         d = self.spec.model.dim
         self.shape = FactorShape(self.num_particles, d).check_guard(self.force)
-        q = build_Q(self.spec)
-        self._s4 = q.mat.reshape(d * d, d * d, d * d, d * d)
+        self._s4 = self.spec.channel.mat.reshape(d * d, d * d, d * d, d * d)
 
     @property
     def pairs(self):
@@ -62,30 +66,24 @@ def apply_pair_channel(rho: np.ndarray, s4: np.ndarray, i: int, j: int,
     """Apply a two-particle channel to factors (i, j) of an N-factor operator.
 
     ``s4`` is the channel matrix reshaped to (d^2, d^2, d^2, d^2) as
-    [out_row, out_col, in_row, in_col].  Accepts a leading batch axis.
+    [out_row, out_col, in_row, in_col].
     """
     d, n = shape.factor_dim, shape.num_factors
-    dim = shape.dim
-    batched = rho.ndim == 3
-    b = rho.shape[0] if batched else 1
-    t = rho.reshape((b,) + (d,) * (2 * n))
+    t = rho.reshape((d,) * (2 * n))
     row_axes = [i, j] + [a for a in range(n) if a not in (i, j)]
-    axes = [0] + [1 + a for a in row_axes] + [1 + n + a for a in row_axes]
-    t = t.transpose(axes)
+    axes = row_axes + [n + a for a in row_axes]
     rest = d ** (n - 2)
-    x = t.reshape(b, d * d, rest, d * d, rest)
-    y = np.einsum("PQac,Barcs->BPrQs", s4, x, optimize=True)
-    y = y.reshape((b,) + (d,) * (2 * n))
-    inv = np.argsort(axes)
-    y = y.transpose(inv).reshape(b, dim, dim)
-    return y if batched else y[0]
+    x = t.transpose(axes).reshape(d * d, rest, d * d, rest)
+    y = np.einsum("PQac,arcs->PrQs", s4, x, optimize=True)
+    y = y.reshape((d,) * (2 * n)).transpose(np.argsort(axes))
+    return y.reshape(shape.dim, shape.dim)
 
 
 def apply_QN(gen: KacGenerator, rho: np.ndarray) -> np.ndarray:
-    """Uniform average of the pair channels.  Accepts a leading batch axis."""
+    """Uniform average of the pair channels."""
     rho = np.asarray(rho, dtype=complex)
     dim = gen.shape.dim
-    if rho.shape[-2:] != (dim, dim):
+    if rho.shape != (dim, dim):
         raise ValueError(f"operand shape {rho.shape} does not match dimension {dim}")
     out = np.zeros_like(rho)
     for (i, j) in gen.pairs:
@@ -109,35 +107,40 @@ def evolve_master(gen: KacGenerator, rho0: np.ndarray, t: float,
                   renormalize: bool = True) -> np.ndarray:
     """Evolve a state for time t with the truncated jump series.
 
-    The output trace is renormalized to one (the drift, bounded by the
-    Poisson tail, is logged) and positivity is asserted within tol_psd.
+    A time whose rate N t exceeds ``MAX_JUMP_RATE`` is split into equal
+    pieces, each summed by its own series.  The output trace is
+    renormalized to one (the drift, bounded by the Poisson tail of each
+    piece, is logged) and positivity is asserted within tol_psd.
     """
     if t < 0:
         raise ValueError("time must be non-negative")
     rho0 = np.asarray(rho0, dtype=complex)
     if t == 0:
         return rho0.copy()
-    rate = gen.num_particles * t
-    # Poisson weights via logs; stable for any rate
-    out = np.zeros_like(rho0)
-    term = rho0.copy()
-    k = 0
-    acc = 0.0
-    while True:
-        w = math.exp(k * math.log(rate) - rate - math.lgamma(k + 1))
-        out += w * term
-        acc += w
-        if acc >= 1.0 - tail_tol:
-            break
-        if k > rate + 60 * math.sqrt(rate + 1.0) + 60:
-            raise NumericalContractError("jump series failed to meet the tail tolerance")
-        term = apply_QN(gen, term)
-        k += 1
+    pieces = math.ceil(gen.num_particles * t / MAX_JUMP_RATE)
+    rate = gen.num_particles * t / pieces
+    out = rho0
+    for _ in range(pieces):
+        # Poisson weights via logs; stable for any rate
+        term, out = out, np.zeros_like(rho0)
+        k = 0
+        acc = 0.0
+        while True:
+            w = math.exp(k * math.log(rate) - rate - math.lgamma(k + 1))
+            out += w * term
+            acc += w
+            if acc >= 1.0 - tail_tol:
+                break
+            if k > rate + 60 * math.sqrt(rate + 1.0) + 60:
+                raise NumericalContractError("jump series failed to meet the tail tolerance")
+            term = apply_QN(gen, term)
+            k += 1
     tr = np.trace(out).real
-    if abs(tr - 1.0) > 100 * tail_tol + 1e-13:
+    if abs(tr - 1.0) > 100 * pieces * tail_tol + 1e-13:
         raise NumericalContractError(f"trace drifted to {tr} under the jump series")
     if renormalize:
-        log.debug("jump series trace drift %.3e over %d terms", tr - 1.0, k)
+        log.debug("jump series trace drift %.3e over %d pieces of up to %d terms",
+                  tr - 1.0, pieces, k)
         out = out / tr
     lo = np.linalg.eigvalsh((out + out.conj().T) / 2).min()
     if lo < -tol_psd:
@@ -149,26 +152,43 @@ def evolve_master(gen: KacGenerator, rho0: np.ndarray, t: float,
 # null space of the generator, computed per invariant block
 # ---------------------------------------------------------------------------
 
-def _shell_indices(gen: KacGenerator):
-    model = gen.spec.model
-    shells = shell_decomposition(model, gen.num_particles, force=gen.force)
-    return [(E, [_flat_index(a, model.dim) for a in idxs]) for E, idxs in shells]
+def _shell_block(gen: KacGenerator, rows, cols) -> np.ndarray:
+    """Matrix of Q_N on the operators supported on rows x cols, gathered
+    from the pair channel and ordered row-major over the block.
+
+    A pair (i, j) links two basis indices that agree off factors i and j;
+    for linked rows (r, r') and linked columns (c, c') the entry is the
+    ``s4`` entry indexed by the digits of r, c, r', c' on the pair.
+    """
+    d = gen.spec.model.dim
+    digits = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).digits
+    place = d ** np.arange(gen.num_particles - 1, -1, -1)
+    nc = len(cols)
+    block = np.zeros((len(rows) * nc,) * 2, dtype=complex)
+    for (i, j) in gen.pairs:
+        links = []
+        for idx in (rows, cols):
+            pair = digits[idx, i] * d + digits[idx, j]
+            off = idx - digits[idx, i] * place[i] - digits[idx, j] * place[j]
+            a, a2 = np.nonzero(off[:, None] == off[None, :])
+            links.append((a, a2, pair[a], pair[a2]))
+        (ra, ra2, rp, rp2), (ca, ca2, cp, cp2) = links
+        block[(ra[:, None] * nc + ca).ravel(), (ra2[:, None] * nc + ca2).ravel()] += (
+            gen._s4[rp[:, None], cp, rp2[:, None], cp2].ravel())
+    return block / len(gen.pairs)
 
 
 def _block_fixed_vectors(gen: KacGenerator, rows, cols, tol):
     """Eigenvalue-1 eigenvectors of Q_N on the block of operators with
     range in the row shell and corange in the column shell."""
     dim = gen.shape.dim
-    units = np.zeros((len(rows) * len(cols), dim, dim), dtype=complex)
-    for a, ra in enumerate(rows):
-        for b, cb in enumerate(cols):
-            units[a * len(cols) + b, ra, cb] = 1.0
-    images = apply_QN(gen, units)
-    block = images[:, rows][:, :, cols].reshape(len(units), len(units)).T
+    block = _shell_block(gen, rows, cols)
     herm = np.abs(block - block.conj().T).max()
     if herm > 1e-8:
         raise NumericalContractError(f"generator block is not Hermitian ({herm:.3e})")
-    w, v = np.linalg.eigh((block + block.conj().T) / 2)
+    # rebinding frees the unsymmetrized block before the eigensolver runs
+    block = (block + block.conj().T) / 2
+    w, v = np.linalg.eigh(block)
     out = []
     for idx in np.where(np.abs(w - 1.0) <= tol)[0]:
         mat = np.zeros((dim, dim), dtype=complex)
@@ -190,10 +210,10 @@ def ln_null_basis(gen: KacGenerator, tol: float = TOL_FIXED_EIG,
     """
     if all_blocks is None:
         all_blocks = not is_ergodic(gen.spec)
-    shells = _shell_indices(gen)
+    shells = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).shells
     basis = []
-    for ei, (E1, rows) in enumerate(shells):
-        for ej, (E2, cols) in enumerate(shells):
+    for ei, (_, rows) in enumerate(shells):
+        for ej, (_, cols) in enumerate(shells):
             if not all_blocks and ei != ej:
                 continue
             vecs, _ = _block_fixed_vectors(gen, rows, cols, tol)
@@ -203,10 +223,10 @@ def ln_null_basis(gen: KacGenerator, tol: float = TOL_FIXED_EIG,
 
 def qn_spectrum(gen: KacGenerator) -> np.ndarray:
     """All eigenvalues of Q_N on the operator space, via the shell blocks."""
-    shells = _shell_indices(gen)
+    shells = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).shells
     eigs = []
-    for E1, rows in shells:
-        for E2, cols in shells:
+    for _, rows in shells:
+        for _, cols in shells:
             _, w = _block_fixed_vectors(gen, rows, cols, tol=0.0)
             eigs.append(w)
     return np.sort(np.concatenate(eigs))

@@ -85,18 +85,6 @@ def is_positive_semidefinite(a: np.ndarray, tol: float = TOL_PSD) -> bool:
     return np.linalg.eigvalsh(a).min() >= -tol
 
 
-def is_density_matrix(rho: np.ndarray, tol_herm: float = TOL_HERM,
-                      tol_trace: float = TOL_TRACE, tol_psd: float = TOL_PSD) -> bool:
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        return False
-    if not is_hermitian(rho, tol=tol_herm):
-        return False
-    if abs(np.trace(rho) - 1.0) > tol_trace:
-        return False
-    return np.linalg.eigvalsh(rho).min() >= -tol_psd
-
-
 def validate_density_matrix(rho: np.ndarray, tol_herm: float = TOL_HERM,
                             tol_trace: float = TOL_TRACE,
                             tol_psd: float = TOL_PSD) -> np.ndarray:

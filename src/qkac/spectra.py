@@ -14,7 +14,7 @@ the (much smaller) set of occupancy vectors.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,10 +54,6 @@ class SingleParticleModel:
         return FactorShape(num_factors, self.dim)
 
 
-def multi_index_energy(model: SingleParticleModel, alpha) -> int:
-    return sum(model.energies[a] for a in alpha)
-
-
 def occupancy(alpha, d: int) -> tuple:
     """Occupancy vector: entry j counts how often level j appears in alpha."""
     m = [0] * d
@@ -80,6 +76,69 @@ def _occupancy_vectors(d: int, n: int):
             yield (first,) + rest
 
 
+@dataclass(frozen=True)
+class ShellStructure:
+    """The product basis of N factors, partitioned into energy shells and
+    pair-move classes.
+
+    ``digits[k]`` is the multi-index of flat basis index k (first factor
+    most significant); ``shells`` lists (E, ascending flat indices) sorted
+    by E; ``labels[k]`` is the class of index k, with classes numbered by
+    shell and then by smallest flat index; ``class_energies[c]`` is the
+    energy of class c.  The arrays are read-only because they are shared.
+    """
+
+    digits: np.ndarray
+    shells: tuple
+    labels: np.ndarray
+    class_energies: np.ndarray
+
+    def shell(self, E: int) -> np.ndarray:
+        """Ascending flat indices of the shell at energy E."""
+        for energy, idx in self.shells:
+            if energy == E:
+                return idx
+        raise ValueError(f"E={E} is not an N-particle energy of this model")
+
+
+def shell_structure(model: SingleParticleModel, num_factors: int,
+                    force: bool = False) -> ShellStructure:
+    """The cached shell and class structure of the N-factor product basis."""
+    check_size_guard(model.dim ** num_factors, force=force)
+    return _build_shell_structure(model, num_factors)
+
+
+@functools.lru_cache(maxsize=16)
+def _build_shell_structure(model: SingleParticleModel,
+                           num_factors: int) -> ShellStructure:
+    d = model.dim
+    digits = np.indices((d,) * num_factors).reshape(num_factors, -1).T
+    energy = np.asarray(model.energies)[digits].sum(axis=1)
+    occs, occ_of = np.unique((digits[:, :, None] == np.arange(d)).sum(axis=1),
+                             axis=0, return_inverse=True)
+    # pair moves keep the energy, so one closure over all occupancy
+    # vectors yields the classes of every shell at once
+    moves = _occupancy_classes(model, [tuple(m) for m in occs.tolist()])
+    _, first, raw = np.unique(moves[occ_of.ravel()], return_index=True,
+                              return_inverse=True)
+    # number the classes by energy, then by smallest flat index
+    order = np.lexsort((first, energy[first]))
+    rank = np.argsort(order)
+    by_energy = np.argsort(energy, kind="stable")
+    es, starts = np.unique(energy[by_energy], return_index=True)
+    st = ShellStructure(digits=digits,
+                        shells=tuple(zip(es.tolist(), np.split(by_energy, starts[1:]))),
+                        labels=rank[raw],
+                        class_energies=energy[first[order]])
+    for a in (st.digits, st.labels, st.class_energies, *(idx for _, idx in st.shells)):
+        a.flags.writeable = False
+    return st
+
+
+def _multi_indices(st: ShellStructure, idx) -> list:
+    return [tuple(a) for a in st.digits[idx].tolist()]
+
+
 def shell_decomposition(model: SingleParticleModel, num_factors: int,
                         force: bool = False) -> list:
     """Partition the product basis by total energy.
@@ -87,40 +146,17 @@ def shell_decomposition(model: SingleParticleModel, num_factors: int,
     Returns a list of (E, multi-index list) sorted by E; the lists order
     multi-indices lexicographically, matching the flat basis index.
     """
-    shape = model.shape(num_factors)
-    check_size_guard(shape.dim, force=force)
-    shells = {}
-    for alpha in itertools.product(range(model.dim), repeat=num_factors):
-        shells.setdefault(multi_index_energy(model, alpha), []).append(alpha)
-    return sorted(shells.items())
-
-
-def shell_energies(model: SingleParticleModel, num_factors: int,
-                   force: bool = False) -> list:
-    seen = set()
-    for m in _occupancy_vectors(model.dim, num_factors):
-        seen.add(occupancy_energy(model, m))
-    return sorted(seen)
-
-
-def _flat_index(alpha, d: int) -> int:
-    idx = 0
-    for a in alpha:
-        idx = idx * d + a
-    return idx
+    st = shell_structure(model, num_factors, force=force)
+    return [(E, _multi_indices(st, idx)) for E, idx in st.shells]
 
 
 def shell_projector(model: SingleParticleModel, num_factors: int, E: int,
                     force: bool = False) -> np.ndarray:
     """Orthogonal projection onto the energy-E eigenspace of the free Hamiltonian."""
-    shells = dict(shell_decomposition(model, num_factors, force=force))
-    if E not in shells:
-        raise ValueError(f"E={E} is not an N-particle energy of this model")
-    shape = model.shape(num_factors)
-    p = np.zeros((shape.dim, shape.dim), dtype=complex)
-    for alpha in shells[E]:
-        k = _flat_index(alpha, model.dim)
-        p[k, k] = 1.0
+    idx = shell_structure(model, num_factors, force=force).shell(E)
+    dim = model.dim ** num_factors
+    p = np.zeros((dim, dim), dtype=complex)
+    p[idx, idx] = 1.0
     return p
 
 
@@ -157,24 +193,6 @@ class EnergyShellPartition:
         return len(self.classes)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def _pair_move_groups(model: SingleParticleModel) -> dict:
     """Unordered level pairs grouped by energy sum."""
     groups = {}
@@ -185,36 +203,37 @@ def _pair_move_groups(model: SingleParticleModel) -> dict:
     return groups
 
 
-def _occupancy_classes(model: SingleParticleModel, occupancies) -> list:
-    """Union-find closure of occupancy vectors under energy-conserving pair moves."""
-    groups = _pair_move_groups(model)
-    uf = _UnionFind(occupancies)
-    members = set(occupancies)
+def _occupancy_classes(model: SingleParticleModel, occupancies) -> np.ndarray:
+    """Class label of each occupancy vector under energy-conserving pair
+    moves; ``occupancies`` must hold every vector a move can reach."""
+    pos = {m: k for k, m in enumerate(occupancies)}
+    groups = _pair_move_groups(model).values()
+    edges = []
     for m in occupancies:
-        for s, pairs in groups.items():
-            if len(pairs) < 2:
-                continue
+        for pairs in groups:
             for (i, j) in pairs:
-                if i == j:
-                    if m[i] < 2:
-                        continue
-                elif m[i] < 1 or m[j] < 1:
+                rest = list(m)
+                rest[i] -= 1
+                rest[j] -= 1
+                if min(rest) < 0:
                     continue
                 for (k, l) in pairs:
-                    if (k, l) == (i, j):
-                        continue
-                    mm = list(m)
-                    mm[i] -= 1
-                    mm[j] -= 1
-                    mm[k] += 1
-                    mm[l] += 1
-                    mm = tuple(mm)
-                    if mm in members:
-                        uf.union(m, mm)
-    roots = {}
-    for m in occupancies:
-        roots.setdefault(uf.find(m), []).append(m)
-    return sorted(roots.values())
+                    if (k, l) != (i, j):
+                        mm = rest.copy()
+                        mm[k] += 1
+                        mm[l] += 1
+                        edges.append((pos[m], pos[tuple(mm)]))
+    # every move can be undone, so the edges are symmetric; propagate the
+    # smallest label along them, with pointer jumping, until it settles
+    src, dst = np.array(edges, dtype=int).reshape(-1, 2).T
+    label = np.arange(len(occupancies))
+    while True:
+        new = label.copy()
+        np.minimum.at(new, src, label[dst])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def classify_shell(model: SingleParticleModel, num_factors: int, E: int,
@@ -225,37 +244,25 @@ def classify_shell(model: SingleParticleModel, num_factors: int, E: int,
     replace the levels at two positions by levels with the same energy sum,
     leaving all other positions fixed.
     """
-    shells = dict(shell_decomposition(model, num_factors, force=force))
-    if E not in shells:
-        raise ValueError(f"E={E} is not an N-particle energy of this model")
-    indices = shells[E]
-    by_occ = {}
-    for alpha in indices:
-        by_occ.setdefault(occupancy(alpha, model.dim), []).append(alpha)
-    occ_classes = _occupancy_classes(model, sorted(by_occ))
-    classes = []
-    class_occs = []
-    for occ_class in occ_classes:
-        block = []
-        for m in occ_class:
-            block.extend(by_occ[m])
-        classes.append(sorted(block))
-        class_occs.append(set(occ_class))
-    order = sorted(range(len(classes)), key=lambda k: classes[k][0])
+    st = shell_structure(model, num_factors, force=force)
+    idx = st.shell(E)
+    labels = st.labels[idx]
+    classes = [_multi_indices(st, idx[labels == c]) for c in np.unique(labels)]
     return EnergyShellPartition(
         E=E,
-        multi_indices=indices,
-        classes=[classes[k] for k in order],
-        class_occupancies=[class_occs[k] for k in order],
+        multi_indices=_multi_indices(st, idx),
+        classes=classes,
+        class_occupancies=[{occupancy(a, model.dim) for a in block}
+                           for block in classes],
     )
 
 
 def is_fully_ergodic(model: SingleParticleModel, num_factors: int,
                      force: bool = False):
     """True iff every shell is a single class.  Also returns per-shell counts."""
-    counts = {}
-    for E, _ in shell_decomposition(model, num_factors, force=force):
-        counts[E] = classify_shell(model, num_factors, E, force=force).num_classes
+    st = shell_structure(model, num_factors, force=force)
+    energies, num = np.unique(st.class_energies, return_counts=True)
+    counts = dict(zip(energies.tolist(), num.tolist()))
     return all(c == 1 for c in counts.values()), counts
 
 
@@ -280,17 +287,11 @@ def class_projections(model: SingleParticleModel, num_factors: int,
 
     Returns a list of (E, projection matrix, rank) sorted by shell and class.
     """
-    shape = model.shape(num_factors)
-    check_size_guard(shape.dim, force=force)
+    st = shell_structure(model, num_factors, force=force)
     out = []
-    for E, _ in shell_decomposition(model, num_factors, force=force):
-        part = classify_shell(model, num_factors, E, force=force)
-        for block in part.classes:
-            p = np.zeros((shape.dim, shape.dim), dtype=complex)
-            for alpha in block:
-                k = _flat_index(alpha, model.dim)
-                p[k, k] = 1.0
-            out.append((E, p, len(block)))
+    for c, E in enumerate(st.class_energies.tolist()):
+        member = st.labels == c
+        out.append((E, np.diag(member.astype(complex)), int(member.sum())))
     return out
 
 
@@ -306,11 +307,7 @@ def commutant_projection(model: SingleParticleModel, num_factors: int,
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (shape.dim, shape.dim):
         raise ValueError(f"state has shape {rho.shape}, expected {(shape.dim,) * 2}")
+    labels = shell_structure(model, num_factors, force=force).labels
     diag = np.diagonal(rho)
-    out = np.zeros(shape.dim, dtype=complex)
-    for E, _ in shell_decomposition(model, num_factors, force=force):
-        part = classify_shell(model, num_factors, E, force=force)
-        for block in part.classes:
-            idx = [_flat_index(alpha, model.dim) for alpha in block]
-            out[idx] = diag[idx].sum() / len(idx)
-    return np.diag(out)
+    sums = np.bincount(labels, diag.real) + 1j * np.bincount(labels, diag.imag)
+    return np.diag((sums / np.bincount(labels))[labels])

@@ -19,8 +19,7 @@ from qkac.boltzmann import (classify_steady_states, collision_invariants_basis,
                             gibbs, qkbe_integrate, steady_state_from_coeffs,
                             wild)
 from qkac.chaos import ChaosExperiment, derivation_check, g_k, gamma_k, run_chaos_experiment
-from qkac.collisions import (build_Q, exact_EA2_spec, qubit_tilted_spec,
-                             qubit_uniform_spec)
+from qkac.collisions import exact_EA2_spec, qubit_tilted_spec, qubit_uniform_spec
 from qkac.linearized import BKMGeometry, bkm_inner, build_K, divide_super, multiply_super, spectral_gap
 from qkac.master import KacGenerator, evolve_master, ln_null_basis
 from qkac.operators import (commutator, op_norm, relative_entropy,
@@ -75,7 +74,7 @@ def test_criterion_02_tilted_channel_fidelity():
         quad = qubit_tilted_spec(points_per_angle=16)
         assert np.abs(closed.channel.mat - quad.channel.mat).max() < 1e-12
         # damping factors 1/8, 1/4, 1/2 on the off-diagonal units
-        q = build_Q(closed)
+        q = closed.channel
         from qkac.operators import reorder_pair_basis
 
         def unit(r, c):
@@ -303,7 +302,7 @@ def test_criterion_12_kadison_inequality():
                  exact_EA2_spec(SingleParticleModel((0, 1))),
                  exact_EA2_spec(SingleParticleModel((0, 1, 2)))]
         for spec in specs:
-            q = build_Q(spec)
+            q = spec.channel
             d = spec.dim ** 2
             for _ in range(100):
                 a = random_matrix(rng, d)

@@ -63,11 +63,10 @@ def test_wild_psd_preserving(tilted_spec, rng):
 
 
 def test_wild_swap_identity(tilted_spec, uniform_spec, rng):
-    from qkac.collisions import build_Q
     from qkac.operators import FactorShape, partial_trace
 
     for spec in (tilted_spec, uniform_spec):
-        q = build_Q(spec)
+        q = spec.channel
         rho = random_state(rng, 2)
         out = q(tensor(rho, rho))
         shape = FactorShape(2, 2)

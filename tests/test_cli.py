@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from qkac.cli import main
 
@@ -52,6 +53,24 @@ def test_unknown_tolerance_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     assert main(["--config", str(cfg), "--output", str(tmp_path / "o"),
                  "--tol", "nope=1"]) == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"command": "evolve-qkbe", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"t_max": 1.0, "initial": "oops"}},
+    {"command": "ergodicity", "model": QUBIT, "params": {"N": 2},
+     "tolerances": {"psd": "x"}},
+    {"command": "verify-spec", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"points_per_angle": "x"}},
+    {"command": "gap", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"rho_inf": [{"kind": "gibbs", "beta": 0.0}, 3]}},
+], ids=["initial_not_object", "tolerance_not_number",
+        "points_per_angle_not_integer", "rho_inf_item_not_object"])
+def test_malformed_config_exits_1_without_outputs(tmp_path, capsys, doc):
+    code, out = run_cli(tmp_path, doc)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_verify_spec_command(tmp_path):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qkac.collisions import (CollisionSpec, build_Q, fixed_space_of_Q,
+from qkac.collisions import (CollisionSpec, fixed_space_of_Q,
                              identity_spec, is_ergodic,
                              sampled_spec_from_file, spec_by_name,
                              superoperator_from_nodes, symmetrize_nodes,
@@ -68,7 +68,7 @@ def test_tilted_channel_matches_quadrature_oracle(tilted_spec):
 
 
 def test_uniform_channel_entrywise(uniform_spec):
-    q = build_Q(uniform_spec)
+    q = uniform_spec.channel
     p0 = fastfirst_unit(0, 0)
     p1 = fastfirst_unit(1, 1) + fastfirst_unit(2, 2)
     p2 = fastfirst_unit(3, 3)
@@ -84,7 +84,7 @@ def test_uniform_channel_entrywise(uniform_spec):
 
 
 def test_tilted_channel_entrywise(tilted_spec):
-    q = build_Q(tilted_spec)
+    q = tilted_spec.channel
     factors = {(0, 1): 0.125, (0, 2): 0.125, (0, 3): 0.5,
                (1, 3): 0.25, (2, 3): 0.25, (1, 2): 0.0}
     for (r, c), f in factors.items():
@@ -96,25 +96,25 @@ def test_tilted_channel_entrywise(tilted_spec):
 
 
 def test_channel_is_unital_and_trace_preserving(tilted_spec, rng):
-    q = build_Q(tilted_spec)
+    q = tilted_spec.channel
     assert np.abs(q(np.eye(4)) - np.eye(4)).max() < 1e-14
     a = random_matrix(rng, 4)
     assert abs(np.trace(q(a)) - np.trace(a)) < 1e-12
 
 
 def test_uniform_channel_idempotent(uniform_spec):
-    q = build_Q(uniform_spec)
+    q = uniform_spec.channel
     assert np.abs(q.mat @ q.mat - q.mat).max() < 1e-13
 
 
 def test_tilted_channel_powers_converge(tilted_spec, uniform_spec):
-    q = build_Q(tilted_spec)
+    q = tilted_spec.channel
     assert np.abs(q.mat @ q.mat - q.mat).max() > 1e-3
     high = q.power(200).mat
     higher = q.power(201).mat
     assert np.abs(high - higher).max() < 1e-12
     # the limit is the conditional expectation onto the energy algebra
-    assert np.abs(high - build_Q(uniform_spec).mat).max() < 1e-12
+    assert np.abs(high - uniform_spec.channel.mat).max() < 1e-12
 
 
 def test_verify_passes_builtin_specs(uniform_spec, tilted_spec,
@@ -170,14 +170,14 @@ def test_symmetrize_closes_asymmetric_family(qubit_model):
 
 
 def test_fixed_space_dimensions(uniform_spec, tilted_spec, qubit_model):
-    assert len(fixed_space_of_Q(build_Q(uniform_spec))) == 3
-    assert len(fixed_space_of_Q(build_Q(tilted_spec))) == 3
+    assert len(fixed_space_of_Q(uniform_spec.channel)) == 3
+    assert len(fixed_space_of_Q(tilted_spec.channel)) == 3
     ident = identity_spec(qubit_model)
-    assert len(fixed_space_of_Q(build_Q(ident))) == 16
+    assert len(fixed_space_of_Q(ident.channel)) == 16
 
 
 def test_fixed_space_spanned_by_shell_projectors(uniform_spec, qubit_model):
-    fixed = fixed_space_of_Q(build_Q(uniform_spec))
+    fixed = fixed_space_of_Q(uniform_spec.channel)
     projs = [shell_projector(qubit_model, 2, E) for E in (0, 1, 2)]
     for f in fixed:
         back = sum(np.vdot(p, f) / np.vdot(p, p) * p for p in projs)
@@ -195,7 +195,7 @@ def test_is_ergodic(uniform_spec, tilted_spec, uniform_sampled16, qubit_model,
 
 def test_exact_ea2_maps_product_units_to_shell_states(ea2_three_level):
     model = ea2_three_level.model
-    q = build_Q(ea2_three_level)
+    q = ea2_three_level.channel
     for i, k in itertools.product(range(3), repeat=2):
         unit = np.zeros((9, 9), dtype=complex)
         unit[3 * i + k, 3 * i + k] = 1.0
@@ -205,19 +205,19 @@ def test_exact_ea2_maps_product_units_to_shell_states(ea2_three_level):
 
 def test_exact_ea2_fixes_energy_algebra(ea2_three_level):
     model = ea2_three_level.model
-    q = build_Q(ea2_three_level)
+    q = ea2_three_level.channel
     x = sum(E * shell_projector(model, 2, E) for E in (0, 1, 2, 3, 4))
     assert np.abs(q(x) - x).max() < 1e-13
 
 
 def test_exact_ea2_choi_psd(ea2_three_level):
-    w = np.linalg.eigvalsh(build_Q(ea2_three_level).choi())
+    w = np.linalg.eigvalsh(ea2_three_level.channel.choi())
     assert w.min() > -1e-12
 
 
 def test_kadison_inequality(uniform_spec, tilted_spec, ea2_three_level, rng):
     for spec in (uniform_spec, tilted_spec, ea2_three_level):
-        q = build_Q(spec)
+        q = spec.channel
         d = spec.dim ** 2
         for _ in range(20):
             a = random_matrix(rng, d)
@@ -226,7 +226,7 @@ def test_kadison_inequality(uniform_spec, tilted_spec, ea2_three_level, rng):
 
 
 def test_hs_contraction_with_equality_on_fixed_space(tilted_spec, rng):
-    q = build_Q(tilted_spec)
+    q = tilted_spec.channel
     for _ in range(10):
         a = random_matrix(rng, 4)
         assert hs_norm(q(a)) <= hs_norm(a) + 1e-12
@@ -240,7 +240,7 @@ def test_hs_contraction_with_equality_on_fixed_space(tilted_spec, rng):
 
 
 def test_swap_symmetry_of_pair_output(tilted_spec, rng):
-    q = build_Q(tilted_spec)
+    q = tilted_spec.channel
     v = swap_unitary(2)
     rho = random_state(rng, 2)
     out = q(tensor(rho, rho))

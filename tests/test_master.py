@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from qkac.collisions import build_Q, exact_EA2_spec, identity_spec
+from qkac.collisions import exact_EA2_spec, identity_spec, spec_by_name
 from qkac.errors import NumericalContractError
-from qkac.master import (KacGenerator, apply_LN, apply_QN,
+from qkac.master import (KacGenerator, _shell_block, apply_LN, apply_QN,
                          entropy_production, evolve_master, ln_null_basis,
                          permutation_covariance_check, qn_spectrum,
                          steady_states_basis, symmetrize_state)
 from qkac.operators import (commutator, embed_pair, partial_trace,
                             relative_entropy, trace_norm)
 from qkac.spectra import (SingleParticleModel, commutant_projection,
-                          shell_state)
+                          shell_state, shell_structure)
 from conftest import random_matrix, random_state
 
 
@@ -39,7 +39,7 @@ def test_apply_qn_fixes_shell_states(tilted_spec):
 
 def test_apply_qn_two_particles_is_the_pair_channel(tilted_spec, rng):
     gen = KacGenerator(tilted_spec, 2)
-    q = build_Q(tilted_spec)
+    q = tilted_spec.channel
     a = random_matrix(rng, 4)
     assert np.abs(apply_QN(gen, a) - q(a)).max() < 1e-13
 
@@ -70,6 +70,39 @@ def test_apply_ln_trivia(tilted_spec, rng):
     assert np.abs(apply_LN(gen, sigma)).max() < 1e-12
     rho = random_state(rng, 8)
     assert abs(np.trace(apply_LN(gen, rho))) < 1e-12
+
+
+def units_block_oracle(gen, rows, cols):
+    """Q_N on the rows x cols block, one matrix unit at a time."""
+    dim = gen.shape.dim
+    images = []
+    for r in rows:
+        for c in cols:
+            unit = np.zeros((dim, dim), dtype=complex)
+            unit[r, c] = 1.0
+            images.append(apply_QN(gen, unit)[np.ix_(rows, cols)].reshape(-1))
+    return np.array(images).T
+
+
+@pytest.mark.parametrize("spec_name,energies,n,all_blocks", [
+    ("qubit_tilted", (0, 1), 5, False),
+    ("qubit_uniform", (0, 1), 4, False),
+    ("exact_ea2", (0, 1, 2), 3, False),
+    ("exact_ea2", (0, 1, 4, 5), 3, False),
+    ("identity", (0, 1, 3), 3, True),
+])
+def test_shell_block_matches_matrix_unit_oracle(spec_name, energies, n,
+                                                all_blocks):
+    model = SingleParticleModel(energies)
+    spec = (identity_spec(model) if spec_name == "identity"
+            else spec_by_name(spec_name, model))
+    gen = KacGenerator(spec, n)
+    shells = shell_structure(model, n).shells
+    for ei, (_, rows) in enumerate(shells):
+        for ej, (_, cols) in enumerate(shells):
+            if all_blocks or ei == ej:
+                want = units_block_oracle(gen, rows, cols)
+                assert np.abs(_shell_block(gen, rows, cols) - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -118,6 +151,16 @@ def test_evolve_long_time_reaches_commutant_projection(uniform_spec,
             out = evolve_master(gen, rho, 50.0 / n)
             limit = commutant_projection(spec.model, n, rho)
             assert trace_norm(out - limit) < 1e-6
+
+
+def test_evolve_long_horizon_splits_the_series(tilted_spec, rng):
+    # a rate N t of 3000 stalls a single Poisson sum short of its tail
+    # tolerance; the split series must still reach the limit
+    gen = KacGenerator(tilted_spec, 3)
+    rho = random_state(rng, 8)
+    out = evolve_master(gen, rho, 1000.0)
+    limit = commutant_projection(tilted_spec.model, 3, rho)
+    assert np.abs(out - limit).max() < 1e-10
 
 
 def test_null_space_matches_classes_ergodic(uniform_spec, tilted_spec):
@@ -234,7 +277,7 @@ def test_marginal_flow_consistency(tilted_spec, rng):
     gen = KacGenerator(tilted_spec, 3)
     rho = symmetrize_state(random_state(rng, 8), gen.shape)
     m2 = partial_trace(rho, gen.shape, keep=2)
-    q = build_Q(tilted_spec)
+    q = tilted_spec.channel
     from qkac.operators import FactorShape
 
     want = 2.0 * (partial_trace(q(m2), FactorShape(2, 2), keep=1)

@@ -2,13 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkac.operators import FactorShape
 from qkac.spectra import (SingleParticleModel, accidental_relations,
                           classify_shell, class_projections,
                           commutant_projection, is_fully_ergodic, occupancy,
                           shell_decomposition, shell_projector, shell_state)
-from conftest import random_state
+from conftest import random_matrix, random_state
 
 
 def bfs_class_counts(energies, num_particles):
@@ -138,6 +140,13 @@ def test_classify_matches_bruteforce_bfs(energies, N):
     assert counts == oracle
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(energies=st.lists(st.integers(0, 12), min_size=2, max_size=4).map(sorted),
+       N=st.integers(1, 4))
+def test_classify_matches_bruteforce_bfs_random_spectra(energies, N):
+    test_classify_matches_bruteforce_bfs(tuple(energies), N)
+
+
 def test_classes_cover_shell_disjointly():
     model = SingleParticleModel((0, 1, 4, 5))
     for E, idxs in shell_decomposition(model, 4):
@@ -239,6 +248,21 @@ def test_commutant_projection_properties(rng):
     assert abs(np.vdot(ea, b) - np.vdot(a, eb)) < 1e-12
 
 
+def test_commutant_projection_matches_class_loop(rng):
+    # reference: average the diagonal over each class, one class at a time
+    model = SingleParticleModel((0, 1, 4, 5))
+    n = 4
+    shape = FactorShape(n, model.dim)
+    a = random_matrix(rng, shape.dim)
+    want = np.zeros(shape.dim, dtype=complex)
+    for E, _ in shell_decomposition(model, n):
+        for block in classify_shell(model, n, E).classes:
+            idx = [np.ravel_multi_index(alpha, (model.dim,) * n) for alpha in block]
+            want[idx] = np.diagonal(a)[idx].sum() / len(idx)
+    got = commutant_projection(model, n, a)
+    assert np.abs(got - np.diag(want)).max() < 1e-14
+
+
 def test_class_projections_resolve_shells():
     model = SingleParticleModel((0, 1, 4, 5))
     projs = class_projections(model, 3)
@@ -254,3 +278,6 @@ def test_size_guard():
     with pytest.raises(ValueError):
         shell_decomposition(model, 7)  # 4**7 > 4096
     shell_decomposition(model, 7, force=True)
+    # a structure cached by the forced call must not bypass the guard
+    with pytest.raises(ValueError):
+        shell_decomposition(model, 7)
