@@ -16,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -65,6 +66,27 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _number(value, what: str, integer: bool = False, minimum=None):
+    """``value`` if it is a finite JSON number (an integer when ``integer``)
+    of at least ``minimum``.  JSON booleans, which Python reads as
+    integers, are rejected, and so are the NaN and Infinity that Python's
+    JSON reader accepts."""
+    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+            or (isinstance(value, float) and not math.isfinite(value))
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{what} must be {'an integer' if integer else 'a finite number'}"
+                          f"{bound}, got {value!r}")
+    return value
+
+
+def _numbers(values, what: str, count: int) -> np.ndarray:
+    """A JSON list of ``count`` numbers, as a float array."""
+    if not isinstance(values, list) or len(values) != count:
+        raise ConfigError(f"{what} must be a list of {count} numbers")
+    return np.array([_number(v, f"each of {what}") for v in values], dtype=float)
+
+
 def _parse_matrix(obj, dim: int) -> np.ndarray:
     """Matrix from nested lists; entries are numbers or [re, im] pairs."""
     if not isinstance(obj, list) or len(obj) != dim:
@@ -74,12 +96,9 @@ def _parse_matrix(obj, dim: int) -> np.ndarray:
         if not isinstance(row, list) or len(row) != dim:
             raise ConfigError(f"matrix row {i} must have {dim} entries")
         for j, entry in enumerate(row):
-            if isinstance(entry, (int, float)):
-                out[i, j] = entry
-            elif isinstance(entry, list) and len(entry) == 2:
-                out[i, j] = complex(entry[0], entry[1])
-            else:
-                raise ConfigError(f"matrix entry ({i},{j}) must be a number or [re, im]")
+            re, im = entry if isinstance(entry, list) and len(entry) == 2 else (entry, 0)
+            what = f"matrix entry ({i},{j}), or each part of its [re, im] pair,"
+            out[i, j] = complex(_number(re, what), _number(im, what))
     return out
 
 
@@ -96,7 +115,7 @@ def _initial_state(params: dict, model: SingleParticleModel, dim: int,
     if kind == "gibbs":
         if dim != model.dim:
             raise ConfigError("gibbs initial data is single-particle only")
-        return gibbs(model, float(init.get("beta", 0.0)))
+        return gibbs(model, float(_number(init.get("beta", 0.0), f"params.{key}.beta")))
     if kind == "random":
         return random_density(dim, rng)
     raise ConfigError(f"unknown initial-state kind '{kind}'")
@@ -111,10 +130,12 @@ def _tolerances(items, source: str) -> dict:
         if name not in NAMED_TOLERANCES:
             raise ConfigError(f"unknown tolerance {name!r} in {source}; "
                               f"known: {sorted(NAMED_TOLERANCES)}")
-        try:
-            out[name] = float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"tolerance {name!r} in {source} needs a numeric value") from None
+        if isinstance(value, str):      # --tol values arrive as text
+            try:
+                value = float(value)
+            except ValueError:
+                pass
+        out[name] = float(_number(value, f"tolerance {name!r} in {source}"))
     return out
 
 
@@ -140,9 +161,9 @@ def load_config(path: str, output_override: str | None, force_flag: bool,
     energies = model_doc.get("energies")
     if not isinstance(energies, list) or not energies:
         raise ConfigError("field 'model.energies' must be a non-empty list")
-    if any(not isinstance(e, int) for e in energies):
-        raise ConfigError("field 'model.energies' must be integers")
-    dim = model_doc.get("dim", len(energies))
+    for e in energies:
+        _number(e, "each of field 'model.energies'", integer=True)
+    dim = _number(model_doc.get("dim", len(energies)), "field 'model.dim'", integer=True)
     if dim != len(energies):
         raise ConfigError("field 'model.dim' disagrees with the energy count")
     try:
@@ -156,24 +177,28 @@ def load_config(path: str, output_override: str | None, force_flag: bool,
     if not isinstance(params, dict):
         raise ConfigError("field 'params' must be an object")
     output_dir = output_override or doc.get("output_dir")
-    if not output_dir:
-        raise ConfigError("an output directory is required ('output_dir' or --output)")
+    if not output_dir or not isinstance(output_dir, str):
+        raise ConfigError("an output directory is required ('output_dir' or --output), "
+                          "given as a string")
+    force = doc.get("force", False)
+    if not isinstance(force, bool):
+        raise ConfigError(f"field 'force' must be true or false, got {force!r}")
     return RunConfig(
         command=command,
         model=model,
         spec_name=doc.get("spec"),
         params=params,
         output_dir=output_dir,
-        seed=int(doc.get("seed", 0)),
-        force=bool(doc.get("force", False)) or force_flag,
+        seed=_number(doc.get("seed", 0), "field 'seed'", integer=True),
+        force=force or force_flag,
         tols=tols,
         raw_bytes=raw,
     )
 
 
 def _require_spec(cfg: RunConfig):
-    if not cfg.spec_name:
-        raise ConfigError("field 'spec' is required for this command")
+    if not cfg.spec_name or not isinstance(cfg.spec_name, str):
+        raise ConfigError("field 'spec' is required for this command, as a spec name")
     points = (_int_param(cfg, "points_per_angle", minimum=4)
               if "points_per_angle" in cfg.params else None)
     try:
@@ -183,15 +208,12 @@ def _require_spec(cfg: RunConfig):
 
 
 def _int_param(cfg: RunConfig, name: str, minimum: int = 1) -> int:
-    val = cfg.params.get(name)
-    if not isinstance(val, int) or val < minimum:
-        raise ConfigError(f"params.{name} must be an integer >= {minimum}")
-    return val
+    return _number(cfg.params.get(name), f"params.{name}", integer=True, minimum=minimum)
 
 
 def _time_grid(cfg: RunConfig) -> np.ndarray:
-    t_max = cfg.params.get("t_max")
-    if not isinstance(t_max, (int, float)) or t_max <= 0:
+    t_max = _number(cfg.params.get("t_max"), "params.t_max")
+    if t_max <= 0:
         raise ConfigError("params.t_max must be a positive number")
     steps = _int_param(cfg, "steps") if "steps" in cfg.params else 100
     return np.linspace(0.0, float(t_max), steps + 1)
@@ -287,16 +309,15 @@ def _cmd_check_conserved(cfg: RunConfig, rng):
     h = cfg.model.hamiltonian()
     named = {"identity": np.eye(d, dtype=complex), "h": h, "h_squared": h @ h}
     wanted = cfg.params.get("invariants", ["identity", "h"])
+    if not isinstance(wanted, list):
+        raise ConfigError("params.invariants must be a list")
     rows = []
     for item in wanted:
         if isinstance(item, str) and item in named:
             name, op = item, named[item]
         elif isinstance(item, dict) and "diag" in item:
-            vals = item["diag"]
-            if len(vals) != d:
-                raise ConfigError("diagonal invariant needs one value per level")
-            name, op = "diag:" + ",".join(map(str, vals)), np.diag(
-                np.asarray(vals, dtype=float)).astype(complex)
+            op = np.diag(_numbers(item["diag"], "a diagonal invariant", d)).astype(complex)
+            name = "diag:" + ",".join(map(str, item["diag"]))
         else:
             raise ConfigError(f"unknown invariant {item!r}")
         rows.append((name, conserved_check(spec, traj, op)))
@@ -306,9 +327,10 @@ def _cmd_check_conserved(cfg: RunConfig, rng):
 def _cmd_chaos(cfg: RunConfig, rng):
     spec = _require_spec(cfg)
     n_list = cfg.params.get("N_list")
-    if (not isinstance(n_list, list) or not n_list
-            or any(not isinstance(n, int) or n < 2 for n in n_list)):
+    if not isinstance(n_list, list) or not n_list:
         raise ConfigError("params.N_list must be a list of integers >= 2")
+    for n in n_list:
+        _number(n, "each of params.N_list", integer=True, minimum=2)
     rho0 = _initial_state(cfg.params, cfg.model, cfg.model.dim, rng)
     exp = ChaosExperiment(spec, rho0, n_list, _time_grid(cfg), force=cfg.force)
     rows = [(r.N, r.t, r.delta1, r.delta2, r.entropy_N, r.entropy_qkbe)
@@ -329,12 +351,12 @@ def _cmd_gap(cfg: RunConfig, rng):
             raise ConfigError(f"params.rho_inf item {item!r} must be an object")
         kind = item.get("kind")
         if kind == "gibbs":
-            beta = float(item.get("beta", 0.0))
+            beta = float(_number(item.get("beta", 0.0), "params.rho_inf beta"))
             rho_inf = gibbs(cfg.model, beta)
             label = f"gibbs(beta={_fmt(beta)})"
         elif kind == "diag":
-            vals = np.asarray(item.get("values"), dtype=float)
-            if vals.size != cfg.model.dim or vals.min() <= 0:
+            vals = _numbers(item.get("values"), "diag rho_inf values", cfg.model.dim)
+            if vals.min() <= 0:
                 raise ConfigError("diag rho_inf needs positive values, one per level")
             rho_inf = np.diag(vals / vals.sum()).astype(complex)
             label = "diag:" + ",".join(_fmt(float(v)) for v in vals)

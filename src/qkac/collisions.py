@@ -61,9 +61,6 @@ class Superoperator:
         a = np.asarray(a, dtype=complex)
         if a.shape == (self.dim, self.dim):
             return (self.mat @ a.reshape(-1)).reshape(self.dim, self.dim)
-        if a.ndim == 3 and a.shape[1:] == (self.dim, self.dim):
-            flat = a.reshape(a.shape[0], -1)
-            return (flat @ self.mat.T).reshape(a.shape)
         raise ValueError(f"operand shape {a.shape} does not match dim {self.dim}")
 
     def power(self, n: int) -> "Superoperator":
@@ -120,11 +117,6 @@ class SpecReport:
     violations: list
 
 
-def _node_key(u: np.ndarray, decimals: int = 6):
-    r = np.round(u, decimals) + 0.0     # fold -0.0 into +0.0
-    return tuple(map(complex, r.reshape(-1)))
-
-
 def _merge_nodes(nodes, decimals: int = 9) -> list:
     ws = np.array([w for w, _ in nodes])
     us = np.stack([u for _, u in nodes]).astype(complex)
@@ -157,34 +149,26 @@ def symmetrize_nodes(nodes, d: int) -> list:
     return _merge_nodes(out)
 
 
-def _closure_residual(nodes, transform, weight_tol: float = 1e-9):
-    """Worst mismatch when mapping each node through ``transform``.
+def _closure_residual(ws, us, images, weight_tol: float = 1e-9):
+    """Worst mismatch between each node's image and the node it hits.
 
-    Returns (matrix residual, weight residual) maximized over nodes; the
-    transformed node is located by a rounded-entry key with a linear-scan
-    fallback so grid rounding cannot cause false misses.
+    ``images[k]`` is the image of node ``us[k]`` (weight ``ws[k]``) under
+    the closure map.  Each image hits the node nearest to it in the max
+    norm over the real and imaginary parts of the entries, found by one
+    exact k-d tree query.  Returns (matrix residual, weight residual)
+    maximized over nodes: the complex max-abs distance to the hit, and
+    the weight difference, reported as 0 when at most ``weight_tol``.
     """
-    table = {}
-    for w, u in nodes:
-        key = _node_key(u)
-        table.setdefault(key, []).append((w, u))
-    worst_mat, worst_w = 0.0, 0.0
-    for w, u in nodes:
-        target = transform(u)
-        hits = table.get(_node_key(target), [])
-        best = None
-        for wv, uv in hits:
-            dist = np.abs(uv - target).max()
-            if best is None or dist < best[0]:
-                best = (dist, wv)
-        if best is None or best[0] > 1e-6:
-            best = (np.inf, 0.0)
-            for wv, uv in nodes:
-                dist = np.abs(uv - target).max()
-                if dist < best[0]:
-                    best = (dist, wv)
-        worst_mat = max(worst_mat, best[0])
-        worst_w = max(worst_w, abs(best[1] - w))
+    # imported here because scipy.spatial adds about 0.1 s to every CLI start
+    from scipy.spatial import cKDTree
+
+    def real_rows(a):
+        a = a.reshape(len(a), -1)
+        return np.hstack([a.real, a.imag])
+
+    _, hit = cKDTree(real_rows(us)).query(real_rows(images), p=np.inf)
+    worst_mat = float(np.abs(us[hit] - images).max())
+    worst_w = float(np.abs(ws[hit] - ws).max())
     return worst_mat, worst_w if worst_w > weight_tol else 0.0
 
 
@@ -210,12 +194,12 @@ def verify_spec(spec: CollisionSpec, tol: float = 1e-9) -> SpecReport:
         residuals["commutes_with_pair_hamiltonian"] = float(
             np.abs(us @ h2 - h2 @ us).max())
         residuals["contains_identity"] = float(
-            min(np.abs(u - eye).max() for _, u in nodes))
+            np.abs(us - eye).max(axis=(1, 2)).min())
         residuals["weights_normalized"] = float(abs(ws.sum() - 1.0)) + (
             0.0 if ws.min() > 0 else float(-ws.min()) + 1.0)
-        adj_m, adj_w = _closure_residual(nodes, lambda u: u.conj().T)
+        adj_m, adj_w = _closure_residual(ws, us, us.conj().transpose(0, 2, 1))
         v = swap_unitary(d)
-        swap_m, swap_w = _closure_residual(nodes, lambda u: v @ u @ v.conj().T)
+        swap_m, swap_w = _closure_residual(ws, us, v @ us @ v.conj().T)
         residuals["closed_under_adjoint"] = float(max(adj_m, adj_w))
         residuals["closed_under_swap"] = float(max(swap_m, swap_w))
     else:
@@ -454,15 +438,12 @@ def parse_sampled_nodes(text: str, dim: int) -> list:
     return [(w / total, u) for w, u in nodes]
 
 
-def sampled_spec_from_file(path, model: SingleParticleModel,
-                           symmetrize: bool = True,
-                           name: str | None = None) -> CollisionSpec:
-    """Load a sampled specification from disk; closure is applied by default."""
+def sampled_spec_from_file(path, model: SingleParticleModel) -> CollisionSpec:
+    """Load a sampled specification from disk, closed by ``symmetrize_nodes``."""
     with open(path) as fh:
-        nodes = parse_sampled_nodes(fh.read(), model.dim * model.dim)
-    if symmetrize:
-        nodes = symmetrize_nodes(nodes, model.dim)
-    return CollisionSpec(model, name or f"sampled_file:{path}", "sampled",
+        nodes = symmetrize_nodes(parse_sampled_nodes(fh.read(), model.dim * model.dim),
+                                 model.dim)
+    return CollisionSpec(model, f"sampled_file:{path}", "sampled",
                          superoperator_from_nodes(nodes, model.dim ** 2), nodes)
 
 

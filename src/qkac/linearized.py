@@ -40,6 +40,8 @@ from .operators import FactorShape, partial_trace, tensor
 from .tolerances import TOL_PSD
 
 _GAP_KERNEL_TOL = 1e-8
+_STEADY_TOL = 1e-9      # residual of rho * rho = rho accepted by build_K
+_AGREE_TOL = 1e-10      # entrywise gap allowed between the two K constructions
 
 
 @dataclass(frozen=True)
@@ -97,9 +99,9 @@ def _pair_geometry(geo: BKMGeometry) -> BKMGeometry:
     return BKMGeometry(tensor(geo.rho_inf, geo.rho_inf))
 
 
-def _check_steady(spec: CollisionSpec, geo: BKMGeometry, tol: float) -> None:
+def _check_steady(spec: CollisionSpec, geo: BKMGeometry) -> None:
     resid = np.linalg.norm(wild(spec, geo.rho_inf, geo.rho_inf) - geo.rho_inf)
-    if resid > tol:
+    if resid > _STEADY_TOL:
         raise ValueError(
             f"reference state is not steady for this spec (residual {resid:.3e})")
 
@@ -130,11 +132,10 @@ def _k_apply_alternate(spec: CollisionSpec, geo: BKMGeometry,
     return raw - 2.0 * np.trace(multiply_super(geo, x)) * np.eye(d)
 
 
-def build_K(spec: CollisionSpec, geo: BKMGeometry,
-            steady_tol: float = 1e-9, agree_tol: float = 1e-10) -> Superoperator:
+def build_K(spec: CollisionSpec, geo: BKMGeometry) -> Superoperator:
     """Assemble the linearized operator, cross-checked against the
     pair-channel construction entrywise."""
-    _check_steady(spec, geo, steady_tol)
+    _check_steady(spec, geo)
     d = geo.dim
     cols = []
     cols_alt = []
@@ -147,7 +148,7 @@ def build_K(spec: CollisionSpec, geo: BKMGeometry,
     mat = np.stack(cols, axis=1)
     mat_alt = np.stack(cols_alt, axis=1)
     disagree = np.abs(mat - mat_alt).max()
-    if disagree > agree_tol:
+    if disagree > _AGREE_TOL:
         raise ValueError(
             f"the two constructions of the linearized operator disagree ({disagree:.3e})")
     return Superoperator(mat, d)

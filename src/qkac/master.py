@@ -69,14 +69,10 @@ def apply_pair_channel(rho: np.ndarray, s4: np.ndarray, i: int, j: int,
     [out_row, out_col, in_row, in_col].
     """
     d, n = shape.factor_dim, shape.num_factors
-    t = rho.reshape((d,) * (2 * n))
-    row_axes = [i, j] + [a for a in range(n) if a not in (i, j)]
-    axes = row_axes + [n + a for a in row_axes]
-    rest = d ** (n - 2)
-    x = t.transpose(axes).reshape(d * d, rest, d * d, rest)
-    y = np.einsum("PQac,arcs->PrQs", s4, x, optimize=True)
-    y = y.reshape((d,) * (2 * n)).transpose(np.argsort(axes))
-    return y.reshape(shape.dim, shape.dim)
+    axes = [i, j, n + i, n + j]
+    y = np.tensordot(s4.reshape((d,) * 8), rho.reshape((d,) * (2 * n)),
+                     axes=([4, 5, 6, 7], axes))
+    return np.moveaxis(y, [0, 1, 2, 3], axes).reshape(shape.dim, shape.dim)
 
 
 def apply_QN(gen: KacGenerator, rho: np.ndarray) -> np.ndarray:
@@ -197,24 +193,21 @@ def _block_fixed_vectors(gen: KacGenerator, rows, cols, tol):
     return out, w
 
 
-def ln_null_basis(gen: KacGenerator, tol: float = TOL_FIXED_EIG,
-                  all_blocks: bool | None = None) -> list:
+def ln_null_basis(gen: KacGenerator, tol: float = TOL_FIXED_EIG) -> list:
     """Hilbert-Schmidt orthonormal basis of the null space of L_N.
 
     The shell subspaces are invariant under every pair channel, so Q_N is
     diagonalized block by block and never materialized as a full matrix.
     For an ergodic specification all fixed vectors live in the diagonal
     blocks (they are diagonal in the product eigenbasis); off-diagonal
-    blocks are scanned too when the specification is not ergodic, or when
-    ``all_blocks`` forces it.
+    blocks are scanned too when the specification is not ergodic.
     """
-    if all_blocks is None:
-        all_blocks = not is_ergodic(gen.spec)
+    ergodic = is_ergodic(gen.spec)
     shells = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).shells
     basis = []
     for ei, (_, rows) in enumerate(shells):
         for ej, (_, cols) in enumerate(shells):
-            if not all_blocks and ei != ej:
+            if ergodic and ei != ej:
                 continue
             vecs, _ = _block_fixed_vectors(gen, rows, cols, tol)
             basis.extend(vecs)

@@ -264,14 +264,14 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray,
     outside = ws <= tol_psd
     if outside.any():
         vout = vs[:, outside]
-        leak = np.einsum("ij,jk,ki->", vout.conj().T, rho, vout).real
+        leak = np.einsum("ij,ji->", vout.conj().T, rho @ vout).real
         if leak > tol_psd:
             return float("inf")
     wr, vr = np.linalg.eigh(rho)
     pos_r = wr > tol_psd
     term_r = float((wr[pos_r] * np.log(wr[pos_r])).sum())
     pos_s = ws > tol_psd
-    diag = np.einsum("ij,jk,ki->i", vs.conj().T, rho, vs).real
+    diag = np.einsum("ij,ji->i", vs.conj().T, rho @ vs).real
     term_s = float((diag[pos_s] * np.log(ws[pos_s])).sum())
     return term_r - term_s
 

@@ -1,8 +1,9 @@
 """Central numerical tolerances and the dimension guard.
 
 All tolerances are absolute.  Functions throughout the package accept
-these as keyword arguments so callers (and the CLI ``--tol`` flag) can
-override them per run.
+these as keyword arguments so callers can override them per call.  The
+CLI passes on only those in ``NAMED_TOLERANCES``, which its ``--tol``
+flag overrides.
 """
 
 TOL_HERM = 1e-10        # Hermiticity residual
@@ -16,13 +17,9 @@ TOL_STEADY = 1e-10      # residual for steady-state checks
 SIZE_GUARD = 4096       # largest allowed total Hilbert dimension d**N
 
 NAMED_TOLERANCES = {
-    "herm": TOL_HERM,
-    "trace": TOL_TRACE,
     "psd": TOL_PSD,
     "fixed_eig": TOL_FIXED_EIG,
     "tail": TAIL_TOL,
-    "picard": PICARD_TOL,
-    "steady": TOL_STEADY,
 }
 
 

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qkac
 from qkac.cli import main
 
 
@@ -55,22 +60,81 @@ def test_unknown_tolerance_rejected(tmp_path, capsys):
                  "--tol", "nope=1"]) == 1
 
 
+def gibbs_qkbe(beta):
+    return {"command": "evolve-qkbe", "model": QUBIT, "spec": "qubit_tilted",
+            "params": {"t_max": 1.0, "steps": 2,
+                       "initial": {"kind": "gibbs", "beta": beta}}}
+
+
+def conserved(invariants):
+    return {"command": "check-conserved", "model": QUBIT, "spec": "qubit_tilted",
+            "params": {"t_max": 1.0, "steps": 2,
+                       "initial": {"kind": "maximally_mixed"},
+                       "invariants": invariants}}
+
+
+def gap(rho_inf):
+    return {"command": "gap", "model": QUBIT, "spec": "qubit_tilted",
+            "params": {"rho_inf": rho_inf}}
+
+
+ERGODICITY = {"command": "ergodicity", "model": QUBIT, "params": {"N": 2}}
+
+
 @pytest.mark.parametrize("doc", [
     {"command": "evolve-qkbe", "model": QUBIT, "spec": "qubit_tilted",
      "params": {"t_max": 1.0, "initial": "oops"}},
-    {"command": "ergodicity", "model": QUBIT, "params": {"N": 2},
-     "tolerances": {"psd": "x"}},
+    {**ERGODICITY, "tolerances": {"psd": "x"}},
     {"command": "verify-spec", "model": QUBIT, "spec": "qubit_tilted",
      "params": {"points_per_angle": "x"}},
-    {"command": "gap", "model": QUBIT, "spec": "qubit_tilted",
-     "params": {"rho_inf": [{"kind": "gibbs", "beta": 0.0}, 3]}},
+    gap([{"kind": "gibbs", "beta": 0.0}, 3]),
+    {**ERGODICITY, "seed": [1]},
+    gibbs_qkbe([1]),
+    gibbs_qkbe(float("inf")),
+    gap([{"kind": "gibbs", "beta": [1]}]),
+    conserved([{"diag": 3}]),
+    {"command": "verify-spec", "model": QUBIT, "spec": ["qubit_tilted"]},
+    {**ERGODICITY, "output_dir": ["x"]},
+    {**ERGODICITY, "force": "no"},
+    {**ERGODICITY, "seed": True},
+    {**ERGODICITY, "params": {"N": True}},
+    {**ERGODICITY, "tolerances": {"psd": True}},
+    {"command": "evolve-qkbe", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"t_max": True, "initial": {"kind": "maximally_mixed"}}},
+    {"command": "evolve-qkbe", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"t_max": 1.0, "initial": {"kind": "matrix",
+                                          "state": [[["1", "0"], 0], [0, 0]]}}},
+    conserved(3),
+    gap({"kind": "diag", "values": [[0.5], [0.5]]}),
 ], ids=["initial_not_object", "tolerance_not_number",
-        "points_per_angle_not_integer", "rho_inf_item_not_object"])
-def test_malformed_config_exits_1_without_outputs(tmp_path, capsys, doc):
-    code, out = run_cli(tmp_path, doc)
-    assert code == 1
+        "points_per_angle_not_integer", "rho_inf_item_not_object",
+        "seed_list", "gibbs_beta_list", "gibbs_beta_infinite", "rho_inf_beta_list",
+        "diag_invariant_number", "spec_not_string", "output_dir_list", "force_string",
+        "seed_bool", "N_bool", "tolerance_bool", "t_max_bool", "matrix_part_string",
+        "invariants_not_list", "rho_inf_values_nested"])
+def test_malformed_config_exits_1_without_outputs(tmp_path, capsys, monkeypatch, doc):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "out"), **doc})
+    assert main(["--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("name", ["herm", "trace", "picard", "steady"])
+def test_unread_tolerance_names_rejected(tmp_path, capsys, name):
+    # these tolerances are not passed on by any command, so --tol may not name them
+    code, out = run_cli(tmp_path, ERGODICITY, extra=("--tol", f"{name}=1"))
+    assert code == 1
+    assert "unknown tolerance" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # verify_spec imports scipy.spatial itself, so CLI start-up does not pay for it
+    src = str(Path(qkac.__file__).resolve().parents[1])
+    code = "import qkac.cli, sys; assert 'scipy.spatial' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_verify_spec_command(tmp_path):

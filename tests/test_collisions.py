@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from qkac.collisions import (CollisionSpec, fixed_space_of_Q,
-                             identity_spec, is_ergodic,
+from qkac.collisions import (CollisionSpec, _closure_residual,
+                             fixed_space_of_Q, identity_spec, is_ergodic,
                              sampled_spec_from_file, spec_by_name,
                              superoperator_from_nodes, symmetrize_nodes,
                              verify_spec)
@@ -154,19 +154,103 @@ def test_verify_flags_energy_violation(qubit_model, rng):
         np.abs(bad @ h2 - h2 @ bad).max())
 
 
-def test_symmetrize_closes_asymmetric_family(qubit_model):
-    # a single non-symmetric node, plus identity, closes to a valid spec
-    theta = 0.7
+def one_excitation_rotation(theta=0.7, phase=0.3):
+    """Energy-conserving qubit-pair unitary that is neither self-adjoint
+    nor swap-symmetric."""
     u = np.eye(4, dtype=complex)
     u[1, 1] = np.cos(theta)
-    u[1, 2] = -np.sin(theta) * np.exp(0.3j)
-    u[2, 1] = np.sin(theta) * np.exp(-0.3j)
+    u[1, 2] = -np.sin(theta) * np.exp(1j * phase)
+    u[2, 1] = np.sin(theta) * np.exp(-1j * phase)
     u[2, 2] = np.cos(theta)
+    return u
+
+
+def test_symmetrize_closes_asymmetric_family(qubit_model):
+    # a single non-symmetric node, plus identity, closes to a valid spec
+    u = one_excitation_rotation()
     nodes = symmetrize_nodes([(0.5, np.eye(4, dtype=complex)), (0.5, u)], 2)
     spec = CollisionSpec(qubit_model, "sym", "sampled",
                          superoperator_from_nodes(nodes, 4), nodes)
     report = verify_spec(spec)
     assert report.passes, report.violations
+
+
+def test_verify_flags_closure_violations(qubit_model):
+    u = one_excitation_rotation()
+    nodes = [(0.5, np.eye(4, dtype=complex)), (0.5, u)]
+    spec = CollisionSpec(qubit_model, "unclosed", "sampled",
+                         superoperator_from_nodes(nodes, 4), nodes)
+    report = verify_spec(spec)
+    assert sorted(msg.split(":")[0] for msg in report.violations) == [
+        "closed_under_adjoint", "closed_under_swap"]
+
+    # every partner present, but with the wrong weight
+    v = swap_unitary(2)
+    su = v @ u @ v.conj().T
+    nodes = [(0.5, np.eye(4, dtype=complex)), (0.2, u), (0.1, u.conj().T),
+             (0.1, su), (0.1, su.conj().T)]
+    spec = CollisionSpec(qubit_model, "unbalanced", "sampled",
+                         superoperator_from_nodes(nodes, 4), nodes)
+    report = verify_spec(spec)
+    assert report.residuals["closed_under_adjoint"] == pytest.approx(0.1, abs=1e-12)
+    assert report.residuals["closed_under_swap"] == pytest.approx(0.1, abs=1e-12)
+    assert sorted(msg.split(":")[0] for msg in report.violations) == [
+        "closed_under_adjoint", "closed_under_swap"]
+
+
+# ---------------------------------------------------------------------------
+# closure residual against a brute-force nearest-node oracle
+# ---------------------------------------------------------------------------
+
+def closure_oracle(nodes, transform, weight_tol=1e-9):
+    """Scan every node for each transformed node.
+
+    The image hits the node nearest to it in the max norm over the real
+    and imaginary parts of the entries.  Returns the worst complex max-abs
+    distance to the hit, the worst weight difference (0 when at most
+    weight_tol), and the worst distance to the nearest node in the complex
+    max-abs norm itself.
+    """
+    worst_mat, worst_w, worst_nearest = 0.0, 0.0, 0.0
+    for w, u in nodes:
+        target = transform(u)
+        diffs = [uv - target for _, uv in nodes]
+        real_dist = [max(np.abs(x.real).max(), np.abs(x.imag).max()) for x in diffs]
+        hit = int(np.argmin(real_dist))
+        worst_mat = max(worst_mat, np.abs(diffs[hit]).max())
+        worst_w = max(worst_w, abs(nodes[hit][0] - w))
+        worst_nearest = max(worst_nearest, min(np.abs(x).max() for x in diffs))
+    return worst_mat, (worst_w if worst_w > weight_tol else 0.0), worst_nearest
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(random_matrix(rng, n))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def test_closure_residual_matches_bruteforce_oracle(rng):
+    v = swap_unitary(2)
+    transforms = [lambda u: u.conj().T, lambda u: v @ u @ v.conj().T]
+    for _ in range(8):
+        family = [(1.0, np.eye(4, dtype=complex))] + [
+            (rng.uniform(0.2, 1.0), random_unitary(rng, 4)) for _ in range(2)]
+        closed = symmetrize_nodes(family, 2)
+        k = int(rng.integers(1, len(closed)))
+        dropped = closed[:k] + closed[k + 1:]
+        reweighted = [(w * (1.5 if j == k else 1.0), u) for j, (w, u) in enumerate(closed)]
+        for nodes in (closed, dropped, reweighted):
+            ws = np.array([w for w, _ in nodes])
+            us = np.stack([u for _, u in nodes])
+            images = [us.conj().transpose(0, 2, 1), v @ us @ v.conj().T]
+            for transform, image in zip(transforms, images):
+                mat, w, nearest = closure_oracle(nodes, transform)
+                assert _closure_residual(ws, us, image) == (mat, w)
+                # the hit is within sqrt(2) of the complex-nearest distance
+                assert nearest <= mat <= np.sqrt(2) * nearest * (1 + 1e-12)
+                if nodes is closed:
+                    assert mat < 1e-12 and w == 0.0
+                if nodes is dropped:
+                    assert mat > 1e-3
 
 
 def test_fixed_space_dimensions(uniform_spec, tilted_spec, qubit_model):
