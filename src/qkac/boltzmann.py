@@ -27,8 +27,7 @@ import numpy as np
 
 from .collisions import CollisionSpec
 from .errors import NumericalContractError
-from .operators import (FactorShape, partial_trace, tensor,
-                        validate_density_matrix)
+from .operators import FactorShape, partial_trace, validate_density_matrix
 from .spectra import SingleParticleModel, shell_decomposition, shell_state
 from .tolerances import PICARD_TOL, TOL_PSD, TOL_STEADY
 
@@ -36,13 +35,13 @@ log = logging.getLogger(__name__)
 
 
 def wild(spec: CollisionSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Wild convolution A * B = Tr_2[Q(A x B)]."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    """Wild convolution A * B = Tr_2[Q(A x B)], one contraction of the (d,) * 8
+    view of the channel; leading axes of ``a`` and ``b`` are stacks."""
     d = spec.dim
-    if a.shape != (d, d) or b.shape != (d, d):
+    if np.shape(a)[-2:] != (d, d) or np.shape(b)[-2:] != (d, d):
         raise ValueError(f"operands must be {d}x{d} single-particle operators")
-    return partial_trace(spec.channel(tensor(a, b)), FactorShape(2, d), keep=1)
+    return np.einsum("krlrimjn,...ij,...mn->...kl",
+                     spec.channel.mat.reshape((d,) * 8), a, b)
 
 
 def diagonal_projection(model: SingleParticleModel, a: np.ndarray) -> np.ndarray:

@@ -35,8 +35,8 @@ from .linearized import BKMGeometry, spectral_gap
 from .master import KacGenerator, evolve_master, steady_states_basis
 from .operators import (random_density, relative_entropy, trace_norm,
                         validate_density_matrix, von_neumann_entropy)
-from .spectra import (SingleParticleModel, classify_shell,
-                      commutant_projection, shell_decomposition)
+from .spectra import (SingleParticleModel, commutant_projection,
+                      is_fully_ergodic, shell_structure)
 from .tolerances import NAMED_TOLERANCES
 
 COMMANDS = ("verify-spec", "ergodicity", "evolve-master", "steady-states",
@@ -103,10 +103,10 @@ def _parse_matrix(obj, dim: int) -> np.ndarray:
 
 
 def _initial_state(params: dict, model: SingleParticleModel, dim: int,
-                   rng: np.random.Generator, key: str = "initial") -> np.ndarray:
-    init = params.get(key)
+                   rng: np.random.Generator) -> np.ndarray:
+    init = params.get("initial")
     if not isinstance(init, dict):
-        raise ConfigError(f"params.{key} must be an object with a 'kind' field")
+        raise ConfigError("params.initial must be an object with a 'kind' field")
     kind = init.get("kind")
     if kind == "maximally_mixed":
         return np.eye(dim, dtype=complex) / dim
@@ -115,7 +115,7 @@ def _initial_state(params: dict, model: SingleParticleModel, dim: int,
     if kind == "gibbs":
         if dim != model.dim:
             raise ConfigError("gibbs initial data is single-particle only")
-        return gibbs(model, float(_number(init.get("beta", 0.0), f"params.{key}.beta")))
+        return gibbs(model, float(_number(init.get("beta", 0.0), "params.initial.beta")))
     if kind == "random":
         return random_density(dim, rng)
     raise ConfigError(f"unknown initial-state kind '{kind}'")
@@ -233,10 +233,9 @@ def _cmd_verify_spec(cfg: RunConfig, rng):
 
 def _cmd_ergodicity(cfg: RunConfig, rng):
     n = _int_param(cfg, "N")
-    rows = []
-    for E, idxs in shell_decomposition(cfg.model, n, force=cfg.force):
-        part = classify_shell(cfg.model, n, E, force=cfg.force)
-        rows.append((E, len(idxs), part.num_classes))
+    shells = shell_structure(cfg.model, n, force=cfg.force).shells
+    _, counts = is_fully_ergodic(cfg.model, n, force=cfg.force)
+    rows = [(E, len(idx), counts[E]) for E, idx in shells]
     return ["E", "dim_KE", "class_count"], rows
 
 

@@ -117,10 +117,10 @@ class SpecReport:
     violations: list
 
 
-def _merge_nodes(nodes, decimals: int = 9) -> list:
+def _merge_nodes(nodes) -> list:
     ws = np.array([w for w, _ in nodes])
     us = np.stack([u for _, u in nodes]).astype(complex)
-    keys = np.round(us, decimals) + 0.0     # fold -0.0 into +0.0
+    keys = np.round(us, 9) + 0.0     # fold -0.0 into +0.0
     merged = {}
     for k in range(ws.size):
         key = keys[k].tobytes()
@@ -149,7 +149,7 @@ def symmetrize_nodes(nodes, d: int) -> list:
     return _merge_nodes(out)
 
 
-def _closure_residual(ws, us, images, weight_tol: float = 1e-9):
+def _closure_residual(ws, us, images):
     """Worst mismatch between each node's image and the node it hits.
 
     ``images[k]`` is the image of node ``us[k]`` (weight ``ws[k]``) under
@@ -157,7 +157,7 @@ def _closure_residual(ws, us, images, weight_tol: float = 1e-9):
     norm over the real and imaginary parts of the entries, found by one
     exact k-d tree query.  Returns (matrix residual, weight residual)
     maximized over nodes: the complex max-abs distance to the hit, and
-    the weight difference, reported as 0 when at most ``weight_tol``.
+    the weight difference, reported as 0 when at most 1e-9.
     """
     # imported here because scipy.spatial adds about 0.1 s to every CLI start
     from scipy.spatial import cKDTree
@@ -169,11 +169,11 @@ def _closure_residual(ws, us, images, weight_tol: float = 1e-9):
     _, hit = cKDTree(real_rows(us)).query(real_rows(images), p=np.inf)
     worst_mat = float(np.abs(us[hit] - images).max())
     worst_w = float(np.abs(ws[hit] - ws).max())
-    return worst_mat, worst_w if worst_w > weight_tol else 0.0
+    return worst_mat, worst_w if worst_w > 1e-9 else 0.0
 
 
-def verify_spec(spec: CollisionSpec, tol: float = 1e-9) -> SpecReport:
-    """Check the defining axioms, reporting each residual.
+def verify_spec(spec: CollisionSpec) -> SpecReport:
+    """Check the defining axioms, reporting each residual (violated above 1e-9).
 
     Sampled specs are checked node-wise (unitarity, energy conservation,
     identity membership, adjoint and swap closure as weighted sets).
@@ -217,7 +217,7 @@ def verify_spec(spec: CollisionSpec, tol: float = 1e-9) -> SpecReport:
         residuals["completely_positive"] = float(
             max(0.0, -np.linalg.eigvalsh(q.choi()).min()))
     violations = [f"{name}: residual {r:.3e}" for name, r in residuals.items()
-                  if r > tol]
+                  if r > 1e-9]
     return SpecReport(passes=not violations, residuals=residuals,
                       violations=violations)
 
@@ -230,6 +230,9 @@ def _qubit_grid_nodes(points: int, tilted: bool) -> list:
     """Equispaced product-grid discretization of the four-torus family."""
     if points < 4:
         raise ValueError("need at least 4 points per angle for exactness")
+    if points > 32:
+        raise ValueError("at most 32 points per angle: 4 are already exact, "
+                         "and memory grows as points**4")
     angles = 2.0 * np.pi * np.arange(points) / points
     if tilted:
         w1 = (1.0 + np.cos(angles)) / points
@@ -357,17 +360,17 @@ def identity_spec(model: SingleParticleModel) -> CollisionSpec:
 # fixed space and ergodicity
 # ---------------------------------------------------------------------------
 
-def fixed_space_of_Q(q: Superoperator, tol: float = TOL_FIXED_EIG) -> list:
+def fixed_space_of_Q(q: Superoperator) -> list:
     """Orthonormal basis (Hilbert-Schmidt) of the eigenvalue-1 eigenspace."""
     asym = np.abs(q.mat - q.mat.conj().T).max()
     if asym > 1e-8 * max(1.0, np.abs(q.mat).max()):
         raise ValueError(f"channel is not HS self-adjoint (residual {asym:.3e})")
     w, v = np.linalg.eigh((q.mat + q.mat.conj().T) / 2.0)
-    cols = np.where(np.abs(w - 1.0) <= tol)[0]
+    cols = np.where(np.abs(w - 1.0) <= TOL_FIXED_EIG)[0]
     return [v[:, k].reshape(q.dim, q.dim) for k in cols]
 
 
-def is_ergodic(spec: CollisionSpec, tol: float = TOL_FIXED_EIG) -> bool:
+def is_ergodic(spec: CollisionSpec) -> bool:
     """True iff the channel's fixed space is exactly the pair energy algebra."""
     fixed = fixed_space_of_Q(spec.channel)
     shells = shell_decomposition(spec.model, 2)
@@ -379,7 +382,7 @@ def is_ergodic(spec: CollisionSpec, tol: float = TOL_FIXED_EIG) -> bool:
         projs.append(p / np.sqrt(len(idxs)))
     for f in fixed:
         inside = sum(np.vdot(p, f) * p for p in projs)
-        if np.abs(f - inside).max() > tol:
+        if np.abs(f - inside).max() > TOL_FIXED_EIG:
             return False
     return True
 

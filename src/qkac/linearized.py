@@ -36,7 +36,7 @@ import scipy.linalg
 from .boltzmann import collision_invariants_basis, wild
 from .collisions import CollisionSpec, Superoperator
 from .errors import UnsupportedOperationError
-from .operators import FactorShape, partial_trace, tensor
+from .operators import tensor
 from .tolerances import TOL_PSD
 
 _GAP_KERNEL_TOL = 1e-8
@@ -107,16 +107,17 @@ def _check_steady(spec: CollisionSpec, geo: BKMGeometry) -> None:
 
 
 def _k_apply(spec: CollisionSpec, geo: BKMGeometry, x: np.ndarray) -> np.ndarray:
+    """K on each operator of the stack ``x`` of shape (n, d, d)."""
     y = multiply_super(geo, x)
     gain = wild(spec, geo.rho_inf, y) + wild(spec, y, geo.rho_inf)
-    raw = 2.0 * (divide_super(geo, gain) - x)
     # remove the trace direction: K(1) = 0, see module docstring
-    return raw - 2.0 * np.trace(multiply_super(geo, x)) * np.eye(geo.dim)
+    trace = np.trace(y, axis1=1, axis2=2)[:, None, None] * np.eye(geo.dim)
+    return 2.0 * (divide_super(geo, gain) - x - trace)
 
 
 def _k_apply_alternate(spec: CollisionSpec, geo: BKMGeometry,
                        x: np.ndarray) -> np.ndarray:
-    """Independent construction through the pair channel:
+    """Independent construction through the pair channel, on a stack ``x``:
 
         K A = 2( [rho]^{-1} Tr_2[ [rho x rho] Q(A x 1 + 1 x A) ] - A ),
 
@@ -124,12 +125,14 @@ def _k_apply_alternate(spec: CollisionSpec, geo: BKMGeometry,
     commutes with rho x rho when rho is steady.
     """
     d = geo.dim
-    pair_geo = _pair_geometry(geo)
     eye = np.eye(d)
-    big = spec.channel(tensor(x, eye) + tensor(eye, x))
-    w = partial_trace(multiply_super(pair_geo, big), FactorShape(2, d), keep=1)
-    raw = 2.0 * (divide_super(geo, w) - x)
-    return raw - 2.0 * np.trace(multiply_super(geo, x)) * np.eye(d)
+    # np.kron multiplies the trailing two axes and keeps the stack axis
+    sharp = (tensor(x, eye) + tensor(eye, x)).reshape(len(x), -1)
+    big = (sharp @ spec.channel.mat.T).reshape(len(x), d * d, d * d)
+    pair = multiply_super(_pair_geometry(geo), big).reshape(len(x), d, d, d, d)
+    w = np.einsum("nkrlr->nkl", pair)
+    trace = np.trace(multiply_super(geo, x), axis1=1, axis2=2)[:, None, None] * np.eye(d)
+    return 2.0 * (divide_super(geo, w) - x - trace)
 
 
 def build_K(spec: CollisionSpec, geo: BKMGeometry) -> Superoperator:
@@ -137,16 +140,10 @@ def build_K(spec: CollisionSpec, geo: BKMGeometry) -> Superoperator:
     pair-channel construction entrywise."""
     _check_steady(spec, geo)
     d = geo.dim
-    cols = []
-    cols_alt = []
-    for r in range(d):
-        for c in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[r, c] = 1.0
-            cols.append(_k_apply(spec, geo, unit).reshape(-1))
-            cols_alt.append(_k_apply_alternate(spec, geo, unit).reshape(-1))
-    mat = np.stack(cols, axis=1)
-    mat_alt = np.stack(cols_alt, axis=1)
+    # column r * d + c of K is the image of the matrix unit E_rc
+    units = np.eye(d * d).reshape(d * d, d, d)
+    mat = _k_apply(spec, geo, units).reshape(d * d, d * d).T
+    mat_alt = _k_apply_alternate(spec, geo, units).reshape(d * d, d * d).T
     disagree = np.abs(mat - mat_alt).max()
     if disagree > _AGREE_TOL:
         raise ValueError(
@@ -188,23 +185,16 @@ def dirichlet_form(spec: CollisionSpec, geo: BKMGeometry, a: np.ndarray,
 # spectral gap
 # ---------------------------------------------------------------------------
 
-def _hermitian_basis(d: int) -> list:
-    """Orthonormal (Hilbert-Schmidt) real basis of Hermitian d x d matrices."""
-    basis = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal (Hilbert-Schmidt) real basis of Hermitian d x d matrices,
+    stacked: the diagonal units, then a real and an imaginary pair per i < j."""
     r = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = e[j, i] = r
-            basis.append(e)
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = -1j * r
-            e[j, i] = 1j * r
-            basis.append(e)
+    i, j = np.triu_indices(d, 1)
+    k = d + 2 * np.arange(i.size)
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    basis[k, i, j] = basis[k, j, i] = r
+    basis[k + 1, i, j], basis[k + 1, j, i] = -1j * r, 1j * r
     return basis
 
 
@@ -223,26 +213,20 @@ def spectral_gap(spec: CollisionSpec, geo: BKMGeometry,
     d = geo.dim
     basis = _hermitian_basis(d)
     nb = len(basis)
-    kmat = np.empty((nb, nb))
-    gram = np.empty((nb, nb))
-    images = [k_op(e) for e in basis]
-    for p in range(nb):
-        for q in range(nb):
-            kv = bkm_inner(geo, basis[p], images[q])
-            gv = bkm_inner(geo, basis[p], basis[q])
-            if abs(kv.imag) > 1e-9 or abs(gv.imag) > 1e-9:
-                raise ValueError("the Hermitian-sector forms must be real")
-            kmat[p, q] = kv.real
-            gram[p, q] = gv.real
-    kmat = (kmat + kmat.T) / 2
-    gram = (gram + gram.T) / 2
+    images = (basis.reshape(nb, -1) @ k_op.mat.T).reshape(nb, d, d)
+    # entries are the BKM inner products <basis[p], images[q]> and <basis[p], basis[q]>
+    kmat = np.einsum("pij,qij->pq", basis.conj(), multiply_super(geo, images))
+    gram = np.einsum("pij,qij->pq", basis.conj(), multiply_super(geo, basis))
+    if max(np.abs(kmat.imag).max(), np.abs(gram.imag).max()) > 1e-9:
+        raise ValueError("the Hermitian-sector forms must be real")
+    kmat = (kmat.real + kmat.real.T) / 2
+    gram = (gram.real + gram.real.T) / 2
     if np.linalg.eigvalsh(gram).min() <= 1e-12:
         raise ValueError("degenerate BKM Gram matrix")
     rates = scipy.linalg.eigh(-kmat, gram, eigvals_only=True)
     kernel_dim = int((np.abs(rates) < _GAP_KERNEL_TOL).sum())
-    invariants = collision_invariants_basis(spec.model)
-    coords = np.stack([[np.vdot(e, inv).real for e in basis]
-                       for inv in invariants])
+    invariants = np.stack(collision_invariants_basis(spec.model))
+    coords = np.einsum("aij,pij->ap", invariants, basis.conj()).real
     # complement of the invariants in the BKM metric: null space of coords @ gram
     comp = scipy.linalg.null_space(coords @ gram)
     ksub = comp.T @ kmat @ comp

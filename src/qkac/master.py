@@ -37,6 +37,11 @@ log = logging.getLogger(__name__)
 # semigroup law composes exactly.
 MAX_JUMP_RATE = 1000.0
 
+# Largest dense shell block |rows| * |cols| of Q_N built unless forced: a
+# block and its eigensolve peak at about five times its memory, 1.9 GB for
+# the 4900-dimensional qubit block at N = 8 (N = 9 would need 15876).
+MAX_BLOCK_DIM = 5000
+
 
 @dataclass
 class KacGenerator:
@@ -193,6 +198,20 @@ def _block_fixed_vectors(gen: KacGenerator, rows, cols, tol):
     return out, w
 
 
+def _shell_blocks(gen: KacGenerator, diagonal_only: bool) -> list:
+    """The (rows, cols) shell pairs whose blocks of Q_N are to be built, after
+    checking the largest against ``MAX_BLOCK_DIM`` unless the generator is forced."""
+    shells = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).shells
+    # |rows| * |cols| <= max(|rows|, |cols|)**2: the largest diagonal block is largest
+    E, idx = max(shells, key=lambda shell: len(shell[1]))
+    if not gen.force and len(idx) ** 2 > MAX_BLOCK_DIM:
+        raise ValueError(
+            f"the block of Q_N on the shell E={E} has dimension {len(idx) ** 2}, "
+            f"past the limit {MAX_BLOCK_DIM}; pass force=True (CLI: --force) to override")
+    return [(rows, cols) for er, rows in shells for ec, cols in shells
+            if er == ec or not diagonal_only]
+
+
 def ln_null_basis(gen: KacGenerator, tol: float = TOL_FIXED_EIG) -> list:
     """Hilbert-Schmidt orthonormal basis of the null space of L_N.
 
@@ -202,26 +221,17 @@ def ln_null_basis(gen: KacGenerator, tol: float = TOL_FIXED_EIG) -> list:
     blocks (they are diagonal in the product eigenbasis); off-diagonal
     blocks are scanned too when the specification is not ergodic.
     """
-    ergodic = is_ergodic(gen.spec)
-    shells = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).shells
     basis = []
-    for ei, (_, rows) in enumerate(shells):
-        for ej, (_, cols) in enumerate(shells):
-            if ergodic and ei != ej:
-                continue
-            vecs, _ = _block_fixed_vectors(gen, rows, cols, tol)
-            basis.extend(vecs)
+    for rows, cols in _shell_blocks(gen, diagonal_only=is_ergodic(gen.spec)):
+        vecs, _ = _block_fixed_vectors(gen, rows, cols, tol)
+        basis.extend(vecs)
     return basis
 
 
 def qn_spectrum(gen: KacGenerator) -> np.ndarray:
     """All eigenvalues of Q_N on the operator space, via the shell blocks."""
-    shells = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).shells
-    eigs = []
-    for _, rows in shells:
-        for _, cols in shells:
-            _, w = _block_fixed_vectors(gen, rows, cols, tol=0.0)
-            eigs.append(w)
+    eigs = [_block_fixed_vectors(gen, rows, cols, tol=0.0)[1]
+            for rows, cols in _shell_blocks(gen, diagonal_only=False)]
     return np.sort(np.concatenate(eigs))
 
 
@@ -234,24 +244,23 @@ def steady_states_basis(gen: KacGenerator, tol: float = TOL_FIXED_EIG,
     count; for a non-ergodic specification the check runs over all shell
     blocks and a mismatch raises.
     """
-    model = gen.spec.model
-    projections = class_projections(model, gen.num_particles, force=gen.force)
     if cross_check:
+        # first, so an oversized block fails before the dense projections are built
         null_dim = len(ln_null_basis(gen, tol=tol))
-        if null_dim != len(projections):
-            raise NumericalContractError(
-                f"null-space dimension {null_dim} does not match the "
-                f"class count {len(projections)}")
+    projections = class_projections(gen.spec.model, gen.num_particles, force=gen.force)
+    if cross_check and null_dim != len(projections):
+        raise NumericalContractError(
+            f"null-space dimension {null_dim} does not match the "
+            f"class count {len(projections)}")
     return [(E, p / rank, rank) for E, p, rank in projections]
 
 
-def entropy_production(gen: KacGenerator, rho: np.ndarray,
-                       tol_psd: float = TOL_PSD):
+def entropy_production(gen: KacGenerator, rho: np.ndarray):
     """Entropy production -d/dt S(rho_t || rho_inf) at t = 0.
 
     rho_inf is the conditional expectation of rho onto the fixed-point
     algebra.  Returns (rate, ratio) where ratio = rate / S(rho || rho_inf)
-    when the denominator exceeds tol, else None.  If rho is singular on
+    when the denominator exceeds TOL_PSD, else None.  If rho is singular on
     the support of rho_inf the rate is reported as +inf.
     """
     from .operators import relative_entropy
@@ -261,15 +270,15 @@ def entropy_production(gen: KacGenerator, rho: np.ndarray,
                                    force=gen.force)
     w_rho = np.linalg.eigvalsh(rho)
     w_inf = np.linalg.eigvalsh(rho_inf)
-    ker_rho = (w_rho <= tol_psd).sum()
-    ker_inf = (w_inf <= tol_psd).sum()
+    ker_rho = (w_rho <= TOL_PSD).sum()
+    ker_inf = (w_inf <= TOL_PSD).sum()
     if ker_rho > ker_inf:
         return float("inf"), None
-    log_rho = hermitian_function(rho, lambda w: np.log(np.maximum(w, tol_psd)))
-    log_inf = hermitian_function(rho_inf, lambda w: np.log(np.maximum(w, tol_psd)))
+    log_rho = hermitian_function(rho, lambda w: np.log(np.maximum(w, TOL_PSD)))
+    log_inf = hermitian_function(rho_inf, lambda w: np.log(np.maximum(w, TOL_PSD)))
     rate = -np.trace(apply_LN(gen, rho) @ (log_rho - log_inf)).real
-    rel = relative_entropy(rho, rho_inf, tol_psd=tol_psd)
-    ratio = rate / rel if rel > tol_psd and np.isfinite(rel) else None
+    rel = relative_entropy(rho, rho_inf)
+    ratio = rate / rel if rel > TOL_PSD and np.isfinite(rel) else None
     return float(rate), ratio
 
 

@@ -74,29 +74,27 @@ def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
     return np.abs(a - a.conj().T).max() <= tol
 
 
-def is_unitary(a: np.ndarray, tol: float = TOL_HERM) -> bool:
+def is_unitary(a: np.ndarray) -> bool:
     eye = np.eye(a.shape[0])
-    return np.abs(a @ a.conj().T - eye).max() <= tol
+    return np.abs(a @ a.conj().T - eye).max() <= TOL_HERM
 
 
-def is_positive_semidefinite(a: np.ndarray, tol: float = TOL_PSD) -> bool:
-    if not is_hermitian(a, tol=max(tol, TOL_HERM)):
+def is_positive_semidefinite(a: np.ndarray) -> bool:
+    if not is_hermitian(a, tol=max(TOL_PSD, TOL_HERM)):
         return False
-    return np.linalg.eigvalsh(a).min() >= -tol
+    return np.linalg.eigvalsh(a).min() >= -TOL_PSD
 
 
-def validate_density_matrix(rho: np.ndarray, tol_herm: float = TOL_HERM,
-                            tol_trace: float = TOL_TRACE,
-                            tol_psd: float = TOL_PSD) -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray, tol_psd: float = TOL_PSD) -> np.ndarray:
     """Return ``rho`` as a complex array, raising if it is not a valid state."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"state must be a square matrix, got shape {rho.shape}")
     herm = np.abs(rho - rho.conj().T).max()
-    if herm > tol_herm:
+    if herm > TOL_HERM:
         raise ValueError(f"state is not Hermitian (residual {herm:.3e})")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > tol_trace:
+    if abs(tr - 1.0) > TOL_TRACE:
         raise ValueError(f"state trace is {tr}, not 1")
     lo = np.linalg.eigvalsh(rho).min()
     if lo < -tol_psd:
@@ -188,7 +186,7 @@ def swap_unitary(d: int) -> np.ndarray:
     return permutation_unitary([1, 0], FactorShape(2, d))
 
 
-def reorder_pair_basis(m: np.ndarray, d: int = 2) -> np.ndarray:
+def reorder_pair_basis(m: np.ndarray) -> np.ndarray:
     """Re-index a two-factor operator between the two tensor orderings.
 
     Converts a matrix written with the SECOND factor most significant
@@ -196,6 +194,9 @@ def reorder_pair_basis(m: np.ndarray, d: int = 2) -> np.ndarray:
     first-factor-most-significant ordering.  The map is an involution.
     """
     m = np.asarray(m, dtype=complex)
+    d = round(m.shape[0] ** 0.5)
+    if m.shape != (d * d, d * d):
+        raise ValueError(f"two-factor operator must be d^2 x d^2, got shape {m.shape}")
     perm = np.arange(d * d).reshape(d, d).T.reshape(-1)
     return m[np.ix_(perm, perm)]
 
@@ -230,11 +231,11 @@ def trace_first(rho: np.ndarray, shape: FactorShape, drop: int) -> np.ndarray:
 # Hermitian matrix functions, entropies, norms
 # ---------------------------------------------------------------------------
 
-def hermitian_function(a: np.ndarray, fn, tol_herm: float = TOL_HERM) -> np.ndarray:
+def hermitian_function(a: np.ndarray, fn) -> np.ndarray:
     """Apply a scalar function through the eigendecomposition of a Hermitian matrix."""
     a = np.asarray(a, dtype=complex)
     herm = np.abs(a - a.conj().T).max()
-    if herm > tol_herm:
+    if herm > TOL_HERM:
         raise ValueError(f"matrix function requires Hermitian input (residual {herm:.3e})")
     w, v = np.linalg.eigh(a)
     return (v * fn(w)) @ v.conj().T

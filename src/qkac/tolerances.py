@@ -1,7 +1,7 @@
 """Central numerical tolerances and the dimension guard.
 
-All tolerances are absolute.  Functions throughout the package accept
-these as keyword arguments so callers can override them per call.  The
+All tolerances are absolute.  Functions that some caller tunes accept
+them as keyword arguments; the others use these values directly.  The
 CLI passes on only those in ``NAMED_TOLERANCES``, which its ``--tol``
 flag overrides.
 """

@@ -5,9 +5,10 @@ from qkac.boltzmann import (classify_steady_states, collision_invariants_basis,
                             conserved_check, diagonal_projection, gibbs,
                             is_steady, picard_solve, qkbe_integrate,
                             steady_state_from_coeffs, wild, wild_diagonal)
-from qkac.collisions import exact_EA2_spec
-from qkac.operators import (relative_entropy, tensor, trace_first,
-                            von_neumann_entropy)
+from qkac.collisions import (exact_EA2_spec, identity_spec, qubit_tilted_spec,
+                             qubit_uniform_spec)
+from qkac.operators import (FactorShape, partial_trace, relative_entropy,
+                            tensor, trace_first, von_neumann_entropy)
 from qkac.spectra import SingleParticleModel
 from conftest import random_matrix, random_state
 
@@ -34,6 +35,39 @@ def test_wild_tilted_closed_form(tilted_spec, rng):
         if abs(z * (2 - b) - w * (2 - a)) > 1e-6:
             rev = wild(tilted_spec, r2, r1)
             assert np.abs(got - rev).max() > 1e-9
+
+
+def reference_wild(spec, a, b):
+    """The Wild convolution by its definition: the pair channel on the
+    Kronecker product, then the partial trace over the second factor."""
+    return partial_trace(spec.channel(tensor(a, b)), FactorShape(2, spec.dim), keep=1)
+
+
+@pytest.mark.parametrize("make_spec", [
+    qubit_uniform_spec, qubit_tilted_spec,
+    lambda: qubit_uniform_spec(points_per_angle=4),
+    lambda: qubit_tilted_spec(points_per_angle=4),
+    lambda: exact_EA2_spec(SingleParticleModel((0, 1))),
+    lambda: exact_EA2_spec(SingleParticleModel((0, 1, 2))),
+    lambda: exact_EA2_spec(SingleParticleModel((0, 1, 4, 5))),
+    lambda: identity_spec(SingleParticleModel((0, 1, 2))),
+], ids=["uniform", "tilted", "uniform_ppa4", "tilted_ppa4", "ea2_01", "ea2_012",
+        "ea2_0145", "identity_012"])
+def test_wild_matches_definition(make_spec, rng):
+    spec = make_spec()
+    d = spec.dim
+    ops = [random_matrix(rng, d) for _ in range(6)]
+    for a, b in zip(ops, ops[::-1]):
+        assert np.abs(wild(spec, a, b) - reference_wild(spec, a, b)).max() < 1e-13
+    # leading axes are a stack of operands, each convolved on its own
+    stack = np.stack(ops)
+    want = np.stack([reference_wild(spec, a, ops[0]) for a in ops])
+    assert np.abs(wild(spec, stack, ops[0]) - want).max() < 1e-13
+    for bad in (np.eye(d + 1), np.eye(d)[0], np.ones((d, d + 1)), 1.0):
+        with pytest.raises(ValueError):
+            wild(spec, bad, ops[0])
+        with pytest.raises(ValueError):
+            wild(spec, ops[0], bad)
 
 
 def test_wild_square_instantiated(tilted_spec):
@@ -63,8 +97,6 @@ def test_wild_psd_preserving(tilted_spec, rng):
 
 
 def test_wild_swap_identity(tilted_spec, uniform_spec, rng):
-    from qkac.operators import FactorShape, partial_trace
-
     for spec in (tilted_spec, uniform_spec):
         q = spec.channel
         rho = random_state(rng, 2)

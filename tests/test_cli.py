@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -106,17 +107,44 @@ ERGODICITY = {"command": "ergodicity", "model": QUBIT, "params": {"N": 2}}
                                           "state": [[["1", "0"], 0], [0, 0]]}}},
     conserved(3),
     gap({"kind": "diag", "values": [[0.5], [0.5]]}),
+    {"command": "verify-spec", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"points_per_angle": 33}},
 ], ids=["initial_not_object", "tolerance_not_number",
         "points_per_angle_not_integer", "rho_inf_item_not_object",
         "seed_list", "gibbs_beta_list", "gibbs_beta_infinite", "rho_inf_beta_list",
         "diag_invariant_number", "spec_not_string", "output_dir_list", "force_string",
         "seed_bool", "N_bool", "tolerance_bool", "t_max_bool", "matrix_part_string",
-        "invariants_not_list", "rho_inf_values_nested"])
+        "invariants_not_list", "rho_inf_values_nested", "points_per_angle_33"])
 def test_malformed_config_exits_1_without_outputs(tmp_path, capsys, monkeypatch, doc):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "out"), **doc})
     assert main(["--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_oversized_shell_block_exits_1_without_outputs(tmp_path):
+    # the size guard admits qubits at N = 9, but the dense E = 4 block of
+    # Q_N would be 126**2 = 15876-dimensional (about 4 GB).  The run gets a
+    # 1 GB address-space limit, so if the block check failed to stop it,
+    # it would end in a MemoryError instead of exhausting the host.
+    import resource
+
+    cfg = write_config(tmp_path, {
+        "command": "steady-states", "model": QUBIT, "spec": "qubit_tilted",
+        "params": {"N": 9}, "output_dir": str(tmp_path / "out")})
+    src = str(Path(qkac.__file__).resolve().parents[1])
+    limit = 1 << 30
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qkac.cli", "--config", str(cfg)], cwd=tmp_path,
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "E=4" in proc.stderr and "15876" in proc.stderr
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 

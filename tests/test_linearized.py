@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qkac.boltzmann import (classify_steady_states, collision_invariants_basis,
                             gibbs, wild)
 from qkac.collisions import exact_EA2_spec
 from qkac.errors import UnsupportedOperationError
-from qkac.linearized import (BKMGeometry, bkm_inner, build_K, dirichlet_form,
-                             divide_super, multiply_super, spectral_gap)
+from qkac.linearized import (BKMGeometry, _hermitian_basis, bkm_inner, build_K,
+                             dirichlet_form, divide_super, multiply_super,
+                             spectral_gap)
 from qkac.spectra import SingleParticleModel
 from conftest import random_matrix, random_state
 
@@ -241,3 +243,63 @@ def test_kernel_dimension_matches_invariant_count():
     gap, kernel_dim = spectral_gap(spec, geo)
     assert kernel_dim == family.dimension == 3
     assert gap > 0
+
+
+def reference_hermitian_basis(d):
+    basis = []
+    for i in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        e[i, i] = 1.0
+        basis.append(e)
+    r = 1.0 / np.sqrt(2.0)
+    for i in range(d):
+        for j in range(i + 1, d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = e[j, i] = r
+            basis.append(e)
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = -1j * r
+            e[j, i] = 1j * r
+            basis.append(e)
+    return basis
+
+
+def reference_spectral_gap(spec, geo):
+    """spectral_gap with the basis built element by element and both forms
+    filled entry by entry from bkm_inner."""
+    k_op = build_K(spec, geo)
+    basis = reference_hermitian_basis(geo.dim)
+    nb = len(basis)
+    kmat = np.empty((nb, nb))
+    gram = np.empty((nb, nb))
+    images = [k_op(e) for e in basis]
+    for p in range(nb):
+        for q in range(nb):
+            kv = bkm_inner(geo, basis[p], images[q])
+            gv = bkm_inner(geo, basis[p], basis[q])
+            assert abs(kv.imag) <= 1e-9 and abs(gv.imag) <= 1e-9
+            kmat[p, q] = kv.real
+            gram[p, q] = gv.real
+    kmat = (kmat + kmat.T) / 2
+    gram = (gram + gram.T) / 2
+    rates = scipy.linalg.eigh(-kmat, gram, eigvals_only=True)
+    kernel_dim = int((np.abs(rates) < 1e-8).sum())
+    coords = np.stack([[np.vdot(e, inv).real for e in basis]
+                       for inv in collision_invariants_basis(spec.model)])
+    comp = scipy.linalg.null_space(coords @ gram)
+    gap = scipy.linalg.eigh(-(comp.T @ kmat @ comp), comp.T @ gram @ comp,
+                            eigvals_only=True).min()
+    return float(gap), kernel_dim
+
+
+@pytest.mark.parametrize("energies", [(0, 1, 2), (0, 1, 4, 5)])
+@pytest.mark.parametrize("beta", [0.3, -0.8])
+def test_spectral_gap_matches_entrywise_reference(energies, beta):
+    d = len(energies)
+    assert np.array_equal(_hermitian_basis(d), np.stack(reference_hermitian_basis(d)))
+    spec = exact_EA2_spec(SingleParticleModel(energies))
+    geo = BKMGeometry(gibbs(spec.model, beta))
+    gap, kernel_dim = spectral_gap(spec, geo)
+    want_gap, want_dim = reference_spectral_gap(spec, geo)
+    assert kernel_dim == want_dim
+    assert abs(gap - want_gap) < 1e-12

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from qkac import master
 from qkac.collisions import exact_EA2_spec, identity_spec, spec_by_name
 from qkac.errors import NumericalContractError
-from qkac.master import (KacGenerator, _shell_block, apply_LN, apply_QN,
+from qkac.master import (MAX_BLOCK_DIM, KacGenerator, _shell_block,
+                         _shell_blocks, apply_LN, apply_QN,
                          entropy_production, evolve_master, ln_null_basis,
                          permutation_covariance_check, qn_spectrum,
                          steady_states_basis, symmetrize_state)
@@ -211,6 +213,25 @@ def test_steady_states_basis_two_particles(uniform_spec):
         # diagonal in the product eigenbasis (hence separable)
         assert np.abs(evolve_master(gen, s, 1.0) - s).max() < 1e-12
         assert np.abs(s - np.diag(np.diag(s))).max() == 0.0
+
+
+def test_oversized_shell_block_rejected_before_gathering(tilted_spec, monkeypatch):
+    # qubit shells at N = 9 reach 126 indices, so the largest block is
+    # 126**2 = 15876-dimensional, while N = 8 peaks at 70**2 = 4900.
+    # _shell_blocks only lists the blocks, so none of this builds one.
+    with pytest.raises(ValueError, match="shell E=4 has dimension 15876"):
+        _shell_blocks(KacGenerator(tilted_spec, 9), True)
+    assert len(_shell_blocks(KacGenerator(tilted_spec, 9, force=True), True)) == 10
+    assert max(len(r) * len(c) for r, c in
+               _shell_blocks(KacGenerator(tilted_spec, 8), False)) == 4900 <= MAX_BLOCK_DIM
+    # every caller checks before it gathers; shown on a lowered limit,
+    # where a missed check would only build a 400-dimensional block
+    monkeypatch.setattr(master, "MAX_BLOCK_DIM", 399)
+    gen = KacGenerator(tilted_spec, 6)
+    for fn in (ln_null_basis, qn_spectrum, steady_states_basis):
+        with pytest.raises(ValueError, match="shell E=3 has dimension 400"):
+            fn(gen)
+    assert len(steady_states_basis(KacGenerator(tilted_spec, 6, force=True))) == 7
 
 
 def test_steady_states_nonergodic_mismatch_raises(qubit_model):

@@ -188,6 +188,14 @@ def test_reorder_pair_basis_swaps_tensor_order(rng):
     assert np.abs(reorder_pair_basis(tensor(a, b)) - tensor(b, a)).max() < 1e-12
 
 
+def test_reorder_pair_basis_reads_factor_dim_off_shape(rng):
+    a = random_matrix(rng, 3)
+    b = random_matrix(rng, 3)
+    assert np.abs(reorder_pair_basis(tensor(a, b)) - tensor(b, a)).max() < 1e-12
+    with pytest.raises(ValueError):
+        reorder_pair_basis(random_matrix(rng, 5))
+
+
 def test_entropy_pure_state():
     assert von_neumann_entropy(np.diag([1.0, 0.0]).astype(complex)) == 0.0
 
