@@ -37,10 +37,22 @@ from .operators import (random_density, relative_entropy, trace_norm,
                         validate_density_matrix, von_neumann_entropy)
 from .spectra import (SingleParticleModel, commutant_projection,
                       is_fully_ergodic, shell_structure)
-from .tolerances import NAMED_TOLERANCES
+from .tolerances import NAMED_TOLERANCES, check_size_guard
 
-COMMANDS = ("verify-spec", "ergodicity", "evolve-master", "steady-states",
-            "evolve-qkbe", "steady-family", "check-conserved", "chaos", "gap")
+# the params each command reads; any other name is an error
+PARAMS = {
+    "verify-spec": {"points_per_angle"},
+    "ergodicity": {"N"},
+    "evolve-master": {"points_per_angle", "N", "t_max", "steps", "initial"},
+    "steady-states": {"points_per_angle", "N"},
+    "evolve-qkbe": {"points_per_angle", "t_max", "steps", "initial"},
+    "steady-family": set(),
+    "check-conserved": {"points_per_angle", "t_max", "steps", "initial", "invariants"},
+    "chaos": {"points_per_angle", "N_list", "t_max", "steps", "initial"},
+    "gap": {"points_per_angle", "rho_inf"},
+}
+COMMANDS = tuple(PARAMS)
+MAX_STEPS = 100_000
 
 
 class ConfigError(ValueError):
@@ -176,6 +188,10 @@ def load_config(path: str, output_override: str | None, force_flag: bool,
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("field 'params' must be an object")
+    unread = sorted(set(params) - PARAMS[command])
+    if unread:
+        raise ConfigError(f"'{command}' does not read params {unread}; "
+                          f"it reads {sorted(PARAMS[command])}")
     output_dir = output_override or doc.get("output_dir")
     if not output_dir or not isinstance(output_dir, str):
         raise ConfigError("an output directory is required ('output_dir' or --output), "
@@ -216,6 +232,8 @@ def _time_grid(cfg: RunConfig) -> np.ndarray:
     if t_max <= 0:
         raise ConfigError("params.t_max must be a positive number")
     steps = _int_param(cfg, "steps") if "steps" in cfg.params else 100
+    if steps > MAX_STEPS:
+        raise ConfigError(f"params.steps must be at most {MAX_STEPS}, got {steps}")
     return np.linspace(0.0, float(t_max), steps + 1)
 
 
@@ -240,14 +258,14 @@ def _cmd_ergodicity(cfg: RunConfig, rng):
 
 
 def _cmd_evolve_master(cfg: RunConfig, rng):
-    spec = _require_spec(cfg)
     n = _int_param(cfg, "N", minimum=2)
-    gen = KacGenerator(spec, n, force=cfg.force)
-    rho0 = _initial_state(cfg.params, cfg.model, gen.shape.dim, rng)
+    grid = _time_grid(cfg)
+    check_size_guard(cfg.model.dim ** n, force=cfg.force)
+    rho0 = _initial_state(cfg.params, cfg.model, cfg.model.dim ** n, rng)
+    gen = KacGenerator(_require_spec(cfg), n, force=cfg.force)
     limit = commutant_projection(cfg.model, n, rho0, force=cfg.force)
     rows = []
     state = rho0
-    grid = _time_grid(cfg)
     for idx, t in enumerate(grid):
         if idx > 0:
             state = evolve_master(gen, state, float(grid[idx] - grid[idx - 1]),
@@ -261,20 +279,18 @@ def _cmd_evolve_master(cfg: RunConfig, rng):
 
 
 def _cmd_steady_states(cfg: RunConfig, rng):
-    spec = _require_spec(cfg)
     n = _int_param(cfg, "N", minimum=2)
-    gen = KacGenerator(spec, n, force=cfg.force)
+    gen = KacGenerator(_require_spec(cfg), n, force=cfg.force)
     basis = steady_states_basis(gen, tol=cfg.tols["fixed_eig"])
     rows = [(E, k, rank) for k, (E, _, rank) in enumerate(basis)]
     return ["E", "class_index", "rank"], rows
 
 
 def _cmd_evolve_qkbe(cfg: RunConfig, rng):
-    spec = _require_spec(cfg)
     d = cfg.model.dim
-    rho0 = _initial_state(cfg.params, cfg.model, d, rng)
     grid = _time_grid(cfg)
-    traj = qkbe_integrate(spec, rho0, grid, tol_psd=cfg.tols["psd"])
+    rho0 = _initial_state(cfg.params, cfg.model, d, rng)
+    traj = qkbe_integrate(_require_spec(cfg), rho0, grid, tol_psd=cfg.tols["psd"])
     h = cfg.model.hamiltonian()
     header = ["t", "energy", "entropy"]
     for i in range(d):
@@ -301,50 +317,50 @@ def _cmd_steady_family(cfg: RunConfig, rng):
 
 
 def _cmd_check_conserved(cfg: RunConfig, rng):
-    spec = _require_spec(cfg)
     d = cfg.model.dim
-    rho0 = _initial_state(cfg.params, cfg.model, d, rng)
-    traj = qkbe_integrate(spec, rho0, _time_grid(cfg), tol_psd=cfg.tols["psd"])
+    grid = _time_grid(cfg)
     h = cfg.model.hamiltonian()
     named = {"identity": np.eye(d, dtype=complex), "h": h, "h_squared": h @ h}
     wanted = cfg.params.get("invariants", ["identity", "h"])
     if not isinstance(wanted, list):
         raise ConfigError("params.invariants must be a list")
-    rows = []
+    invariants = []
     for item in wanted:
         if isinstance(item, str) and item in named:
-            name, op = item, named[item]
+            invariants.append((item, named[item]))
         elif isinstance(item, dict) and "diag" in item:
             op = np.diag(_numbers(item["diag"], "a diagonal invariant", d)).astype(complex)
-            name = "diag:" + ",".join(map(str, item["diag"]))
+            invariants.append(("diag:" + ",".join(map(str, item["diag"])), op))
         else:
             raise ConfigError(f"unknown invariant {item!r}")
-        rows.append((name, conserved_check(spec, traj, op)))
+    rho0 = _initial_state(cfg.params, cfg.model, d, rng)
+    spec = _require_spec(cfg)
+    traj = qkbe_integrate(spec, rho0, grid, tol_psd=cfg.tols["psd"])
+    rows = [(name, conserved_check(spec, traj, op)) for name, op in invariants]
     return ["invariant", "max_drift"], rows
 
 
 def _cmd_chaos(cfg: RunConfig, rng):
-    spec = _require_spec(cfg)
     n_list = cfg.params.get("N_list")
     if not isinstance(n_list, list) or not n_list:
         raise ConfigError("params.N_list must be a list of integers >= 2")
     for n in n_list:
         _number(n, "each of params.N_list", integer=True, minimum=2)
+    grid = _time_grid(cfg)
     rho0 = _initial_state(cfg.params, cfg.model, cfg.model.dim, rng)
-    exp = ChaosExperiment(spec, rho0, n_list, _time_grid(cfg), force=cfg.force)
+    exp = ChaosExperiment(_require_spec(cfg), rho0, n_list, grid, force=cfg.force)
     rows = [(r.N, r.t, r.delta1, r.delta2, r.entropy_N, r.entropy_qkbe)
             for r in run_chaos_experiment(exp)]
     return ["N", "t", "delta1", "delta2", "entropy_N", "entropy_qkbe"], rows
 
 
 def _cmd_gap(cfg: RunConfig, rng):
-    spec = _require_spec(cfg)
     states = cfg.params.get("rho_inf")
     if isinstance(states, dict):
         states = [states]
     if not isinstance(states, list) or not states:
         raise ConfigError("params.rho_inf must be an object or list of objects")
-    rows = []
+    geometries = []
     for item in states:
         if not isinstance(item, dict):
             raise ConfigError(f"params.rho_inf item {item!r} must be an object")
@@ -361,9 +377,9 @@ def _cmd_gap(cfg: RunConfig, rng):
             label = "diag:" + ",".join(_fmt(float(v)) for v in vals)
         else:
             raise ConfigError(f"unknown rho_inf kind {kind!r}")
-        geo = BKMGeometry(rho_inf)
-        gap, kernel_dim = spectral_gap(spec, geo)
-        rows.append((spec.name, label, gap, kernel_dim))
+        geometries.append((label, BKMGeometry(rho_inf)))
+    spec = _require_spec(cfg)
+    rows = [(spec.name, label, *spectral_gap(spec, geo)) for label, geo in geometries]
     return ["spec", "rho_inf_params", "gap", "kernel_dim"], rows
 
 

@@ -46,7 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import swap_unitary, tensor
-from .spectra import SingleParticleModel, shell_decomposition, shell_projector
+from .spectra import (SingleParticleModel, shell_decomposition, shell_projector,
+                      shell_structure)
 from .tolerances import TOL_FIXED_EIG
 
 
@@ -117,19 +118,14 @@ class SpecReport:
     violations: list
 
 
-def _merge_nodes(nodes) -> list:
-    ws = np.array([w for w, _ in nodes])
-    us = np.stack([u for _, u in nodes]).astype(complex)
+def _merge_nodes(ws, us) -> list:
+    """(weight, unitary) pairs, heaviest first, with the weights of
+    unitaries that agree to 9 decimals summed."""
     keys = np.round(us, 9) + 0.0     # fold -0.0 into +0.0
     merged = {}
-    for k in range(ws.size):
-        key = keys[k].tobytes()
-        if key in merged:
-            merged[key][0] += ws[k]
-        else:
-            merged[key] = [ws[k], us[k]]
-    return sorted(((float(w), u) for w, u in merged.values()),
-                  key=lambda wu: -wu[0])
+    for w, u, key in zip(ws.tolist(), us, keys):
+        merged.setdefault(key.tobytes(), [0.0, u])[0] += w
+    return sorted(map(tuple, merged.values()), key=lambda wu: -wu[0])
 
 
 def symmetrize_nodes(nodes, d: int) -> list:
@@ -140,13 +136,12 @@ def symmetrize_nodes(nodes, d: int) -> list:
     with summed weights.  The result satisfies the closure axioms exactly.
     """
     v = swap_unitary(d)
-    out = []
-    for w, u in nodes:
-        u = np.asarray(u, dtype=complex)
-        su = v @ u @ v.conj().T
-        for variant in (u, u.conj().T, su, su.conj().T):
-            out.append((w / 4.0, variant))
-    return _merge_nodes(out)
+    us = np.stack([u for _, u in nodes]).astype(complex)
+    sus = v @ us @ v.conj().T
+    orbit = np.stack([us, us.conj().transpose(0, 2, 1),
+                      sus, sus.conj().transpose(0, 2, 1)], axis=1)
+    ws = np.array([w for w, _ in nodes], dtype=float) / 4.0
+    return _merge_nodes(np.repeat(ws, 4), orbit.reshape(-1, d * d, d * d))
 
 
 def _closure_residual(ws, us, images):
@@ -260,42 +255,38 @@ def _qubit_grid_nodes(points: int, tilted: bool) -> list:
     u = u[:, perm][:, :, perm]
     # at sin(theta) = 0 the phi-dependence drops out and grid points
     # coincide; merge them so the weighted set is duplicate-free
-    return _merge_nodes([(float(w), u[k]) for k, w in enumerate(wgrid)])
+    return _merge_nodes(wgrid, u)
 
 
 def _qubit_closed_channel(tilted: bool) -> Superoperator:
-    """Entrywise form of the averaged qubit channel, assembled per matrix unit.
+    """Entrywise form of the averaged qubit channel.
 
-    Written first in the first-factor-fastest ordering |00>, |10>, |01>,
-    |11> where the damping factors read off the measure moments, then
-    re-indexed.
+    It scales the matrix unit |a><b| by ``damp[a, b]``, read off the
+    measure moments, except that |01><01| and |10><10| both map to their
+    average.  Exchanging |01> and |10> leaves the table unchanged.
     """
+    damp = np.diag([1.0, 0.0, 0.0, 1.0])
     if tilted:
-        off = {(0, 1): 0.125, (0, 2): 0.125, (0, 3): 0.5,
-               (1, 3): 0.25, (2, 3): 0.25}
-    else:
-        off = {}
-    s = np.zeros((16, 16), dtype=complex)
-    for r in range(4):
-        for c in range(4):
-            col = r * 4 + c
-            image = np.zeros((4, 4), dtype=complex)
-            if r == c:
-                if r in (1, 2):
-                    image[1, 1] = image[2, 2] = 0.5
-                else:
-                    image[r, c] = 1.0
-            else:
-                f = off.get((r, c), off.get((c, r), 0.0))
-                image[r, c] = f
-            s[:, col] = image.reshape(-1)
-    perm = np.array([0, 2, 1, 3])
-    s4 = s.reshape(4, 4, 4, 4)
-    s4 = s4[np.ix_(perm, perm, perm, perm)]
-    return Superoperator(s4.reshape(16, 16), 4)
+        damp += np.array([[0, 1, 1, 4], [1, 0, 0, 2], [1, 0, 0, 2], [4, 2, 2, 0]]) / 8.0
+    s = np.diag(damp.reshape(-1)).astype(complex)
+    s[np.ix_([5, 10], [5, 10])] = 0.5
+    return Superoperator(s, 4)
 
 
 QUBIT_MODEL = SingleParticleModel((0, 1))
+
+
+def _qubit_spec(name: str, points_per_angle: int | None) -> CollisionSpec:
+    """Shared constructor of the two qubit families; the closed form carries
+    the exact 8-point grid as its node family."""
+    tilted = name == "qubit_tilted"
+    if points_per_angle is None:
+        return CollisionSpec(QUBIT_MODEL, name, "closed_form",
+                             _qubit_closed_channel(tilted),
+                             nodes=_qubit_grid_nodes(8, tilted))
+    nodes = _qubit_grid_nodes(points_per_angle, tilted)
+    return CollisionSpec(QUBIT_MODEL, f"{name}_sampled{points_per_angle}",
+                         "sampled", superoperator_from_nodes(nodes, 4), nodes)
 
 
 def qubit_uniform_spec(points_per_angle: int | None = None) -> CollisionSpec:
@@ -306,13 +297,7 @@ def qubit_uniform_spec(points_per_angle: int | None = None) -> CollisionSpec:
     entries vanish.  With ``points_per_angle`` set, returns the sampled
     grid surrogate instead (exact for n >= 4).
     """
-    if points_per_angle is None:
-        return CollisionSpec(QUBIT_MODEL, "qubit_uniform", "closed_form",
-                             _qubit_closed_channel(tilted=False),
-                             nodes=_qubit_grid_nodes(8, tilted=False))
-    nodes = _qubit_grid_nodes(points_per_angle, tilted=False)
-    return CollisionSpec(QUBIT_MODEL, f"qubit_uniform_sampled{points_per_angle}",
-                         "sampled", superoperator_from_nodes(nodes, 4), nodes)
+    return _qubit_spec("qubit_uniform", points_per_angle)
 
 
 def qubit_tilted_spec(points_per_angle: int | None = None) -> CollisionSpec:
@@ -322,28 +307,21 @@ def qubit_tilted_spec(points_per_angle: int | None = None) -> CollisionSpec:
     instead of killing them, so it is not idempotent, but its powers
     converge to the same conditional expectation.
     """
-    if points_per_angle is None:
-        return CollisionSpec(QUBIT_MODEL, "qubit_tilted", "closed_form",
-                             _qubit_closed_channel(tilted=True),
-                             nodes=_qubit_grid_nodes(8, tilted=True))
-    nodes = _qubit_grid_nodes(points_per_angle, tilted=True)
-    return CollisionSpec(QUBIT_MODEL, f"qubit_tilted_sampled{points_per_angle}",
-                         "sampled", superoperator_from_nodes(nodes, 4), nodes)
+    return _qubit_spec("qubit_tilted", points_per_angle)
 
 
 def exact_EA2_spec(model: SingleParticleModel) -> CollisionSpec:
     """Exact conditional expectation onto the pair energy algebra.
 
-    The channel maps X to sum_E Tr[P_E X] sigma_E over the two-particle
+    The channel maps X to sum_E Tr[P_E X] P_E / |E| over the two-particle
     shells.  It is the idempotent limit of every ergodic family on this
     model; no finite node family is attached.
     """
     d = model.dim
     s = np.zeros((d ** 4, d ** 4), dtype=complex)
-    for E, _ in shell_decomposition(model, 2):
-        p = shell_projector(model, 2, E)
-        sigma = p / np.trace(p).real
-        s += np.outer(sigma.reshape(-1), p.reshape(-1).conj())
+    for _, idx in shell_structure(model, 2).shells:
+        pos = idx * (d * d + 1)     # vec position of the diagonal unit |i><i|
+        s[np.ix_(pos, pos)] = 1.0 / idx.size
     return CollisionSpec(model, "exact_ea2", "closed_form",
                          Superoperator(s, d * d), nodes=None)
 
@@ -376,15 +354,9 @@ def is_ergodic(spec: CollisionSpec) -> bool:
     shells = shell_decomposition(spec.model, 2)
     if len(fixed) != len(shells):
         return False
-    projs = []
-    for E, idxs in shells:
-        p = shell_projector(spec.model, 2, E)
-        projs.append(p / np.sqrt(len(idxs)))
-    for f in fixed:
-        inside = sum(np.vdot(p, f) * p for p in projs)
-        if np.abs(f - inside).max() > TOL_FIXED_EIG:
-            return False
-    return True
+    projs = [shell_projector(spec.model, 2, E) / np.sqrt(len(idxs)) for E, idxs in shells]
+    return all(np.abs(f - sum(np.vdot(p, f) * p for p in projs)).max() <= TOL_FIXED_EIG
+               for f in fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -405,40 +377,29 @@ def parse_sampled_nodes(text: str, dim: int) -> list:
     Matrices are read in the package's basis ordering (first factor most
     significant).
     """
-    tokens = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
-    pos = 0
-
-    def take():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of sampled-node file")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    if take() != "dim":
+    tokens = " ".join(line.split("#", 1)[0] for line in text.splitlines()).split()
+    if len(tokens) < 2 or tokens[0] != "dim":
         raise ValueError("sampled-node file must start with 'dim <n>'")
-    n = int(take())
+    n = int(tokens[1])
     if n != dim:
         raise ValueError(f"file declares dim {n}, model requires {dim}")
-    nodes = []
-    while pos < len(tokens):
-        if take() != "weight":
-            raise ValueError("expected 'weight <w>' before each matrix")
-        w = float(take())
-        entries = np.array([float(take()) for _ in range(2 * n * n)])
-        u = (entries[0::2] + 1j * entries[1::2]).reshape(n, n)
-        nodes.append((w, u))
-    if not nodes:
+    size = 2 + 2 * n * n          # 'weight', w, then n * n re/im pairs
+    records = [tokens[k:k + size] for k in range(2, len(tokens), size)]
+    if not records:
         raise ValueError("sampled-node file contains no matrices")
-    total = sum(w for w, _ in nodes)
-    if total <= 0:
+    if any(r[0] != "weight" for r in records):
+        raise ValueError("expected 'weight <w>' before each matrix")
+    if len(records[-1]) < size:
+        raise ValueError("unexpected end of sampled-node file")
+    values = np.array([[float(t) for t in r[1:]] for r in records])
+    if not np.isfinite(values).all():
+        raise ValueError("sampled-node file numbers must be finite")
+    ws = values[:, 0].tolist()
+    if min(ws) <= 0:
         raise ValueError("node weights must be positive")
-    return [(w / total, u) for w, u in nodes]
+    us = (values[:, 1::2] + 1j * values[:, 2::2]).reshape(-1, n, n)
+    total = sum(ws)
+    return [(w / total, u) for w, u in zip(ws, us)]
 
 
 def sampled_spec_from_file(path, model: SingleParticleModel) -> CollisionSpec:
@@ -452,13 +413,12 @@ def sampled_spec_from_file(path, model: SingleParticleModel) -> CollisionSpec:
 
 def spec_by_name(name: str, model: SingleParticleModel,
                  points_per_angle: int | None = None) -> CollisionSpec:
-    """Resolve the CLI spec names."""
-    if name == "qubit_uniform":
+    """Resolve the CLI spec names (``points_per_angle``: qubit specs only)."""
+    if name in ("qubit_uniform", "qubit_tilted"):
         _require_qubit(model)
-        return qubit_uniform_spec(points_per_angle)
-    if name == "qubit_tilted":
-        _require_qubit(model)
-        return qubit_tilted_spec(points_per_angle)
+        return _qubit_spec(name, points_per_angle)
+    if points_per_angle is not None:
+        raise ValueError(f"points_per_angle applies only to the qubit specs, not {name!r}")
     if name == "exact_ea2":
         return exact_EA2_spec(model)
     if name.startswith("sampled_file:"):

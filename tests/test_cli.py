@@ -80,6 +80,7 @@ def gap(rho_inf):
 
 
 ERGODICITY = {"command": "ergodicity", "model": QUBIT, "params": {"N": 2}}
+NAN_WEIGHT_NODES = f"sampled_file:{Path(__file__).parent / 'data' / 'nan_weight_nodes.txt'}"
 
 
 @pytest.mark.parametrize("doc", [
@@ -109,18 +110,70 @@ ERGODICITY = {"command": "ergodicity", "model": QUBIT, "params": {"N": 2}}
     gap({"kind": "diag", "values": [[0.5], [0.5]]}),
     {"command": "verify-spec", "model": QUBIT, "spec": "qubit_tilted",
      "params": {"points_per_angle": 33}},
+    {"command": "evolve-qkbe", "model": QUBIT, "spec": NAN_WEIGHT_NODES,
+     "params": {"t_max": 1.0, "steps": 2, "initial": {"kind": "maximally_mixed"}}},
+    {"command": "verify-spec", "model": QUBIT, "spec": NAN_WEIGHT_NODES},
+    {"command": "evolve-qkbe", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"t_max": 1.0, "step": 2, "initial": {"kind": "maximally_mixed"}}},
+    {**ERGODICITY, "params": {"N": 2, "points_per_angle": 8}},
+    {"command": "verify-spec", "model": QUBIT, "spec": "exact_ea2",
+     "params": {"points_per_angle": 8}},
+    {"command": "evolve-qkbe", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"t_max": 1.0, "steps": 1000000000,
+                "initial": {"kind": "maximally_mixed"}}},
+    {"command": "evolve-qkbe", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"t_max": 1.0, "steps": 100001, "initial": {"kind": "maximally_mixed"}}},
 ], ids=["initial_not_object", "tolerance_not_number",
         "points_per_angle_not_integer", "rho_inf_item_not_object",
         "seed_list", "gibbs_beta_list", "gibbs_beta_infinite", "rho_inf_beta_list",
         "diag_invariant_number", "spec_not_string", "output_dir_list", "force_string",
         "seed_bool", "N_bool", "tolerance_bool", "t_max_bool", "matrix_part_string",
-        "invariants_not_list", "rho_inf_values_nested", "points_per_angle_33"])
+        "invariants_not_list", "rho_inf_values_nested", "points_per_angle_33",
+        "node_file_weight_nan_evolve", "node_file_weight_nan_verify", "param_typo_step",
+        "param_unread_by_command", "points_per_angle_for_exact_ea2", "steps_1e9",
+        "steps_past_bound"])
 def test_malformed_config_exits_1_without_outputs(tmp_path, capsys, monkeypatch, doc):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "out"), **doc})
     assert main(["--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"command": "check-conserved", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"t_max": 200.0, "initial": {"kind": "random"},
+                "invariants": ["identity", "bogus"]}},
+    {"command": "evolve-master", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"N": 12, "t_max": -1, "initial": {"kind": "random"}}},
+    {"command": "evolve-master", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"N": 13, "t_max": 1.0, "initial": {"kind": "random"}}},
+    {"command": "evolve-qkbe", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"t_max": 1.0, "steps": 0, "initial": {"kind": "random"}}},
+    {"command": "chaos", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"N_list": [2, 3], "t_max": "1", "initial": {"kind": "random"}}},
+    gap([{"kind": "gibbs", "beta": 0.0}, {"kind": "diag", "values": [1.0, 0.0]}]),
+    {**gibbs_qkbe(0.0), "spec": "no_such_spec"},
+], ids=["check_conserved_bad_invariant", "evolve_master_bad_t_max",
+        "evolve_master_past_size_guard", "evolve_qkbe_bad_steps", "chaos_bad_t_max",
+        "gap_bad_second_item", "unknown_spec"])
+def test_params_read_before_any_work(tmp_path, capsys, monkeypatch, doc):
+    # every param is parsed before the initial state is drawn, the spec is
+    # built or anything is integrated; the stand-ins raise an error that
+    # main() does not catch, so reaching any of them fails the test
+    def reached(*args, **kwargs):
+        raise AssertionError("reached work before every param was read")
+
+    names = ["random_density", "qkbe_integrate", "KacGenerator", "ChaosExperiment",
+             "spectral_gap"]
+    if doc["spec"] != "no_such_spec":
+        names.append("spec_by_name")
+    for name in names:
+        monkeypatch.setattr(f"qkac.cli.{name}", reached)
+    code, out = run_cli(tmp_path, doc)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_oversized_shell_block_exits_1_without_outputs(tmp_path):

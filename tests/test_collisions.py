@@ -3,13 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from qkac.collisions import (CollisionSpec, _closure_residual,
+from qkac.collisions import (CollisionSpec, _closure_residual, exact_EA2_spec,
                              fixed_space_of_Q, identity_spec, is_ergodic,
-                             sampled_spec_from_file, spec_by_name,
+                             parse_sampled_nodes, qubit_tilted_spec,
+                             qubit_uniform_spec, sampled_spec_from_file, spec_by_name,
                              superoperator_from_nodes, symmetrize_nodes,
                              verify_spec)
 from qkac.operators import (hs_norm, reorder_pair_basis, swap_unitary, tensor)
-from qkac.spectra import shell_projector, shell_state
+from qkac.spectra import (SingleParticleModel, shell_decomposition, shell_projector,
+                          shell_state)
 from conftest import random_matrix, random_state
 
 
@@ -175,6 +177,33 @@ def test_symmetrize_closes_asymmetric_family(qubit_model):
     assert report.passes, report.violations
 
 
+def symmetrize_reference(nodes, d):
+    """Per-node loop over each orbit {u, u*, su, su*}, merging unitaries
+    equal to 9 decimals; the heaviest first, ties in order of appearance."""
+    v = swap_unitary(d)
+    merged = {}
+    for w, u in nodes:
+        su = v @ u @ v.conj().T
+        for variant in (u, u.conj().T, su, su.conj().T):
+            key = (np.round(variant, 9) + 0.0).tobytes()
+            merged.setdefault(key, [0.0, variant])[0] += w / 4.0
+    return sorted(((w, u) for w, u in merged.values()), key=lambda wu: -wu[0])
+
+
+@pytest.mark.parametrize("d, size", [(2, 1), (2, 4), (3, 3)])
+def test_symmetrize_matches_per_node_reference(rng, d, size):
+    nodes = []
+    for _ in range(size):
+        z = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        nodes.append((float(rng.uniform(0.1, 1.0)), np.linalg.qr(z)[0]))
+    # an identity and an adjoint partner make orbits overlap, so nodes merge
+    nodes += [(0.3, np.eye(d * d, dtype=complex)), (0.2, nodes[0][1].conj().T)]
+    got, want = symmetrize_nodes(nodes, d), symmetrize_reference(nodes, d)
+    assert len(got) < 4 * len(nodes)
+    assert [w for w, _ in got] == [w for w, _ in want]
+    assert all(np.array_equal(u, v) for (_, u), (_, v) in zip(got, want))
+
+
 def test_verify_flags_closure_violations(qubit_model):
     u = one_excitation_rotation()
     nodes = [(0.5, np.eye(4, dtype=complex)), (0.5, u)]
@@ -277,6 +306,17 @@ def test_is_ergodic(uniform_spec, tilted_spec, uniform_sampled16, qubit_model,
     assert not is_ergodic(identity_spec(qubit_model))
 
 
+@pytest.mark.parametrize("energies", [(0, 1), (0, 1, 2), (0, 1, 4, 5), (0, 0, 1),
+                                      (1, 10, 100)])
+def test_exact_ea2_matches_projector_definition(energies):
+    # the sum over shells of |vec P_E / |E|><vec P_E|, built from projectors
+    model = SingleParticleModel(energies)
+    want = sum(np.outer(shell_projector(model, 2, E).reshape(-1) / len(idx),
+                        shell_projector(model, 2, E).reshape(-1))
+               for E, idx in shell_decomposition(model, 2))
+    assert np.array_equal(exact_EA2_spec(model).channel.mat, want)
+
+
 def test_exact_ea2_maps_product_units_to_shell_states(ea2_three_level):
     model = ea2_three_level.model
     q = ea2_three_level.channel
@@ -368,3 +408,64 @@ def test_spec_by_name(qubit_model, three_level_model):
         spec_by_name("qubit_uniform", three_level_model)
     with pytest.raises(ValueError):
         spec_by_name("nonsense", qubit_model)
+
+
+def node_text(records, dim=4):
+    """A node file with one ``weight`` line per (weight, matrix) record;
+    weights are written verbatim, so they may be any token."""
+    lines = ["# generated", f"dim {dim}"]
+    for w, mat in records:
+        lines.append(f"weight {w}")
+        for row in np.asarray(mat, dtype=complex):
+            lines.append(" ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row) + "  # row")
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_sampled_nodes_reads_records_in_order():
+    u = np.eye(4, dtype=complex)[[0, 2, 1, 3]] * 1j
+    nodes = parse_sampled_nodes(node_text([(3, np.eye(4)), (1.0, u)]), 4)
+    assert [w for w, _ in nodes] == [0.75, 0.25]
+    assert np.array_equal(nodes[0][1], np.eye(4))
+    assert np.array_equal(nodes[1][1], u)
+
+
+@pytest.mark.parametrize("text", [
+    node_text([("nan", np.eye(4))]),
+    node_text([("inf", np.eye(4))]),
+    node_text([(1.0, np.eye(4)), ("-inf", np.eye(4))]),
+    node_text([(1.0, np.full((4, 4), np.nan))]),
+    node_text([(1.0, np.full((4, 4), np.inf))]),
+    node_text([(0.0, np.eye(4))]),
+    node_text([(1.0, np.eye(4)), (0, np.eye(4))]),
+    node_text([(2.0, np.eye(4)), (-1.0, np.eye(4))]),
+    node_text([(1.0, np.eye(4))]).replace("weight", "mass"),
+    "\n".join(node_text([(1.0, np.eye(4))]).splitlines()[:-1]),
+    node_text([]),
+    "",
+    "dim\n",
+    "weight 1\n",
+], ids=["weight_nan", "weight_inf", "weight_minus_inf", "entry_nan", "entry_inf",
+        "weight_zero", "one_weight_zero", "one_weight_negative", "no_weight_keyword",
+        "truncated", "no_matrices", "empty", "dim_without_value", "no_dim"])
+def test_parse_sampled_nodes_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        parse_sampled_nodes(text, 4)
+
+
+@pytest.mark.parametrize("name", ["exact_ea2", "sampled_file:unread.txt"])
+def test_spec_by_name_rejects_points_for_non_qubit_specs(qubit_model, name):
+    with pytest.raises(ValueError, match="points_per_angle"):
+        spec_by_name(name, qubit_model, points_per_angle=8)
+
+
+@pytest.mark.parametrize("points, uniform_count, tilted_count", [
+    (4, 32, 21), (5, 525, 525), (8, 640, 553), (16, 12800, 11985)])
+def test_merged_qubit_grid_node_counts(points, uniform_count, tilted_count):
+    # grid points where sin(theta) = 0 coincide; the merge folds them, which
+    # leaves the channel unchanged but shrinks the node list to these counts
+    for build, count in ((qubit_uniform_spec, uniform_count),
+                         (qubit_tilted_spec, tilted_count)):
+        ws = np.array([w for w, _ in build(points).nodes])
+        assert ws.size == count
+        assert abs(ws.sum() - 1.0) < 1e-12
+        assert ws.min() > 0 and np.all(np.diff(ws) <= 0)
