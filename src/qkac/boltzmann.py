@@ -88,8 +88,9 @@ def wild_diagonal(model: SingleParticleModel, a: np.ndarray,
 
 
 def gibbs(model: SingleParticleModel, beta: float) -> np.ndarray:
-    """Thermal state exp(-beta h) / Z; negative beta is allowed."""
-    w = np.exp(-beta * np.asarray(model.energies, dtype=float))
+    """Thermal state exp(-beta h) / Z for any finite beta, negative too."""
+    x = -beta * np.asarray(model.energies, dtype=float)
+    w = np.exp(x - x.max())
     return np.diag(w / w.sum()).astype(complex)
 
 

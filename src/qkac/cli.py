@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -37,21 +38,8 @@ from .operators import (random_density, relative_entropy, trace_norm,
                         validate_density_matrix, von_neumann_entropy)
 from .spectra import (SingleParticleModel, commutant_projection,
                       is_fully_ergodic, shell_structure)
-from .tolerances import NAMED_TOLERANCES, check_size_guard
+from .tolerances import NAMED_TOLERANCES, SIZE_GUARD
 
-# the params each command reads; any other name is an error
-PARAMS = {
-    "verify-spec": {"points_per_angle"},
-    "ergodicity": {"N"},
-    "evolve-master": {"points_per_angle", "N", "t_max", "steps", "initial"},
-    "steady-states": {"points_per_angle", "N"},
-    "evolve-qkbe": {"points_per_angle", "t_max", "steps", "initial"},
-    "steady-family": set(),
-    "check-conserved": {"points_per_angle", "t_max", "steps", "initial", "invariants"},
-    "chaos": {"points_per_angle", "N_list", "t_max", "steps", "initial"},
-    "gap": {"points_per_angle", "rho_inf"},
-}
-COMMANDS = tuple(PARAMS)
 MAX_STEPS = 100_000
 
 
@@ -114,25 +102,6 @@ def _parse_matrix(obj, dim: int) -> np.ndarray:
     return out
 
 
-def _initial_state(params: dict, model: SingleParticleModel, dim: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    init = params.get("initial")
-    if not isinstance(init, dict):
-        raise ConfigError("params.initial must be an object with a 'kind' field")
-    kind = init.get("kind")
-    if kind == "maximally_mixed":
-        return np.eye(dim, dtype=complex) / dim
-    if kind == "matrix":
-        return validate_density_matrix(_parse_matrix(init.get("state"), dim))
-    if kind == "gibbs":
-        if dim != model.dim:
-            raise ConfigError("gibbs initial data is single-particle only")
-        return gibbs(model, float(_number(init.get("beta", 0.0), "params.initial.beta")))
-    if kind == "random":
-        return random_density(dim, rng)
-    raise ConfigError(f"unknown initial-state kind '{kind}'")
-
-
 def _tolerances(items, source: str) -> dict:
     """Named tolerance overrides, each checked for a known name and a number."""
     if not isinstance(items, dict):
@@ -188,10 +157,11 @@ def load_config(path: str, output_override: str | None, force_flag: bool,
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("field 'params' must be an object")
-    unread = sorted(set(params) - PARAMS[command])
+    reads = _COMMANDS[command][1]
+    unread = sorted(set(params) - reads)
     if unread:
         raise ConfigError(f"'{command}' does not read params {unread}; "
-                          f"it reads {sorted(PARAMS[command])}")
+                          f"it reads {sorted(reads)}")
     output_dir = output_override or doc.get("output_dir")
     if not output_dir or not isinstance(output_dir, str):
         raise ConfigError("an output directory is required ('output_dir' or --output), "
@@ -212,57 +182,132 @@ def load_config(path: str, output_override: str | None, force_flag: bool,
     )
 
 
-def _require_spec(cfg: RunConfig):
-    if not cfg.spec_name or not isinstance(cfg.spec_name, str):
-        raise ConfigError("field 'spec' is required for this command, as a spec name")
-    points = (_int_param(cfg, "points_per_angle", minimum=4)
-              if "points_per_angle" in cfg.params else None)
-    try:
-        return spec_by_name(cfg.spec_name, cfg.model, points)
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"field 'spec': {exc}") from exc
+def _size(value, what: str, model: SingleParticleModel, force: bool, minimum: int) -> int:
+    """An integer N whose total dimension d**N the size guard admits.  Past
+    the guard's exponent d**N is never formed, so a huge N fails at once."""
+    n = _number(value, what, integer=True, minimum=minimum)
+    if not force and model.dim ** min(n, SIZE_GUARD.bit_length()) > SIZE_GUARD:
+        raise ConfigError(f"N = {n} gives total dimension {model.dim}**{n}, past the "
+                          f"guard {SIZE_GUARD}; pass --force to override")
+    return n
 
 
-def _int_param(cfg: RunConfig, name: str, minimum: int = 1) -> int:
-    return _number(cfg.params.get(name), f"params.{name}", integer=True, minimum=minimum)
-
-
-def _time_grid(cfg: RunConfig) -> np.ndarray:
-    t_max = _number(cfg.params.get("t_max"), "params.t_max")
-    if t_max <= 0:
-        raise ConfigError("params.t_max must be a positive number")
-    steps = _int_param(cfg, "steps") if "steps" in cfg.params else 100
-    if steps > MAX_STEPS:
-        raise ConfigError(f"params.steps must be at most {MAX_STEPS}, got {steps}")
-    return np.linspace(0.0, float(t_max), steps + 1)
+def _read_params(cfg: RunConfig, rng: np.random.Generator) -> dict:
+    """Every param the command reads, checked before any work is done: the
+    sizes, the time grid, the invariants, the reference states, the initial
+    state and last the spec, which every command reading
+    ``points_per_angle`` takes."""
+    params, model, d = cfg.params, cfg.model, cfg.model.dim
+    names = _COMMANDS[cfg.command][1]
+    out = {}
+    if "N" in names:
+        out["N"] = _size(params.get("N"), "params.N", model, cfg.force,
+                         minimum=1 if cfg.command == "ergodicity" else 2)
+    if "N_list" in names:
+        n_list = params.get("N_list")
+        if not isinstance(n_list, list) or not n_list:
+            raise ConfigError("params.N_list must be a list of integers >= 2")
+        out["N_list"] = [_size(n, "each of params.N_list", model, cfg.force, minimum=2)
+                         for n in n_list]
+    if "t_max" in names:
+        t_max = _number(params.get("t_max"), "params.t_max")
+        if t_max <= 0:
+            raise ConfigError("params.t_max must be a positive number")
+        steps = _number(params.get("steps", 100), "params.steps", integer=True, minimum=1)
+        if steps > MAX_STEPS:
+            raise ConfigError(f"params.steps must be at most {MAX_STEPS}, got {steps}")
+        out["grid"] = np.linspace(0.0, float(t_max), steps + 1)
+    if "invariants" in names:
+        h = model.hamiltonian()
+        named = {"identity": np.eye(d, dtype=complex), "h": h, "h_squared": h @ h}
+        wanted = params.get("invariants", ["identity", "h"])
+        if not isinstance(wanted, list):
+            raise ConfigError("params.invariants must be a list")
+        out["invariants"] = []
+        for item in wanted:
+            if isinstance(item, str) and item in named:
+                out["invariants"].append((item, named[item]))
+            elif isinstance(item, dict) and "diag" in item:
+                op = np.diag(_numbers(item["diag"], "a diagonal invariant", d)).astype(complex)
+                out["invariants"].append(("diag:" + ",".join(map(str, item["diag"])), op))
+            else:
+                raise ConfigError(f"unknown invariant {item!r}")
+    if "rho_inf" in names:
+        states = params.get("rho_inf")
+        if isinstance(states, dict):
+            states = [states]
+        if not isinstance(states, list) or not states:
+            raise ConfigError("params.rho_inf must be an object or list of objects")
+        out["geometries"] = []
+        for item in states:
+            if not isinstance(item, dict):
+                raise ConfigError(f"params.rho_inf item {item!r} must be an object")
+            kind = item.get("kind")
+            if kind == "gibbs":
+                beta = float(_number(item.get("beta", 0.0), "params.rho_inf beta"))
+                rho_inf = gibbs(model, beta)
+                label = f"gibbs(beta={_fmt(beta)})"
+            elif kind == "diag":
+                vals = _numbers(item.get("values"), "diag rho_inf values", d)
+                if vals.min() <= 0:
+                    raise ConfigError("diag rho_inf needs positive values, one per level")
+                rho_inf = np.diag(vals / vals.sum()).astype(complex)
+                label = "diag:" + ",".join(_fmt(float(v)) for v in vals)
+            else:
+                raise ConfigError(f"unknown rho_inf kind {kind!r}")
+            out["geometries"].append((label, BKMGeometry(rho_inf)))
+    if "initial" in names:
+        init, dim = params.get("initial"), d ** out.get("N", 1)
+        if not isinstance(init, dict):
+            raise ConfigError("params.initial must be an object with a 'kind' field")
+        kind = init.get("kind")
+        if kind == "maximally_mixed":
+            out["rho0"] = np.eye(dim, dtype=complex) / dim
+        elif kind == "matrix":
+            out["rho0"] = validate_density_matrix(_parse_matrix(init.get("state"), dim))
+        elif kind == "gibbs":
+            if dim != d:
+                raise ConfigError("gibbs initial data is single-particle only")
+            beta = _number(init.get("beta", 0.0), "params.initial.beta")
+            out["rho0"] = gibbs(model, float(beta))
+        elif kind == "random":
+            out["rho0"] = random_density(dim, rng)
+        else:
+            raise ConfigError(f"unknown initial-state kind '{kind}'")
+    if "points_per_angle" in names:
+        if not cfg.spec_name or not isinstance(cfg.spec_name, str):
+            raise ConfigError("field 'spec' is required for this command, as a spec name")
+        points = (_number(params["points_per_angle"], "params.points_per_angle",
+                          integer=True, minimum=4)
+                  if "points_per_angle" in params else None)
+        try:
+            out["spec"] = spec_by_name(cfg.spec_name, model, points)
+        except (ValueError, OSError) as exc:
+            raise ConfigError(f"field 'spec': {exc}") from exc
+    return out
 
 
 # ---------------------------------------------------------------------------
-# command implementations, each returning (header, rows)
+# command implementations, each returning (header, rows) from _read_params
 # ---------------------------------------------------------------------------
 
-def _cmd_verify_spec(cfg: RunConfig, rng):
-    spec = _require_spec(cfg)
-    report = verify_spec(spec)
+def _cmd_verify_spec(cfg: RunConfig, p: dict):
+    report = verify_spec(p["spec"])
     rows = [(name, resid, resid <= 1e-9)
             for name, resid in sorted(report.residuals.items())]
     return ["check", "residual", "passes"], rows
 
 
-def _cmd_ergodicity(cfg: RunConfig, rng):
-    n = _int_param(cfg, "N")
-    shells = shell_structure(cfg.model, n, force=cfg.force).shells
-    _, counts = is_fully_ergodic(cfg.model, n, force=cfg.force)
+def _cmd_ergodicity(cfg: RunConfig, p: dict):
+    shells = shell_structure(cfg.model, p["N"], force=cfg.force).shells
+    _, counts = is_fully_ergodic(cfg.model, p["N"], force=cfg.force)
     rows = [(E, len(idx), counts[E]) for E, idx in shells]
     return ["E", "dim_KE", "class_count"], rows
 
 
-def _cmd_evolve_master(cfg: RunConfig, rng):
-    n = _int_param(cfg, "N", minimum=2)
-    grid = _time_grid(cfg)
-    check_size_guard(cfg.model.dim ** n, force=cfg.force)
-    rho0 = _initial_state(cfg.params, cfg.model, cfg.model.dim ** n, rng)
-    gen = KacGenerator(_require_spec(cfg), n, force=cfg.force)
+def _cmd_evolve_master(cfg: RunConfig, p: dict):
+    n, grid, rho0 = p["N"], p["grid"], p["rho0"]
+    gen = KacGenerator(p["spec"], n, force=cfg.force)
     limit = commutant_projection(cfg.model, n, rho0, force=cfg.force)
     rows = []
     state = rho0
@@ -278,122 +323,66 @@ def _cmd_evolve_master(cfg: RunConfig, rng):
     return ["t", "distance_to_limit", "entropy", "relative_entropy_to_limit"], rows
 
 
-def _cmd_steady_states(cfg: RunConfig, rng):
-    n = _int_param(cfg, "N", minimum=2)
-    gen = KacGenerator(_require_spec(cfg), n, force=cfg.force)
+def _cmd_steady_states(cfg: RunConfig, p: dict):
+    gen = KacGenerator(p["spec"], p["N"], force=cfg.force)
     basis = steady_states_basis(gen, tol=cfg.tols["fixed_eig"])
     rows = [(E, k, rank) for k, (E, _, rank) in enumerate(basis)]
     return ["E", "class_index", "rank"], rows
 
 
-def _cmd_evolve_qkbe(cfg: RunConfig, rng):
+def _cmd_evolve_qkbe(cfg: RunConfig, p: dict):
     d = cfg.model.dim
-    grid = _time_grid(cfg)
-    rho0 = _initial_state(cfg.params, cfg.model, d, rng)
-    traj = qkbe_integrate(_require_spec(cfg), rho0, grid, tol_psd=cfg.tols["psd"])
+    traj = qkbe_integrate(p["spec"], p["rho0"], p["grid"], tol_psd=cfg.tols["psd"])
     h = cfg.model.hamiltonian()
-    header = ["t", "energy", "entropy"]
-    for i in range(d):
-        for j in range(d):
-            header += [f"rho_{i}{j}_re", f"rho_{i}{j}_im"]
-    rows = []
-    for t, rho in zip(grid, traj):
-        row = [float(t), float(np.trace(rho @ h).real),
-               von_neumann_entropy(rho, tol_psd=cfg.tols["psd"])]
-        for i in range(d):
-            for j in range(d):
-                row += [rho[i, j].real, rho[i, j].imag]
-        rows.append(tuple(row))
+    header = ["t", "energy", "entropy"] + [f"rho_{i}{j}_{part}" for i in range(d)
+                                           for j in range(d) for part in ("re", "im")]
+    rows = [(float(t), float(np.trace(rho @ h).real),
+             von_neumann_entropy(rho, tol_psd=cfg.tols["psd"]), *rho.reshape(-1).view(float))
+            for t, rho in zip(p["grid"], traj)]
     return header, rows
 
 
-def _cmd_steady_family(cfg: RunConfig, rng):
+def _cmd_steady_family(cfg: RunConfig, p: dict):
     family = classify_steady_states(cfg.model)
-    rows = []
-    for k, row in enumerate(family.constraint_basis):
-        for e, coeff in zip(family.distinct_energies, row):
-            rows.append((k, e, float(coeff)))
+    rows = [(k, e, float(coeff)) for k, row in enumerate(family.constraint_basis)
+            for e, coeff in zip(family.distinct_energies, row)]
     return ["basis_index", "energy", "coefficient"], rows
 
 
-def _cmd_check_conserved(cfg: RunConfig, rng):
-    d = cfg.model.dim
-    grid = _time_grid(cfg)
-    h = cfg.model.hamiltonian()
-    named = {"identity": np.eye(d, dtype=complex), "h": h, "h_squared": h @ h}
-    wanted = cfg.params.get("invariants", ["identity", "h"])
-    if not isinstance(wanted, list):
-        raise ConfigError("params.invariants must be a list")
-    invariants = []
-    for item in wanted:
-        if isinstance(item, str) and item in named:
-            invariants.append((item, named[item]))
-        elif isinstance(item, dict) and "diag" in item:
-            op = np.diag(_numbers(item["diag"], "a diagonal invariant", d)).astype(complex)
-            invariants.append(("diag:" + ",".join(map(str, item["diag"])), op))
-        else:
-            raise ConfigError(f"unknown invariant {item!r}")
-    rho0 = _initial_state(cfg.params, cfg.model, d, rng)
-    spec = _require_spec(cfg)
-    traj = qkbe_integrate(spec, rho0, grid, tol_psd=cfg.tols["psd"])
-    rows = [(name, conserved_check(spec, traj, op)) for name, op in invariants]
+def _cmd_check_conserved(cfg: RunConfig, p: dict):
+    traj = qkbe_integrate(p["spec"], p["rho0"], p["grid"], tol_psd=cfg.tols["psd"])
+    rows = [(name, conserved_check(p["spec"], traj, op)) for name, op in p["invariants"]]
     return ["invariant", "max_drift"], rows
 
 
-def _cmd_chaos(cfg: RunConfig, rng):
-    n_list = cfg.params.get("N_list")
-    if not isinstance(n_list, list) or not n_list:
-        raise ConfigError("params.N_list must be a list of integers >= 2")
-    for n in n_list:
-        _number(n, "each of params.N_list", integer=True, minimum=2)
-    grid = _time_grid(cfg)
-    rho0 = _initial_state(cfg.params, cfg.model, cfg.model.dim, rng)
-    exp = ChaosExperiment(_require_spec(cfg), rho0, n_list, grid, force=cfg.force)
+def _cmd_chaos(cfg: RunConfig, p: dict):
+    exp = ChaosExperiment(p["spec"], p["rho0"], p["N_list"], p["grid"], force=cfg.force)
     rows = [(r.N, r.t, r.delta1, r.delta2, r.entropy_N, r.entropy_qkbe)
             for r in run_chaos_experiment(exp)]
     return ["N", "t", "delta1", "delta2", "entropy_N", "entropy_qkbe"], rows
 
 
-def _cmd_gap(cfg: RunConfig, rng):
-    states = cfg.params.get("rho_inf")
-    if isinstance(states, dict):
-        states = [states]
-    if not isinstance(states, list) or not states:
-        raise ConfigError("params.rho_inf must be an object or list of objects")
-    geometries = []
-    for item in states:
-        if not isinstance(item, dict):
-            raise ConfigError(f"params.rho_inf item {item!r} must be an object")
-        kind = item.get("kind")
-        if kind == "gibbs":
-            beta = float(_number(item.get("beta", 0.0), "params.rho_inf beta"))
-            rho_inf = gibbs(cfg.model, beta)
-            label = f"gibbs(beta={_fmt(beta)})"
-        elif kind == "diag":
-            vals = _numbers(item.get("values"), "diag rho_inf values", cfg.model.dim)
-            if vals.min() <= 0:
-                raise ConfigError("diag rho_inf needs positive values, one per level")
-            rho_inf = np.diag(vals / vals.sum()).astype(complex)
-            label = "diag:" + ",".join(_fmt(float(v)) for v in vals)
-        else:
-            raise ConfigError(f"unknown rho_inf kind {kind!r}")
-        geometries.append((label, BKMGeometry(rho_inf)))
-    spec = _require_spec(cfg)
-    rows = [(spec.name, label, *spectral_gap(spec, geo)) for label, geo in geometries]
+def _cmd_gap(cfg: RunConfig, p: dict):
+    rows = [(p["spec"].name, label, *spectral_gap(p["spec"], geo))
+            for label, geo in p["geometries"]]
     return ["spec", "rho_inf_params", "gap", "kernel_dim"], rows
 
 
-_DISPATCH = {
-    "verify-spec": _cmd_verify_spec,
-    "ergodicity": _cmd_ergodicity,
-    "evolve-master": _cmd_evolve_master,
-    "steady-states": _cmd_steady_states,
-    "evolve-qkbe": _cmd_evolve_qkbe,
-    "steady-family": _cmd_steady_family,
-    "check-conserved": _cmd_check_conserved,
-    "chaos": _cmd_chaos,
-    "gap": _cmd_gap,
+# each command's runner and the params it reads; any other name is an error
+_COMMANDS = {
+    "verify-spec": (_cmd_verify_spec, {"points_per_angle"}),
+    "ergodicity": (_cmd_ergodicity, {"N"}),
+    "evolve-master": (_cmd_evolve_master, {"points_per_angle", "N", "t_max", "steps",
+                                           "initial"}),
+    "steady-states": (_cmd_steady_states, {"points_per_angle", "N"}),
+    "evolve-qkbe": (_cmd_evolve_qkbe, {"points_per_angle", "t_max", "steps", "initial"}),
+    "steady-family": (_cmd_steady_family, set()),
+    "check-conserved": (_cmd_check_conserved, {"points_per_angle", "t_max", "steps",
+                                               "initial", "invariants"}),
+    "chaos": (_cmd_chaos, {"points_per_angle", "N_list", "t_max", "steps", "initial"}),
+    "gap": (_cmd_gap, {"points_per_angle", "rho_inf"}),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +402,6 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _csv_text(header, rows) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
@@ -437,8 +424,8 @@ def _manifest_text(cfg: RunConfig) -> str:
 
 
 def run(cfg: RunConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    header, rows = _DISPATCH[cfg.command](cfg, rng)
+    params = _read_params(cfg, np.random.default_rng(cfg.seed))
+    header, rows = _COMMANDS[cfg.command][0](cfg, params)
     os.makedirs(cfg.output_dir, exist_ok=True)
     _write_atomic(os.path.join(cfg.output_dir, f"{cfg.command}.csv"),
                   _csv_text(header, rows))
@@ -468,9 +455,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.output, args.force, overrides)
         return run(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

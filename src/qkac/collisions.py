@@ -398,6 +398,8 @@ def parse_sampled_nodes(text: str, dim: int) -> list:
     if min(ws) <= 0:
         raise ValueError("node weights must be positive")
     us = (values[:, 1::2] + 1j * values[:, 2::2]).reshape(-1, n, n)
+    if np.abs(us @ us.conj().transpose(0, 2, 1) - np.eye(n)).max() > 1e-9:
+        raise ValueError("sampled-node matrices must be unitary to within 1e-9")
     total = sum(ws)
     return [(w / total, u) for w, u in zip(ws, us)]
 

@@ -90,6 +90,8 @@ def validate_density_matrix(rho: np.ndarray, tol_psd: float = TOL_PSD) -> np.nda
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"state must be a square matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("state has non-finite entries")
     herm = np.abs(rho - rho.conj().T).max()
     if herm > TOL_HERM:
         raise ValueError(f"state is not Hermitian (residual {herm:.3e})")

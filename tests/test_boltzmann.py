@@ -163,6 +163,16 @@ def test_gibbs_states():
     assert np.allclose(np.diag(gibbs(model, -np.log(2.0))), [1 / 3, 2 / 3])
 
 
+@pytest.mark.parametrize("energies", [(0, 1), (1, 10, 100)])
+@pytest.mark.parametrize("beta", [1e6, -1e6])
+def test_gibbs_extreme_beta_is_the_pure_extreme_level(energies, beta):
+    # exp(-beta E) under- or overflows for every level at this beta
+    rho = gibbs(SingleParticleModel(energies), beta)
+    want = np.zeros(len(energies))
+    want[0 if beta > 0 else -1] = 1.0
+    assert np.array_equal(rho, np.diag(want).astype(complex))
+
+
 def test_gibbs_is_stationary(tilted_spec):
     rho = gibbs(tilted_spec.model, 0.7)
     grid = np.linspace(0.0, 5.0, 21)

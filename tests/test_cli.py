@@ -1,13 +1,21 @@
+import contextlib
+import copy
 import csv
+import functools
+import io
 import json
+import operator
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qkac
 from qkac.cli import main
@@ -81,6 +89,7 @@ def gap(rho_inf):
 
 ERGODICITY = {"command": "ergodicity", "model": QUBIT, "params": {"N": 2}}
 NAN_WEIGHT_NODES = f"sampled_file:{Path(__file__).parent / 'data' / 'nan_weight_nodes.txt'}"
+NON_UNITARY_NODES = f"sampled_file:{Path(__file__).parent / 'data' / 'non_unitary_nodes.txt'}"
 
 
 @pytest.mark.parametrize("doc", [
@@ -113,6 +122,9 @@ NAN_WEIGHT_NODES = f"sampled_file:{Path(__file__).parent / 'data' / 'nan_weight_
     {"command": "evolve-qkbe", "model": QUBIT, "spec": NAN_WEIGHT_NODES,
      "params": {"t_max": 1.0, "steps": 2, "initial": {"kind": "maximally_mixed"}}},
     {"command": "verify-spec", "model": QUBIT, "spec": NAN_WEIGHT_NODES},
+    {"command": "evolve-qkbe", "model": QUBIT, "spec": NON_UNITARY_NODES,
+     "params": {"t_max": 1.0, "steps": 2, "initial": {"kind": "maximally_mixed"}}},
+    {"command": "verify-spec", "model": QUBIT, "spec": NON_UNITARY_NODES},
     {"command": "evolve-qkbe", "model": QUBIT, "spec": "qubit_tilted",
      "params": {"t_max": 1.0, "step": 2, "initial": {"kind": "maximally_mixed"}}},
     {**ERGODICITY, "params": {"N": 2, "points_per_angle": 8}},
@@ -129,7 +141,8 @@ NAN_WEIGHT_NODES = f"sampled_file:{Path(__file__).parent / 'data' / 'nan_weight_
         "diag_invariant_number", "spec_not_string", "output_dir_list", "force_string",
         "seed_bool", "N_bool", "tolerance_bool", "t_max_bool", "matrix_part_string",
         "invariants_not_list", "rho_inf_values_nested", "points_per_angle_33",
-        "node_file_weight_nan_evolve", "node_file_weight_nan_verify", "param_typo_step",
+        "node_file_weight_nan_evolve", "node_file_weight_nan_verify",
+        "node_file_not_unitary_evolve", "node_file_not_unitary_verify", "param_typo_step",
         "param_unread_by_command", "points_per_angle_for_exact_ea2", "steps_1e9",
         "steps_past_bound"])
 def test_malformed_config_exits_1_without_outputs(tmp_path, capsys, monkeypatch, doc):
@@ -201,6 +214,40 @@ def test_oversized_shell_block_exits_1_without_outputs(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+HUGE_N = 10_000_000_000
+
+
+@pytest.mark.parametrize("command, params", [
+    ("ergodicity", {"N": HUGE_N}),
+    ("ergodicity", {"N": 100_000_000}),
+    ("evolve-master", {"N": HUGE_N, "t_max": 1.0, "initial": {"kind": "random"}}),
+    ("chaos", {"N_list": [2, HUGE_N], "t_max": 1.0, "initial": {"kind": "maximally_mixed"}}),
+], ids=["ergodicity", "ergodicity_1e8", "evolve_master", "chaos"])
+def test_huge_N_fails_the_size_guard_without_forming_d_to_the_N(tmp_path, command, params):
+    # 2**N for these N takes gigabytes (or exceeds the integer-to-text digit
+    # limit); under a 1 GB address-space limit, forming it would end in a
+    # traceback instead of the size-guard message
+    import resource
+
+    cfg = write_config(tmp_path, {
+        "command": command, "model": QUBIT, "spec": "qubit_tilted", "params": params,
+        "output_dir": str(tmp_path / "out")})
+    src = str(Path(qkac.__file__).resolve().parents[1])
+    limit = 1 << 30
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qkac.cli", "--config", str(cfg)], cwd=tmp_path,
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    n = params.get("N", HUGE_N)
+    assert f"N = {n}" in proc.stderr and "guard 4096" in proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 @pytest.mark.parametrize("name", ["herm", "trace", "picard", "steady"])
 def test_unread_tolerance_names_rejected(tmp_path, capsys, name):
     # these tolerances are not passed on by any command, so --tol may not name them
@@ -259,6 +306,20 @@ def test_evolve_qkbe_offdiagonal_column(tmp_path):
         t = float(row[t_col])
         want = z * np.exp(((2 - a) / 4 - 2) * t)
         assert abs(float(row[z_col]) - want) < 1e-8
+
+
+@pytest.mark.parametrize("beta, level", [(1e6, 0), (-1e6, 1)])
+def test_evolve_qkbe_gibbs_extreme_beta(tmp_path, beta, level):
+    # exp(-beta E) under- or overflows at this beta; the state is the pure
+    # lowest or highest level, which the kinetic equation keeps fixed
+    code, out = run_cli(tmp_path, gibbs_qkbe(beta))
+    assert code == 0
+    header, *rows = read_csv(out / "evolve-qkbe.csv")
+    for row in rows:
+        cells = dict(zip(header, map(float, row)))
+        assert cells["energy"] == level
+        assert cells[f"rho_{level}{level}_re"] == 1.0
+        assert cells[f"rho_{1 - level}{1 - level}_re"] == 0.0
 
 
 def test_evolve_master_converges(tmp_path):
@@ -382,3 +443,79 @@ def test_crlf_line_endings(tmp_path):
         "command": "steady-family", "model": QUBIT})
     raw = (out / "steady-family.csv").read_bytes()
     assert b"\r\n" in raw
+
+
+# one cheap valid config per command, each run in a fresh directory
+CHEAP_CONFIGS = [
+    {"command": "verify-spec", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"points_per_angle": 4}},
+    {"command": "ergodicity", "model": {"dim": 3, "energies": [0, 1, 2]},
+     "params": {"N": 3}, "seed": 0, "force": False, "tolerances": {"psd": 1e-9}},
+    {"command": "evolve-master", "model": QUBIT, "spec": "qubit_tilted", "seed": 1,
+     "params": {"N": 2, "t_max": 0.5, "steps": 2, "initial": {"kind": "random"}}},
+    {"command": "steady-states", "model": QUBIT, "spec": "qubit_uniform",
+     "params": {"N": 2}},
+    {"command": "evolve-qkbe", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"t_max": 0.5, "steps": 2,
+                "initial": {"kind": "matrix",
+                            "state": [[0.6, [0.1, 0.05]], [[0.1, -0.05], 0.4]]}}},
+    {"command": "steady-family", "model": {"dim": 3, "energies": [0, 1, 2]}},
+    {"command": "check-conserved", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"t_max": 0.5, "steps": 2, "initial": {"kind": "gibbs", "beta": 0.5},
+                "invariants": ["identity", {"diag": [0, 1]}]}},
+    {"command": "chaos", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"N_list": [2, 3], "t_max": 0.5, "steps": 2,
+                "initial": {"kind": "maximally_mixed"}}},
+    {"command": "gap", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"rho_inf": [{"kind": "diag", "values": [0.3, 0.7]},
+                            {"kind": "gibbs", "beta": 1.0}]}},
+    {"command": "evolve-qkbe", "model": {"dim": 3, "energies": [0, 1, 2]},
+     "spec": "exact_ea2", "params": {"t_max": 0.5, "steps": 2,
+                                     "initial": {"kind": "gibbs", "beta": -0.5}}},
+]
+CHEAP_CONFIGS = [{"output_dir": "out", **doc} for doc in CHEAP_CONFIGS]
+
+
+def field_paths(node, path=()):
+    """The key path of every field, list item and nested value in a config."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
+
+
+DELETE = object()
+FIELDS = [(k, path) for k, doc in enumerate(CHEAP_CONFIGS) for path in field_paths(doc)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(FIELDS),
+       st.sampled_from([DELETE, None, False, True, "x", [1], {"k": 1}, -1, 0, 2.5]))
+def test_mutated_config_fails_cleanly_or_writes_finite_csv(field, value):
+    k, path = field
+    doc = copy.deepcopy(CHEAP_CONFIGS[k])
+    *head, last = path
+    parent = functools.reduce(operator.getitem, head, doc)
+    if value is DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            cfg = write_config(Path(tmp), doc)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["--config", str(cfg)])
+            if code == 1:
+                assert err.getvalue().startswith("error: ")
+                assert os.listdir(tmp) == ["config.json"]
+            else:
+                assert code == 0, err.getvalue()
+                [csv_path] = Path(tmp).rglob("*.csv")
+                cells = {c.lower() for row in read_csv(csv_path) for c in row}
+                assert not cells & {"nan", "-nan", "inf", "-inf"}
+        finally:
+            os.chdir(cwd)

@@ -444,9 +444,12 @@ def test_parse_sampled_nodes_reads_records_in_order():
     "",
     "dim\n",
     "weight 1\n",
+    node_text([(1.0, 2 * np.eye(4))]),
+    node_text([(1.0, np.eye(4)), (1.0, np.eye(4) + 1e-8)]),
 ], ids=["weight_nan", "weight_inf", "weight_minus_inf", "entry_nan", "entry_inf",
         "weight_zero", "one_weight_zero", "one_weight_negative", "no_weight_keyword",
-        "truncated", "no_matrices", "empty", "dim_without_value", "no_dim"])
+        "truncated", "no_matrices", "empty", "dim_without_value", "no_dim",
+        "not_unitary", "unitary_only_to_1e-8"])
 def test_parse_sampled_nodes_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_sampled_nodes(text, 4)

@@ -265,6 +265,14 @@ def test_validate_density_matrix(rng):
         validate_density_matrix(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_density_matrix_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_density_matrix(np.diag([1.0, bad]))
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_density_matrix(np.full((2, 2), bad))
+
+
 def test_hermitian_function_log_exp_roundtrip(rng):
     rho = random_state(rng, 4)
     lg = hermitian_function(rho, np.log)
