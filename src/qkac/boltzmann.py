@@ -20,6 +20,7 @@ verification of the equivalent mild form
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -27,8 +28,8 @@ import numpy as np
 
 from .collisions import CollisionSpec
 from .errors import NumericalContractError
-from .operators import FactorShape, partial_trace, validate_density_matrix
-from .spectra import SingleParticleModel, shell_decomposition, shell_state
+from .operators import validate_density_matrix
+from .spectra import SingleParticleModel, _pair_move_groups, shell_structure
 from .tolerances import PICARD_TOL, TOL_PSD, TOL_STEADY
 
 log = logging.getLogger(__name__)
@@ -54,15 +55,6 @@ def diagonal_projection(model: SingleParticleModel, a: np.ndarray) -> np.ndarray
     return np.diag(np.diagonal(a)).astype(complex)
 
 
-def _pair_marginal_of_shell_states(model: SingleParticleModel) -> dict:
-    """Tr_2[sigma_E] for every two-particle shell energy E, by enumeration."""
-    out = {}
-    shape = FactorShape(2, model.dim)
-    for E, _ in shell_decomposition(model, 2):
-        out[E] = partial_trace(shell_state(model, 2, E), shape, keep=1)
-    return out
-
-
 def wild_diagonal(model: SingleParticleModel, a: np.ndarray,
                   b: np.ndarray) -> np.ndarray:
     """Closed form of the Wild convolution when the channel is the exact
@@ -70,21 +62,18 @@ def wild_diagonal(model: SingleParticleModel, a: np.ndarray,
 
         A * B = sum_{i,k} A_ii B_kk Tr_2[sigma_{e_i + e_k}].
 
-    Only the diagonals of A and B enter.  The marginal of each shell
-    state is computed by enumeration, which also covers degenerate
-    single-particle spectra correctly (the count of partners of a level
+    Only the diagonals of A and B enter.  Tr_2[sigma_E] gives level l the
+    share of the shell's pairs whose first level is l, which also covers
+    degenerate single-particle spectra (the count of partners of a level
     inside a shell is weighted by multiplicity).
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    marginals = _pair_marginal_of_shell_states(model)
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for i in range(model.dim):
-        for k in range(model.dim):
-            coeff = a[i, i] * b[k, k]
-            if coeff != 0:
-                out += coeff * marginals[model.energies[i] + model.energies[k]]
-    return out
+    st = shell_structure(model, 2)
+    coeff = np.outer(np.diagonal(a), np.diagonal(b)).ravel()
+    out = np.zeros(model.dim, dtype=complex)
+    for _, idx in st.shells:
+        share = np.bincount(st.digits[idx, 0], minlength=model.dim) / len(idx)
+        out += coeff[idx].sum() * share
+    return np.diag(out)
 
 
 def gibbs(model: SingleParticleModel, beta: float) -> np.ndarray:
@@ -230,21 +219,10 @@ def classify_steady_states(model: SingleParticleModel) -> SteadyStateFamily:
     energies = sorted(set(model.energies))
     mult = tuple(model.energies.count(e) for e in energies)
     m = len(energies)
-    rows = []
-    pairs = {}
-    for i in range(m):
-        for j in range(i, m):
-            pairs.setdefault(energies[i] + energies[j], []).append((i, j))
-    for s, plist in pairs.items():
-        for a in range(len(plist)):
-            for b in range(a + 1, len(plist)):
-                (i, j), (k, l) = plist[a], plist[b]
-                row = np.zeros(m)
-                row[i] += 1
-                row[j] += 1
-                row[k] -= 1
-                row[l] -= 1
-                rows.append(row)
+    eye = np.eye(m)
+    rows = [eye[i] + eye[j] - eye[k] - eye[l]
+            for pairs in _pair_move_groups(energies).values()
+            for (i, j), (k, l) in itertools.combinations(pairs, 2)]
     if rows:
         _, sv, vh = np.linalg.svd(np.stack(rows))
         rank = int((sv > 1e-10 * max(1.0, sv[0])).sum())

@@ -26,7 +26,7 @@ import numpy as np
 
 from .boltzmann import qkbe_integrate
 from .collisions import CollisionSpec
-from .master import KacGenerator, apply_pair_QN, evolve_master
+from .master import KacGenerator, apply_pair_channel, evolve_master
 from .operators import (FactorShape, partial_trace, permute_factors, tensor,
                         tensor_power, trace_norm, von_neumann_entropy)
 from .tolerances import check_size_guard
@@ -43,7 +43,7 @@ def gamma_k(spec: CollisionSpec, b: np.ndarray) -> np.ndarray:
     big = tensor(b, np.eye(d))
     out = np.zeros_like(big)
     for i in range(k):
-        out += apply_pair_QN(gen, big, i, k) - big
+        out += apply_pair_channel(gen, big, i, k) - big
     return 2.0 * out
 
 
@@ -59,7 +59,7 @@ def g_k(spec: CollisionSpec, b: np.ndarray, num_particles: int) -> np.ndarray:
         gen = KacGenerator(spec, k)
         acc = np.zeros_like(b)
         for (i, j) in gen.pairs:
-            acc += apply_pair_QN(gen, b, i, j) - b
+            acc += apply_pair_channel(gen, b, i, j) - b
         inblock = tensor(acc, np.eye(d))
     n = num_particles
     return (2.0 / (n - 1)) * inblock + ((n - k) / (n - 1)) * gamma_k(spec, b)

@@ -6,8 +6,9 @@ Outputs are deterministic given the same configuration: any randomized
 initial data is drawn from the recorded seed, and CSV files are written
 atomically with floats at 17 significant digits.
 
-Exit codes: 0 success, 1 configuration or validation failure (no partial
-outputs), 2 numerical contract violation (positivity or convergence).
+Exit codes: 0 success (and ``--help``), 1 usage, configuration or
+validation failure or a forced run out of memory (no partial outputs),
+2 numerical contract violation (positivity or convergence).
 """
 
 from __future__ import annotations
@@ -70,9 +71,10 @@ def _number(value, what: str, integer: bool = False, minimum=None):
     """``value`` if it is a finite JSON number (an integer when ``integer``)
     of at least ``minimum``.  JSON booleans, which Python reads as
     integers, are rejected, and so are the NaN and Infinity that Python's
-    JSON reader accepts."""
+    JSON reader accepts, and integers past the float range where a float is read."""
     if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
             or (isinstance(value, float) and not math.isfinite(value))
+            or (not integer and abs(value) > sys.float_info.max)
             or (minimum is not None and value < minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ConfigError(f"{what} must be {'an integer' if integer else 'a finite number'}"
@@ -216,6 +218,15 @@ def _read_params(cfg: RunConfig, rng: np.random.Generator) -> dict:
         steps = _number(params.get("steps", 100), "params.steps", integer=True, minimum=1)
         if steps > MAX_STEPS:
             raise ConfigError(f"params.steps must be at most {MAX_STEPS}, got {steps}")
+        # the kinetic commands take RK4 steps of at most min(0.01, t_max / 1000)
+        # per grid step; the jump series of the master equation grows with N t_max
+        rk4 = steps * np.ceil(t_max / steps / min(0.01, t_max / 1000))
+        if cfg.command != "evolve-master" and rk4 > MAX_STEPS:
+            raise ConfigError(f"params.t_max = {t_max} needs {rk4:.3g} RK4 steps, "
+                              f"past the bound {MAX_STEPS}")
+        n_max = max(out.get("N_list") or [out.get("N", 1)])
+        if t_max > MAX_STEPS / n_max:
+            raise ConfigError(f"N t_max = {n_max} * {t_max} is past the bound {MAX_STEPS}")
         out["grid"] = np.linspace(0.0, float(t_max), steps + 1)
     if "invariants" in names:
         h = model.hamiltonian()
@@ -444,7 +455,11 @@ def main(argv=None) -> int:
                         help="override the d**N size guard")
     parser.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                         help="override a named tolerance (repeatable)")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is the contract-violation code
+        return 1 if exc.code else 0
     overrides = {}
     for item in args.tol:
         if "=" not in item:
@@ -457,6 +472,10 @@ def main(argv=None) -> int:
         return run(cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # a run forced past the size guard can exhaust memory
+        print("error: out of memory; lower N or drop --force", file=sys.stderr)
         return 1
     except NumericalContractError as exc:
         print(f"numerical contract violation: {exc}", file=sys.stderr)

@@ -46,8 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import swap_unitary, tensor
-from .spectra import (SingleParticleModel, shell_decomposition, shell_projector,
-                      shell_structure)
+from .spectra import SingleParticleModel, commutant_projection, shell_structure
 from .tolerances import TOL_FIXED_EIG
 
 
@@ -351,11 +350,11 @@ def fixed_space_of_Q(q: Superoperator) -> list:
 def is_ergodic(spec: CollisionSpec) -> bool:
     """True iff the channel's fixed space is exactly the pair energy algebra."""
     fixed = fixed_space_of_Q(spec.channel)
-    shells = shell_decomposition(spec.model, 2)
-    if len(fixed) != len(shells):
+    if len(fixed) != len(shell_structure(spec.model, 2).shells):
         return False
-    projs = [shell_projector(spec.model, 2, E) / np.sqrt(len(idxs)) for E, idxs in shells]
-    return all(np.abs(f - sum(np.vdot(p, f) * p for p in projs)).max() <= TOL_FIXED_EIG
+    # at N = 2 each shell is one class, so the projection onto the span of
+    # the shell projectors is the class (commutant) projection
+    return all(np.abs(f - commutant_projection(spec.model, 2, f)).max() <= TOL_FIXED_EIG
                for f in fixed)
 
 

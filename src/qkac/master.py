@@ -66,18 +66,19 @@ class KacGenerator:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def apply_pair_channel(rho: np.ndarray, s4: np.ndarray, i: int, j: int,
-                       shape: FactorShape) -> np.ndarray:
-    """Apply a two-particle channel to factors (i, j) of an N-factor operator.
+def apply_pair_channel(gen: KacGenerator, rho: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Pair channel Q_{i,j} on factors (i, j) of an N-factor operator.
 
-    ``s4`` is the channel matrix reshaped to (d^2, d^2, d^2, d^2) as
-    [out_row, out_col, in_row, in_col].
+    ``rho`` is a d^N x d^N matrix or its (d,) * 2N tensor view; the image
+    has the same shape, and in the tensor shape it is a strided view that
+    is never copied into matrix order.
     """
-    d, n = shape.factor_dim, shape.num_factors
+    d, n = gen.shape.factor_dim, gen.shape.num_factors
+    rho = np.asarray(rho, dtype=complex)
     axes = [i, j, n + i, n + j]
-    y = np.tensordot(s4.reshape((d,) * 8), rho.reshape((d,) * (2 * n)),
+    y = np.tensordot(gen._s4.reshape((d,) * 8), rho.reshape((d,) * (2 * n)),
                      axes=([4, 5, 6, 7], axes))
-    return np.moveaxis(y, [0, 1, 2, 3], axes).reshape(shape.dim, shape.dim)
+    return np.moveaxis(y, [0, 1, 2, 3], axes).reshape(rho.shape)
 
 
 def apply_QN(gen: KacGenerator, rho: np.ndarray) -> np.ndarray:
@@ -86,15 +87,12 @@ def apply_QN(gen: KacGenerator, rho: np.ndarray) -> np.ndarray:
     dim = gen.shape.dim
     if rho.shape != (dim, dim):
         raise ValueError(f"operand shape {rho.shape} does not match dimension {dim}")
-    out = np.zeros_like(rho)
+    # each pair image is added, uncopied, into the tensor view of one output
+    x = rho.reshape((gen.shape.factor_dim,) * (2 * gen.shape.num_factors))
+    out = np.zeros_like(x)
     for (i, j) in gen.pairs:
-        out += apply_pair_channel(rho, gen._s4, i, j, gen.shape)
-    return out / len(gen.pairs)
-
-
-def apply_pair_QN(gen: KacGenerator, rho: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Single pair channel Q_{i,j} on the N-particle space."""
-    return apply_pair_channel(np.asarray(rho, dtype=complex), gen._s4, i, j, gen.shape)
+        out += apply_pair_channel(gen, x, i, j)
+    return out.reshape(dim, dim) / len(gen.pairs)
 
 
 def apply_LN(gen: KacGenerator, x: np.ndarray) -> np.ndarray:
@@ -302,9 +300,9 @@ def permutation_covariance_check(gen: KacGenerator, rho: np.ndarray, pi,
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     worst = 0.0
     for (i, j) in gen.pairs:
-        left = permute_factors(apply_pair_QN(gen, a, i, j), pi, gen.shape)
+        left = permute_factors(apply_pair_channel(gen, a, i, j), pi, gen.shape)
         pi_i, pi_j = min(pi[i], pi[j]), max(pi[i], pi[j])
-        right = apply_pair_QN(gen, permute_factors(a, pi, gen.shape), pi_i, pi_j)
+        right = apply_pair_channel(gen, permute_factors(a, pi, gen.shape), pi_i, pi_j)
         worst = max(worst, float(np.abs(left - right).max()))
     out["pair_relabel"] = worst
     return out

@@ -62,20 +62,6 @@ def occupancy(alpha, d: int) -> tuple:
     return tuple(m)
 
 
-def occupancy_energy(model: SingleParticleModel, m) -> int:
-    return int(np.dot(m, model.energies))
-
-
-def _occupancy_vectors(d: int, n: int):
-    """All length-d tuples of non-negative integers summing to n."""
-    if d == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _occupancy_vectors(d - 1, n - first):
-            yield (first,) + rest
-
-
 @dataclass(frozen=True)
 class ShellStructure:
     """The product basis of N factors, partitioned into energy shells and
@@ -85,13 +71,17 @@ class ShellStructure:
     most significant); ``shells`` lists (E, ascending flat indices) sorted
     by E; ``labels[k]`` is the class of index k, with classes numbered by
     shell and then by smallest flat index; ``class_energies[c]`` is the
-    energy of class c.  The arrays are read-only because they are shared.
+    energy of class c; ``occupancies`` holds the distinct occupancy vectors
+    in lexicographic order and ``occupancy_of[k]`` the row of index k among
+    them.  The arrays are read-only because they are shared.
     """
 
     digits: np.ndarray
     shells: tuple
     labels: np.ndarray
     class_energies: np.ndarray
+    occupancies: np.ndarray
+    occupancy_of: np.ndarray
 
     def shell(self, E: int) -> np.ndarray:
         """Ascending flat indices of the shell at energy E."""
@@ -116,11 +106,11 @@ def _build_shell_structure(model: SingleParticleModel,
     energy = np.asarray(model.energies)[digits].sum(axis=1)
     occs, occ_of = np.unique((digits[:, :, None] == np.arange(d)).sum(axis=1),
                              axis=0, return_inverse=True)
+    occ_of = occ_of.ravel()
     # pair moves keep the energy, so one closure over all occupancy
     # vectors yields the classes of every shell at once
     moves = _occupancy_classes(model, [tuple(m) for m in occs.tolist()])
-    _, first, raw = np.unique(moves[occ_of.ravel()], return_index=True,
-                              return_inverse=True)
+    _, first, raw = np.unique(moves[occ_of], return_index=True, return_inverse=True)
     # number the classes by energy, then by smallest flat index
     order = np.lexsort((first, energy[first]))
     rank = np.argsort(order)
@@ -129,8 +119,11 @@ def _build_shell_structure(model: SingleParticleModel,
     st = ShellStructure(digits=digits,
                         shells=tuple(zip(es.tolist(), np.split(by_energy, starts[1:]))),
                         labels=rank[raw],
-                        class_energies=energy[first[order]])
-    for a in (st.digits, st.labels, st.class_energies, *(idx for _, idx in st.shells)):
+                        class_energies=energy[first[order]],
+                        occupancies=occs,
+                        occupancy_of=occ_of)
+    for a in (st.digits, st.labels, st.class_energies, st.occupancies, st.occupancy_of,
+              *(idx for _, idx in st.shells)):
         a.flags.writeable = False
     return st
 
@@ -193,13 +186,13 @@ class EnergyShellPartition:
         return len(self.classes)
 
 
-def _pair_move_groups(model: SingleParticleModel) -> dict:
-    """Unordered level pairs grouped by energy sum."""
+def _pair_move_groups(energies) -> dict:
+    """Unordered index pairs of ``energies`` grouped by energy sum."""
     groups = {}
-    d = model.dim
+    d = len(energies)
     for i in range(d):
         for j in range(i, d):
-            groups.setdefault(model.energies[i] + model.energies[j], []).append((i, j))
+            groups.setdefault(energies[i] + energies[j], []).append((i, j))
     return groups
 
 
@@ -207,7 +200,7 @@ def _occupancy_classes(model: SingleParticleModel, occupancies) -> np.ndarray:
     """Class label of each occupancy vector under energy-conserving pair
     moves; ``occupancies`` must hold every vector a move can reach."""
     pos = {m: k for k, m in enumerate(occupancies)}
-    groups = _pair_move_groups(model).values()
+    groups = _pair_move_groups(model.energies).values()
     edges = []
     for m in occupancies:
         for pairs in groups:
@@ -247,13 +240,13 @@ def classify_shell(model: SingleParticleModel, num_factors: int, E: int,
     st = shell_structure(model, num_factors, force=force)
     idx = st.shell(E)
     labels = st.labels[idx]
-    classes = [_multi_indices(st, idx[labels == c]) for c in np.unique(labels)]
+    blocks = [idx[labels == c] for c in np.unique(labels)]
     return EnergyShellPartition(
         E=E,
         multi_indices=_multi_indices(st, idx),
-        classes=classes,
-        class_occupancies=[{occupancy(a, model.dim) for a in block}
-                           for block in classes],
+        classes=[_multi_indices(st, block) for block in blocks],
+        class_occupancies=[set(map(tuple, st.occupancies[st.occupancy_of[block]].tolist()))
+                           for block in blocks],
     )
 
 
@@ -274,10 +267,10 @@ def accidental_relations(model: SingleParticleModel, num_factors: int,
     empty result certifies that at this particle number every shell is a
     single permutation orbit, so no unintended degeneracies occur.
     """
-    check_size_guard(model.dim ** num_factors, force=force)
+    occs = shell_structure(model, num_factors, force=force).occupancies
     by_energy = {}
-    for m in _occupancy_vectors(model.dim, num_factors):
-        by_energy.setdefault(occupancy_energy(model, m), []).append(m)
+    for E, m in zip((occs @ np.asarray(model.energies)).tolist(), occs.tolist()):
+        by_energy.setdefault(E, []).append(tuple(m))
     return sorted((E, ms) for E, ms in by_energy.items() if len(ms) > 1)
 
 

@@ -135,6 +135,8 @@ NON_UNITARY_NODES = f"sampled_file:{Path(__file__).parent / 'data' / 'non_unitar
                 "initial": {"kind": "maximally_mixed"}}},
     {"command": "evolve-qkbe", "model": QUBIT, "spec": "qubit_tilted",
      "params": {"t_max": 1.0, "steps": 100001, "initial": {"kind": "maximally_mixed"}}},
+    {"command": "evolve-qkbe", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"t_max": 10 ** 400, "initial": {"kind": "maximally_mixed"}}},
 ], ids=["initial_not_object", "tolerance_not_number",
         "points_per_angle_not_integer", "rho_inf_item_not_object",
         "seed_list", "gibbs_beta_list", "gibbs_beta_infinite", "rho_inf_beta_list",
@@ -144,7 +146,7 @@ NON_UNITARY_NODES = f"sampled_file:{Path(__file__).parent / 'data' / 'non_unitar
         "node_file_weight_nan_evolve", "node_file_weight_nan_verify",
         "node_file_not_unitary_evolve", "node_file_not_unitary_verify", "param_typo_step",
         "param_unread_by_command", "points_per_angle_for_exact_ea2", "steps_1e9",
-        "steps_past_bound"])
+        "steps_past_bound", "t_max_integer_past_float_range"])
 def test_malformed_config_exits_1_without_outputs(tmp_path, capsys, monkeypatch, doc):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "out"), **doc})
@@ -246,6 +248,86 @@ def test_huge_N_fails_the_size_guard_without_forming_d_to_the_N(tmp_path, comman
     n = params.get("N", HUGE_N)
     assert f"N = {n}" in proc.stderr and "guard 4096" in proc.stderr
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_forced_huge_N_out_of_memory_exits_1_without_traceback(tmp_path):
+    # forcing past the size guard makes the run form d**N-sized arrays; under
+    # a 1 GB address-space limit that ends in a MemoryError, reported as exit 1
+    import resource
+
+    cfg = write_config(tmp_path, {
+        "command": "ergodicity", "model": QUBIT, "params": {"N": 100_000_000},
+        "force": True, "output_dir": str(tmp_path / "out")})
+    src = str(Path(qkac.__file__).resolve().parents[1])
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "qkac.cli", "--config", str(cfg)], cwd=tmp_path,
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "memory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("command, params, bound", [
+    ("evolve-qkbe", {"initial": {"kind": "maximally_mixed"}}, "RK4 steps"),
+    ("check-conserved", {"initial": {"kind": "maximally_mixed"}}, "RK4 steps"),
+    ("evolve-master", {"N": 3, "initial": {"kind": "random"}}, "N t_max"),
+    ("chaos", {"N_list": [2], "initial": {"kind": "maximally_mixed"}}, "RK4 steps"),
+])
+def test_huge_t_max_exits_1_at_once(tmp_path, command, params, bound):
+    # a huge finite t_max would take about 1e302 RK4 steps, or a jump series
+    # split into about 1e297 pieces; it is refused before any work
+    cfg = write_config(tmp_path, {
+        "command": command, "model": QUBIT, "spec": "qubit_tilted",
+        "params": {"t_max": 1e300, "steps": 2, **params},
+        "output_dir": str(tmp_path / "out")})
+    src = str(Path(qkac.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "qkac.cli", "--config", str(cfg)], cwd=tmp_path,
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert bound in proc.stderr and "bound 100000" in proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("t_max, ok", [(1000.0, True), (1000.5, False)])
+def test_t_max_bound_counts_rk4_steps(tmp_path, capsys, monkeypatch, t_max, ok):
+    # past t_max = 10 the RK4 step is 0.01, so 1000 is the last t_max within
+    # 100000 steps; the integrator is stubbed, only the bound is under test
+    monkeypatch.setattr("qkac.cli.qkbe_integrate",
+                        lambda spec, rho0, grid, tol_psd: np.stack([rho0] * len(grid)))
+    code, out = run_cli(tmp_path, {
+        "command": "evolve-qkbe", "model": QUBIT, "spec": "qubit_tilted",
+        "params": {"t_max": t_max, "steps": 10, "initial": {"kind": "maximally_mixed"}}})
+    assert code == (0 if ok else 1)
+    assert ok or "RK4 steps" in capsys.readouterr().err
+
+
+def test_master_rate_bound_is_on_N_times_t_max(tmp_path, capsys):
+    doc = {"command": "evolve-master", "model": QUBIT, "spec": "qubit_tilted",
+           "params": {"N": 4, "t_max": 25_000.5, "steps": 1,
+                      "initial": {"kind": "random"}}}
+    code, out = run_cli(tmp_path, doc)
+    assert code == 1
+    assert "N t_max = 4 * 25000.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["--config", "c.json", "--bogus"],
+                                  ["--tol"], ["--config"]])
+def test_usage_errors_exit_1(capsys, argv):
+    assert main(argv) == 1
+    assert "usage: qkac" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: qkac" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("name", ["herm", "trace", "picard", "steady"])
@@ -491,7 +573,7 @@ FIELDS = [(k, path) for k, doc in enumerate(CHEAP_CONFIGS) for path in field_pat
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.sampled_from(FIELDS),
-       st.sampled_from([DELETE, None, False, True, "x", [1], {"k": 1}, -1, 0, 2.5]))
+       st.sampled_from([DELETE, None, False, True, "x", [1], {"k": 1}, -1, 0, 2.5, 1e300]))
 def test_mutated_config_fails_cleanly_or_writes_finite_csv(field, value):
     k, path = field
     doc = copy.deepcopy(CHEAP_CONFIGS[k])

@@ -1,0 +1,127 @@
+"""Brute-force oracles for the facts read off the cached shell structure.
+
+Each oracle works the relation e_i + e_j = e_k + e_l out on its own, by
+enumeration or with dense matrices, and is compared with the library.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from scipy.linalg import null_space
+
+from qkac.boltzmann import classify_steady_states, wild_diagonal
+from qkac.collisions import (CollisionSpec, Superoperator, exact_EA2_spec,
+                             fixed_space_of_Q, identity_spec, is_ergodic,
+                             qubit_tilted_spec, qubit_uniform_spec)
+from qkac.operators import FactorShape, partial_trace
+from qkac.spectra import (SingleParticleModel, accidental_relations, classify_shell,
+                          occupancy, shell_decomposition, shell_projector, shell_state)
+from qkac.tolerances import TOL_FIXED_EIG
+from conftest import random_matrix
+
+MODELS = [(0, 1), (0, 1, 2), (0, 1, 4, 5), (1, 10, 100), (0, 2, 3, 7),
+          (0, 0, 1), (0, 0, 0, 1), (0, 0, 1, 1)]
+
+
+def occupancy_vectors(d, n):
+    """All length-d tuples of non-negative integers summing to n, in
+    lexicographic order."""
+    if d == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in occupancy_vectors(d - 1, n - first):
+            yield (first,) + rest
+
+
+def dense_is_ergodic(spec):
+    """The fixed space of Q, projected onto the span of the normalized
+    two-particle shell projectors, one dense projector per shell."""
+    fixed = fixed_space_of_Q(spec.channel)
+    shells = shell_decomposition(spec.model, 2)
+    if len(fixed) != len(shells):
+        return False
+    projs = [shell_projector(spec.model, 2, E) / np.sqrt(len(idxs)) for E, idxs in shells]
+    return all(np.abs(f - sum(np.vdot(p, f) * p for p in projs)).max() <= TOL_FIXED_EIG
+               for f in fixed)
+
+
+@pytest.mark.parametrize("energies", MODELS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_accidental_relations_match_enumeration(energies, n):
+    by_energy = {}
+    for m in occupancy_vectors(len(energies), n):
+        by_energy.setdefault(int(np.dot(m, energies)), []).append(m)
+    want = sorted((E, ms) for E, ms in by_energy.items() if len(ms) > 1)
+    assert accidental_relations(SingleParticleModel(energies), n) == want
+
+
+@pytest.mark.parametrize("energies", MODELS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_class_occupancies_match_enumeration(energies, n):
+    model = SingleParticleModel(energies)
+    for E, _ in shell_decomposition(model, n):
+        part = classify_shell(model, n, E)
+        want = [{occupancy(a, model.dim) for a in block} for block in part.classes]
+        assert part.class_occupancies == want
+
+
+def decoy_spec(model):
+    """A channel fixing one diagonal unit per two-particle shell, that of the
+    shell's first pair: the fixed space has the right dimension but is not
+    the pair energy algebra, since the shell e_0 + e_1 holds two pairs."""
+    d2 = model.dim ** 2
+    mat = np.zeros((d2 * d2,) * 2, dtype=complex)
+    for _, idxs in shell_decomposition(model, 2):
+        k = np.ravel_multi_index(idxs[0], (model.dim,) * 2)
+        mat[k * d2 + k, k * d2 + k] = 1.0
+    return CollisionSpec(model, "decoy", "closed_form", Superoperator(mat, d2))
+
+
+@pytest.mark.parametrize("energies", MODELS)
+def test_is_ergodic_matches_dense_shell_projectors(energies):
+    model = SingleParticleModel(energies)
+    specs = (exact_EA2_spec(model), identity_spec(model), decoy_spec(model))
+    assert [is_ergodic(spec) for spec in specs] == [True, False, False]
+    assert [dense_is_ergodic(spec) for spec in specs] == [True, False, False]
+
+
+@pytest.mark.parametrize("points", [None, 4, 5, 8])
+def test_is_ergodic_matches_dense_shell_projectors_qubit(points):
+    for spec in (qubit_uniform_spec(points), qubit_tilted_spec(points)):
+        assert is_ergodic(spec) == dense_is_ergodic(spec)
+
+
+@pytest.mark.parametrize("energies", MODELS + [(0, 0)])
+def test_steady_family_matches_enumerated_constraints(energies):
+    # every quadruple with e_i + e_j = e_k + e_l over the distinct energies
+    # gives a constraint x_i + x_j - x_k - x_l = 0; trivial ones are zero rows
+    distinct = sorted(set(energies))
+    m = len(distinct)
+    rows = []
+    for i, j, k, l in itertools.product(range(m), repeat=4):
+        if distinct[i] + distinct[j] == distinct[k] + distinct[l]:
+            row = np.zeros(m)
+            np.add.at(row, [i, j], 1.0)
+            np.add.at(row, [k, l], -1.0)
+            rows.append(row)
+    want = null_space(np.array(rows))
+    family = classify_steady_states(SingleParticleModel(energies))
+    assert family.distinct_energies == tuple(distinct)
+    assert family.multiplicities == tuple(energies.count(e) for e in distinct)
+    basis = family.constraint_basis
+    assert basis.shape == (want.shape[1], m)
+    assert np.abs(basis.T @ basis - want @ want.T).max() < 1e-12
+
+
+@pytest.mark.parametrize("energies", MODELS + [(0, 0)])
+def test_wild_diagonal_matches_enumerated_marginals(energies, rng):
+    model = SingleParticleModel(energies)
+    shape = FactorShape(2, model.dim)
+    marginals = {E: partial_trace(shell_state(model, 2, E), shape, keep=1)
+                 for E, _ in shell_decomposition(model, 2)}
+    a, b = random_matrix(rng, model.dim), random_matrix(rng, model.dim)
+    want = sum(a[i, i] * b[k, k] * marginals[energies[i] + energies[k]]
+               for i in range(model.dim) for k in range(model.dim))
+    assert np.abs(wild_diagonal(model, a, b) - want).max() < 1e-14
