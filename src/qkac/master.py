@@ -11,8 +11,14 @@ and the semigroup exp(t L_N) is evaluated by the jump (Poisson) series
 
 truncated when the Poisson tail drops below ``tail_tol``.  Q_N is a
 Hilbert-Schmidt self-adjoint contraction, so the series is numerically
-stable and never materializes the full superoperator: one application of
-Q_N costs binom(N, 2) small tensor contractions on the d^N state.
+stable and never materializes the full superoperator.
+
+The pair channel is sparse, and most of its nonzeros lie on its diagonal,
+which only rescales entries of the operand.  Summed over the pairs, that
+diagonal becomes one (d,) * 2N array D, so one application of Q_N is the
+elementwise product D * rho plus, for each pair and each off-diagonal
+nonzero of the channel, one scaled strided slice of rho added into
+another.
 """
 
 from __future__ import annotations
@@ -45,20 +51,41 @@ MAX_BLOCK_DIM = 5000
 
 @dataclass
 class KacGenerator:
-    """Pair-averaged collision generator on N particles."""
+    """Pair-averaged collision generator on N particles.
+
+    ``_pair_diag`` is the channel diagonal on its (d,) * 4 pair axes,
+    ``_diag`` its average over the pairs' axes (i, j, N+i, N+j) as one
+    (d,) * 2N array, and ``_moves`` the channel's off-diagonal nonzeros
+    as (out digits, in digits, value).
+    """
 
     spec: CollisionSpec
     num_particles: int
     force: bool = False
     shape: FactorShape = field(init=False)
     _s4: np.ndarray = field(init=False, repr=False)
+    _pair_diag: np.ndarray = field(init=False, repr=False)
+    _diag: np.ndarray = field(init=False, repr=False)
+    _moves: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.num_particles < 2:
             raise ValueError("need at least two particles")
-        d = self.spec.model.dim
-        self.shape = FactorShape(self.num_particles, d).check_guard(self.force)
-        self._s4 = self.spec.channel.mat.reshape(d * d, d * d, d * d, d * d)
+        d, n = self.spec.model.dim, self.num_particles
+        self.shape = FactorShape(n, d).check_guard(self.force)
+        mat = self.spec.channel.mat
+        self._s4 = mat.reshape(d * d, d * d, d * d, d * d)
+        diag = mat.diagonal()
+        self._pair_diag = (diag if diag.imag.any() else diag.real).reshape((d,) * 4)
+        rows, cols = np.nonzero(mat)
+        rows, cols = rows[rows != cols], cols[rows != cols]
+        self._moves = list(zip(np.transpose(np.unravel_index(rows, (d,) * 4)).tolist(),
+                               np.transpose(np.unravel_index(cols, (d,) * 4)).tolist(),
+                               mat[rows, cols].tolist()))
+        self._diag = np.zeros((d,) * (2 * n), dtype=self._pair_diag.dtype)
+        for (i, j) in self.pairs:
+            self._diag += _on_pair_axes(self._pair_diag, n, i, j)
+        self._diag /= len(self.pairs)
 
     @property
     def pairs(self):
@@ -66,33 +93,64 @@ class KacGenerator:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+def _on_pair_axes(a4: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
+    """A (d,) * 4 pair array laid on axes (i, j, n+i, n+j) of a shape that
+    broadcasts against the (d,) * 2n tensor view."""
+    axes = (i, j, n + i, n + j)
+    shape = [1] * (2 * n)
+    for ax in axes:
+        shape[ax] = a4.shape[0]
+    return a4.transpose(np.argsort(axes)).reshape(shape)
+
+
+def _add_moves(gen: KacGenerator, out: np.ndarray, x: np.ndarray,
+               i: int, j: int, scale: float) -> None:
+    """Add ``scale`` times the off-diagonal part of Q_{i,j} x into ``out``:
+    for each off-diagonal nonzero, the slice of the (d,) * 2N view ``x``
+    with axes (i, j, N+i, N+j) fixed to its in digits, scaled, into the
+    slice of ``out`` fixed to its out digits."""
+    n = gen.num_particles
+    for o, a, s in gen._moves:
+        dst, src = [slice(None)] * (2 * n), [slice(None)] * (2 * n)
+        for ax, od, ad in zip((i, j, n + i, n + j), o, a):
+            dst[ax], src[ax] = od, ad
+        out[tuple(dst)] += (scale * s) * x[tuple(src)]
+
+
+def _tensor_view(gen: KacGenerator, rho) -> tuple:
+    """``rho`` as a complex array and its (d,) * 2N tensor view; ``rho`` is
+    a d^N x d^N matrix or that tensor view itself."""
+    d, n = gen.shape.factor_dim, gen.shape.num_factors
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape not in ((gen.shape.dim,) * 2, (d,) * (2 * n)):
+        raise ValueError(f"operand shape {rho.shape} does not match dimension "
+                         f"{gen.shape.dim} or its tensor shape {(d,) * (2 * n)}")
+    return rho, rho.reshape((d,) * (2 * n))
+
+
 def apply_pair_channel(gen: KacGenerator, rho: np.ndarray, i: int, j: int) -> np.ndarray:
     """Pair channel Q_{i,j} on factors (i, j) of an N-factor operator.
 
     ``rho`` is a d^N x d^N matrix or its (d,) * 2N tensor view; the image
-    has the same shape, and in the tensor shape it is a strided view that
-    is never copied into matrix order.
+    has the same shape.
     """
-    d, n = gen.shape.factor_dim, gen.shape.num_factors
-    rho = np.asarray(rho, dtype=complex)
-    axes = [i, j, n + i, n + j]
-    y = np.tensordot(gen._s4.reshape((d,) * 8), rho.reshape((d,) * (2 * n)),
-                     axes=([4, 5, 6, 7], axes))
-    return np.moveaxis(y, [0, 1, 2, 3], axes).reshape(rho.shape)
+    n = gen.num_particles
+    if not (0 <= i < n and 0 <= j < n and i != j):
+        raise ValueError(f"pair ({i}, {j}) is not two distinct factors of N={n}")
+    rho, x = _tensor_view(gen, rho)
+    out = _on_pair_axes(gen._pair_diag, n, i, j) * x
+    _add_moves(gen, out, x, i, j, 1.0)
+    return out.reshape(rho.shape)
 
 
 def apply_QN(gen: KacGenerator, rho: np.ndarray) -> np.ndarray:
-    """Uniform average of the pair channels."""
-    rho = np.asarray(rho, dtype=complex)
-    dim = gen.shape.dim
-    if rho.shape != (dim, dim):
-        raise ValueError(f"operand shape {rho.shape} does not match dimension {dim}")
-    # each pair image is added, uncopied, into the tensor view of one output
-    x = rho.reshape((gen.shape.factor_dim,) * (2 * gen.shape.num_factors))
-    out = np.zeros_like(x)
-    for (i, j) in gen.pairs:
-        out += apply_pair_channel(gen, x, i, j)
-    return out.reshape(dim, dim) / len(gen.pairs)
+    """Uniform average of the pair channels, on a matrix or its tensor view."""
+    rho, x = _tensor_view(gen, rho)
+    out = gen._diag * x
+    pairs = gen.pairs
+    for (i, j) in pairs:
+        _add_moves(gen, out, x, i, j, 1.0 / len(pairs))
+    return out.reshape(rho.shape)
 
 
 def apply_LN(gen: KacGenerator, x: np.ndarray) -> np.ndarray:
@@ -306,15 +364,3 @@ def permutation_covariance_check(gen: KacGenerator, rho: np.ndarray, pi,
         worst = max(worst, float(np.abs(left - right).max()))
     out["pair_relabel"] = worst
     return out
-
-
-def symmetrize_state(rho: np.ndarray, shape: FactorShape) -> np.ndarray:
-    """Average a state over all factor permutations."""
-    import itertools
-
-    rho = np.asarray(rho, dtype=complex)
-    perms = list(itertools.permutations(range(shape.num_factors)))
-    acc = np.zeros_like(rho)
-    for p in perms:
-        acc += permute_factors(rho, list(p), shape)
-    return acc / len(perms)

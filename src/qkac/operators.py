@@ -233,12 +233,16 @@ def trace_first(rho: np.ndarray, shape: FactorShape, drop: int) -> np.ndarray:
 # Hermitian matrix functions, entropies, norms
 # ---------------------------------------------------------------------------
 
+def _require_hermitian(a: np.ndarray, what: str) -> None:
+    herm = np.abs(a - a.conj().T).max()
+    if herm > TOL_HERM:
+        raise ValueError(f"{what} requires Hermitian input (residual {herm:.3e})")
+
+
 def hermitian_function(a: np.ndarray, fn) -> np.ndarray:
     """Apply a scalar function through the eigendecomposition of a Hermitian matrix."""
     a = np.asarray(a, dtype=complex)
-    herm = np.abs(a - a.conj().T).max()
-    if herm > TOL_HERM:
-        raise ValueError(f"matrix function requires Hermitian input (residual {herm:.3e})")
+    _require_hermitian(a, "matrix function")
     w, v = np.linalg.eigh(a)
     return (v * fn(w)) @ v.conj().T
 
@@ -270,7 +274,7 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray,
         leak = np.einsum("ij,ji->", vout.conj().T, rho @ vout).real
         if leak > tol_psd:
             return float("inf")
-    wr, vr = np.linalg.eigh(rho)
+    wr = np.linalg.eigvalsh(rho)
     pos_r = wr > tol_psd
     term_r = float((wr[pos_r] * np.log(wr[pos_r])).sum())
     pos_s = ws > tol_psd
@@ -288,7 +292,10 @@ def op_norm(a: np.ndarray) -> float:
 
 
 def trace_norm(a: np.ndarray) -> float:
-    return float(np.linalg.svd(a, compute_uv=False).sum())
+    """Trace norm of a Hermitian matrix: the sum of its |eigenvalues|."""
+    a = np.asarray(a, dtype=complex)
+    _require_hermitian(a, "trace norm")
+    return float(np.abs(np.linalg.eigvalsh(a)).sum())
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

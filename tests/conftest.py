@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qkac.collisions import (exact_EA2_spec, qubit_tilted_spec,
                              qubit_uniform_spec)
+from qkac.operators import permute_factors
 from qkac.spectra import SingleParticleModel
 
 
@@ -59,3 +62,18 @@ def random_state(rng, dim):
 
 def random_matrix(rng, dim):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(random_matrix(rng, n))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def symmetrize_state(rho, shape):
+    """Average a state over all N! factor permutations."""
+    rho = np.asarray(rho, dtype=complex)
+    perms = list(itertools.permutations(range(shape.num_factors)))
+    acc = np.zeros_like(rho)
+    for p in perms:
+        acc += permute_factors(rho, list(p), shape)
+    return acc / len(perms)

@@ -4,9 +4,9 @@ import pytest
 from qkac.boltzmann import qkbe_integrate
 from qkac.chaos import (ChaosExperiment, derivation_check, g_k, gamma_k,
                         run_chaos_experiment)
-from qkac.master import KacGenerator, apply_LN, evolve_master, symmetrize_state
+from qkac.master import KacGenerator, apply_LN, evolve_master
 from qkac.operators import op_norm, partial_trace, tensor, trace_norm
-from conftest import random_matrix, random_state
+from conftest import random_matrix, random_state, symmetrize_state
 
 
 def hermitian(rng, dim):

@@ -12,7 +12,7 @@ from qkac.collisions import (CollisionSpec, _closure_residual, exact_EA2_spec,
 from qkac.operators import (hs_norm, reorder_pair_basis, swap_unitary, tensor)
 from qkac.spectra import (SingleParticleModel, shell_decomposition, shell_projector,
                           shell_state)
-from conftest import random_matrix, random_state
+from conftest import random_matrix, random_state, random_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +250,6 @@ def closure_oracle(nodes, transform, weight_tol=1e-9):
         worst_w = max(worst_w, abs(nodes[hit][0] - w))
         worst_nearest = max(worst_nearest, min(np.abs(x).max() for x in diffs))
     return worst_mat, (worst_w if worst_w > weight_tol else 0.0), worst_nearest
-
-
-def random_unitary(rng, n):
-    q, r = np.linalg.qr(random_matrix(rng, n))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def test_closure_residual_matches_bruteforce_oracle(rng):

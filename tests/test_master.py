@@ -5,15 +5,15 @@ from qkac import master
 from qkac.collisions import exact_EA2_spec, identity_spec, spec_by_name
 from qkac.errors import NumericalContractError
 from qkac.master import (MAX_BLOCK_DIM, KacGenerator, _shell_block,
-                         _shell_blocks, apply_LN, apply_QN,
+                         _shell_blocks, apply_LN, apply_pair_channel, apply_QN,
                          entropy_production, evolve_master, ln_null_basis,
                          permutation_covariance_check, qn_spectrum,
-                         steady_states_basis, symmetrize_state)
+                         steady_states_basis)
 from qkac.operators import (commutator, embed_pair, partial_trace,
                             relative_entropy, trace_norm)
 from qkac.spectra import (SingleParticleModel, commutant_projection,
                           shell_state, shell_structure)
-from conftest import random_matrix, random_state
+from conftest import random_matrix, random_state, symmetrize_state
 
 
 def pair_sum_oracle(spec, rho, num_particles):
@@ -64,6 +64,28 @@ def test_apply_qn_random_oracle(tilted_spec, rng):
     rho = random_state(rng, 8)
     assert np.abs(apply_QN(gen, rho)
                   - pair_sum_oracle(tilted_spec, rho, 3)).max() < 1e-12
+
+
+def test_apply_pair_channel_rejects_bad_pairs(tilted_spec, rng):
+    gen = KacGenerator(tilted_spec, 3)
+    a = random_matrix(rng, 8)
+    for i, j in [(-1, 0), (0, -1), (0, 3), (3, 1), (1, 1)]:
+        with pytest.raises(ValueError, match=rf"pair \({i}, {j}\)"):
+            apply_pair_channel(gen, a, i, j)
+    # a reversed pair is the channel with its two factors swapped
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    sw = embed_pair(swap, 0, 2, gen.shape)
+    want = sw @ apply_pair_channel(gen, sw @ a @ sw, 0, 2) @ sw
+    assert np.abs(apply_pair_channel(gen, a, 2, 0) - want).max() < 1e-13
+
+
+def test_kernel_rejects_mismatched_operands(tilted_spec, rng):
+    gen = KacGenerator(tilted_spec, 3)
+    for bad in (random_matrix(rng, 4), np.zeros((2,) * 4), np.zeros((8, 4))):
+        with pytest.raises(ValueError, match="does not match dimension 8"):
+            apply_QN(gen, bad)
+        with pytest.raises(ValueError, match="does not match dimension 8"):
+            apply_pair_channel(gen, bad, 0, 1)
 
 
 def test_apply_ln_trivia(tilted_spec, rng):

@@ -7,8 +7,8 @@ from qkac.operators import (FactorShape, embed_pair, hermitian_function,
                             is_hermitian, is_positive_semidefinite, is_unitary,
                             partial_trace, permutation_unitary, permute_factors,
                             relative_entropy, reorder_pair_basis, swap_unitary,
-                            tensor, trace_first, validate_density_matrix,
-                            von_neumann_entropy)
+                            tensor, trace_first, trace_norm,
+                            validate_density_matrix, von_neumann_entropy)
 from conftest import random_matrix, random_state
 
 
@@ -283,6 +283,25 @@ def test_hermitian_function_log_exp_roundtrip(rng):
 def test_hermitian_function_rejects_non_hermitian(rng):
     with pytest.raises(ValueError):
         hermitian_function(random_matrix(rng, 3), np.log)
+
+
+def test_trace_norm_matches_singular_value_sum(rng):
+    for d in (2, 5, 16):
+        a = random_matrix(rng, d)
+        h = a + a.conj().T
+        want = np.linalg.svd(h, compute_uv=False).sum()
+        assert abs(trace_norm(h) - want) <= 1e-12 * max(1.0, want)
+        diff = random_state(rng, d) - random_state(rng, d)
+        assert abs(trace_norm(diff) - np.linalg.svd(diff, compute_uv=False).sum()) <= 1e-12
+
+
+def test_trace_norm_rejects_non_hermitian(rng):
+    with pytest.raises(ValueError, match="trace norm requires Hermitian input"):
+        trace_norm(random_matrix(rng, 3))
+    a = np.zeros((2, 2), dtype=complex)
+    a[0, 1] = 1e-9      # just past the Hermiticity tolerance
+    with pytest.raises(ValueError, match="residual"):
+        trace_norm(a)
 
 
 def test_unitary_conjugation_preserves_trace_and_hermiticity(rng):
