@@ -15,7 +15,11 @@ preserving, and in general non-commutative.  The kinetic equation is
 integrated here with fixed-step RK4 plus an optional fixed-point
 verification of the equivalent mild form
 
-    rho(t) = e^{-2t} rho_0 + int_0^t e^{2(s - t)} rho(s) * rho(s) ds.
+    rho(t) = e^{-2t} rho_0 + 2 int_0^t e^{2(s - t)} rho(s) * rho(s) ds.
+
+The trace direction is an unstable mode of the equation (linearized rate
++2), so the integrator projects every accepted RK4 step back onto the
+Hermitian operators of trace one; otherwise rounding grows like e^{2t}.
 """
 
 from __future__ import annotations
@@ -36,23 +40,17 @@ log = logging.getLogger(__name__)
 
 
 def wild(spec: CollisionSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Wild convolution A * B = Tr_2[Q(A x B)], one contraction of the (d,) * 8
-    view of the channel; leading axes of ``a`` and ``b`` are stacks."""
+    """Wild convolution A * B = Tr_2[Q(A x B)]: the entries a_ij b_mn times
+    the spec's cached Wild matrix; leading axes of ``a`` and ``b`` are
+    stacks, broadcast against each other."""
     d = spec.dim
-    if np.shape(a)[-2:] != (d, d) or np.shape(b)[-2:] != (d, d):
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape[-2:] != (d, d) or b.shape[-2:] != (d, d):
         raise ValueError(f"operands must be {d}x{d} single-particle operators")
-    return np.einsum("krlrimjn,...ij,...mn->...kl",
-                     spec.channel.mat.reshape((d,) * 8), a, b)
-
-
-def diagonal_projection(model: SingleParticleModel, a: np.ndarray) -> np.ndarray:
-    """Zero all off-diagonal entries in the eigenbasis of the model Hamiltonian.
-
-    Models here carry diagonal Hamiltonians, so this is the plain diagonal
-    part in the standard basis.
-    """
-    a = np.asarray(a, dtype=complex)
-    return np.diag(np.diagonal(a)).astype(complex)
+    n = d * d
+    pairs = a.reshape(a.shape[:-2] + (n, 1)) * b.reshape(b.shape[:-2] + (1, n))
+    stack = pairs.shape[:-2]
+    return (pairs.reshape(stack + (n * n,)) @ spec.wild_matrix).reshape(stack + (d, d))
 
 
 def wild_diagonal(model: SingleParticleModel, a: np.ndarray,
@@ -88,28 +86,61 @@ def gibbs(model: SingleParticleModel, beta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _rhs(spec: CollisionSpec, rho: np.ndarray) -> np.ndarray:
-    return 2.0 * (wild(spec, rho, rho) - rho)
+    return wild(spec, rho, rho) - rho
 
 
 def _rk4_step(spec: CollisionSpec, rho: np.ndarray, h: float) -> np.ndarray:
+    h = 2.0 * h     # the factor 2 of d rho/dt = 2(rho * rho - rho)
     k1 = _rhs(spec, rho)
     k2 = _rhs(spec, rho + 0.5 * h * k1)
     k3 = _rhs(spec, rho + 0.5 * h * k2)
     k4 = _rhs(spec, rho + h * k3)
-    return rho + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return rho + (h / 6.0) * (k1 + k4 + 2 * (k2 + k3))
 
 
-def _advance(spec: CollisionSpec, rho: np.ndarray, h: float,
-             tol_psd: float, depth: int = 0) -> np.ndarray:
+@dataclass
+class _StepLog:
+    """Step-halving budget and projection drift of one integration.
+
+    ``retries`` counts the rejected RK4 steps; more than ``budget`` of them
+    raise.  ``drift`` is the largest trace drift |Tr rho - 1| that the
+    projection has removed since it was last reset.
+    """
+
+    budget: float = np.inf
+    retries: int = 0
+    drift: float = 0.0
+
+    def retry(self) -> None:
+        self.retries += 1
+        if self.retries > self.budget:
+            raise NumericalContractError(
+                f"step halving retried {self.retries} RK4 steps, more than "
+                f"the {self.budget} steps planned")
+
+
+def _advance(spec: CollisionSpec, rho: np.ndarray, h: float, tol_psd: float,
+             steps: _StepLog | None = None, depth: int = 0) -> np.ndarray:
+    """One RK4 step of length h, halved while it breaks positivity.
+
+    The accepted state is projected onto the Hermitian operators of trace
+    one: the trace direction is an unstable mode of the equation (its
+    linearized rate is +2), so rounding left there grows like e^{2t}.
+    """
+    steps = _StepLog() if steps is None else steps
     nxt = _rk4_step(spec, rho, h)
-    lo = np.linalg.eigvalsh((nxt + nxt.conj().T) / 2).min()
+    herm = (nxt + nxt.conj().T) / 2
+    lo = np.linalg.eigvalsh(herm).min()
     if lo < -tol_psd:
         if depth >= 20:
             raise NumericalContractError(
                 f"positivity violated by {(-lo):.3e} at the smallest step")
-        half = _advance(spec, rho, h / 2, tol_psd, depth + 1)
-        return _advance(spec, half, h / 2, tol_psd, depth + 1)
-    return nxt
+        steps.retry()
+        half = _advance(spec, rho, h / 2, tol_psd, steps, depth + 1)
+        return _advance(spec, half, h / 2, tol_psd, steps, depth + 1)
+    tr = np.trace(nxt)
+    steps.drift = max(steps.drift, abs(tr - 1.0))
+    return herm / tr.real
 
 
 def qkbe_integrate(spec: CollisionSpec, rho0: np.ndarray, t_grid,
@@ -118,9 +149,11 @@ def qkbe_integrate(spec: CollisionSpec, rho0: np.ndarray, t_grid,
 
     ``t_grid`` must be increasing and start at 0.  Fixed-step RK4 with
     step min(0.01, span/1000), sub-stepped so every grid time is hit
-    exactly; positivity is asserted (never clipped) at every internal
-    step, with step-halving retries; the trace is renormalized at each
-    checkpoint and drift logged.  Returns the stacked trajectory.
+    exactly.  Positivity is asserted (never clipped) at every internal
+    step, with step-halving retries, at most as many as the steps
+    planned.  Every accepted step is projected back to a Hermitian
+    operator of trace one, and the largest trace drift removed between
+    checkpoints is logged.  Returns the stacked trajectory.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
@@ -128,15 +161,16 @@ def qkbe_integrate(spec: CollisionSpec, rho0: np.ndarray, t_grid,
     rho = validate_density_matrix(rho0, tol_psd=tol_psd)
     span = float(t_grid[-1])
     h_max = min(0.01, span / 1000.0) if span > 0 else 0.01
+    nsubs = np.maximum(1, np.ceil(np.diff(t_grid) / h_max)).astype(int)
+    steps = _StepLog(budget=int(nsubs.sum()))
     out = [rho.copy()]
-    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
-        nsub = max(1, int(np.ceil((t1 - t0) / h_max)))
+    for t0, t1, nsub in zip(t_grid[:-1], t_grid[1:], nsubs):
         h = (t1 - t0) / nsub
         for _ in range(nsub):
-            rho = _advance(spec, rho, h, tol_psd)
-        tr = np.trace(rho).real
-        log.debug("kinetic trace drift %.3e at t=%.6f", tr - 1.0, t1)
-        rho = rho / tr
+            rho = _advance(spec, rho, h, tol_psd, steps)
+        log.debug("kinetic trace drift of at most %.3e removed up to t=%.6f",
+                  steps.drift, t1)
+        steps.drift = 0.0
         out.append(rho.copy())
     return np.stack(out)
 
@@ -162,7 +196,7 @@ def picard_solve(spec: CollisionSpec, rho0: np.ndarray, t_grid,
     rho0 = np.asarray(rho0, dtype=complex)
     traj = np.stack([rho0] * fine.size)
     for _ in range(400):
-        gains = np.stack([wild(spec, r, r) for r in traj])
+        gains = wild(spec, traj, traj)
         new = np.empty_like(traj)
         new[0] = rho0
         integral = np.zeros_like(rho0)

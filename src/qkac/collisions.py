@@ -42,6 +42,7 @@ average exactly for n >= 4 even after weighting by 1 + cos x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +100,21 @@ class CollisionSpec:
     @property
     def dim(self) -> int:
         return self.model.dim
+
+    @cached_property
+    def wild_matrix(self) -> np.ndarray:
+        """The Wild convolution as one (d^4, d^2) matrix,
+
+            W[(i, j, m, n), (k, l)] = sum_r C[k, r, l, r, i, m, j, n],
+
+        the partial trace over the second output factor of the (d,) * 8
+        view C of the channel, taken once per spec.
+        """
+        d = self.dim
+        c = self.channel.mat.reshape((d,) * 8)
+        w = np.einsum("krlrimjn->ijmnkl", c).reshape(d ** 4, d * d)
+        w.flags.writeable = False   # one array, shared by every caller
+        return w
 
     def pair_hamiltonian(self) -> np.ndarray:
         h = self.model.hamiltonian()

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qkac.boltzmann import (classify_steady_states, collision_invariants_basis,
-                            conserved_check, diagonal_projection, gibbs,
+from qkac.boltzmann import (_StepLog, _advance, classify_steady_states,
+                            collision_invariants_basis, conserved_check, gibbs,
                             is_steady, picard_solve, qkbe_integrate,
                             steady_state_from_coeffs, wild, wild_diagonal)
-from qkac.collisions import (exact_EA2_spec, identity_spec, qubit_tilted_spec,
-                             qubit_uniform_spec)
-from qkac.operators import (FactorShape, partial_trace, relative_entropy,
-                            tensor, trace_first, von_neumann_entropy)
+from qkac.collisions import (CollisionSpec, Superoperator, exact_EA2_spec,
+                             identity_spec, qubit_tilted_spec, qubit_uniform_spec)
+from qkac.errors import NumericalContractError
+from qkac.operators import (FactorShape, partial_trace, random_density,
+                            relative_entropy, tensor, trace_first,
+                            von_neumann_entropy)
 from qkac.spectra import SingleParticleModel
-from conftest import random_matrix, random_state
+from qkac.tolerances import TOL_PSD
+from conftest import random_matrix, random_state, random_unitary
 
 
 def qubit_state(a, z):
@@ -68,6 +73,32 @@ def test_wild_matches_definition(make_spec, rng):
             wild(spec, bad, ops[0])
         with pytest.raises(ValueError):
             wild(spec, ops[0], bad)
+
+
+def einsum_wild(spec, a, b):
+    """The Wild convolution as one contraction of the (d,) * 8 view of the
+    channel, summing over the traced-out index r on every call."""
+    d = spec.dim
+    return np.einsum("krlrimjn,...ij,...mn->...kl",
+                     spec.channel.mat.reshape((d,) * 8), a, b)
+
+
+@pytest.mark.parametrize("spec_name", [
+    "tilted_spec", "uniform_spec", "tilted_sampled16", "ea2_three_level", "ea2_0145"])
+def test_wild_matrix_matches_einsum(spec_name, request, rng):
+    spec = (exact_EA2_spec(SingleParticleModel((0, 1, 4, 5))) if spec_name == "ea2_0145"
+            else request.getfixturevalue(spec_name))
+    d = spec.dim
+    assert spec.wild_matrix.shape == (d ** 4, d * d)
+    assert spec.wild_matrix is spec.wild_matrix
+    a = np.stack([random_matrix(rng, d) for _ in range(5)])
+    b = np.stack([random_matrix(rng, d) for _ in range(5)])
+    for left, right in ((a[0], b[0]), (a, b[0]), (a[0], b), (a, b),
+                        (a[:, None], b[None, :3])):
+        got = wild(spec, left, right)
+        want = einsum_wild(spec, left, right)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-13
 
 
 def test_wild_square_instantiated(tilted_spec):
@@ -136,20 +167,10 @@ def test_wild_diagonal_degenerate_spectrum(rng):
     assert np.abs(wild_diagonal(model, a, b) - wild(spec, a, b)).max() < 1e-12
 
 
-def test_diagonal_projection(rng):
-    model = SingleParticleModel((0, 1))
-    rho = qubit_state(0.4, 0.2 + 0.1j)
-    assert np.abs(diagonal_projection(model, rho)
-                  - np.diag([0.4, 0.6])).max() < 1e-14
-    d = np.diag([0.3, 0.7]).astype(complex)
-    assert np.array_equal(diagonal_projection(model, d), d)
-
-
 def test_nondegenerate_square_is_diagonal_projection(ea2_qubit, rng):
-    model = ea2_qubit.model
     rho = random_state(rng, 2)
     got = wild(ea2_qubit, rho, rho)
-    assert np.abs(got - diagonal_projection(model, rho)).max() < 1e-12
+    assert np.abs(got - np.diag(np.diagonal(rho))).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +253,75 @@ def test_integrator_step_halving_recovers_from_unstable_step(tilted_spec):
     # steps is the job of the production step size, not of the retry
     assert np.linalg.eigvalsh(good).min() > -1e-9
     assert abs(np.trace(good) - 1.0) < 1e-10
+
+
+def test_step_halving_stops_at_the_retry_budget(tilted_spec):
+    # the step of length 4 is accepted only after two rejected steps
+    rho = qubit_state(0.3, 0.45)
+    steps = _StepLog(budget=2)
+    _advance(tilted_spec, rho, 4.0, 1e-9, steps)
+    assert steps.retries == 2
+    with pytest.raises(NumericalContractError, match="the 1 steps planned"):
+        _advance(tilted_spec, rho, 4.0, 1e-9, _StepLog(budget=1))
+
+
+def test_integrator_bounds_step_halving_by_the_planned_steps(monkeypatch):
+    # Q(A) = (1 - c) A + c Z1 A Z1 dephases at rate 4c; at c = 5000 the
+    # planned step h = 1e-3 is unstable for RK4, each step needs halving
+    # three times, and without a bound the call takes over 13,000 RK4 steps
+    import qkac.boltzmann as boltzmann
+
+    c = 5000.0
+    z1 = np.kron(np.diag([1.0, -1.0]), np.eye(2))
+    mat = (1 - c) * np.eye(16) + c * np.kron(z1, z1)
+    spec = CollisionSpec(SingleParticleModel((0, 1)), "stiff", "closed_form",
+                         Superoperator(mat, 4))
+    calls = []
+    inner = boltzmann._rk4_step
+    monkeypatch.setattr(boltzmann, "_rk4_step",
+                        lambda *args: calls.append(args) or inner(*args))
+    rho0 = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
+    with pytest.raises(NumericalContractError, match="the 1000 steps planned"):
+        qkbe_integrate(spec, rho0, [0.0, 1.0])
+    assert len(calls) < 3 * 1000
+
+
+@pytest.mark.parametrize("make_spec", [
+    qubit_tilted_spec, lambda: exact_EA2_spec(SingleParticleModel((0, 1, 4, 5)))],
+    ids=["tilted", "ea2_0145"])
+def test_long_horizon_stays_hermitian_with_trace_one(make_spec):
+    # the trace direction grows like e^{2t}: without the per-step
+    # projection these runs end non-Hermitian (tilted) or in NaN (ea2)
+    spec = make_spec()
+    rho0 = random_density(spec.dim, np.random.default_rng(0))
+    traj = qkbe_integrate(spec, rho0, [0.0, 40.0])
+    end = traj[-1]
+    assert np.abs(end - end.conj().T).max() == 0.0
+    assert abs(np.trace(end) - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(end).min() > 0.1
+
+
+_BUILTIN_SPECS = {
+    "qubit_uniform": qubit_uniform_spec(),
+    "qubit_tilted": qubit_tilted_spec(),
+    "exact_ea2_012": exact_EA2_spec(SingleParticleModel((0, 1, 2))),
+    "exact_ea2_0145": exact_EA2_spec(SingleParticleModel((0, 1, 4, 5))),
+}
+
+
+@settings(max_examples=16, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(_BUILTIN_SPECS)), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4))
+def test_checkpoints_are_states(name, seed, weights):
+    spec = _BUILTIN_SPECS[name]
+    d = spec.dim
+    u = random_unitary(np.random.default_rng(seed), d)
+    lam = np.asarray(weights[:d]) / sum(weights[:d])
+    rho0 = (u * lam) @ u.conj().T
+    for rho in qkbe_integrate(spec, rho0, [0.0, 5.0, 20.0]):
+        assert np.abs(rho - rho.conj().T).max() < 1e-12
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        assert np.linalg.eigvalsh(rho).min() >= -TOL_PSD
 
 
 def test_integrator_validates_grid(tilted_spec):

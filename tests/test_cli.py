@@ -390,6 +390,24 @@ def test_evolve_qkbe_offdiagonal_column(tmp_path):
         assert abs(float(row[z_col]) - want) < 1e-8
 
 
+@pytest.mark.parametrize("seed", [0, 2])
+def test_evolve_qkbe_random_state_stays_a_state_to_t20(tmp_path, seed):
+    # rounding in the trace direction grows like e^{2t}: seed 0 used to
+    # exit 2 (positivity violated by 1.2e-9), seed 2 to write rho_00_im = -2.2
+    code, out = run_cli(tmp_path, {
+        "command": "evolve-qkbe", "model": QUBIT, "spec": "qubit_tilted", "seed": seed,
+        "params": {"t_max": 20.0, "steps": 20, "initial": {"kind": "random"}}})
+    assert code == 0
+    header, *rows = read_csv(out / "evolve-qkbe.csv")
+    for row in rows:
+        cells = dict(zip(header, map(float, row)))
+        rho = np.array([[cells[f"rho_{i}{j}_re"] + 1j * cells[f"rho_{i}{j}_im"]
+                         for j in range(2)] for i in range(2)])
+        assert np.abs(rho - rho.conj().T).max() < 1e-15
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        assert np.linalg.eigvalsh(rho).min() > 0.0
+
+
 @pytest.mark.parametrize("beta, level", [(1e6, 0), (-1e6, 1)])
 def test_evolve_qkbe_gibbs_extreme_beta(tmp_path, beta, level):
     # exp(-beta E) under- or overflows at this beta; the state is the pure
