@@ -31,7 +31,8 @@ import numpy as np
 
 from .collisions import CollisionSpec, is_ergodic
 from .errors import NumericalContractError
-from .operators import FactorShape, hermitian_function, permute_factors
+from .operators import (FactorShape, _negative_eigenvalue, entropy_and_relative_entropy,
+                        is_hermitian, permute_factors)
 from .spectra import class_projections, commutant_projection, shell_structure
 from .tolerances import TAIL_TOL, TOL_FIXED_EIG, TOL_PSD
 
@@ -167,7 +168,11 @@ def evolve_master(gen: KacGenerator, rho0: np.ndarray, t: float,
     A time whose rate N t exceeds ``MAX_JUMP_RATE`` is split into equal
     pieces, each summed by its own series.  The output trace is
     renormalized to one (the drift, bounded by the Poisson tail of each
-    piece, is logged) and positivity is asserted within tol_psd.
+    piece, is logged) and positivity is asserted within tol_psd: a
+    Cholesky factorization of the Hermitian part of the output, shifted
+    by about tol_psd, certifies that its smallest eigenvalue is at least
+    -tol_psd, and only when it fails is the Hermitian part diagonalized,
+    to decide and to report the eigenvalue.
     """
     if t < 0:
         raise ValueError("time must be non-negative")
@@ -192,6 +197,7 @@ def evolve_master(gen: KacGenerator, rho0: np.ndarray, t: float,
                 raise NumericalContractError("jump series failed to meet the tail tolerance")
             term = apply_QN(gen, term)
             k += 1
+    del term    # one matrix less alive while the positivity check factors its own copy
     tr = np.trace(out).real
     if abs(tr - 1.0) > 100 * pieces * tail_tol + 1e-13:
         raise NumericalContractError(f"trace drifted to {tr} under the jump series")
@@ -199,8 +205,8 @@ def evolve_master(gen: KacGenerator, rho0: np.ndarray, t: float,
         log.debug("jump series trace drift %.3e over %d pieces of up to %d terms",
                   tr - 1.0, pieces, k)
         out = out / tr
-    lo = np.linalg.eigvalsh((out + out.conj().T) / 2).min()
-    if lo < -tol_psd:
+    lo = _negative_eigenvalue(out, tol_psd)
+    if lo is not None:
         raise NumericalContractError(f"evolved state has negative eigenvalue {lo:.3e}")
     return out
 
@@ -317,23 +323,22 @@ def entropy_production(gen: KacGenerator, rho: np.ndarray):
     rho_inf is the conditional expectation of rho onto the fixed-point
     algebra.  Returns (rate, ratio) where ratio = rate / S(rho || rho_inf)
     when the denominator exceeds TOL_PSD, else None.  If rho is singular on
-    the support of rho_inf the rate is reported as +inf.
+    the support of rho_inf the rate is reported as +inf.  rho is
+    diagonalized once; rho_inf is diagonal, so its logarithm is read off
+    its diagonal.
     """
-    from .operators import relative_entropy
-
     rho = np.asarray(rho, dtype=complex)
-    rho_inf = commutant_projection(gen.spec.model, gen.num_particles, rho,
-                                   force=gen.force)
-    w_rho = np.linalg.eigvalsh(rho)
-    w_inf = np.linalg.eigvalsh(rho_inf)
-    ker_rho = (w_rho <= TOL_PSD).sum()
-    ker_inf = (w_inf <= TOL_PSD).sum()
-    if ker_rho > ker_inf:
+    if not is_hermitian(rho):
+        raise ValueError("entropy production requires a Hermitian state")
+    sigma = commutant_projection(gen.spec.model, gen.num_particles, rho,
+                                 force=gen.force).diagonal().real
+    w, v = np.linalg.eigh(rho)
+    if (w <= TOL_PSD).sum() > (sigma <= TOL_PSD).sum():
         return float("inf"), None
-    log_rho = hermitian_function(rho, lambda w: np.log(np.maximum(w, TOL_PSD)))
-    log_inf = hermitian_function(rho_inf, lambda w: np.log(np.maximum(w, TOL_PSD)))
-    rate = -np.trace(apply_LN(gen, rho) @ (log_rho - log_inf)).real
-    rel = relative_entropy(rho, rho_inf)
+    log_ratio = ((v * np.log(np.maximum(w, TOL_PSD))) @ v.conj().T
+                 - np.diag(np.log(np.maximum(sigma, TOL_PSD))))
+    rate = -np.trace(apply_LN(gen, rho) @ log_ratio).real
+    _, rel = entropy_and_relative_entropy(w, rho.diagonal().real, sigma)
     ratio = rate / rel if rel > TOL_PSD and np.isfinite(rel) else None
     return float(rate), ratio
 

@@ -18,7 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qkac
+from qkac import cli
 from qkac.cli import main
+from qkac.collisions import spec_by_name
+from qkac.master import KacGenerator, evolve_master
+from qkac.operators import (random_density, relative_entropy, tensor_power,
+                            trace_norm, von_neumann_entropy)
+from qkac.spectra import SingleParticleModel, commutant_projection
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -433,6 +439,80 @@ def test_evolve_master_converges(tmp_path):
     dist = [float(r[1]) for r in rows[1:]]
     assert dist[0] > 1e-3
     assert dist[-1] < 1e-6
+
+
+@pytest.mark.parametrize("model, spec", [(QUBIT, "qubit_tilted"),
+                                         ({"dim": 4, "energies": [0, 1, 4, 5]}, "exact_ea2")])
+def test_evolve_qkbe_random_initial_row_has_real_diagonal(tmp_path, model, spec):
+    # random_density is exactly Hermitian; g g^* alone left 1e-17 on the diagonal
+    code, out = run_cli(tmp_path, {
+        "command": "evolve-qkbe", "model": model, "spec": spec, "seed": 0,
+        "params": {"t_max": 1.0, "steps": 1, "initial": {"kind": "random"}}})
+    assert code == 0
+    header, first, *_ = read_csv(out / "evolve-qkbe.csv")
+    cells = dict(zip(header, map(float, first)))
+    assert cells["t"] == 0.0
+    assert [cells[f"rho_{i}{i}_im"] for i in range(model["dim"])] == [0.0] * model["dim"]
+
+
+def _json_matrix(rho):
+    return [[[float(x.real), float(x.imag)] for x in row] for row in rho]
+
+
+def _master_initial_states(n, seed):
+    """A random state, a product state and a basis state whose limit
+    vanishes off the shell E = 1, each as (name, CLI initial data, state)."""
+    one = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    basis = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    basis[1, 1] = 1.0
+    product = tensor_power(one, n)
+    return [("random", {"kind": "random"}, random_density(2 ** n, np.random.default_rng(seed))),
+            ("product", {"kind": "matrix", "state": _json_matrix(product)}, product),
+            ("basis", {"kind": "matrix", "state": _json_matrix(basis)}, basis)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_evolve_master_columns_match_the_general_entropies(tmp_path, n):
+    model, t_max, steps, seed = SingleParticleModel((0, 1)), 1.0, 2, 3
+    gen = KacGenerator(spec_by_name("qubit_tilted", model), n)
+    for name, initial, state in _master_initial_states(n, seed):
+        (tmp_path / name).mkdir()
+        code, out = run_cli(tmp_path / name, {
+            "command": "evolve-master", "model": QUBIT, "spec": "qubit_tilted",
+            "seed": seed, "params": {"N": n, "t_max": t_max, "steps": steps,
+                                     "initial": initial}})
+        assert code == 0
+        header, *rows = read_csv(out / "evolve-master.csv")
+        assert header == ["t", "distance_to_limit", "entropy", "relative_entropy_to_limit"]
+        limit = commutant_projection(model, n, state)
+        if name == "basis":
+            assert (limit.diagonal().real == 0).sum() == 2 ** n - n
+        for k, row in enumerate(rows):
+            if k:
+                state = evolve_master(gen, state, t_max / steps)
+            _, dist, entropy, rel = map(float, row)
+            assert dist == trace_norm(state - limit)
+            assert abs(entropy - von_neumann_entropy(state)) < 1e-12
+            assert abs(rel - relative_entropy(state, limit)) < 1e-12
+
+
+def test_evolve_master_checkpoint_makes_two_eigensolves(tmp_path, monkeypatch):
+    # one eigvalsh for both entropies and one for the trace distance per
+    # checkpoint; the positivity check is a Cholesky factorization and the
+    # diagonal limit is never diagonalized
+    n, dim = 4, 2 ** 4
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        def counted(a, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    cfg = write_config(tmp_path, {
+        "command": "evolve-master", "model": QUBIT, "spec": "qubit_tilted",
+        "params": {"N": n, "t_max": 0.5, "steps": 1, "initial": {"kind": "random"}}})
+    assert cli.run(cli.load_config(str(cfg), str(tmp_path / "out"), False, {})) == 0
+    assert len(read_csv(tmp_path / "out" / "evolve-master.csv")) == 3
+    assert [c for c in calls if c[1] == (dim, dim)] == [("eigvalsh", (dim, dim))] * 4
 
 
 def test_steady_states_command(tmp_path):

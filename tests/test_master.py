@@ -9,10 +9,12 @@ from qkac.master import (MAX_BLOCK_DIM, KacGenerator, _shell_block,
                          entropy_production, evolve_master, ln_null_basis,
                          permutation_covariance_check, qn_spectrum,
                          steady_states_basis)
-from qkac.operators import (commutator, embed_pair, partial_trace,
-                            relative_entropy, trace_norm)
+from qkac.operators import (commutator, embed_pair, hermitian_function,
+                            partial_trace, relative_entropy, tensor_power,
+                            trace_norm)
 from qkac.spectra import (SingleParticleModel, commutant_projection,
                           shell_state, shell_structure)
+from qkac.tolerances import TOL_PSD
 from conftest import random_matrix, random_state, symmetrize_state
 
 
@@ -293,6 +295,59 @@ def test_entropy_production_matches_finite_difference(tilted_spec, rng):
     evolved = evolve_master(gen, rho, delta)
     fd = (relative_entropy(rho, fixed) - relative_entropy(evolved, fixed)) / delta
     assert abs(fd - rate) < 5e-4 * max(1.0, abs(rate))
+
+
+def entropy_production_oracle(gen, rho):
+    """entropy_production as it was before it diagonalized rho only once:
+    rho and rho_inf are each diagonalized three times."""
+    rho = np.asarray(rho, dtype=complex)
+    rho_inf = commutant_projection(gen.spec.model, gen.num_particles, rho,
+                                   force=gen.force)
+    w_rho = np.linalg.eigvalsh(rho)
+    w_inf = np.linalg.eigvalsh(rho_inf)
+    ker_rho = (w_rho <= TOL_PSD).sum()
+    ker_inf = (w_inf <= TOL_PSD).sum()
+    if ker_rho > ker_inf:
+        return float("inf"), None
+    log_rho = hermitian_function(rho, lambda w: np.log(np.maximum(w, TOL_PSD)))
+    log_inf = hermitian_function(rho_inf, lambda w: np.log(np.maximum(w, TOL_PSD)))
+    rate = -np.trace(apply_LN(gen, rho) @ (log_rho - log_inf)).real
+    rel = relative_entropy(rho, rho_inf)
+    ratio = rate / rel if rel > TOL_PSD and np.isfinite(rel) else None
+    return float(rate), ratio
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_entropy_production_matches_oracle(uniform_spec, tilted_spec, qubit_model, rng, n):
+    pure = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    pure[0, 0] = 1.0
+    one = random_state(rng, 2)
+    for spec in (tilted_spec, uniform_spec, identity_spec(qubit_model)):
+        gen = KacGenerator(spec, n)
+        states = [random_state(rng, 2 ** n) for _ in range(3)]
+        states += [tensor_power(one, n), pure,
+                   commutant_projection(qubit_model, n, states[0])]
+        for rho in states:
+            rate, ratio = entropy_production(gen, rho)
+            want_rate, want_ratio = entropy_production_oracle(gen, rho)
+            if want_rate == float("inf"):
+                assert (rate, ratio) == (want_rate, want_ratio)
+                continue
+            assert abs(rate - want_rate) < 1e-12
+            assert (ratio is None) == (want_ratio is None)
+            assert ratio is None or abs(ratio - want_ratio) < 1e-12 * max(1.0, abs(want_ratio))
+
+
+def test_evolve_master_reports_the_negative_eigenvalue(tilted_spec):
+    # a non-state input keeps a negative eigenvalue for a short time; the
+    # Cholesky certificate fails and eigvalsh names the eigenvalue
+    gen = KacGenerator(tilted_spec, 2)
+    rho0 = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
+    image = evolve_master(gen, rho0, 1e-3, tol_psd=1.0)
+    lo = np.linalg.eigvalsh((image + image.conj().T) / 2).min()
+    assert lo < -0.1
+    with pytest.raises(NumericalContractError, match=f"negative eigenvalue {lo:.3e}"):
+        evolve_master(gen, rho0, 1e-3)
 
 
 def test_permutation_covariance(tilted_spec, rng):

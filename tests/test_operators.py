@@ -2,14 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qkac.operators import (FactorShape, embed_pair, hermitian_function,
+from qkac.operators import (FactorShape, _negative_eigenvalue, embed_pair,
+                            entropy_and_relative_entropy, hermitian_function,
                             is_hermitian, is_positive_semidefinite, is_unitary,
                             partial_trace, permutation_unitary, permute_factors,
-                            relative_entropy, reorder_pair_basis, swap_unitary,
-                            tensor, trace_first, trace_norm,
+                            random_density, relative_entropy, reorder_pair_basis,
+                            swap_unitary, tensor, trace_first, trace_norm,
                             validate_density_matrix, von_neumann_entropy)
-from conftest import random_matrix, random_state
+from conftest import random_matrix, random_state, random_unitary
 
 
 def test_tensor_identity():
@@ -226,16 +229,39 @@ def test_relative_entropy_self(rng):
     assert abs(relative_entropy(rho, rho)) < 1e-10
 
 
+def diagonal_entropies(rho, sigma):
+    """entropy_and_relative_entropy for a sigma that is diagonal."""
+    return entropy_and_relative_entropy(np.linalg.eigvalsh(rho), rho.diagonal().real,
+                                        sigma.diagonal().real)
+
+
 def test_relative_entropy_pure_vs_mixed():
     rho = np.diag([1.0, 0.0]).astype(complex)
     sigma = np.eye(2, dtype=complex) / 2
     assert abs(relative_entropy(rho, sigma) - np.log(2.0)) < 1e-12
+    entropy, rel = diagonal_entropies(rho, sigma)
+    assert entropy == 0.0 and abs(rel - np.log(2.0)) < 1e-12
 
 
 def test_relative_entropy_support_violation():
     rho = np.eye(2, dtype=complex) / 2
     sigma = np.diag([1.0, 0.0]).astype(complex)
     assert relative_entropy(rho, sigma) == float("inf")
+    assert diagonal_entropies(rho, sigma)[1] == float("inf")
+
+
+def test_entropies_to_a_diagonal_state_match_the_general_ones(rng):
+    # zeros on sigma's diagonal where rho has (next to) no weight: finite
+    for sigma_diag in ([0.1, 0.2, 0.3, 0.4], [0.0, 0.5, 0.0, 0.5]):
+        sigma = np.diag(sigma_diag).astype(complex)
+        support = np.flatnonzero(sigma_diag)
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[np.ix_(support, support)] = random_state(rng, len(support))
+        entropy, rel = diagonal_entropies(rho, sigma)
+        assert abs(entropy - von_neumann_entropy(rho)) < 1e-14
+        assert abs(rel - relative_entropy(rho, sigma)) < 1e-12
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        diagonal_entropies(np.diag([1.5, -0.5]).astype(complex), np.eye(2) / 2)
 
 
 def test_relative_entropy_nonnegative(rng):
@@ -263,6 +289,32 @@ def test_validate_density_matrix(rng):
         validate_density_matrix(np.diag([1.5, -0.5]))
     with pytest.raises(ValueError):
         validate_density_matrix(np.array([[0.5, 1.0], [0.0, 0.5]]))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16])
+def test_random_density_is_exactly_hermitian(dim):
+    rho = random_density(dim, np.random.default_rng(0))
+    assert np.array_equal(rho, rho.conj().T)
+    assert abs(np.trace(rho) - 1.0) < 1e-14
+    assert np.linalg.eigvalsh(rho).min() > 0.0
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([-10.0, -2.0, -0.5, 0.0, 1.0]), st.sampled_from([0.0, 1e-9, 1e-6]))
+def test_positivity_certificate_agrees_with_the_eigenvalues(n, seed, place, tol):
+    # the smallest eigenvalue sits at place * tol, the others in [0.01, 1]
+    rng = np.random.default_rng(seed)
+    w = np.concatenate([[place * tol], rng.uniform(0.01, 1.0, n - 1)])
+    u = random_unitary(rng, n)
+    a = (u * w) @ u.conj().T
+    a = (a + a.conj().T) / 2
+    lo = np.linalg.eigvalsh(a).min()
+    work = a.copy()
+    got = _negative_eigenvalue(work, tol)
+    assert np.array_equal(work, a)
+    assert (got is not None) == (lo < -tol)
+    assert got is None or got == lo
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
