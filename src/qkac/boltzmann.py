@@ -12,14 +12,19 @@ preserving, and in general non-commutative.  The kinetic equation is
 
     d rho / dt = 2 (rho * rho - rho),
 
-integrated here with fixed-step RK4 plus an optional fixed-point
-verification of the equivalent mild form
+and over a step of length h it is solved exactly by the Wild sum
 
-    rho(t) = e^{-2t} rho_0 + 2 int_0^t e^{2(s - t)} rho(s) * rho(s) ds.
+    rho(t + h) = e^{-2h} sum_{n >= 1} tau^{n-1} Q_n,   tau = 1 - e^{-2h},
+    Q_1 = rho(t),   Q_n = (n-1)^{-1} sum_{k=1}^{n-1} Q_k * Q_{n-k}
 
-The trace direction is an unstable mode of the equation (linearized rate
-+2), so the integrator projects every accepted RK4 step back onto the
-Hermitian operators of trace one; otherwise rounding grows like e^{2t}.
+(Wild, Proc. Camb. Phil. Soc. 47, 1951).  ``wild`` maps pairs of states
+to states, so every Q_n is a state and a
+truncated sum is a convex combination of states whose error is the
+tail mass left out (Carlen, Carvalho & Gabetta, Comm. Pure Appl. Math.
+53, 2000).  The integrator truncates where that mass falls below
+machine epsilon and divides by the trace, which takes up the tail and
+holds down the trace direction, an unstable mode of the equation
+(linearized rate +2) in which rounding would grow like e^{2t}.
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ import numpy as np
 
 from .collisions import CollisionSpec
 from .errors import NumericalContractError
-from .operators import validate_density_matrix
+from .operators import _negative_eigenvalue, validate_density_matrix
 from .spectra import SingleParticleModel, _pair_move_groups, shell_structure
-from .tolerances import PICARD_TOL, TOL_PSD, TOL_STEADY
+from .tolerances import TOL_PSD, TOL_STEADY
 
 log = logging.getLogger(__name__)
 
@@ -85,135 +90,64 @@ def gibbs(model: SingleParticleModel, beta: float) -> np.ndarray:
 # the kinetic equation
 # ---------------------------------------------------------------------------
 
-def _rhs(spec: CollisionSpec, rho: np.ndarray) -> np.ndarray:
-    return wild(spec, rho, rho) - rho
+def wild_sum_plan(t_grid) -> tuple[np.ndarray, np.ndarray]:
+    """The substeps of each interval of ``t_grid`` and the Wild-sum terms
+    of each of its substeps, as float arrays.
 
-
-def _rk4_step(spec: CollisionSpec, rho: np.ndarray, h: float) -> np.ndarray:
-    h = 2.0 * h     # the factor 2 of d rho/dt = 2(rho * rho - rho)
-    k1 = _rhs(spec, rho)
-    k2 = _rhs(spec, rho + 0.5 * h * k1)
-    k3 = _rhs(spec, rho + 0.5 * h * k2)
-    k4 = _rhs(spec, rho + h * k3)
-    return rho + (h / 6.0) * (k1 + k4 + 2 * (k2 + k3))
-
-
-@dataclass
-class _StepLog:
-    """Step-halving budget and projection drift of one integration.
-
-    ``retries`` counts the rejected RK4 steps; more than ``budget`` of them
-    raise.  ``drift`` is the largest trace drift |Tr rho - 1| that the
-    projection has removed since it was last reset.
+    ``t_grid`` must increase from 0.  Substeps are at most 0.25 long and
+    land on every grid time; a substep of length h keeps the
+    M = ceil(ln eps / ln tau) terms, tau = 1 - e^{-2h}, whose tail mass
+    tau^M is below machine epsilon, and makes M - 1 stacked ``wild``
+    calls.  Nothing is formed per substep, so any span is planned at once.
     """
-
-    budget: float = np.inf
-    retries: int = 0
-    drift: float = 0.0
-
-    def retry(self) -> None:
-        self.retries += 1
-        if self.retries > self.budget:
-            raise NumericalContractError(
-                f"step halving retried {self.retries} RK4 steps, more than "
-                f"the {self.budget} steps planned")
-
-
-def _advance(spec: CollisionSpec, rho: np.ndarray, h: float, tol_psd: float,
-             steps: _StepLog | None = None, depth: int = 0) -> np.ndarray:
-    """One RK4 step of length h, halved while it breaks positivity.
-
-    The accepted state is projected onto the Hermitian operators of trace
-    one: the trace direction is an unstable mode of the equation (its
-    linearized rate is +2), so rounding left there grows like e^{2t}.
-    """
-    steps = _StepLog() if steps is None else steps
-    nxt = _rk4_step(spec, rho, h)
-    herm = (nxt + nxt.conj().T) / 2
-    lo = np.linalg.eigvalsh(herm).min()
-    if lo < -tol_psd:
-        if depth >= 20:
-            raise NumericalContractError(
-                f"positivity violated by {(-lo):.3e} at the smallest step")
-        steps.retry()
-        half = _advance(spec, rho, h / 2, tol_psd, steps, depth + 1)
-        return _advance(spec, half, h / 2, tol_psd, steps, depth + 1)
-    tr = np.trace(nxt)
-    steps.drift = max(steps.drift, abs(tr - 1.0))
-    return herm / tr.real
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must increase from 0")
+    gaps = np.diff(t_grid)
+    if gaps.max(initial=0.0) > np.finfo(float).max / 4:
+        raise ValueError("t_grid has an interval too long to count its substeps")
+    subs = np.ceil(gaps / 0.25)
+    tau = -np.expm1(-2 * gaps / subs)
+    return subs, np.ceil(np.log(np.finfo(float).eps) / np.log(tau))
 
 
 def qkbe_integrate(spec: CollisionSpec, rho0: np.ndarray, t_grid,
                    tol_psd: float = TOL_PSD) -> np.ndarray:
     """Integrate d rho/dt = 2(rho * rho - rho) through the given times.
 
-    ``t_grid`` must be increasing and start at 0.  Fixed-step RK4 with
-    step min(0.01, span/1000), sub-stepped so every grid time is hit
-    exactly.  Positivity is asserted (never clipped) at every internal
-    step, with step-halving retries, at most as many as the steps
-    planned.  Every accepted step is projected back to a Hermitian
-    operator of trace one, and the largest trace drift removed between
-    checkpoints is logged.  Returns the stacked trajectory.
+    ``t_grid`` must increase from 0.  Each substep of ``wild_sum_plan``
+    is the truncated Wild sum, one stacked ``wild`` call per term past
+    the first.  Its Hermitian part is divided by its trace, and its
+    positivity is certified within tol_psd (never clipped), by the
+    Cholesky test that ``evolve_master`` uses.  The largest trace defect
+    removed between checkpoints is logged.  Returns the stacked
+    trajectory.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must increase from 0")
+    subs, terms = wild_sum_plan(t_grid)
     rho = validate_density_matrix(rho0, tol_psd=tol_psd)
-    span = float(t_grid[-1])
-    h_max = min(0.01, span / 1000.0) if span > 0 else 0.01
-    nsubs = np.maximum(1, np.ceil(np.diff(t_grid) / h_max)).astype(int)
-    steps = _StepLog(budget=int(nsubs.sum()))
-    out = [rho.copy()]
-    for t0, t1, nsub in zip(t_grid[:-1], t_grid[1:], nsubs):
+    out = [rho]
+    for t0, t1, nsub, m in zip(t_grid[:-1], t_grid[1:], subs.astype(int), terms.astype(int)):
         h = (t1 - t0) / nsub
+        weights = np.exp(-2 * h) * (-np.expm1(-2 * h)) ** np.arange(m)
+        q = np.empty((m,) + rho.shape, dtype=complex)
+        drift = 0.0
         for _ in range(nsub):
-            rho = _advance(spec, rho, h, tol_psd, steps)
-        log.debug("kinetic trace drift of at most %.3e removed up to t=%.6f",
-                  steps.drift, t1)
-        steps.drift = 0.0
-        out.append(rho.copy())
+            q[0] = rho
+            for n in range(2, m + 1):
+                q[n - 1] = wild(spec, q[:n - 1], q[n - 2::-1]).sum(0) / (n - 1)
+            nxt = np.tensordot(weights, q, 1)
+            nxt = (nxt + nxt.conj().T) / 2
+            tr = np.trace(nxt).real
+            drift = max(drift, abs(tr - 1.0))
+            rho = nxt / tr
+            lo = _negative_eigenvalue(rho, tol_psd)
+            if lo is not None:
+                raise NumericalContractError(
+                    f"Wild-sum step to t<={t1:.6g} has negative eigenvalue {lo:.3e}")
+        log.debug("kinetic trace defect of at most %.3e removed up to t=%.6f", drift, t1)
+        out.append(rho)
     return np.stack(out)
-
-
-def picard_solve(spec: CollisionSpec, rho0: np.ndarray, t_grid,
-                 tol: float = PICARD_TOL, refine: int = 8) -> np.ndarray:
-    """Solve the mild form by fixed-point iteration on a refined grid:
-
-        rho(t) = e^{-2t} rho_0 + 2 int_0^t e^{2(s-t)} rho(s) * rho(s) ds
-
-    (the factor 2 on the gain matches d rho/dt = 2(rho * rho - rho);
-    steady states are fixed points only with it).  Serves as an
-    independent check of the RK4 path.  The integral is a composite
-    trapezoid over a grid ``refine`` times finer than ``t_grid``;
-    iteration stops when successive trajectories differ by less than tol
-    in max norm, within 400 iterations.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    fine = [0.0]
-    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
-        fine.extend(np.linspace(t0, t1, refine + 1)[1:])
-    fine = np.asarray(fine)
-    rho0 = np.asarray(rho0, dtype=complex)
-    traj = np.stack([rho0] * fine.size)
-    for _ in range(400):
-        gains = wild(spec, traj, traj)
-        new = np.empty_like(traj)
-        new[0] = rho0
-        integral = np.zeros_like(rho0)
-        for k in range(1, fine.size):
-            dt = fine[k] - fine[k - 1]
-            # trapezoid on 2 e^{2s} gain(s), then discount by e^{-2t}
-            integral += dt * (np.exp(2 * fine[k - 1]) * gains[k - 1]
-                              + np.exp(2 * fine[k]) * gains[k])
-            new[k] = np.exp(-2 * fine[k]) * (rho0 + integral)
-        delta = np.abs(new - traj).max()
-        traj = new
-        if delta < tol:
-            break
-    else:
-        raise NumericalContractError("mild-form iteration did not converge")
-    keep = [int(np.argmin(np.abs(fine - t))) for t in t_grid]
-    return traj[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .collisions import CollisionSpec
 from .master import KacGenerator, apply_pair_channel, evolve_master
 from .operators import (FactorShape, partial_trace, permute_factors, tensor,
                         tensor_power, trace_norm, von_neumann_entropy)
-from .tolerances import check_size_guard
+from .tolerances import TAIL_TOL, TOL_PSD, check_size_guard
 
 
 def gamma_k(spec: CollisionSpec, b: np.ndarray) -> np.ndarray:
@@ -125,7 +125,8 @@ class ChaosRow:
     entropy_qkbe: float
 
 
-def run_chaos_experiment(exp: ChaosExperiment) -> list:
+def run_chaos_experiment(exp: ChaosExperiment, tail_tol: float = TAIL_TOL,
+                         tol_psd: float = TOL_PSD) -> list:
     """Distances between N-particle marginals and the kinetic trajectory.
 
     For each N the product state rho0^{xN} is evolved checkpoint to
@@ -136,8 +137,10 @@ def run_chaos_experiment(exp: ChaosExperiment) -> list:
 
     against the single-particle kinetic solution rho(t).  Entropy columns
     record the one-particle marginal entropy and the kinetic entropy.
+    ``tail_tol`` and ``tol_psd`` go to ``evolve_master`` and ``tol_psd``
+    to ``qkbe_integrate``.
     """
-    kinetic = qkbe_integrate(exp.spec, exp.rho0, exp.t_grid)
+    kinetic = qkbe_integrate(exp.spec, exp.rho0, exp.t_grid, tol_psd=tol_psd)
     rows = []
     for n in exp.N_list:
         if n < 2:
@@ -146,7 +149,8 @@ def run_chaos_experiment(exp: ChaosExperiment) -> list:
         state = tensor_power(exp.rho0, n)
         for idx, t in enumerate(exp.t_grid):
             if idx > 0:
-                state = evolve_master(gen, state, float(exp.t_grid[idx] - exp.t_grid[idx - 1]))
+                state = evolve_master(gen, state, float(exp.t_grid[idx] - exp.t_grid[idx - 1]),
+                                      tail_tol=tail_tol, tol_psd=tol_psd)
             m1 = partial_trace(state, gen.shape, keep=1)
             m2 = partial_trace(state, gen.shape, keep=2)
             ref = kinetic[idx]

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .boltzmann import (classify_steady_states, conserved_check, gibbs,
-                        qkbe_integrate)
+                        qkbe_integrate, wild_sum_plan)
 from .chaos import ChaosExperiment, run_chaos_experiment
 from .collisions import spec_by_name, verify_spec
 from .errors import NumericalContractError
@@ -218,16 +218,18 @@ def _read_params(cfg: RunConfig, rng: np.random.Generator) -> dict:
         steps = _number(params.get("steps", 100), "params.steps", integer=True, minimum=1)
         if steps > MAX_STEPS:
             raise ConfigError(f"params.steps must be at most {MAX_STEPS}, got {steps}")
-        # the kinetic commands take RK4 steps of at most min(0.01, t_max / 1000)
-        # per grid step; the jump series of the master equation grows with N t_max
-        rk4 = steps * np.ceil(t_max / steps / min(0.01, t_max / 1000))
-        if cfg.command != "evolve-master" and rk4 > MAX_STEPS:
-            raise ConfigError(f"params.t_max = {t_max} needs {rk4:.3g} RK4 steps, "
-                              f"past the bound {MAX_STEPS}")
+        out["grid"] = np.linspace(0.0, float(t_max), steps + 1)
+        # the kinetic solver's planned wild calls, at most as many as MAX_STEPS
+        # RK4 steps make; the jump series of the master equation grows with N t_max
+        if cfg.command != "evolve-master":
+            subs, terms = wild_sum_plan(out["grid"])
+            calls = subs @ (terms - 1)
+            if calls > 4 * MAX_STEPS:
+                raise ConfigError(f"params.t_max = {t_max} needs {calls:.3g} wild calls, "
+                                  f"past the bound {4 * MAX_STEPS}")
         n_max = max(out.get("N_list") or [out.get("N", 1)])
         if t_max > MAX_STEPS / n_max:
             raise ConfigError(f"N t_max = {n_max} * {t_max} is past the bound {MAX_STEPS}")
-        out["grid"] = np.linspace(0.0, float(t_max), steps + 1)
     if "invariants" in names:
         h = model.hamiltonian()
         named = {"identity": np.eye(d, dtype=complex), "h": h, "h_squared": h @ h}
@@ -369,7 +371,8 @@ def _cmd_check_conserved(cfg: RunConfig, p: dict):
 def _cmd_chaos(cfg: RunConfig, p: dict):
     exp = ChaosExperiment(p["spec"], p["rho0"], p["N_list"], p["grid"], force=cfg.force)
     rows = [(r.N, r.t, r.delta1, r.delta2, r.entropy_N, r.entropy_qkbe)
-            for r in run_chaos_experiment(exp)]
+            for r in run_chaos_experiment(exp, tail_tol=cfg.tols["tail"],
+                                          tol_psd=cfg.tols["psd"])]
     return ["N", "t", "delta1", "delta2", "entropy_N", "entropy_qkbe"], rows
 
 

@@ -106,7 +106,8 @@ def validate_density_matrix(rho: np.ndarray, tol_psd: float = TOL_PSD) -> np.nda
 
 def _negative_eigenvalue(a: np.ndarray, tol: float) -> float | None:
     """The smallest eigenvalue of the Hermitian part of ``a`` if it is below
-    -tol, else None.
+    -tol, else None; NaN if ``a`` has a non-finite entry, which no
+    factorization or eigensolve can certify.
 
     A Cholesky factorization of the Hermitian part plus (tol - delta) I is
     tried first; when it succeeds, the smallest eigenvalue is at least
@@ -117,6 +118,8 @@ def _negative_eigenvalue(a: np.ndarray, tol: float) -> float | None:
     complex arithmetic.  Only when the factorization fails does
     ``eigvalsh`` decide, so every rejection reports the eigenvalue.
     """
+    if not np.isfinite(a).all():
+        return float("nan")
     n = a.shape[0]
     herm = np.conjugate(a).T
     herm += a

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkac.boltzmann import (_StepLog, _advance, classify_steady_states,
-                            collision_invariants_basis, conserved_check, gibbs,
-                            is_steady, picard_solve, qkbe_integrate,
-                            steady_state_from_coeffs, wild, wild_diagonal)
+from qkac.boltzmann import (classify_steady_states, collision_invariants_basis,
+                            conserved_check, gibbs, is_steady, qkbe_integrate,
+                            steady_state_from_coeffs, wild, wild_diagonal,
+                            wild_sum_plan)
 from qkac.collisions import (CollisionSpec, Superoperator, exact_EA2_spec,
                              identity_spec, qubit_tilted_spec, qubit_uniform_spec)
 from qkac.errors import NumericalContractError
@@ -16,6 +16,7 @@ from qkac.operators import (FactorShape, partial_trace, random_density,
 from qkac.spectra import SingleParticleModel
 from qkac.tolerances import TOL_PSD
 from conftest import random_matrix, random_state, random_unitary
+from kinetic_oracles import picard_solve, rk4_reference
 
 
 def qubit_state(a, z):
@@ -228,6 +229,7 @@ def test_nondegenerate_model_linear_flow():
 
 
 def test_picard_agrees_with_rk4(tilted_spec):
+    # the name predates the Wild-sum integrator, which Picard now checks
     rho0 = qubit_state(0.35, 0.12 - 0.07j)
     grid = np.linspace(0.0, 0.5, 6)
     rk = qkbe_integrate(tilted_spec, rho0, grid)
@@ -240,50 +242,80 @@ def test_picard_agrees_with_rk4(tilted_spec):
     assert fine_err < coarse_err / 8
 
 
-def test_integrator_step_halving_recovers_from_unstable_step(tilted_spec):
-    # a single RK4 step of length 4 is unstable for the off-diagonal
-    # decay rate and breaks positivity; the retry logic must subdivide
-    from qkac.boltzmann import _advance, _rk4_step
-
-    rho = qubit_state(0.3, 0.45)
-    bad = _rk4_step(tilted_spec, rho, 4.0)
-    assert np.linalg.eigvalsh((bad + bad.conj().T) / 2).min() < -1e-6
-    good = _advance(tilted_spec, rho, 4.0, tol_psd=1e-9)
-    # halving protects positivity and the trace; accuracy at such coarse
-    # steps is the job of the production step size, not of the retry
-    assert np.linalg.eigvalsh(good).min() > -1e-9
-    assert abs(np.trace(good) - 1.0) < 1e-10
-
-
-def test_step_halving_stops_at_the_retry_budget(tilted_spec):
-    # the step of length 4 is accepted only after two rejected steps
-    rho = qubit_state(0.3, 0.45)
-    steps = _StepLog(budget=2)
-    _advance(tilted_spec, rho, 4.0, 1e-9, steps)
-    assert steps.retries == 2
-    with pytest.raises(NumericalContractError, match="the 1 steps planned"):
-        _advance(tilted_spec, rho, 4.0, 1e-9, _StepLog(budget=1))
+@pytest.mark.parametrize("make_spec, t_max, steps, seed", [
+    (qubit_tilted_spec, 20.0, 20, 0),
+    (lambda: exact_EA2_spec(SingleParticleModel((0, 1, 4, 5))), 40.0, 10, 0),
+    (lambda: qubit_tilted_spec(points_per_angle=16), 1.0, 50, 1),
+    # a Wild sum that pairs Q_k with Q_k instead of Q_{n-k} is off by 1e-3
+    # here, and within 1e-12 on the three configs above
+    (lambda: exact_EA2_spec(SingleParticleModel((0, 1, 2))), 2.0, 8, 0),
+], ids=["tilted_t20", "ea2_0145_t40", "tilted_ppa16_t1", "ea2_012_t2"])
+def test_wild_sum_agrees_with_rk4_oracle(make_spec, t_max, steps, seed):
+    spec = make_spec()
+    rho0 = random_density(spec.dim, np.random.default_rng(seed))
+    grid = np.linspace(0.0, t_max, steps + 1)
+    got = qkbe_integrate(spec, rho0, grid)
+    assert np.abs(got - rk4_reference(spec, rho0, grid)).max() < 1e-10
 
 
-def test_integrator_bounds_step_halving_by_the_planned_steps(monkeypatch):
-    # Q(A) = (1 - c) A + c Z1 A Z1 dephases at rate 4c; at c = 5000 the
-    # planned step h = 1e-3 is unstable for RK4, each step needs halving
-    # three times, and without a bound the call takes over 13,000 RK4 steps
+def test_wild_sum_plan():
+    subs, terms = wild_sum_plan([0.0, 0.1, 1.0, 21.0])
+    assert subs.tolist() == [1.0, 4.0, 80.0]
+    # tau^M is the tail mass left out: below eps with M terms, not with M - 1
+    tau = -np.expm1(-2 * np.diff([0.0, 0.1, 1.0, 21.0]) / subs)
+    eps = np.finfo(float).eps
+    assert terms.tolist() == [22.0, 36.0, 39.0]
+    assert np.all(tau ** terms < eps) and np.all(tau ** (terms - 1) >= eps)
+    # a span past any run is planned at once, or refused, without forming it
+    subs, terms = wild_sum_plan([0.0, 1e300])
+    assert subs[0] == 4e300 and terms[0] == 39.0
+    with pytest.raises(ValueError, match="too long"):
+        wild_sum_plan([0.0, 1e308])
+    for bad in ([0.5, 1.0], [0.0, 0.0], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="increase from 0"):
+            wild_sum_plan(bad)
+
+
+def test_integrator_makes_the_planned_wild_calls(monkeypatch, tilted_spec):
+    # one stacked wild call per term past the first, one positivity
+    # certificate per substep
     import qkac.boltzmann as boltzmann
 
-    c = 5000.0
+    grid = [0.0, 0.1, 1.0, 2.5]
+    subs, terms = wild_sum_plan(grid)
+    calls, certified = [], []
+    inner_wild, inner_cert = boltzmann.wild, boltzmann._negative_eigenvalue
+    monkeypatch.setattr(boltzmann, "wild",
+                        lambda *args: calls.append(args[1].shape) or inner_wild(*args))
+    monkeypatch.setattr(boltzmann, "_negative_eigenvalue",
+                        lambda *args: certified.append(1) or inner_cert(*args))
+    qkbe_integrate(tilted_spec, qubit_state(0.3, 0.1 + 0.2j), grid)
+    assert len(calls) == subs @ (terms - 1) == 1 * 21 + 4 * 35 + 6 * 38
+    assert len(certified) == subs.sum() == 11
+    assert calls[:3] == [(1, 2, 2), (2, 2, 2), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("c", [5000.0, 1e100])
+def test_non_cp_spec_fails_within_the_planned_calls(monkeypatch, c):
+    # Q(A) = (1 - c) A + c Z1 A Z1 is not completely positive for c > 1/2,
+    # so the Wild sum is no convex combination: at c = 5000 it breaks
+    # positivity by far, at c = 1e100 it overflows to NaN; the call must
+    # raise, never return NaN, and make no more wild calls than it planned
+    import qkac.boltzmann as boltzmann
+
     z1 = np.kron(np.diag([1.0, -1.0]), np.eye(2))
     mat = (1 - c) * np.eye(16) + c * np.kron(z1, z1)
     spec = CollisionSpec(SingleParticleModel((0, 1)), "stiff", "closed_form",
                          Superoperator(mat, 4))
     calls = []
-    inner = boltzmann._rk4_step
-    monkeypatch.setattr(boltzmann, "_rk4_step",
-                        lambda *args: calls.append(args) or inner(*args))
+    inner = boltzmann.wild
+    monkeypatch.setattr(boltzmann, "wild", lambda *args: calls.append(1) or inner(*args))
     rho0 = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
-    with pytest.raises(NumericalContractError, match="the 1000 steps planned"):
+    subs, terms = wild_sum_plan([0.0, 1.0])
+    with np.errstate(all="ignore"), pytest.raises(NumericalContractError,
+                                                  match="negative eigenvalue"):
         qkbe_integrate(spec, rho0, [0.0, 1.0])
-    assert len(calls) < 3 * 1000
+    assert 0 < len(calls) <= subs @ (terms - 1)
 
 
 @pytest.mark.parametrize("make_spec", [

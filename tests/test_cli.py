@@ -278,14 +278,14 @@ def test_forced_huge_N_out_of_memory_exits_1_without_traceback(tmp_path):
 
 
 @pytest.mark.parametrize("command, params, bound", [
-    ("evolve-qkbe", {"initial": {"kind": "maximally_mixed"}}, "RK4 steps"),
-    ("check-conserved", {"initial": {"kind": "maximally_mixed"}}, "RK4 steps"),
+    ("evolve-qkbe", {"initial": {"kind": "maximally_mixed"}}, "wild calls"),
+    ("check-conserved", {"initial": {"kind": "maximally_mixed"}}, "wild calls"),
     ("evolve-master", {"N": 3, "initial": {"kind": "random"}}, "N t_max"),
-    ("chaos", {"N_list": [2], "initial": {"kind": "maximally_mixed"}}, "RK4 steps"),
+    ("chaos", {"N_list": [2], "initial": {"kind": "maximally_mixed"}}, "wild calls"),
 ])
 def test_huge_t_max_exits_1_at_once(tmp_path, command, params, bound):
-    # a huge finite t_max would take about 1e302 RK4 steps, or a jump series
-    # split into about 1e297 pieces; it is refused before any work
+    # a huge finite t_max would take about 1.5e302 wild calls, or a jump
+    # series split into about 1e297 pieces; it is refused before any work
     cfg = write_config(tmp_path, {
         "command": command, "model": QUBIT, "spec": "qubit_tilted",
         "params": {"t_max": 1e300, "steps": 2, **params},
@@ -297,21 +297,26 @@ def test_huge_t_max_exits_1_at_once(tmp_path, command, params, bound):
         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
-    assert bound in proc.stderr and "bound 100000" in proc.stderr
+    # 4 wild calls for each of the 100000 RK4 steps that used to be allowed
+    limit = 100000 if bound == "N t_max" else 400000
+    assert bound in proc.stderr and f"bound {limit}" in proc.stderr
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
-@pytest.mark.parametrize("t_max, ok", [(1000.0, True), (1000.5, False)])
+@pytest.mark.parametrize("t_max, ok", [(2630.0, True), (2630.5, False)])
 def test_t_max_bound_counts_rk4_steps(tmp_path, capsys, monkeypatch, t_max, ok):
-    # past t_max = 10 the RK4 step is 0.01, so 1000 is the last t_max within
-    # 100000 steps; the integrator is stubbed, only the bound is under test
+    # 10 grid steps of 263 take 1052 substeps of 0.25 each, whose 39 Wild-sum
+    # terms make 38 wild calls: 399,760 calls, within 4 * 100000; steps of
+    # 263.05 take 1053 substeps of 0.2498 with 39 terms, 400,140 calls, and
+    # so does every t_max in between.  The integrator is stubbed, only the
+    # bound is under test.
     monkeypatch.setattr("qkac.cli.qkbe_integrate",
                         lambda spec, rho0, grid, tol_psd: np.stack([rho0] * len(grid)))
     code, out = run_cli(tmp_path, {
         "command": "evolve-qkbe", "model": QUBIT, "spec": "qubit_tilted",
         "params": {"t_max": t_max, "steps": 10, "initial": {"kind": "maximally_mixed"}}})
     assert code == (0 if ok else 1)
-    assert ok or "RK4 steps" in capsys.readouterr().err
+    assert ok or "wild calls, past the bound 400000" in capsys.readouterr().err
 
 
 def test_master_rate_bound_is_on_N_times_t_max(tmp_path, capsys):
@@ -560,6 +565,31 @@ def test_chaos_command_columns(tmp_path):
     assert rows[0] == ["N", "t", "delta1", "delta2", "entropy_N", "entropy_qkbe"]
     final = {int(r[0]): float(r[2]) for r in rows[1:] if float(r[1]) == 0.5}
     assert final[3] < final[2]
+
+
+def test_chaos_passes_the_tolerances_on(tmp_path, monkeypatch):
+    # --tol psd and the config's tail reach both solvers, as the manifest says
+    import qkac.chaos as chaos
+
+    seen = []
+
+    def recording(name, inner):
+        def call(*args, **kw):
+            seen.append((name, kw))
+            return inner(*args, **kw)
+        return call
+
+    for name in ("evolve_master", "qkbe_integrate"):
+        monkeypatch.setattr(chaos, name, recording(name, getattr(chaos, name)))
+    doc = {"command": "chaos", "model": QUBIT, "spec": "qubit_tilted",
+           "tolerances": {"tail": 1e-11},
+           "params": {"N_list": [2, 3], "t_max": 0.5, "steps": 2,
+                      "initial": {"kind": "maximally_mixed"}}}
+    code, out = run_cli(tmp_path, doc, extra=("--tol", "psd=2e-9"))
+    assert code == 0
+    assert seen[0] == ("qkbe_integrate", {"tol_psd": 2e-9})
+    assert seen[1:] == [("evolve_master", {"tail_tol": 1e-11, "tol_psd": 2e-9})] * 4
+    assert f"psd={2e-9:.17g} tail={1e-11:.17g}" in (out / "manifest.txt").read_text()
 
 
 def test_gap_command(tmp_path):

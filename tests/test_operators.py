@@ -317,6 +317,17 @@ def test_positivity_certificate_agrees_with_the_eigenvalues(n, seed, place, tol)
     assert got is None or got == lo
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_positivity_certificate_fails_non_finite(bad):
+    # Cholesky rejects NaN and eigvalsh returns it, and NaN < -tol is false;
+    # an inf entry can even factor, so non-finite input is never certified
+    for a in (np.diag([1.0, bad]), np.full((3, 3), bad), np.eye(4) + 0j):
+        a = a.astype(complex)
+        a[-1, 0] = bad
+        got = _negative_eigenvalue(a, 1e-9)
+        assert got is not None and np.isnan(got)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_validate_density_matrix_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="non-finite"):
