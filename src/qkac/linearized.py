@@ -10,7 +10,10 @@ multiplication and division operators are
 mutually inverse, and diagonal in the eigenbasis of B with the
 logarithmic-mean multipliers
 
-    L_ij = (b_i - b_j) / (log b_i - log b_j),    L_ii = b_i.
+    L_ij = (b_i - b_j) / (log b_i - log b_j),    L_ii = b_i,
+
+where for b_i, b_j within a factor of 2 the log difference is taken as
+log1p((b_i - b_j) / b_j), so close eigenvalues keep their digits.
 
 The BKM inner product is <A, B> = Tr[A^* [rho] B].  Writing a
 trace-preserving perturbation as rho = [rho_inf](1 + A), the linearized
@@ -23,7 +26,9 @@ satisfy <1, A>_BKM = 0, where the raw linearization of the unnormalized
 flow differs by the rank-one trace direction along which no dynamics
 takes place).  K is BKM self-adjoint and negative semidefinite, its
 kernel is the span of the collision invariants, and the spectral gap is
-the smallest decay rate orthogonal to that kernel.
+the smallest decay rate orthogonal to that kernel.  In the eigenbasis of
+rho_inf the matrix units scaled by 1 / sqrt(L_ij) are BKM-orthonormal, so
+there -K is a Hermitian matrix whose eigenvalues are the decay rates.
 """
 
 from __future__ import annotations
@@ -60,17 +65,20 @@ class BKMGeometry:
         if w.min() <= TOL_PSD:
             raise ValueError(
                 f"reference state must be strictly positive (min eigenvalue {w.min():.3e})")
-        logw = np.log(w)
-        num = w[:, None] - w[None, :]
-        den = logw[:, None] - logw[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            table = num / den
-        same = np.isclose(den, 0.0, atol=1e-14)
-        table[same] = ((w[:, None] + w[None, :]) / 2)[same]
-        object.__setattr__(self, "rho_inf", rho)
-        object.__setattr__(self, "eigvals", w)
-        object.__setattr__(self, "eigvecs", v)
-        object.__setattr__(self, "multipliers", table)
+        self._fill(rho, w, v)
+
+    def _fill(self, rho, w, v) -> "BKMGeometry":
+        # within a ratio of 2, w_i - w_j is exact and log1p of the relative
+        # difference keeps the digits of close eigenvalues
+        wi, wj = w[:, None], w[None, :]
+        close = (wi <= 2 * wj) & (wj <= 2 * wi)
+        den = np.where(close, np.log1p((wi - wj) / wj), np.log(wi) - np.log(wj))
+        table = np.broadcast_to(wj, den.shape).copy()   # den is 0 only where w_i == w_j
+        np.divide(wi - wj, den, out=table, where=den != 0)
+        for name, value in (("rho_inf", rho), ("eigvals", w), ("eigvecs", v),
+                            ("multipliers", table)):
+            object.__setattr__(self, name, value)
+        return self
 
     @property
     def dim(self) -> int:
@@ -96,7 +104,11 @@ def bkm_inner(geo: BKMGeometry, a: np.ndarray, b: np.ndarray) -> complex:
 
 
 def _pair_geometry(geo: BKMGeometry) -> BKMGeometry:
-    return BKMGeometry(tensor(geo.rho_inf, geo.rho_inf))
+    """Geometry of rho_inf x rho_inf from the eigenpairs of rho_inf: no
+    second eigensolve, and no positivity check past the one rho_inf passed."""
+    w, v = geo.eigvals, geo.eigvecs
+    return object.__new__(BKMGeometry)._fill(tensor(geo.rho_inf, geo.rho_inf),
+                                              np.kron(w, w), np.kron(v, v))
 
 
 def _check_steady(spec: CollisionSpec, geo: BKMGeometry) -> None:
@@ -185,51 +197,32 @@ def dirichlet_form(spec: CollisionSpec, geo: BKMGeometry, a: np.ndarray,
 # spectral gap
 # ---------------------------------------------------------------------------
 
-def _hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal (Hilbert-Schmidt) real basis of Hermitian d x d matrices,
-    stacked: the diagonal units, then a real and an imaginary pair per i < j."""
-    r = 1.0 / np.sqrt(2.0)
-    i, j = np.triu_indices(d, 1)
-    k = d + 2 * np.arange(i.size)
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
-    basis[k, i, j] = basis[k, j, i] = r
-    basis[k + 1, i, j], basis[k + 1, j, i] = -1j * r, 1j * r
-    return basis
-
-
 def spectral_gap(spec: CollisionSpec, geo: BKMGeometry,
                  k_op: Superoperator | None = None):
     """Smallest decay rate of -K orthogonal to the collision invariants.
 
-    Solves the real symmetric generalized eigenproblem for -K in the BKM
-    metric on the Hermitian sector, restricted to the BKM-orthogonal
-    complement of the collision-invariant span.  Returns (gap, kernel_dim)
-    where kernel_dim counts the near-zero rates of the unrestricted
-    problem.
+    With V the eigenvectors of rho_inf and U = V (x) conj(V), -K in the
+    BKM-orthonormal scaled matrix units is the Hermitian d^2 x d^2 matrix
+    M = -diag(sqrt L) U^* K U diag(sqrt L)^{-1}.  K preserves Hermiticity,
+    so the eigenvalues of M are exactly the Hermitian-sector decay rates.
+    Returns (gap, kernel_dim): kernel_dim counts the near-zero eigenvalues
+    of M, and gap is the smallest eigenvalue of M on the orthogonal
+    complement of the scaled coordinates of the collision invariants.
     """
     if k_op is None:
         k_op = build_K(spec, geo)
-    d = geo.dim
-    basis = _hermitian_basis(d)
-    nb = len(basis)
-    images = (basis.reshape(nb, -1) @ k_op.mat.T).reshape(nb, d, d)
-    # entries are the BKM inner products <basis[p], images[q]> and <basis[p], basis[q]>
-    kmat = np.einsum("pij,qij->pq", basis.conj(), multiply_super(geo, images))
-    gram = np.einsum("pij,qij->pq", basis.conj(), multiply_super(geo, basis))
-    if max(np.abs(kmat.imag).max(), np.abs(gram.imag).max()) > 1e-9:
-        raise ValueError("the Hermitian-sector forms must be real")
-    kmat = (kmat.real + kmat.real.T) / 2
-    gram = (gram.real + gram.real.T) / 2
-    if np.linalg.eigvalsh(gram).min() <= 1e-12:
-        raise ValueError("degenerate BKM Gram matrix")
-    rates = scipy.linalg.eigh(-kmat, gram, eigvals_only=True)
-    kernel_dim = int((np.abs(rates) < _GAP_KERNEL_TOL).sum())
+    u = np.kron(geo.eigvecs, geo.eigvecs.conj())
+    scale = np.sqrt(geo.multipliers).ravel()
+    m = -scale[:, None] * (u.conj().T @ k_op.mat @ u) / scale
+    resid = np.abs(m - m.conj().T).max()
+    if resid > 1e-9:
+        raise ValueError(f"the linearized operator is not BKM self-adjoint ({resid:.3e})")
+    m = (m + m.conj().T) / 2
+    kernel_dim = int((np.abs(np.linalg.eigvalsh(m)) < _GAP_KERNEL_TOL).sum())
     invariants = np.stack(collision_invariants_basis(spec.model))
-    coords = np.einsum("aij,pij->ap", invariants, basis.conj()).real
-    # complement of the invariants in the BKM metric: null space of coords @ gram
-    comp = scipy.linalg.null_space(coords @ gram)
-    ksub = comp.T @ kmat @ comp
-    gsub = comp.T @ gram @ comp
-    gap = float(scipy.linalg.eigh(-ksub, gsub, eigvals_only=True).min())
+    # row a is diag(sqrt L) U^* vec(invariant a); the complement is the null
+    # space of the conjugate rows
+    coords = scale * (invariants.reshape(len(invariants), -1) @ u.conj())
+    comp = scipy.linalg.null_space(coords.conj())
+    gap = float(np.linalg.eigvalsh(comp.conj().T @ m @ comp).min())
     return gap, kernel_dim

@@ -64,7 +64,6 @@ class KacGenerator:
     num_particles: int
     force: bool = False
     shape: FactorShape = field(init=False)
-    _s4: np.ndarray = field(init=False, repr=False)
     _pair_diag: np.ndarray = field(init=False, repr=False)
     _diag: np.ndarray = field(init=False, repr=False)
     _moves: list = field(init=False, repr=False)
@@ -75,7 +74,6 @@ class KacGenerator:
         d, n = self.spec.model.dim, self.num_particles
         self.shape = FactorShape(n, d).check_guard(self.force)
         mat = self.spec.channel.mat
-        self._s4 = mat.reshape(d * d, d * d, d * d, d * d)
         diag = mat.diagonal()
         self._pair_diag = (diag if diag.imag.any() else diag.real).reshape((d,) * 4)
         rows, cols = np.nonzero(mat)
@@ -161,8 +159,7 @@ def apply_LN(gen: KacGenerator, x: np.ndarray) -> np.ndarray:
 
 
 def evolve_master(gen: KacGenerator, rho0: np.ndarray, t: float,
-                  tail_tol: float = TAIL_TOL, tol_psd: float = TOL_PSD,
-                  renormalize: bool = True) -> np.ndarray:
+                  tail_tol: float = TAIL_TOL, tol_psd: float = TOL_PSD) -> np.ndarray:
     """Evolve a state for time t with the truncated jump series.
 
     A time whose rate N t exceeds ``MAX_JUMP_RATE`` is split into equal
@@ -201,10 +198,9 @@ def evolve_master(gen: KacGenerator, rho0: np.ndarray, t: float,
     tr = np.trace(out).real
     if abs(tr - 1.0) > 100 * pieces * tail_tol + 1e-13:
         raise NumericalContractError(f"trace drifted to {tr} under the jump series")
-    if renormalize:
-        log.debug("jump series trace drift %.3e over %d pieces of up to %d terms",
-                  tr - 1.0, pieces, k)
-        out = out / tr
+    log.debug("jump series trace drift %.3e over %d pieces of up to %d terms",
+              tr - 1.0, pieces, k)
+    out = out / tr
     lo = _negative_eigenvalue(out, tol_psd)
     if lo is not None:
         raise NumericalContractError(f"evolved state has negative eigenvalue {lo:.3e}")
@@ -217,28 +213,31 @@ def evolve_master(gen: KacGenerator, rho0: np.ndarray, t: float,
 
 def _shell_block(gen: KacGenerator, rows, cols) -> np.ndarray:
     """Matrix of Q_N on the operators supported on rows x cols, gathered
-    from the pair channel and ordered row-major over the block.
+    from the sparse kernel and ordered row-major over the block.
 
-    A pair (i, j) links two basis indices that agree off factors i and j;
-    for linked rows (r, r') and linked columns (c, c') the entry is the
-    ``s4`` entry indexed by the digits of r, c, r', c' on the pair.
+    Its diagonal is the block of ``_diag``.  For each entry of ``_moves``
+    and each pair, every block entry whose digits on the pair are the
+    entry's in digits is sent to the block entry carrying its out digits.
     """
-    d = gen.spec.model.dim
+    dim, pairs = gen.shape.dim, np.array(gen.pairs)
     digits = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).digits
-    place = d ** np.arange(gen.num_particles - 1, -1, -1)
-    nc = len(cols)
-    block = np.zeros((len(rows) * nc,) * 2, dtype=complex)
-    for (i, j) in gen.pairs:
-        links = []
-        for idx in (rows, cols):
-            pair = digits[idx, i] * d + digits[idx, j]
-            off = idx - digits[idx, i] * place[i] - digits[idx, j] * place[j]
-            a, a2 = np.nonzero(off[:, None] == off[None, :])
-            links.append((a, a2, pair[a], pair[a2]))
-        (ra, ra2, rp, rp2), (ca, ca2, cp, cp2) = links
-        block[(ra[:, None] * nc + ca).ravel(), (ra2[:, None] * nc + ca2).ravel()] += (
-            gen._s4[rp[:, None], cp, rp2[:, None], cp2].ravel())
-    return block / len(gen.pairs)
+    step = gen.spec.model.dim ** (gen.num_particles - 1 - pairs)   # place of each pair digit
+    nc, size = len(cols), len(rows) * len(cols)
+    block = np.zeros((size, size), dtype=complex)
+    block.flat[::size + 1] = gen._diag.reshape(dim, dim)[np.ix_(rows, cols)].ravel()
+    where = np.full((2, dim), -1)       # position of a flat index among rows, cols
+    where[0, rows], where[1, cols] = np.arange(len(rows)), np.arange(nc)
+    for o, a, s in gen._moves:
+        dst = []    # per side, the block position each index moves to on each pair, or -1
+        for k, idx in enumerate((rows, cols)):
+            a_k, o_k = np.array(a[2 * k:2 * k + 2]), np.array(o[2 * k:2 * k + 2])
+            hit = (digits[idx][:, pairs] == a_k).all(axis=2)
+            moved = (idx[:, None] + step @ (o_k - a_k)) % dim
+            dst.append(np.where(hit, where[k, moved], -1))
+        r, c, p = np.nonzero((dst[0] >= 0)[:, None, :] & (dst[1] >= 0)[None, :, :])
+        # two pairs can send one entry to the same place, hence add.at
+        np.add.at(block, (dst[0][r, p] * nc + dst[1][c, p], r * nc + c), s / len(pairs))
+    return block
 
 
 def _block_fixed_vectors(gen: KacGenerator, rows, cols, tol):
@@ -297,20 +296,18 @@ def qn_spectrum(gen: KacGenerator) -> np.ndarray:
     return np.sort(np.concatenate(eigs))
 
 
-def steady_states_basis(gen: KacGenerator, tol: float = TOL_FIXED_EIG,
-                        cross_check: bool = True) -> list:
+def steady_states_basis(gen: KacGenerator, tol: float = TOL_FIXED_EIG) -> list:
     """Normalized minimal class projections spanning the steady states.
 
-    Returns (E, state, rank) triples.  When ``cross_check`` is set the
-    numerically computed null-space dimension of L_N must match the class
-    count; for a non-ergodic specification the check runs over all shell
-    blocks and a mismatch raises.
+    Returns (E, state, rank) triples.  The numerically computed null-space
+    dimension of L_N must match the class count; for a non-ergodic
+    specification the check runs over all shell blocks and a mismatch
+    raises.
     """
-    if cross_check:
-        # first, so an oversized block fails before the dense projections are built
-        null_dim = len(ln_null_basis(gen, tol=tol))
+    # first, so an oversized block fails before the dense projections are built
+    null_dim = len(ln_null_basis(gen, tol=tol))
     projections = class_projections(gen.spec.model, gen.num_particles, force=gen.force)
-    if cross_check and null_dim != len(projections):
+    if null_dim != len(projections):
         raise NumericalContractError(
             f"null-space dimension {null_dim} does not match the "
             f"class count {len(projections)}")

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qkac import boltzmann
 from qkac.boltzmann import (classify_steady_states, collision_invariants_basis,
                             conserved_check, gibbs, is_steady, qkbe_integrate,
                             steady_state_from_coeffs, wild, wild_diagonal,
@@ -355,6 +356,26 @@ def test_checkpoints_are_states(name, seed, weights):
         assert abs(np.trace(rho) - 1.0) < 1e-12
         assert np.linalg.eigvalsh(rho).min() >= -TOL_PSD
 
+
+
+@settings(max_examples=24, derandomize=True, deadline=None)
+@given(st.sampled_from(["qubit_uniform", "qubit_tilted", "exact_ea2_012"]),
+       st.integers(0, 2 ** 32 - 1), st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+       st.floats(0.01, 20.0))
+def test_checkpoints_are_positive_without_the_certificate(name, seed, weights, t_max):
+    # every Wild-sum term is a state, so positivity holds by construction:
+    # with the certificate made to pass everything, no checkpoint may dip
+    # below zero by more than rounding, boundary states included
+    spec = _BUILTIN_SPECS[name]
+    lam = np.asarray(weights[:spec.dim])
+    assume(lam.sum() > 0)
+    u = random_unitary(np.random.default_rng(seed), spec.dim)
+    rho0 = (u * (lam / lam.sum())) @ u.conj().T
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boltzmann, "_negative_eigenvalue", lambda *args: None)
+        traj = qkbe_integrate(spec, rho0, np.linspace(0.0, t_max, 5))
+    for rho in traj:
+        assert np.linalg.eigvalsh(rho).min() >= -1e-14
 
 def test_integrator_validates_grid(tilted_spec):
     rho = qubit_state(0.5, 0.0)

@@ -606,6 +606,27 @@ def test_gap_command(tmp_path):
     assert all(r[3] == "2" for r in rows[1:])
 
 
+
+@pytest.mark.parametrize("energies,spec,rho_inf,want_gap,want_dim", [
+    # close eigenvalues: the log-mean table loses digits without log1p
+    ([0, 1], "qubit_tilted", {"kind": "diag", "values": [0.500000001, 0.499999999]},
+     (6 + 0.500000001) / 4, 2),
+    ([0, 1], "qubit_tilted", {"kind": "gibbs", "beta": 1e-8},
+     (6 + 1 / (1 + np.exp(-1e-8))) / 4, 2),
+    # small eigenvalues: rho_inf x rho_inf has eigenvalues below the PSD tolerance
+    ([0, 1], "qubit_tilted", {"kind": "diag", "values": [1e-5, 0.99999]}, (6 + 1e-5) / 4, 2),
+    ([0, 1, 4, 5], "exact_ea2", {"kind": "gibbs", "beta": 2.5}, 1.0, 3),
+], ids=["diag_close", "gibbs_close", "diag_small", "ea2_0145_gibbs_small"])
+def test_gap_admits_every_strictly_positive_state(tmp_path, energies, spec, rho_inf,
+                                                  want_gap, want_dim):
+    code, out = run_cli(tmp_path, {
+        "command": "gap", "model": {"dim": len(energies), "energies": energies},
+        "spec": spec, "params": {"rho_inf": [rho_inf]}})
+    assert code == 0
+    (row,) = read_csv(out / "gap.csv")[1:]
+    assert abs(float(row[2]) - want_gap) < 1e-9
+    assert row[3] == str(want_dim)
+
 def test_reruns_byte_reproduce_csv(tmp_path):
     doc = {"command": "evolve-master", "model": QUBIT, "spec": "qubit_tilted",
            "seed": 11,

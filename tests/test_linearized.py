@@ -1,12 +1,15 @@
+import warnings
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from qkac.boltzmann import (classify_steady_states, collision_invariants_basis,
                             gibbs, wild)
-from qkac.collisions import exact_EA2_spec
+from qkac.collisions import Superoperator, exact_EA2_spec
 from qkac.errors import UnsupportedOperationError
-from qkac.linearized import (BKMGeometry, _hermitian_basis, bkm_inner, build_K,
+from qkac.linearized import (BKMGeometry, bkm_inner, build_K,
                              dirichlet_form, divide_super, multiply_super,
                              spectral_gap)
 from qkac.spectra import SingleParticleModel
@@ -87,6 +90,23 @@ def test_multiply_commuting_case(rng):
     a = np.diag(rng.standard_normal(3)).astype(complex)
     assert np.abs(multiply_super(geo, a) - np.diag(vals) @ a).max() < 1e-12
 
+
+
+@pytest.mark.parametrize("vals", [
+    [0.500000001, 0.499999999], [0.4, 0.4 + 3e-12, 0.2 - 3e-12],
+    [0.3, 0.3 + 1e-9, 0.4 - 1e-9], [0.2, 0.2 + 1e-15, 0.6 - 1e-15], [1e-5, 0.99999],
+    [0.3, 0.7], [1e-8, 0.25, 0.75 - 1e-8]])
+def test_multiplier_table_matches_decimal_reference(vals):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        geo = BKMGeometry(np.diag(vals).astype(complex))
+    w = geo.eigvals
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dw = [Decimal(float(x)) for x in w]
+        want = np.array([[float(a if a == b else (a - b) / (a.ln() - b.ln()))
+                          for b in dw] for a in dw])
+    assert np.abs(geo.multipliers / want - 1).max() < 1e-14
 
 def test_multiply_matrix_unit_multiplier():
     # on a matrix unit the multiplier is the logarithmic mean of the
@@ -245,6 +265,14 @@ def test_kernel_dimension_matches_invariant_count():
     assert gap > 0
 
 
+
+def test_spectral_gap_rejects_an_operator_that_is_not_self_adjoint(ea2_qubit, rng):
+    geo = BKMGeometry(np.diag([0.3, 0.7]).astype(complex))
+    k_op = build_K(ea2_qubit, geo)
+    k_op = Superoperator(k_op.mat + 1e-6 * random_matrix(rng, 4), 2)
+    with pytest.raises(ValueError, match="not BKM self-adjoint"):
+        spectral_gap(ea2_qubit, geo, k_op)
+
 def reference_hermitian_basis(d):
     basis = []
     for i in range(d):
@@ -295,8 +323,6 @@ def reference_spectral_gap(spec, geo):
 @pytest.mark.parametrize("energies", [(0, 1, 2), (0, 1, 4, 5)])
 @pytest.mark.parametrize("beta", [0.3, -0.8])
 def test_spectral_gap_matches_entrywise_reference(energies, beta):
-    d = len(energies)
-    assert np.array_equal(_hermitian_basis(d), np.stack(reference_hermitian_basis(d)))
     spec = exact_EA2_spec(SingleParticleModel(energies))
     geo = BKMGeometry(gibbs(spec.model, beta))
     gap, kernel_dim = spectral_gap(spec, geo)

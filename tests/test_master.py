@@ -131,6 +131,18 @@ def test_shell_block_matches_matrix_unit_oracle(spec_name, energies, n,
                 assert np.abs(_shell_block(gen, rows, cols) - want).max() < 1e-12
 
 
+
+@pytest.mark.parametrize("energies", [(0, 0, 1), (0, 1, 1, 2)])
+def test_shell_block_sums_moves_that_meet_on_degenerate_levels(energies):
+    # on degenerate levels a channel entry can move one digit of the row
+    # and one of the column, so two pairs sharing that factor send one
+    # block entry to the same place and both contributions must be kept
+    model = SingleParticleModel(energies)
+    gen = KacGenerator(exact_EA2_spec(model), 3)
+    for _, rows in shell_structure(model, 3).shells:
+        want = units_block_oracle(gen, rows, rows)
+        assert np.abs(_shell_block(gen, rows, rows) - want).max() < 1e-12
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_qn_spectrum_in_unit_interval(uniform_spec, tilted_spec, n):
     for spec in (uniform_spec, tilted_spec):
@@ -262,9 +274,6 @@ def test_steady_states_nonergodic_mismatch_raises(qubit_model):
     gen = KacGenerator(identity_spec(qubit_model), 2)
     with pytest.raises(NumericalContractError):
         steady_states_basis(gen)
-    # without the cross-check the class projections are still returned
-    states = steady_states_basis(gen, cross_check=False)
-    assert len(states) == 3
 
 
 def test_entropy_production_zero_at_fixed_point(tilted_spec, rng):
@@ -381,7 +390,7 @@ def test_marginal_flow_consistency(tilted_spec, rng):
     want = 2.0 * (partial_trace(q(m2), FactorShape(2, 2), keep=1)
                   - partial_trace(m2, FactorShape(2, 2), keep=1))
     delta = 1e-6
-    evolved = evolve_master(gen, rho, delta, renormalize=False)
+    evolved = evolve_master(gen, rho, delta)
     fd = (partial_trace(evolved, gen.shape, keep=1)
           - partial_trace(rho, gen.shape, keep=1)) / delta
     assert np.abs(fd - want).max() < 1e-4
