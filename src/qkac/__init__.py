@@ -2,14 +2,17 @@
 
 Modules
 -------
-operators    dense tensor-product kernel (products, embeddings, traces, entropies)
-spectra      energy shells, occupancy combinatorics, ergodicity classes
+operators    dense tensor-product kernel (products, factor permutations,
+             partial traces, entropies, norms)
+spectra      energy shells and pair-move classes, cached per (model, N)
 collisions   collision specifications and the two-particle channel
 master       N-particle generator, jump-series semigroup, steady states
 boltzmann    Wild convolution and the nonlinear kinetic equation
 chaos        hierarchy operators and propagation-of-chaos experiments
 linearized   BKM geometry, linearized operator, spectral gap
 cli          JSON-config experiment driver
+tolerances   named numerical tolerances and the d**N size guard
+errors       the numerical-contract exception
 """
 
 __version__ = "0.1.0"

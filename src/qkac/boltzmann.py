@@ -38,8 +38,8 @@ import numpy as np
 from .collisions import CollisionSpec
 from .errors import NumericalContractError
 from .operators import _negative_eigenvalue, validate_density_matrix
-from .spectra import SingleParticleModel, _pair_move_groups, shell_structure
-from .tolerances import TOL_PSD, TOL_STEADY
+from .spectra import SingleParticleModel, _pair_move_groups
+from .tolerances import TOL_PSD
 
 log = logging.getLogger(__name__)
 
@@ -58,31 +58,16 @@ def wild(spec: CollisionSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (pairs.reshape(stack + (n * n,)) @ spec.wild_matrix).reshape(stack + (d, d))
 
 
-def wild_diagonal(model: SingleParticleModel, a: np.ndarray,
-                  b: np.ndarray) -> np.ndarray:
-    """Closed form of the Wild convolution when the channel is the exact
-    conditional expectation onto the pair energy algebra:
-
-        A * B = sum_{i,k} A_ii B_kk Tr_2[sigma_{e_i + e_k}].
-
-    Only the diagonals of A and B enter.  Tr_2[sigma_E] gives level l the
-    share of the shell's pairs whose first level is l, which also covers
-    degenerate single-particle spectra (the count of partners of a level
-    inside a shell is weighted by multiplicity).
-    """
-    st = shell_structure(model, 2)
-    coeff = np.outer(np.diagonal(a), np.diagonal(b)).ravel()
-    out = np.zeros(model.dim, dtype=complex)
-    for _, idx in st.shells:
-        share = np.bincount(st.digits[idx, 0], minlength=model.dim) / len(idx)
-        out += coeff[idx].sum() * share
-    return np.diag(out)
-
-
 def gibbs(model: SingleParticleModel, beta: float) -> np.ndarray:
-    """Thermal state exp(-beta h) / Z for any finite beta, negative too."""
-    x = -beta * np.asarray(model.energies, dtype=float)
-    w = np.exp(x - x.max())
+    """Thermal state exp(-beta h) / Z for any finite beta, negative too.
+
+    The energies are shifted to the level that dominates, so the exponents
+    are at most 0 and one of them is 0: an exponent that overflows is -inf
+    and its weight 0, never inf - inf.
+    """
+    e = np.asarray(model.energies, dtype=float)
+    with np.errstate(over="ignore"):
+        w = np.exp(-beta * (e - (e.min() if beta > 0 else e.max())))
     return np.diag(w / w.sum()).astype(complex)
 
 
@@ -216,13 +201,6 @@ def collision_invariants_basis(model: SingleParticleModel) -> list:
         val = {e: x for e, x in zip(family.distinct_energies, row)}
         out.append(np.diag([val[e] for e in model.energies]).astype(complex))
     return out
-
-
-def is_steady(spec: CollisionSpec, rho: np.ndarray,
-              tol: float = TOL_STEADY) -> bool:
-    """Check rho * rho = rho directly (valid also for boundary states)."""
-    rho = np.asarray(rho, dtype=complex)
-    return np.linalg.norm(wild(spec, rho, rho) - rho) <= tol
 
 
 def conserved_check(spec: CollisionSpec, trajectory: np.ndarray,

@@ -105,7 +105,8 @@ def _parse_matrix(obj, dim: int) -> np.ndarray:
 
 
 def _tolerances(items, source: str) -> dict:
-    """Named tolerance overrides, each checked for a known name and a number."""
+    """Named tolerance overrides, each checked for a known name and a
+    number in (0, 1)."""
     if not isinstance(items, dict):
         raise ConfigError(f"{source} must map tolerance names to numbers")
     out = {}
@@ -118,7 +119,11 @@ def _tolerances(items, source: str) -> dict:
                 value = float(value)
             except ValueError:
                 pass
-        out[name] = float(_number(value, f"tolerance {name!r} in {source}"))
+        value = float(_number(value, f"tolerance {name!r} in {source}"))
+        if not 0 < value < 1:
+            raise ConfigError(f"tolerance {name!r} in {source} must lie in (0, 1), "
+                              f"got {value!r}")
+        out[name] = value
     return out
 
 
@@ -268,7 +273,8 @@ def _read_params(cfg: RunConfig, rng: np.random.Generator) -> dict:
                 label = "diag:" + ",".join(_fmt(float(v)) for v in vals)
             else:
                 raise ConfigError(f"unknown rho_inf kind {kind!r}")
-            out["geometries"].append((label, BKMGeometry(rho_inf)))
+            out["geometries"].append((label, BKMGeometry(rho_inf,
+                                                         tol_psd=cfg.tols["psd"])))
     if "initial" in names:
         init, dim = params.get("initial"), d ** out.get("N", 1)
         if not isinstance(init, dict):

@@ -64,9 +64,6 @@ class Superoperator:
             return (self.mat @ a.reshape(-1)).reshape(self.dim, self.dim)
         raise ValueError(f"operand shape {a.shape} does not match dim {self.dim}")
 
-    def power(self, n: int) -> "Superoperator":
-        return Superoperator(np.linalg.matrix_power(self.mat, n), self.dim)
-
     def choi(self) -> np.ndarray:
         """Choi matrix J[(i,k),(j,l)] = image(E_ij)[k,l]; PSD iff completely positive."""
         d = self.dim
@@ -85,10 +82,8 @@ def superoperator_from_nodes(nodes, dim: int) -> Superoperator:
 class CollisionSpec:
     """A collision specification: model plus channel, with node list when sampled.
 
-    ``kind`` is "sampled" (channel derived from nodes) or "closed_form"
-    (channel authoritative).  Closed-form specs may still carry an explicit
-    node family realizing the same average exactly; quadratic functionals
-    that need individual unitaries (the dissipation form) use it.
+    ``kind`` is "sampled" (channel derived from ``nodes``, the weighted
+    unitaries) or "closed_form" (channel authoritative, ``nodes`` None).
     """
 
     model: SingleParticleModel
@@ -292,13 +287,13 @@ QUBIT_MODEL = SingleParticleModel((0, 1))
 
 
 def _qubit_spec(name: str, points_per_angle: int | None) -> CollisionSpec:
-    """Shared constructor of the two qubit families; the closed form carries
-    the exact 8-point grid as its node family."""
+    """Shared constructor of the two qubit families: the closed-form channel
+    without nodes, or with ``points_per_angle`` set the sampled grid, whose
+    channel equals the closed form for 4 or more points."""
     tilted = name == "qubit_tilted"
     if points_per_angle is None:
         return CollisionSpec(QUBIT_MODEL, name, "closed_form",
-                             _qubit_closed_channel(tilted),
-                             nodes=_qubit_grid_nodes(8, tilted))
+                             _qubit_closed_channel(tilted))
     nodes = _qubit_grid_nodes(points_per_angle, tilted)
     return CollisionSpec(QUBIT_MODEL, f"{name}_sampled{points_per_angle}",
                          "sampled", superoperator_from_nodes(nodes, 4), nodes)
@@ -339,14 +334,6 @@ def exact_EA2_spec(model: SingleParticleModel) -> CollisionSpec:
         s[np.ix_(pos, pos)] = 1.0 / idx.size
     return CollisionSpec(model, "exact_ea2", "closed_form",
                          Superoperator(s, d * d), nodes=None)
-
-
-def identity_spec(model: SingleParticleModel) -> CollisionSpec:
-    """Degenerate specification containing only the trivial collision."""
-    d = model.dim
-    nodes = [(1.0, np.eye(d * d, dtype=complex))]
-    return CollisionSpec(model, "identity_only", "sampled",
-                         superoperator_from_nodes(nodes, d * d), nodes)
 
 
 # ---------------------------------------------------------------------------

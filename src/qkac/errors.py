@@ -3,7 +3,3 @@
 
 class NumericalContractError(RuntimeError):
     """A numerical invariant (positivity, trace, convergence) was violated."""
-
-
-class UnsupportedOperationError(RuntimeError):
-    """The requested computation is not defined for this object."""

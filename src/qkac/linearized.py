@@ -33,14 +33,13 @@ there -K is a Hermitian matrix whose eigenvalues are the decay rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .boltzmann import collision_invariants_basis, wild
 from .collisions import CollisionSpec, Superoperator
-from .errors import UnsupportedOperationError
 from .operators import tensor
 from .tolerances import TOL_PSD
 
@@ -52,27 +51,31 @@ _AGREE_TOL = 1e-10      # entrywise gap allowed between the two K constructions
 @dataclass(frozen=True)
 class BKMGeometry:
     """Eigendecomposition of a strictly positive state with the
-    logarithmic-mean multiplier table."""
+    logarithmic-mean multiplier table; the state's smallest eigenvalue
+    must exceed ``tol_psd``."""
 
     rho_inf: np.ndarray
+    tol_psd: InitVar[float] = TOL_PSD
     eigvals: np.ndarray = field(init=False)
     eigvecs: np.ndarray = field(init=False)
     multipliers: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, tol_psd):
         rho = np.asarray(self.rho_inf, dtype=complex)
         w, v = np.linalg.eigh(rho)
-        if w.min() <= TOL_PSD:
+        if not w.min() > tol_psd:     # NaN compares False, so it fails too
             raise ValueError(
                 f"reference state must be strictly positive (min eigenvalue {w.min():.3e})")
         self._fill(rho, w, v)
 
     def _fill(self, rho, w, v) -> "BKMGeometry":
         # within a ratio of 2, w_i - w_j is exact and log1p of the relative
-        # difference keeps the digits of close eigenvalues
+        # difference keeps the digits of close eigenvalues; np.where takes
+        # log1p of every pair, -inf where w_i / w_j is below eps, unread
         wi, wj = w[:, None], w[None, :]
         close = (wi <= 2 * wj) & (wj <= 2 * wi)
-        den = np.where(close, np.log1p((wi - wj) / wj), np.log(wi) - np.log(wj))
+        with np.errstate(divide="ignore"):
+            den = np.where(close, np.log1p((wi - wj) / wj), np.log(wi) - np.log(wj))
         table = np.broadcast_to(wj, den.shape).copy()   # den is 0 only where w_i == w_j
         np.divide(wi - wj, den, out=table, where=den != 0)
         for name, value in (("rho_inf", rho), ("eigvals", w), ("eigvecs", v),
@@ -161,36 +164,6 @@ def build_K(spec: CollisionSpec, geo: BKMGeometry) -> Superoperator:
         raise ValueError(
             f"the two constructions of the linearized operator disagree ({disagree:.3e})")
     return Superoperator(mat, d)
-
-
-def dirichlet_form(spec: CollisionSpec, geo: BKMGeometry, a: np.ndarray,
-                   b: np.ndarray) -> complex:
-    """Symmetrized dissipation form, equal to <B, K A>_BKM:
-
-        -1/2 sum_k w_k Tr[ (B# - U_k B# U_k^*)^* [rho x rho] (A# - U_k A# U_k^*) ],
-
-    where X# = X x 1 + 1 x X.  The prefactor carries the factor 2 of the
-    evolution d rho/dt = 2(rho * rho - rho); without it the form would be
-    the dissipation of the half-speed flow.  Needs an explicit node
-    family; closed-form specs without one are unsupported.
-    """
-    if spec.nodes is None:
-        raise UnsupportedOperationError(
-            f"spec '{spec.name}' carries no node family; the dissipation form "
-            "needs individual collision unitaries")
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    d = geo.dim
-    eye = np.eye(d)
-    pair_geo = _pair_geometry(geo)
-    asharp = tensor(a, eye) + tensor(eye, a)
-    bsharp = tensor(b, eye) + tensor(eye, b)
-    total = 0.0 + 0.0j
-    for w, u in spec.nodes:
-        da = asharp - u @ asharp @ u.conj().T
-        db = bsharp - u @ bsharp @ u.conj().T
-        total += w * np.trace(db.conj().T @ multiply_super(pair_geo, da))
-    return complex(-0.5 * total)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import numpy as np
 from .collisions import CollisionSpec, is_ergodic
 from .errors import NumericalContractError
 from .operators import (FactorShape, _negative_eigenvalue, entropy_and_relative_entropy,
-                        is_hermitian, permute_factors)
+                        is_hermitian)
 from .spectra import class_projections, commutant_projection, shell_structure
 from .tolerances import TAIL_TOL, TOL_FIXED_EIG, TOL_PSD
 
@@ -289,13 +289,6 @@ def ln_null_basis(gen: KacGenerator, tol: float = TOL_FIXED_EIG) -> list:
     return basis
 
 
-def qn_spectrum(gen: KacGenerator) -> np.ndarray:
-    """All eigenvalues of Q_N on the operator space, via the shell blocks."""
-    eigs = [_block_fixed_vectors(gen, rows, cols, tol=0.0)[1]
-            for rows, cols in _shell_blocks(gen, diagonal_only=False)]
-    return np.sort(np.concatenate(eigs))
-
-
 def steady_states_basis(gen: KacGenerator, tol: float = TOL_FIXED_EIG) -> list:
     """Normalized minimal class projections spanning the steady states.
 
@@ -338,31 +331,3 @@ def entropy_production(gen: KacGenerator, rho: np.ndarray):
     _, rel = entropy_and_relative_entropy(w, rho.diagonal().real, sigma)
     ratio = rate / rel if rel > TOL_PSD and np.isfinite(rel) else None
     return float(rate), ratio
-
-
-def permutation_covariance_check(gen: KacGenerator, rho: np.ndarray, pi,
-                                 rng: np.random.Generator | None = None) -> dict:
-    """Residuals of the permutation-covariance identities.
-
-    * ``symmetric_state``: || Q_N(U_pi rho U_pi^*) - Q_N rho || for the
-      given (expected symmetric) state.
-    * ``pair_relabel``: || U_pi (Q_{i,j} A) U_pi^* - Q_{pi(i),pi(j)}(U_pi A U_pi^*) ||
-      on a random A, maximized over all pairs (i, j); conjugating by U_pi
-      relabels the colliding pair.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    pi = list(pi)
-    out = {}
-    lhs = apply_QN(gen, permute_factors(rho, pi, gen.shape))
-    out["symmetric_state"] = float(np.abs(lhs - apply_QN(gen, rho)).max())
-    rng = rng or np.random.default_rng(0)
-    dim = gen.shape.dim
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    worst = 0.0
-    for (i, j) in gen.pairs:
-        left = permute_factors(apply_pair_channel(gen, a, i, j), pi, gen.shape)
-        pi_i, pi_j = min(pi[i], pi[j]), max(pi[i], pi[j])
-        right = apply_pair_channel(gen, permute_factors(a, pi, gen.shape), pi_i, pi_j)
-        worst = max(worst, float(np.abs(left - right).max()))
-    out["pair_relabel"] = worst
-    return out

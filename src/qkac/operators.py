@@ -9,10 +9,12 @@ a_1 d^{N-1} + ... + a_N.  With this ordering ``tensor(A, B)`` equals
 ``np.kron(A, B)`` and has block structure A[i, j] * B.
 
 Factor permutations use the homomorphism convention:
-``permutation_unitary(pi)`` maps the basis vector indexed by
-(a_1, ..., a_N) to the one indexed by (a_{pi^{-1}(1)}, ..., a_{pi^{-1}(N)}).
-Consequently U_{pi o rho} = U_pi U_rho, and conjugating a product operator
-moves the content of slot m to slot pi(m):
+``permute_factors(a, pi)`` is the conjugation U_pi a U_pi^* by the
+unitary U_pi that maps the basis vector indexed by (a_1, ..., a_N) to
+the one indexed by (a_{pi^{-1}(1)}, ..., a_{pi^{-1}(N)}).  Consequently
+U_{pi o rho} = U_pi U_rho, so permuting by rho and then by pi equals
+permuting by pi o rho, and a product operator has the content of slot m
+moved to slot pi(m):
 
     U_pi (A_1 x ... x A_N) U_pi^* = B_1 x ... x B_N,  B_{pi(m)} = A_m.
 
@@ -72,17 +74,6 @@ def tensor_power(op: np.ndarray, n: int) -> np.ndarray:
 
 def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
     return np.abs(a - a.conj().T).max() <= tol
-
-
-def is_unitary(a: np.ndarray) -> bool:
-    eye = np.eye(a.shape[0])
-    return np.abs(a @ a.conj().T - eye).max() <= TOL_HERM
-
-
-def is_positive_semidefinite(a: np.ndarray) -> bool:
-    if not is_hermitian(a, tol=max(TOL_PSD, TOL_HERM)):
-        return False
-    return np.linalg.eigvalsh(a).min() >= -TOL_PSD
 
 
 def validate_density_matrix(rho: np.ndarray, tol_psd: float = TOL_PSD) -> np.ndarray:
@@ -145,7 +136,7 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# factor permutations and embeddings
+# factor permutations
 # ---------------------------------------------------------------------------
 
 def _validate_permutation(pi, n: int) -> list:
@@ -162,26 +153,6 @@ def _invert(pi: list) -> list:
     return inv
 
 
-def permutation_unitary(pi, shape: FactorShape) -> np.ndarray:
-    """Unitary permuting tensor factors; slot pi(m) receives factor m."""
-    n, d = shape.num_factors, shape.factor_dim
-    pi = _validate_permutation(pi, n)
-    inv = _invert(pi)
-    dim = shape.dim
-    digits = np.empty((dim, n), dtype=np.int64)
-    idx = np.arange(dim)
-    for k in range(n - 1, -1, -1):
-        digits[:, k] = idx % d
-        idx //= d
-    # target index of basis vector alpha is (alpha_{pi^{-1}(1)}, ...)
-    permuted = digits[:, inv]
-    weights = d ** np.arange(n - 1, -1, -1)
-    rows = permuted @ weights
-    u = np.zeros((dim, dim), dtype=complex)
-    u[rows, np.arange(dim)] = 1.0
-    return u
-
-
 def permute_factors(a: np.ndarray, pi, shape: FactorShape) -> np.ndarray:
     """Conjugation U_pi a U_pi^* computed by axis transposition (no matmul)."""
     n, d = shape.num_factors, shape.factor_dim
@@ -192,33 +163,11 @@ def permute_factors(a: np.ndarray, pi, shape: FactorShape) -> np.ndarray:
     return t.transpose(axes).reshape(shape.dim, shape.dim)
 
 
-def embed_pair(a2: np.ndarray, i: int, j: int, shape: FactorShape) -> np.ndarray:
-    """Embed a two-factor operator so it acts on factors (i, j) of N.
-
-    The first factor of ``a2`` lands on slot i, the second on slot j; all
-    other slots carry the identity.  Realized by conjugating a2 x 1 with
-    the canonical factor permutation.
-    """
-    n, d = shape.num_factors, shape.factor_dim
-    a2 = np.asarray(a2, dtype=complex)
-    if not (0 <= i < n and 0 <= j < n and i != j):
-        raise ValueError(f"factor indices ({i}, {j}) out of range for N={n}")
-    if a2.shape != (d * d, d * d):
-        raise ValueError(f"pair operator has shape {a2.shape}, expected {(d * d, d * d)}")
-    if n == 2 and (i, j) == (0, 1):
-        return a2.copy()
-    full = tensor(a2, np.eye(d ** (n - 2))) if n > 2 else a2
-    rest = [k for k in range(n) if k not in (i, j)]
-    pi = [0] * n
-    pi[0], pi[1] = i, j
-    for slot, target in zip(range(2, n), rest):
-        pi[slot] = target
-    return permute_factors(full, pi, shape)
-
-
 def swap_unitary(d: int) -> np.ndarray:
-    """Two-factor swap: (phi x psi) -> (psi x phi)."""
-    return permutation_unitary([1, 0], FactorShape(2, d))
+    """Two-factor swap: (phi x psi) -> (psi x phi), the identity with the
+    two digits of its row index exchanged."""
+    eye = np.eye(d * d, dtype=complex).reshape(d, d, d * d)
+    return eye.transpose(1, 0, 2).reshape(d * d, d * d)
 
 
 def reorder_pair_basis(m: np.ndarray) -> np.ndarray:
@@ -252,16 +201,6 @@ def partial_trace(rho: np.ndarray, shape: FactorShape, keep: int) -> np.ndarray:
     return np.einsum("arbr->ab", t)
 
 
-def trace_first(rho: np.ndarray, shape: FactorShape, drop: int) -> np.ndarray:
-    """Trace out the first ``drop`` factors, returning the trailing marginal."""
-    n, d = shape.num_factors, shape.factor_dim
-    if not 1 <= drop < n:
-        raise ValueError(f"drop={drop} out of range 1..{n - 1}")
-    da, db = d ** drop, d ** (n - drop)
-    t = np.asarray(rho, dtype=complex).reshape(da, db, da, db)
-    return np.einsum("rarb->ab", t)
-
-
 # ---------------------------------------------------------------------------
 # Hermitian matrix functions, entropies, norms
 # ---------------------------------------------------------------------------
@@ -270,14 +209,6 @@ def _require_hermitian(a: np.ndarray, what: str) -> None:
     herm = np.abs(a - a.conj().T).max()
     if herm > TOL_HERM:
         raise ValueError(f"{what} requires Hermitian input (residual {herm:.3e})")
-
-
-def hermitian_function(a: np.ndarray, fn) -> np.ndarray:
-    """Apply a scalar function through the eigendecomposition of a Hermitian matrix."""
-    a = np.asarray(a, dtype=complex)
-    _require_hermitian(a, "matrix function")
-    w, v = np.linalg.eigh(a)
-    return (v * fn(w)) @ v.conj().T
 
 
 def _spectral_entropy(w: np.ndarray, tol_psd: float) -> float:
@@ -340,10 +271,6 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray,
     diag = np.einsum("ij,ji->i", vs.conj().T, rho @ vs).real
     term_s = float((diag[pos_s] * np.log(ws[pos_s])).sum())
     return term_r - term_s
-
-
-def hs_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
 
 
 def op_norm(a: np.ndarray) -> float:

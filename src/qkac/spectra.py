@@ -54,14 +54,6 @@ class SingleParticleModel:
         return FactorShape(num_factors, self.dim)
 
 
-def occupancy(alpha, d: int) -> tuple:
-    """Occupancy vector: entry j counts how often level j appears in alpha."""
-    m = [0] * d
-    for a in alpha:
-        m[a] += 1
-    return tuple(m)
-
-
 @dataclass(frozen=True)
 class ShellStructure:
     """The product basis of N factors, partitioned into energy shells and
@@ -141,23 +133,6 @@ def shell_decomposition(model: SingleParticleModel, num_factors: int,
     """
     st = shell_structure(model, num_factors, force=force)
     return [(E, _multi_indices(st, idx)) for E, idx in st.shells]
-
-
-def shell_projector(model: SingleParticleModel, num_factors: int, E: int,
-                    force: bool = False) -> np.ndarray:
-    """Orthogonal projection onto the energy-E eigenspace of the free Hamiltonian."""
-    idx = shell_structure(model, num_factors, force=force).shell(E)
-    dim = model.dim ** num_factors
-    p = np.zeros((dim, dim), dtype=complex)
-    p[idx, idx] = 1.0
-    return p
-
-
-def shell_state(model: SingleParticleModel, num_factors: int, E: int,
-                force: bool = False) -> np.ndarray:
-    """Normalized shell projection (the microcanonical state at energy E)."""
-    p = shell_projector(model, num_factors, E, force=force)
-    return p / np.trace(p).real
 
 
 # ---------------------------------------------------------------------------
@@ -257,21 +232,6 @@ def is_fully_ergodic(model: SingleParticleModel, num_factors: int,
     energies, num = np.unique(st.class_energies, return_counts=True)
     counts = dict(zip(energies.tolist(), num.tolist()))
     return all(c == 1 for c in counts.values()), counts
-
-
-def accidental_relations(model: SingleParticleModel, num_factors: int,
-                         force: bool = False) -> list:
-    """Shells whose energy is realized by more than one occupancy vector.
-
-    For integer spectra standing in for rationally independent ones, an
-    empty result certifies that at this particle number every shell is a
-    single permutation orbit, so no unintended degeneracies occur.
-    """
-    occs = shell_structure(model, num_factors, force=force).occupancies
-    by_energy = {}
-    for E, m in zip((occs @ np.asarray(model.energies)).tolist(), occs.tolist()):
-        by_energy.setdefault(E, []).append(tuple(m))
-    return sorted((E, ms) for E, ms in by_energy.items() if len(ms) > 1)
 
 
 def class_projections(model: SingleParticleModel, num_factors: int,

@@ -11,7 +11,6 @@ TOL_TRACE = 1e-10       # trace-one residual
 TOL_PSD = 1e-9          # most negative admissible eigenvalue
 TOL_FIXED_EIG = 1e-8    # distance from 1 for fixed-space eigenvalues
 TAIL_TOL = 1e-12        # Poisson tail cutoff in the jump-series evolver
-TOL_STEADY = 1e-10      # residual for steady-state checks
 
 SIZE_GUARD = 4096       # largest allowed total Hilbert dimension d**N
 

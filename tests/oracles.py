@@ -1,0 +1,267 @@
+"""Helpers that only the tests call, kept out of the library as oracles
+and test fixtures: predicates on matrices, dense factor permutations and
+pair embeddings, shell projectors, the identity-only spec, the closed-form
+diagonal Wild convolution, the full spectrum of Q_N, the
+permutation-covariance residuals and the dissipation form of the
+linearized operator.
+"""
+
+import numpy as np
+
+from qkac.boltzmann import wild
+from qkac.collisions import CollisionSpec, superoperator_from_nodes
+from qkac.linearized import BKMGeometry, _pair_geometry, multiply_super
+from qkac.master import (KacGenerator, _block_fixed_vectors, _shell_blocks,
+                         apply_pair_channel, apply_QN)
+from qkac.operators import (FactorShape, _invert, _require_hermitian,
+                            _validate_permutation, is_hermitian, permute_factors, tensor)
+from qkac.spectra import SingleParticleModel, shell_structure
+from qkac.tolerances import TOL_HERM, TOL_PSD
+
+TOL_STEADY = 1e-10      # residual for steady-state checks
+
+
+class UnsupportedOperationError(RuntimeError):
+    """The requested computation is not defined for this object."""
+
+
+# ---------------------------------------------------------------------------
+# predicates, permutations, embeddings, traces and norms (operators)
+# ---------------------------------------------------------------------------
+
+def is_unitary(a: np.ndarray) -> bool:
+    eye = np.eye(a.shape[0])
+    return np.abs(a @ a.conj().T - eye).max() <= TOL_HERM
+
+
+def is_positive_semidefinite(a: np.ndarray) -> bool:
+    if not is_hermitian(a, tol=max(TOL_PSD, TOL_HERM)):
+        return False
+    return np.linalg.eigvalsh(a).min() >= -TOL_PSD
+
+
+def permutation_unitary(pi, shape: FactorShape) -> np.ndarray:
+    """Unitary permuting tensor factors; slot pi(m) receives factor m."""
+    n, d = shape.num_factors, shape.factor_dim
+    pi = _validate_permutation(pi, n)
+    inv = _invert(pi)
+    dim = shape.dim
+    digits = np.empty((dim, n), dtype=np.int64)
+    idx = np.arange(dim)
+    for k in range(n - 1, -1, -1):
+        digits[:, k] = idx % d
+        idx //= d
+    # target index of basis vector alpha is (alpha_{pi^{-1}(1)}, ...)
+    permuted = digits[:, inv]
+    weights = d ** np.arange(n - 1, -1, -1)
+    rows = permuted @ weights
+    u = np.zeros((dim, dim), dtype=complex)
+    u[rows, np.arange(dim)] = 1.0
+    return u
+
+
+def embed_pair(a2: np.ndarray, i: int, j: int, shape: FactorShape) -> np.ndarray:
+    """Embed a two-factor operator so it acts on factors (i, j) of N.
+
+    The first factor of ``a2`` lands on slot i, the second on slot j; all
+    other slots carry the identity.  Realized by conjugating a2 x 1 with
+    the canonical factor permutation.
+    """
+    n, d = shape.num_factors, shape.factor_dim
+    a2 = np.asarray(a2, dtype=complex)
+    if not (0 <= i < n and 0 <= j < n and i != j):
+        raise ValueError(f"factor indices ({i}, {j}) out of range for N={n}")
+    if a2.shape != (d * d, d * d):
+        raise ValueError(f"pair operator has shape {a2.shape}, expected {(d * d, d * d)}")
+    if n == 2 and (i, j) == (0, 1):
+        return a2.copy()
+    full = tensor(a2, np.eye(d ** (n - 2))) if n > 2 else a2
+    rest = [k for k in range(n) if k not in (i, j)]
+    pi = [0] * n
+    pi[0], pi[1] = i, j
+    for slot, target in zip(range(2, n), rest):
+        pi[slot] = target
+    return permute_factors(full, pi, shape)
+
+
+def trace_first(rho: np.ndarray, shape: FactorShape, drop: int) -> np.ndarray:
+    """Trace out the first ``drop`` factors, returning the trailing marginal."""
+    n, d = shape.num_factors, shape.factor_dim
+    if not 1 <= drop < n:
+        raise ValueError(f"drop={drop} out of range 1..{n - 1}")
+    da, db = d ** drop, d ** (n - drop)
+    t = np.asarray(rho, dtype=complex).reshape(da, db, da, db)
+    return np.einsum("rarb->ab", t)
+
+
+def hermitian_function(a: np.ndarray, fn) -> np.ndarray:
+    """Apply a scalar function through the eigendecomposition of a Hermitian matrix."""
+    a = np.asarray(a, dtype=complex)
+    _require_hermitian(a, "matrix function")
+    w, v = np.linalg.eigh(a)
+    return (v * fn(w)) @ v.conj().T
+
+
+def hs_norm(a: np.ndarray) -> float:
+    return float(np.linalg.norm(a))
+
+
+# ---------------------------------------------------------------------------
+# occupancy vectors and shell projections (spectra)
+# ---------------------------------------------------------------------------
+
+def occupancy(alpha, d: int) -> tuple:
+    """Occupancy vector: entry j counts how often level j appears in alpha."""
+    m = [0] * d
+    for a in alpha:
+        m[a] += 1
+    return tuple(m)
+
+
+def shell_projector(model: SingleParticleModel, num_factors: int, E: int,
+                    force: bool = False) -> np.ndarray:
+    """Orthogonal projection onto the energy-E eigenspace of the free Hamiltonian."""
+    idx = shell_structure(model, num_factors, force=force).shell(E)
+    dim = model.dim ** num_factors
+    p = np.zeros((dim, dim), dtype=complex)
+    p[idx, idx] = 1.0
+    return p
+
+
+def shell_state(model: SingleParticleModel, num_factors: int, E: int,
+                force: bool = False) -> np.ndarray:
+    """Normalized shell projection (the microcanonical state at energy E)."""
+    p = shell_projector(model, num_factors, E, force=force)
+    return p / np.trace(p).real
+
+
+def accidental_relations(model: SingleParticleModel, num_factors: int,
+                         force: bool = False) -> list:
+    """Shells whose energy is realized by more than one occupancy vector.
+
+    For integer spectra standing in for rationally independent ones, an
+    empty result certifies that at this particle number every shell is a
+    single permutation orbit, so no unintended degeneracies occur.
+    """
+    occs = shell_structure(model, num_factors, force=force).occupancies
+    by_energy = {}
+    for E, m in zip((occs @ np.asarray(model.energies)).tolist(), occs.tolist()):
+        by_energy.setdefault(E, []).append(tuple(m))
+    return sorted((E, ms) for E, ms in by_energy.items() if len(ms) > 1)
+
+
+# ---------------------------------------------------------------------------
+# the identity-only spec (collisions)
+# ---------------------------------------------------------------------------
+
+def identity_spec(model: SingleParticleModel) -> CollisionSpec:
+    """Degenerate specification containing only the trivial collision."""
+    d = model.dim
+    nodes = [(1.0, np.eye(d * d, dtype=complex))]
+    return CollisionSpec(model, "identity_only", "sampled",
+                         superoperator_from_nodes(nodes, d * d), nodes)
+
+
+# ---------------------------------------------------------------------------
+# closed-form Wild convolution and the steady-state check (boltzmann)
+# ---------------------------------------------------------------------------
+
+def wild_diagonal(model: SingleParticleModel, a: np.ndarray,
+                  b: np.ndarray) -> np.ndarray:
+    """Closed form of the Wild convolution when the channel is the exact
+    conditional expectation onto the pair energy algebra:
+
+        A * B = sum_{i,k} A_ii B_kk Tr_2[sigma_{e_i + e_k}].
+
+    Only the diagonals of A and B enter.  Tr_2[sigma_E] gives level l the
+    share of the shell's pairs whose first level is l, which also covers
+    degenerate single-particle spectra (the count of partners of a level
+    inside a shell is weighted by multiplicity).
+    """
+    st = shell_structure(model, 2)
+    coeff = np.outer(np.diagonal(a), np.diagonal(b)).ravel()
+    out = np.zeros(model.dim, dtype=complex)
+    for _, idx in st.shells:
+        share = np.bincount(st.digits[idx, 0], minlength=model.dim) / len(idx)
+        out += coeff[idx].sum() * share
+    return np.diag(out)
+
+
+def is_steady(spec: CollisionSpec, rho: np.ndarray,
+              tol: float = TOL_STEADY) -> bool:
+    """Check rho * rho = rho directly (valid also for boundary states)."""
+    rho = np.asarray(rho, dtype=complex)
+    return np.linalg.norm(wild(spec, rho, rho) - rho) <= tol
+
+
+# ---------------------------------------------------------------------------
+# spectrum and permutation covariance of Q_N (master)
+# ---------------------------------------------------------------------------
+
+def qn_spectrum(gen: KacGenerator) -> np.ndarray:
+    """All eigenvalues of Q_N on the operator space, via the shell blocks."""
+    eigs = [_block_fixed_vectors(gen, rows, cols, tol=0.0)[1]
+            for rows, cols in _shell_blocks(gen, diagonal_only=False)]
+    return np.sort(np.concatenate(eigs))
+
+
+def permutation_covariance_check(gen: KacGenerator, rho: np.ndarray, pi,
+                                 rng: np.random.Generator | None = None) -> dict:
+    """Residuals of the permutation-covariance identities.
+
+    * ``symmetric_state``: || Q_N(U_pi rho U_pi^*) - Q_N rho || for the
+      given (expected symmetric) state.
+    * ``pair_relabel``: || U_pi (Q_{i,j} A) U_pi^* - Q_{pi(i),pi(j)}(U_pi A U_pi^*) ||
+      on a random A, maximized over all pairs (i, j); conjugating by U_pi
+      relabels the colliding pair.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    pi = list(pi)
+    out = {}
+    lhs = apply_QN(gen, permute_factors(rho, pi, gen.shape))
+    out["symmetric_state"] = float(np.abs(lhs - apply_QN(gen, rho)).max())
+    rng = rng or np.random.default_rng(0)
+    dim = gen.shape.dim
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    worst = 0.0
+    for (i, j) in gen.pairs:
+        left = permute_factors(apply_pair_channel(gen, a, i, j), pi, gen.shape)
+        pi_i, pi_j = min(pi[i], pi[j]), max(pi[i], pi[j])
+        right = apply_pair_channel(gen, permute_factors(a, pi, gen.shape), pi_i, pi_j)
+        worst = max(worst, float(np.abs(left - right).max()))
+    out["pair_relabel"] = worst
+    return out
+
+
+# ---------------------------------------------------------------------------
+# dissipation form of the linearized operator (linearized)
+# ---------------------------------------------------------------------------
+
+def dirichlet_form(spec: CollisionSpec, geo: BKMGeometry, a: np.ndarray,
+                   b: np.ndarray) -> complex:
+    """Symmetrized dissipation form, equal to <B, K A>_BKM:
+
+        -1/2 sum_k w_k Tr[ (B# - U_k B# U_k^*)^* [rho x rho] (A# - U_k A# U_k^*) ],
+
+    where X# = X x 1 + 1 x X.  The prefactor carries the factor 2 of the
+    evolution d rho/dt = 2(rho * rho - rho); without it the form would be
+    the dissipation of the half-speed flow.  Needs an explicit node
+    family; closed-form specs without one are unsupported.
+    """
+    if spec.nodes is None:
+        raise UnsupportedOperationError(
+            f"spec '{spec.name}' carries no node family; the dissipation form "
+            "needs individual collision unitaries")
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    d = geo.dim
+    eye = np.eye(d)
+    pair_geo = _pair_geometry(geo)
+    asharp = tensor(a, eye) + tensor(eye, a)
+    bsharp = tensor(b, eye) + tensor(eye, b)
+    total = 0.0 + 0.0j
+    for w, u in spec.nodes:
+        da = asharp - u @ asharp @ u.conj().T
+        db = bsharp - u @ bsharp @ u.conj().T
+        total += w * np.trace(db.conj().T @ multiply_super(pair_geo, da))
+    return complex(-0.5 * total)

@@ -5,19 +5,18 @@ from hypothesis import strategies as st
 
 from qkac import boltzmann
 from qkac.boltzmann import (classify_steady_states, collision_invariants_basis,
-                            conserved_check, gibbs, is_steady, qkbe_integrate,
-                            steady_state_from_coeffs, wild, wild_diagonal,
-                            wild_sum_plan)
+                            conserved_check, gibbs, qkbe_integrate,
+                            steady_state_from_coeffs, wild, wild_sum_plan)
 from qkac.collisions import (CollisionSpec, Superoperator, exact_EA2_spec,
-                             identity_spec, qubit_tilted_spec, qubit_uniform_spec)
+                             qubit_tilted_spec, qubit_uniform_spec)
 from qkac.errors import NumericalContractError
 from qkac.operators import (FactorShape, partial_trace, random_density,
-                            relative_entropy, tensor, trace_first,
-                            von_neumann_entropy)
+                            relative_entropy, tensor, von_neumann_entropy)
 from qkac.spectra import SingleParticleModel
 from qkac.tolerances import TOL_PSD
 from conftest import random_matrix, random_state, random_unitary
 from kinetic_oracles import picard_solve, rk4_reference
+from oracles import identity_spec, is_steady, trace_first, wild_diagonal
 
 
 def qubit_state(a, z):
@@ -186,10 +185,11 @@ def test_gibbs_states():
     assert np.allclose(np.diag(gibbs(model, -np.log(2.0))), [1 / 3, 2 / 3])
 
 
-@pytest.mark.parametrize("energies", [(0, 1), (1, 10, 100)])
-@pytest.mark.parametrize("beta", [1e6, -1e6])
+@pytest.mark.parametrize("energies", [(0, 1), (1, 10, 100), (0, 10)])
+@pytest.mark.parametrize("beta", [1e6, -1e6, 1e308, -1e308])
 def test_gibbs_extreme_beta_is_the_pure_extreme_level(energies, beta):
-    # exp(-beta E) under- or overflows for every level at this beta
+    # exp(-beta E) under- or overflows for every level at these betas, and
+    # at +-1e308 so does -beta E itself
     rho = gibbs(SingleParticleModel(energies), beta)
     want = np.zeros(len(energies))
     want[0 if beta > 0 else -1] = 1.0

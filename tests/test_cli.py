@@ -75,6 +75,11 @@ def test_unknown_tolerance_rejected(tmp_path, capsys):
                  "--tol", "nope=1"]) == 1
 
 
+MASTER_RANDOM = {"command": "evolve-master", "model": QUBIT, "spec": "qubit_tilted",
+                 "params": {"N": 3, "t_max": 1.0, "steps": 2,
+                            "initial": {"kind": "random"}}}
+
+
 def gibbs_qkbe(beta):
     return {"command": "evolve-qkbe", "model": QUBIT, "spec": "qubit_tilted",
             "params": {"t_max": 1.0, "steps": 2,
@@ -350,6 +355,27 @@ def test_unread_tolerance_names_rejected(tmp_path, capsys, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config_tols, argv", [
+    (None, ("--tol", "tail=2")),
+    (None, ("--tol", "tail=0")),
+    (None, ("--tol", "psd=-1")),
+    (None, ("--tol", "psd=1")),
+    ({"fixed_eig": 0}, ()),
+    ({"tail": 1.5}, ()),
+], ids=["tail_2", "tail_0", "psd_negative", "psd_1", "config_fixed_eig_0",
+        "config_tail_1.5"])
+def test_tolerances_outside_the_unit_interval_rejected(tmp_path, capsys, config_tols, argv):
+    # tail=2 ended every jump series at its first term, so each row repeated
+    # the t=0 row; tail=0 never met the tail and psd=-1 failed as a negative
+    # eigenvalue
+    doc = MASTER_RANDOM if config_tols is None else {**MASTER_RANDOM,
+                                                     "tolerances": config_tols}
+    code, out = run_cli(tmp_path, doc, extra=argv)
+    assert code == 1
+    assert "must lie in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_spatial_unloaded():
     # verify_spec imports scipy.spatial itself, so CLI start-up does not pay for it
     src = str(Path(qkac.__file__).resolve().parents[1])
@@ -590,6 +616,20 @@ def test_chaos_passes_the_tolerances_on(tmp_path, monkeypatch):
     assert seen[0] == ("qkbe_integrate", {"tol_psd": 2e-9})
     assert seen[1:] == [("evolve_master", {"tail_tol": 1e-11, "tol_psd": 2e-9})] * 4
     assert f"psd={2e-9:.17g} tail={1e-11:.17g}" in (out / "manifest.txt").read_text()
+
+
+def test_gap_reads_the_psd_tolerance(tmp_path, capsys):
+    doc = gap([{"kind": "diag", "values": [5e-10, 1.0]}])
+    code, out = run_cli(tmp_path, doc)
+    assert code == 1
+    assert ("reference state must be strictly positive (min eigenvalue 5.000e-10)"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    code, out = run_cli(tmp_path, doc, extra=("--tol", "psd=1e-12"))
+    assert code == 0
+    a = 5e-10 / (1 + 5e-10)
+    (row,) = read_csv(out / "gap.csv")[1:]
+    assert abs(float(row[2]) - (6 + a) / 4) < 1e-12
 
 
 def test_gap_command(tmp_path):

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from qkac.collisions import (CollisionSpec, _closure_residual, exact_EA2_spec,
-                             fixed_space_of_Q, identity_spec, is_ergodic,
+                             fixed_space_of_Q, is_ergodic,
                              parse_sampled_nodes, qubit_tilted_spec,
                              qubit_uniform_spec, sampled_spec_from_file, spec_by_name,
                              superoperator_from_nodes, symmetrize_nodes,
                              verify_spec)
-from qkac.operators import (hs_norm, reorder_pair_basis, swap_unitary, tensor)
-from qkac.spectra import (SingleParticleModel, shell_decomposition, shell_projector,
-                          shell_state)
+from qkac.operators import reorder_pair_basis, swap_unitary, tensor
+from qkac.spectra import SingleParticleModel, shell_decomposition
 from conftest import random_matrix, random_state, random_unitary
+from oracles import hs_norm, identity_spec, shell_projector, shell_state
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +109,16 @@ def test_uniform_channel_idempotent(uniform_spec):
     assert np.abs(q.mat @ q.mat - q.mat).max() < 1e-13
 
 
+def test_closed_form_qubit_specs_carry_no_nodes(uniform_spec, tilted_spec):
+    # their node families are the sampled grids, qubit_*_spec(points)
+    assert uniform_spec.nodes is None and tilted_spec.nodes is None
+
+
 def test_tilted_channel_powers_converge(tilted_spec, uniform_spec):
     q = tilted_spec.channel
     assert np.abs(q.mat @ q.mat - q.mat).max() > 1e-3
-    high = q.power(200).mat
-    higher = q.power(201).mat
+    high = np.linalg.matrix_power(q.mat, 200)
+    higher = np.linalg.matrix_power(q.mat, 201)
     assert np.abs(high - higher).max() < 1e-12
     # the limit is the conditional expectation onto the energy algebra
     assert np.abs(high - uniform_spec.channel.mat).max() < 1e-12

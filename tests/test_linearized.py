@@ -7,13 +7,13 @@ import scipy.linalg
 
 from qkac.boltzmann import (classify_steady_states, collision_invariants_basis,
                             gibbs, wild)
-from qkac.collisions import Superoperator, exact_EA2_spec
-from qkac.errors import UnsupportedOperationError
-from qkac.linearized import (BKMGeometry, bkm_inner, build_K,
-                             dirichlet_form, divide_super, multiply_super,
-                             spectral_gap)
+from qkac.collisions import (Superoperator, exact_EA2_spec, qubit_tilted_spec,
+                             qubit_uniform_spec)
+from qkac.linearized import (BKMGeometry, bkm_inner, build_K, divide_super,
+                             multiply_super, spectral_gap)
 from qkac.spectra import SingleParticleModel
 from conftest import random_matrix, random_state
+from oracles import UnsupportedOperationError, dirichlet_form
 
 
 def hermitian(rng, dim):
@@ -73,6 +73,12 @@ def test_bkm_positive_definite(rng):
 def test_bkm_rejects_singular_reference():
     with pytest.raises(ValueError):
         BKMGeometry(np.diag([1.0, 0.0]).astype(complex))
+
+
+def test_bkm_rejects_nan_reference():
+    # NaN compares False with any bound, so it must fail the check, not pass it
+    with pytest.raises(ValueError, match="strictly positive"):
+        BKMGeometry(np.diag([np.nan, 1.0]).astype(complex))
 
 
 def test_multiply_divide_inverse(rng):
@@ -209,18 +215,20 @@ def test_k_bkm_self_adjoint_and_dissipative(uniform_spec, tilted_spec, rng):
 
 def test_dirichlet_form_matches_k(uniform_spec, tilted_spec, rng):
     geo = BKMGeometry(np.diag([0.3, 0.7]).astype(complex))
-    for spec in (uniform_spec, tilted_spec):
+    # the 8-point grids carry the nodes of the same channels
+    for spec, grid in ((uniform_spec, qubit_uniform_spec(8)),
+                       (tilted_spec, qubit_tilted_spec(8))):
         k = build_K(spec, geo)
         for _ in range(10):
             a = random_matrix(rng, 2)
             b = random_matrix(rng, 2)
-            df = dirichlet_form(spec, geo, a, b)
+            df = dirichlet_form(grid, geo, a, b)
             assert abs(df - bkm_inner(geo, b, k(a))) < 1e-9
         for inv in collision_invariants_basis(spec.model):
-            assert abs(dirichlet_form(spec, geo, inv, inv)) < 1e-12
+            assert abs(dirichlet_form(grid, geo, inv, inv)) < 1e-12
         for _ in range(20):
             a = hermitian(rng, 2)
-            assert dirichlet_form(spec, geo, a, a).real <= 1e-9
+            assert dirichlet_form(grid, geo, a, a).real <= 1e-9
 
 
 def test_dirichlet_unsupported_without_nodes(ea2_qubit):

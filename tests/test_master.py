@@ -2,20 +2,21 @@ import numpy as np
 import pytest
 
 from qkac import master
-from qkac.collisions import exact_EA2_spec, identity_spec, spec_by_name
+from qkac.collisions import (exact_EA2_spec, qubit_tilted_spec, qubit_uniform_spec,
+                             spec_by_name)
 from qkac.errors import NumericalContractError
 from qkac.master import (MAX_BLOCK_DIM, KacGenerator, _shell_block,
                          _shell_blocks, apply_LN, apply_pair_channel, apply_QN,
                          entropy_production, evolve_master, ln_null_basis,
-                         permutation_covariance_check, qn_spectrum,
                          steady_states_basis)
-from qkac.operators import (commutator, embed_pair, hermitian_function,
-                            partial_trace, relative_entropy, tensor_power,
-                            trace_norm)
+from qkac.operators import (commutator, partial_trace, relative_entropy,
+                            tensor_power, trace_norm)
 from qkac.spectra import (SingleParticleModel, commutant_projection,
-                          shell_state, shell_structure)
+                          shell_structure)
 from qkac.tolerances import TOL_PSD
 from conftest import random_matrix, random_state, symmetrize_state
+from oracles import (embed_pair, hermitian_function, identity_spec,
+                     permutation_covariance_check, qn_spectrum, shell_state)
 
 
 def pair_sum_oracle(spec, rho, num_particles):
@@ -53,7 +54,7 @@ def test_apply_qn_matches_direct_summation_oracle(uniform_spec):
     rho = np.zeros((8, 8), dtype=complex)
     rho[4, 4] = 1.0  # |100><100|
     got = apply_QN(gen, rho)
-    want = pair_sum_oracle(uniform_spec, rho, 3)
+    want = pair_sum_oracle(qubit_uniform_spec(8), rho, 3)
     assert np.abs(got - want).max() < 1e-12
     # supported on the E=1 shell: indices 1, 2, 4
     support = np.where(np.abs(np.diag(got)) > 1e-14)[0]
@@ -65,7 +66,7 @@ def test_apply_qn_random_oracle(tilted_spec, rng):
     gen = KacGenerator(tilted_spec, 3)
     rho = random_state(rng, 8)
     assert np.abs(apply_QN(gen, rho)
-                  - pair_sum_oracle(tilted_spec, rho, 3)).max() < 1e-12
+                  - pair_sum_oracle(qubit_tilted_spec(8), rho, 3)).max() < 1e-12
 
 
 def test_apply_pair_channel_rejects_bad_pairs(tilted_spec, rng):

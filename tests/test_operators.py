@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkac.operators import (FactorShape, _negative_eigenvalue, embed_pair,
-                            entropy_and_relative_entropy, hermitian_function,
-                            is_hermitian, is_positive_semidefinite, is_unitary,
-                            partial_trace, permutation_unitary, permute_factors,
+from qkac.operators import (FactorShape, _negative_eigenvalue,
+                            entropy_and_relative_entropy, is_hermitian,
+                            partial_trace, permute_factors,
                             random_density, relative_entropy, reorder_pair_basis,
-                            swap_unitary, tensor, trace_first, trace_norm,
+                            swap_unitary, tensor, trace_norm,
                             validate_density_matrix, von_neumann_entropy)
 from conftest import random_matrix, random_state, random_unitary
+from oracles import (embed_pair, hermitian_function, is_positive_semidefinite,
+                     is_unitary, permutation_unitary, trace_first)
 
 
 def test_tensor_identity():

@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
-from qkac.boltzmann import classify_steady_states, wild_diagonal
+from qkac.boltzmann import classify_steady_states
 from qkac.collisions import (CollisionSpec, Superoperator, exact_EA2_spec,
-                             fixed_space_of_Q, identity_spec, is_ergodic,
+                             fixed_space_of_Q, is_ergodic,
                              qubit_tilted_spec, qubit_uniform_spec)
 from qkac.operators import FactorShape, partial_trace
-from qkac.spectra import (SingleParticleModel, accidental_relations, classify_shell,
-                          occupancy, shell_decomposition, shell_projector, shell_state)
+from qkac.spectra import SingleParticleModel, classify_shell, shell_decomposition
 from qkac.tolerances import TOL_FIXED_EIG
 from conftest import random_matrix
+from oracles import (accidental_relations, identity_spec, occupancy, shell_projector,
+                     shell_state, wild_diagonal)
 
 MODELS = [(0, 1), (0, 1, 2), (0, 1, 4, 5), (1, 10, 100), (0, 2, 3, 7),
           (0, 0, 1), (0, 0, 0, 1), (0, 0, 1, 1)]

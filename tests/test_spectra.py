@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkac.operators import FactorShape
-from qkac.spectra import (SingleParticleModel, accidental_relations,
-                          classify_shell, class_projections,
-                          commutant_projection, is_fully_ergodic, occupancy,
-                          shell_decomposition, shell_projector, shell_state)
+from qkac.spectra import (SingleParticleModel, classify_shell, class_projections,
+                          commutant_projection, is_fully_ergodic,
+                          shell_decomposition)
 from conftest import random_matrix, random_state
+from oracles import accidental_relations, occupancy, shell_projector, shell_state
 
 
 def bfs_class_counts(energies, num_particles):

@@ -1,0 +1,61 @@
+"""The public surface that code outside the library reads: every function
+the benchmark traces and every name the acceptance suite imports resolves,
+and the helpers only tests call live in ``oracles``, not in ``qkac``."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import qkac
+import oracles
+
+ROOT = Path(__file__).resolve().parents[1]
+
+MOVED_TO_ORACLES = (
+    "is_unitary", "is_positive_semidefinite", "embed_pair", "trace_first",
+    "hermitian_function", "hs_norm", "permutation_unitary",
+    "occupancy", "shell_projector", "shell_state", "accidental_relations",
+    "identity_spec", "wild_diagonal", "is_steady", "TOL_STEADY",
+    "qn_spectrum", "permutation_covariance_check",
+    "dirichlet_form", "UnsupportedOperationError",
+)
+
+
+def traced_names():
+    """(module, name) for each entry of ``TRACED`` in perfbench/spans.py."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    (traced,) = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"]]
+    return [(f"qkac.{mod}", name) for mod, names in traced.items() for name in names]
+
+
+def acceptance_imports():
+    """(module, name) for each qkac import in tests/test_acceptance.py,
+    nested imports included."""
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "qkac"
+            for alias in node.names]
+
+
+def qkac_modules():
+    return [qkac] + [importlib.import_module(f"qkac.{m.name}")
+                     for m in pkgutil.iter_modules(qkac.__path__)]
+
+
+def test_traced_and_acceptance_names_resolve():
+    traced, imported = traced_names(), acceptance_imports()
+    assert traced and imported
+    missing = [f"{mod}.{name}" for mod, name in traced + imported if not hasattr(importlib.import_module(mod), name)]
+    assert missing == []
+
+
+def test_test_only_helpers_left_the_library():
+    left = [f"{m.__name__}.{name}" for m in qkac_modules()
+            for name in MOVED_TO_ORACLES if hasattr(m, name)]
+    assert left == []
+    assert all(hasattr(oracles, name) for name in MOVED_TO_ORACLES)
+    assert not hasattr(qkac.Superoperator, "power")
