@@ -128,6 +128,9 @@ class SpecReport:
     violations: list
 
 
+_PAIR_BLOCK = 1 << 21    # entries of the pair differences formed at once
+
+
 def _merge_nodes(ws, us) -> list:
     """(weight, unitary) pairs, heaviest first, with the weights of
     unitaries that agree to 9 decimals summed."""
@@ -159,19 +162,54 @@ def _closure_residual(ws, us, images):
 
     ``images[k]`` is the image of node ``us[k]`` (weight ``ws[k]``) under
     the closure map.  Each image hits the node nearest to it in the max
-    norm over the real and imaginary parts of the entries, found by one
-    exact k-d tree query.  Returns (matrix residual, weight residual)
+    norm over the real and imaginary parts of the entries, the first in
+    node order on a tie.  Returns (matrix residual, weight residual)
     maximized over nodes: the complex max-abs distance to the hit, and
     the weight difference, reported as 0 when at most 1e-9.
-    """
-    # imported here because scipy.spatial adds about 0.1 s to every CLI start
-    from scipy.spatial import cKDTree
 
+    The nodes are sorted by their projection on one fixed direction p.
+    Since |p . (x - y)| <= |p|_1 |x - y|_inf, the node nearest to an image
+    lies in the window of projections within |p|_1 r of the image's, r
+    the distance to the node nearest in projection, and only the window
+    is scanned.  On a closed set a window holds about one node; on a set
+    far from closed it can span every node.
+    """
     def real_rows(a):
         a = a.reshape(len(a), -1)
         return np.hstack([a.real, a.imag])
 
-    _, hit = cKDTree(real_rows(us)).query(real_rows(images), p=np.inf)
+    xs, ys = real_rows(us), real_rows(images)
+    p = np.random.default_rng(0).standard_normal(xs.shape[1])
+    px, py = xs @ p, ys @ p
+    order = np.argsort(px, kind="stable")
+    xs, proj = xs[order], px[order]
+    right = np.minimum(np.searchsorted(proj, py), len(proj) - 1)
+    left = np.maximum(right - 1, 0)
+    near = np.where(np.abs(proj[left] - py) <= np.abs(proj[right] - py), left, right)
+    r = np.abs(xs[near] - ys).max(axis=1)
+    # the slack covers the rounding of the projections, at most a few
+    # hundred ulps of |p|_1 times the largest entry
+    half = (r + 1e-12 * max(1.0, np.abs(xs).max(), np.abs(ys).max())) * np.abs(p).sum()
+    lo = np.minimum(np.searchsorted(proj, py - half, "left"), near)
+    hi = np.maximum(np.searchsorted(proj, py + half, "right"), near + 1)
+    hit = np.empty(len(ys), dtype=int)
+    # whole windows per block, about _PAIR_BLOCK entries of the pair
+    # differences each, so memory stays bounded
+    ends = np.cumsum(hi - lo)
+    per_block = max(1, _PAIR_BLOCK // xs.shape[1])
+    a = 0
+    while a < len(ys):
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - (hi[a] - lo[a]) + per_block,
+                                           "right")))
+        counts = hi[a:b] - lo[a:b]
+        starts = np.cumsum(counts) - counts
+        pos = np.arange(counts.sum()) + np.repeat(lo[a:b] - starts, counts)
+        diff = xs[pos]
+        diff -= np.repeat(ys[a:b], counts, axis=0)
+        dist = np.abs(diff, out=diff).max(axis=1)
+        best = dist == np.repeat(np.minimum.reduceat(dist, starts), counts)
+        hit[a:b] = np.minimum.reduceat(np.where(best, order[pos], len(xs)), starts)
+        a = b
     worst_mat = float(np.abs(us[hit] - images).max())
     worst_w = float(np.abs(ws[hit] - ws).max())
     return worst_mat, worst_w if worst_w > 1e-9 else 0.0

@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .boltzmann import collision_invariants_basis, wild
 from .collisions import CollisionSpec, Superoperator
@@ -180,7 +179,9 @@ def spectral_gap(spec: CollisionSpec, geo: BKMGeometry,
     so the eigenvalues of M are exactly the Hermitian-sector decay rates.
     Returns (gap, kernel_dim): kernel_dim counts the near-zero eigenvalues
     of M, and gap is the smallest eigenvalue of M on the orthogonal
-    complement of the scaled coordinates of the collision invariants.
+    complement of the scaled coordinates of the collision invariants,
+    spanned by right singular vectors of those coordinates; the gap does
+    not depend on which orthonormal basis of the complement is taken.
     """
     if k_op is None:
         k_op = build_K(spec, geo)
@@ -194,8 +195,11 @@ def spectral_gap(spec: CollisionSpec, geo: BKMGeometry,
     kernel_dim = int((np.abs(np.linalg.eigvalsh(m)) < _GAP_KERNEL_TOL).sum())
     invariants = np.stack(collision_invariants_basis(spec.model))
     # row a is diag(sqrt L) U^* vec(invariant a); the complement is the null
-    # space of the conjugate rows
+    # space of the conjugate rows: the right singular vectors past their rank,
+    # counted as scipy.linalg.null_space counts it
     coords = scale * (invariants.reshape(len(invariants), -1) @ u.conj())
-    comp = scipy.linalg.null_space(coords.conj())
+    _, s, vh = np.linalg.svd(coords.conj())
+    rank = int((s > s.max() * np.finfo(float).eps * max(coords.shape)).sum())
+    comp = vh[rank:].conj().T
     gap = float(np.linalg.eigvalsh(comp.conj().T @ m @ comp).min())
     return gap, kernel_dim

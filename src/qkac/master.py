@@ -173,6 +173,8 @@ def evolve_master(gen: KacGenerator, rho0: np.ndarray, t: float,
     """
     if t < 0:
         raise ValueError("time must be non-negative")
+    if not tail_tol >= 0:
+        raise ValueError("tail tolerance must be non-negative")
     rho0 = np.asarray(rho0, dtype=complex)
     if t == 0:
         return rho0.copy()
@@ -188,10 +190,12 @@ def evolve_master(gen: KacGenerator, rho0: np.ndarray, t: float,
             w = math.exp(k * math.log(rate) - rate - math.lgamma(k + 1))
             out += w * term
             acc += w
-            if acc >= 1.0 - tail_tol:
+            # past k = rate the tail after term k is at most the geometric
+            # series w sum_m (rate / (k + 1))^m; that bound ends the sum where
+            # 1 - tail_tol rounds to 1, which acc may never reach
+            if acc >= 1.0 - tail_tol or (k + 1 > rate
+                                          and w * rate / (k + 1 - rate) <= tail_tol):
                 break
-            if k > rate + 60 * math.sqrt(rate + 1.0) + 60:
-                raise NumericalContractError("jump series failed to meet the tail tolerance")
             term = apply_QN(gen, term)
             k += 1
     del term    # one matrix less alive while the positivity check factors its own copy

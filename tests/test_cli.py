@@ -376,12 +376,42 @@ def test_tolerances_outside_the_unit_interval_rejected(tmp_path, capsys, config_
     assert not out.exists()
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded():
-    # verify_spec imports scipy.spatial itself, so CLI start-up does not pay for it
+# one small run of each command; verify-spec on a sampled grid, so that the
+# closure check runs too
+SMALL_RUNS = {
+    "verify-spec": {"spec": "qubit_tilted", "params": {"points_per_angle": 4}},
+    "ergodicity": {"params": {"N": 3}},
+    "evolve-master": {"spec": "qubit_tilted", "params": MASTER_RANDOM["params"]},
+    "steady-states": {"spec": "qubit_uniform", "params": {"N": 2}},
+    "evolve-qkbe": {"spec": "qubit_tilted", "params": gibbs_qkbe(0.5)["params"]},
+    "steady-family": {},
+    "check-conserved": {"spec": "qubit_tilted", "params": {
+        "t_max": 1.0, "steps": 2, "initial": {"kind": "random"},
+        "invariants": ["identity", "h"]}},
+    "chaos": {"spec": "qubit_tilted", "params": {
+        "N_list": [2, 3], "t_max": 0.5, "steps": 2, "initial": {"kind": "maximally_mixed"}}},
+    "gap": {"spec": "qubit_tilted", "params": {"rho_inf": [{"kind": "gibbs", "beta": 0.5}]}},
+}
+
+
+def test_cli_runs_every_command_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: no command loads any part of scipy
+    assert sorted(SMALL_RUNS) == sorted(cli.COMMANDS)
+    paths = [str(write_config(tmp_path, {"command": command, "model": QUBIT,
+                                         "output_dir": str(tmp_path / command), **doc},
+                              f"{command}.json"))
+             for command, doc in SMALL_RUNS.items()]
+    code = ("import sys\n"
+            "import qkac.cli as cli\n"
+            "for path in sys.argv[1:]:\n"
+            "    assert cli.run(cli.load_config(path, None, False, {})) == 0, path\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n")
     src = str(Path(qkac.__file__).resolve().parents[1])
-    code = "import qkac.cli, sys; assert 'scipy.spatial' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True,
+    subprocess.run([sys.executable, "-c", code, *paths], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+    for command in cli.COMMANDS:
+        assert len(read_csv(tmp_path / command / f"{command}.csv")) > 1
 
 
 def test_verify_spec_command(tmp_path):
@@ -457,6 +487,22 @@ def test_evolve_qkbe_gibbs_extreme_beta(tmp_path, beta, level):
         assert cells["energy"] == level
         assert cells[f"rho_{level}{level}_re"] == 1.0
         assert cells[f"rho_{1 - level}{1 - level}_re"] == 0.0
+
+
+@pytest.mark.parametrize("tail", ["1e-17", "1e-300"])
+def test_evolve_master_meets_a_tail_below_the_rounding_of_one(tmp_path, tail):
+    # 1 - tail rounds to 1, which the summed Poisson weights may never reach;
+    # the bound on the tail ends the series instead
+    (tmp_path / "default").mkdir()
+    (tmp_path / "tight").mkdir()
+    code, out = run_cli(tmp_path / "default", MASTER_RANDOM)
+    assert code == 0
+    code, tight = run_cli(tmp_path / "tight", MASTER_RANDOM, extra=("--tol", f"tail={tail}"))
+    assert code == 0
+    rows, tight_rows = (read_csv(d / "evolve-master.csv") for d in (out, tight))
+    assert tight_rows[0] == rows[0]
+    assert np.abs(np.array(tight_rows[1:], dtype=float)
+                  - np.array(rows[1:], dtype=float)).max() < 1e-10
 
 
 def test_evolve_master_converges(tmp_path):

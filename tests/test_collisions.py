@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from qkac.collisions import (CollisionSpec, _closure_residual, exact_EA2_spec,
-                             fixed_space_of_Q, is_ergodic,
+from qkac.collisions import (_PAIR_BLOCK, CollisionSpec, _closure_residual,
+                             exact_EA2_spec, fixed_space_of_Q, is_ergodic,
                              parse_sampled_nodes, qubit_tilted_spec,
                              qubit_uniform_spec, sampled_spec_from_file, spec_by_name,
                              superoperator_from_nodes, symmetrize_nodes,
@@ -240,46 +240,75 @@ def closure_oracle(nodes, transform, weight_tol=1e-9):
     """Scan every node for each transformed node.
 
     The image hits the node nearest to it in the max norm over the real
-    and imaginary parts of the entries.  Returns the worst complex max-abs
-    distance to the hit, the worst weight difference (0 when at most
-    weight_tol), and the worst distance to the nearest node in the complex
-    max-abs norm itself.
+    and imaginary parts of the entries, the first in node order on a tie.
+    Returns the worst complex max-abs distance to the hit, the worst
+    weight difference (0 when at most weight_tol), and the worst distance
+    to the nearest node in the complex max-abs norm itself.
     """
+    ws = np.array([w for w, _ in nodes])
+    us = np.stack([u for _, u in nodes])
     worst_mat, worst_w, worst_nearest = 0.0, 0.0, 0.0
     for w, u in nodes:
-        target = transform(u)
-        diffs = [uv - target for _, uv in nodes]
-        real_dist = [max(np.abs(x.real).max(), np.abs(x.imag).max()) for x in diffs]
+        diffs = us - transform(u)
+        real_dist = np.maximum(np.abs(diffs.real).max(axis=(1, 2)),
+                               np.abs(diffs.imag).max(axis=(1, 2)))
         hit = int(np.argmin(real_dist))
         worst_mat = max(worst_mat, np.abs(diffs[hit]).max())
-        worst_w = max(worst_w, abs(nodes[hit][0] - w))
-        worst_nearest = max(worst_nearest, min(np.abs(x).max() for x in diffs))
+        worst_w = max(worst_w, abs(ws[hit] - w))
+        worst_nearest = max(worst_nearest, np.abs(diffs).max(axis=(1, 2)).min())
     return worst_mat, (worst_w if worst_w > weight_tol else 0.0), worst_nearest
 
 
 def test_closure_residual_matches_bruteforce_oracle(rng):
     v = swap_unitary(2)
     transforms = [lambda u: u.conj().T, lambda u: v @ u @ v.conj().T]
-    for _ in range(8):
-        family = [(1.0, np.eye(4, dtype=complex))] + [
-            (rng.uniform(0.2, 1.0), random_unitary(rng, 4)) for _ in range(2)]
+
+    def check(nodes):
+        ws = np.array([w for w, _ in nodes])
+        us = np.stack([u for _, u in nodes])
+        images = [us.conj().transpose(0, 2, 1), v @ us @ v.conj().T]
+        out = []
+        for transform, image in zip(transforms, images):
+            mat, w, nearest = closure_oracle(nodes, transform)
+            assert _closure_residual(ws, us, image) == (mat, w)
+            # the hit is within sqrt(2) of the complex-nearest distance
+            assert nearest <= mat <= np.sqrt(2) * nearest * (1 + 1e-12)
+            out.append((mat, w))
+        return out
+
+    def check_variants(family):
+        # the closed set of the family, one node dropped, one reweighted
         closed = symmetrize_nodes(family, 2)
         k = int(rng.integers(1, len(closed)))
         dropped = closed[:k] + closed[k + 1:]
         reweighted = [(w * (1.5 if j == k else 1.0), u) for j, (w, u) in enumerate(closed)]
-        for nodes in (closed, dropped, reweighted):
-            ws = np.array([w for w, _ in nodes])
-            us = np.stack([u for _, u in nodes])
-            images = [us.conj().transpose(0, 2, 1), v @ us @ v.conj().T]
-            for transform, image in zip(transforms, images):
-                mat, w, nearest = closure_oracle(nodes, transform)
-                assert _closure_residual(ws, us, image) == (mat, w)
-                # the hit is within sqrt(2) of the complex-nearest distance
-                assert nearest <= mat <= np.sqrt(2) * nearest * (1 + 1e-12)
-                if nodes is closed:
-                    assert mat < 1e-12 and w == 0.0
-                if nodes is dropped:
-                    assert mat > 1e-3
+        assert all(mat < 1e-12 and w == 0.0 for mat, w in check(closed))
+        assert all(mat > 1e-3 for mat, _ in check(dropped))
+        check(reweighted)
+        return closed
+
+    for _ in range(8):
+        check_variants([(1.0, np.eye(4, dtype=complex))] + [
+            (rng.uniform(0.2, 1.0), random_unitary(rng, 4)) for _ in range(2)])
+    # one and two nodes
+    assert check([(1.0, np.eye(4, dtype=complex))]) == [(0.0, 0.0)] * 2
+    check([(0.5, np.eye(4, dtype=complex)), (0.5, random_unitary(rng, 4))])
+    # the adjoint of w sits at exactly the same distance from x and from y:
+    # the first of them in node order is hit, whatever the order
+    phase = np.exp(0.7j)
+    x, y, w = (np.diag(a).astype(complex) for a in
+               ([phase, 1, 1, 1], [1, 1, 1, phase], [phase.conjugate(), 1, 1, phase.conjugate()]))
+    check([(0.2, x), (0.3, y), (0.5, w)])
+    check([(0.3, y), (0.2, x), (0.5, w)])
+    # a closed family of hundreds of nodes
+    closed = check_variants([(1.0, np.eye(4, dtype=complex))] + [
+        (rng.uniform(0.2, 1.0), random_unitary(rng, 4)) for _ in range(80)])
+    assert len(closed) >= 300
+    # far from closed, each window spans about every node, so the pairs
+    # fill several blocks
+    far = [(rng.uniform(0.2, 1.0), random_unitary(rng, 4)) for _ in range(600)]
+    assert len(far) ** 2 > 3 * (_PAIR_BLOCK // 32)
+    check(far)
 
 
 def test_fixed_space_dimensions(uniform_spec, tilted_spec, qubit_model):

@@ -162,6 +162,9 @@ def test_evolve_rejects_negative_time(tilted_spec, rng):
     gen = KacGenerator(tilted_spec, 2)
     with pytest.raises(ValueError):
         evolve_master(gen, random_state(rng, 4), -0.1)
+    # a negative tail tolerance would never end the jump series
+    with pytest.raises(ValueError, match="tail tolerance must be non-negative"):
+        evolve_master(gen, random_state(rng, 4), 0.1, tail_tol=-1e-12)
 
 
 def test_evolve_semigroup_property(tilted_spec, rng):
