@@ -26,7 +26,7 @@ import numpy as np
 
 from .boltzmann import qkbe_integrate
 from .collisions import CollisionSpec
-from .master import KacGenerator, apply_pair_channel, evolve_master
+from .master import KacGenerator, apply_pair_channel, apply_QN, evolve_master
 from .operators import (FactorShape, partial_trace, permute_factors, tensor,
                         tensor_power, trace_norm, von_neumann_entropy)
 from .tolerances import TAIL_TOL, TOL_PSD, check_size_guard
@@ -54,15 +54,12 @@ def g_k(spec: CollisionSpec, b: np.ndarray, num_particles: int) -> np.ndarray:
     k = round(np.log(b.shape[0]) / np.log(d))
     if k >= num_particles:
         raise ValueError(f"k={k} must be smaller than N={num_particles}")
-    inblock = np.zeros((d ** (k + 1), d ** (k + 1)), dtype=complex)
-    if k >= 2:
-        gen = KacGenerator(spec, k)
-        acc = np.zeros_like(b)
-        for (i, j) in gen.pairs:
-            acc += apply_pair_channel(gen, b, i, j) - b
-        inblock = tensor(acc, np.eye(d))
     n = num_particles
-    return (2.0 / (n - 1)) * inblock + ((n - k) / (n - 1)) * gamma_k(spec, b)
+    out = ((n - k) / (n - 1)) * gamma_k(spec, b)
+    if k >= 2:      # sum_{i<j<=k} (Q_ij - 1) B = binom(k, 2) (Q_k - 1) B
+        gen = KacGenerator(spec, k)
+        out += (2.0 / (n - 1)) * tensor(len(gen.pairs) * (apply_QN(gen, b) - b), np.eye(d))
+    return out
 
 
 def derivation_check(spec: CollisionSpec, x: np.ndarray, y: np.ndarray) -> float:
@@ -138,7 +135,7 @@ def run_chaos_experiment(exp: ChaosExperiment, tail_tol: float = TAIL_TOL,
     against the single-particle kinetic solution rho(t).  Entropy columns
     record the one-particle marginal entropy and the kinetic entropy.
     ``tail_tol`` and ``tol_psd`` go to ``evolve_master`` and ``tol_psd``
-    to ``qkbe_integrate``.
+    to ``qkbe_integrate`` and both entropies.
     """
     kinetic = qkbe_integrate(exp.spec, exp.rho0, exp.t_grid, tol_psd=tol_psd)
     rows = []
@@ -159,7 +156,7 @@ def run_chaos_experiment(exp: ChaosExperiment, tail_tol: float = TAIL_TOL,
                 t=float(t),
                 delta1=trace_norm(m1 - ref),
                 delta2=trace_norm(m2 - tensor(ref, ref)),
-                entropy_N=von_neumann_entropy(m1),
-                entropy_qkbe=von_neumann_entropy(ref),
+                entropy_N=von_neumann_entropy(m1, tol_psd),
+                entropy_qkbe=von_neumann_entropy(ref, tol_psd),
             ))
     return rows

@@ -445,12 +445,17 @@ def parse_sampled_nodes(text: str, dim: int) -> list:
 
 
 def sampled_spec_from_file(path, model: SingleParticleModel) -> CollisionSpec:
-    """Load a sampled specification from disk, closed by ``symmetrize_nodes``."""
+    """Load a sampled specification from disk, closed by ``symmetrize_nodes``;
+    every node must conserve the pair energy, |U h2 - h2 U| <= 1e-9."""
     with open(path) as fh:
         nodes = symmetrize_nodes(parse_sampled_nodes(fh.read(), model.dim * model.dim),
                                  model.dim)
-    return CollisionSpec(model, f"sampled_file:{path}", "sampled",
+    spec = CollisionSpec(model, f"sampled_file:{path}", "sampled",
                          superoperator_from_nodes(nodes, model.dim ** 2), nodes)
+    h2, us = spec.pair_hamiltonian(), np.stack([u for _, u in nodes])
+    if np.abs(us @ h2 - h2 @ us).max() > 1e-9:
+        raise ValueError("sampled-node matrices must conserve the pair energy to within 1e-9")
+    return spec
 
 
 def spec_by_name(name: str, model: SingleParticleModel,

@@ -15,10 +15,10 @@ stable and never materializes the full superoperator.
 
 The pair channel is sparse, and most of its nonzeros lie on its diagonal,
 which only rescales entries of the operand.  Summed over the pairs, that
-diagonal becomes one (d,) * 2N array D, so one application of Q_N is the
-elementwise product D * rho plus, for each pair and each off-diagonal
-nonzero of the channel, one scaled strided slice of rho added into
-another.
+diagonal becomes one (d,) * 2N array D; the rest of Q_N is one table of
+(out slice, in slice, value) triples on the (d,) * 2N view, one per pair
+of factors and off-diagonal nonzero.  Q_N rho is D * rho plus each scaled
+in slice added into its out slice, and the shell blocks read the table.
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ class KacGenerator:
 
     ``_pair_diag`` is the channel diagonal on its (d,) * 4 pair axes,
     ``_diag`` its average over the pairs' axes (i, j, N+i, N+j) as one
-    (d,) * 2N array, and ``_moves`` the channel's off-diagonal nonzeros
-    as (out digits, in digits, value).
+    (d,) * 2N array, ``_moves`` the channel's off-diagonal nonzeros as
+    (out digits, in digits, value), and ``_slices`` the rest of Q_N as
+    (out slice, in slice, value / binom(N, 2)) triples, per pair and move.
     """
 
     spec: CollisionSpec
@@ -67,6 +68,7 @@ class KacGenerator:
     _pair_diag: np.ndarray = field(init=False, repr=False)
     _diag: np.ndarray = field(init=False, repr=False)
     _moves: list = field(init=False, repr=False)
+    _slices: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.num_particles < 2:
@@ -85,6 +87,8 @@ class KacGenerator:
         for (i, j) in self.pairs:
             self._diag += _on_pair_axes(self._pair_diag, n, i, j)
         self._diag /= len(self.pairs)
+        self._slices = [(dst, src, s / len(self.pairs)) for (i, j) in self.pairs
+                        for dst, src, s in _pair_slices(self, i, j)]
 
     @property
     def pairs(self):
@@ -102,29 +106,35 @@ def _on_pair_axes(a4: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
     return a4.transpose(np.argsort(axes)).reshape(shape)
 
 
-def _add_moves(gen: KacGenerator, out: np.ndarray, x: np.ndarray,
-               i: int, j: int, scale: float) -> None:
-    """Add ``scale`` times the off-diagonal part of Q_{i,j} x into ``out``:
-    for each off-diagonal nonzero, the slice of the (d,) * 2N view ``x``
-    with axes (i, j, N+i, N+j) fixed to its in digits, scaled, into the
-    slice of ``out`` fixed to its out digits."""
+def _pair_slices(gen: KacGenerator, i: int, j: int) -> list:
+    """The off-diagonal part of Q_{i,j}, for an ordered pair of factors, as
+    (out slice, in slice, value) triples on the (d,) * 2N view: each move
+    fixes axes (i, j, N+i, N+j) to its out digits in the first slice and to
+    its in digits in the second."""
     n = gen.num_particles
-    for o, a, s in gen._moves:
-        dst, src = [slice(None)] * (2 * n), [slice(None)] * (2 * n)
-        for ax, od, ad in zip((i, j, n + i, n + j), o, a):
-            dst[ax], src[ax] = od, ad
-        out[tuple(dst)] += (scale * s) * x[tuple(src)]
+
+    def fix(digits):
+        at = dict(zip((i, j, n + i, n + j), digits))
+        return tuple(at.get(ax, slice(None)) for ax in range(2 * n))
+
+    return [(fix(o), fix(a), s) for o, a, s in gen._moves]
 
 
-def _tensor_view(gen: KacGenerator, rho) -> tuple:
-    """``rho`` as a complex array and its (d,) * 2N tensor view; ``rho`` is
-    a d^N x d^N matrix or that tensor view itself."""
+def _apply(gen: KacGenerator, rho, diag: np.ndarray, slices: list) -> np.ndarray:
+    """``diag`` times ``rho`` plus, for each (out slice, in slice, value)
+    triple of ``slices``, the scaled in slice of ``rho`` added into the out
+    slice; ``rho`` is a d^N x d^N matrix or its (d,) * 2N tensor view, and
+    the image has the same shape."""
     d, n = gen.shape.factor_dim, gen.shape.num_factors
     rho = np.asarray(rho, dtype=complex)
     if rho.shape not in ((gen.shape.dim,) * 2, (d,) * (2 * n)):
         raise ValueError(f"operand shape {rho.shape} does not match dimension "
                          f"{gen.shape.dim} or its tensor shape {(d,) * (2 * n)}")
-    return rho, rho.reshape((d,) * (2 * n))
+    x = rho.reshape((d,) * (2 * n))
+    out = diag * x
+    for dst, src, s in slices:
+        out[dst] += s * x[src]
+    return out.reshape(rho.shape)
 
 
 def apply_pair_channel(gen: KacGenerator, rho: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -136,20 +146,12 @@ def apply_pair_channel(gen: KacGenerator, rho: np.ndarray, i: int, j: int) -> np
     n = gen.num_particles
     if not (0 <= i < n and 0 <= j < n and i != j):
         raise ValueError(f"pair ({i}, {j}) is not two distinct factors of N={n}")
-    rho, x = _tensor_view(gen, rho)
-    out = _on_pair_axes(gen._pair_diag, n, i, j) * x
-    _add_moves(gen, out, x, i, j, 1.0)
-    return out.reshape(rho.shape)
+    return _apply(gen, rho, _on_pair_axes(gen._pair_diag, n, i, j), _pair_slices(gen, i, j))
 
 
 def apply_QN(gen: KacGenerator, rho: np.ndarray) -> np.ndarray:
     """Uniform average of the pair channels, on a matrix or its tensor view."""
-    rho, x = _tensor_view(gen, rho)
-    out = gen._diag * x
-    pairs = gen.pairs
-    for (i, j) in pairs:
-        _add_moves(gen, out, x, i, j, 1.0 / len(pairs))
-    return out.reshape(rho.shape)
+    return _apply(gen, rho, gen._diag, gen._slices)
 
 
 def apply_LN(gen: KacGenerator, x: np.ndarray) -> np.ndarray:
@@ -216,31 +218,22 @@ def evolve_master(gen: KacGenerator, rho0: np.ndarray, t: float,
 # ---------------------------------------------------------------------------
 
 def _shell_block(gen: KacGenerator, rows, cols) -> np.ndarray:
-    """Matrix of Q_N on the operators supported on rows x cols, gathered
-    from the sparse kernel and ordered row-major over the block.
+    """Matrix of Q_N on the operators supported on rows x cols, read off
+    ``_diag`` and ``_slices`` and ordered row-major over the block.
 
-    Its diagonal is the block of ``_diag``.  For each entry of ``_moves``
-    and each pair, every block entry whose digits on the pair are the
-    entry's in digits is sent to the block entry carrying its out digits.
+    Each triple of ``_slices`` moves the entries of its in slice one to one
+    onto its out slice; the moves with both ends in the block add into it.
     """
-    dim, pairs = gen.shape.dim, np.array(gen.pairs)
-    digits = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).digits
-    step = gen.spec.model.dim ** (gen.num_particles - 1 - pairs)   # place of each pair digit
-    nc, size = len(cols), len(rows) * len(cols)
+    dim, size = gen.shape.dim, len(rows) * len(cols)
     block = np.zeros((size, size), dtype=complex)
     block.flat[::size + 1] = gen._diag.reshape(dim, dim)[np.ix_(rows, cols)].ravel()
-    where = np.full((2, dim), -1)       # position of a flat index among rows, cols
-    where[0, rows], where[1, cols] = np.arange(len(rows)), np.arange(nc)
-    for o, a, s in gen._moves:
-        dst = []    # per side, the block position each index moves to on each pair, or -1
-        for k, idx in enumerate((rows, cols)):
-            a_k, o_k = np.array(a[2 * k:2 * k + 2]), np.array(o[2 * k:2 * k + 2])
-            hit = (digits[idx][:, pairs] == a_k).all(axis=2)
-            moved = (idx[:, None] + step @ (o_k - a_k)) % dim
-            dst.append(np.where(hit, where[k, moved], -1))
-        r, c, p = np.nonzero((dst[0] >= 0)[:, None, :] & (dst[1] >= 0)[None, :, :])
-        # two pairs can send one entry to the same place, hence add.at
-        np.add.at(block, (dst[0][r, p] * nc + dst[1][c, p], r * nc + c), s / len(pairs))
+    where = np.full((dim, dim), -1)     # block position of each entry, or -1
+    where[np.ix_(rows, cols)] = np.arange(size).reshape(len(rows), len(cols))
+    where = where.reshape(gen._diag.shape)
+    for dst, src, s in gen._slices:
+        i, j = where[dst].ravel(), where[src].ravel()
+        keep = (i >= 0) & (j >= 0)
+        block[i[keep], j[keep]] += s
     return block
 
 

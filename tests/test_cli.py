@@ -101,6 +101,8 @@ def gap(rho_inf):
 ERGODICITY = {"command": "ergodicity", "model": QUBIT, "params": {"N": 2}}
 NAN_WEIGHT_NODES = f"sampled_file:{Path(__file__).parent / 'data' / 'nan_weight_nodes.txt'}"
 NON_UNITARY_NODES = f"sampled_file:{Path(__file__).parent / 'data' / 'non_unitary_nodes.txt'}"
+ENERGY_VIOLATING_NODES = (
+    f"sampled_file:{Path(__file__).parent / 'data' / 'energy_violating_nodes.txt'}")
 
 
 @pytest.mark.parametrize("doc", [
@@ -136,6 +138,11 @@ NON_UNITARY_NODES = f"sampled_file:{Path(__file__).parent / 'data' / 'non_unitar
     {"command": "evolve-qkbe", "model": QUBIT, "spec": NON_UNITARY_NODES,
      "params": {"t_max": 1.0, "steps": 2, "initial": {"kind": "maximally_mixed"}}},
     {"command": "verify-spec", "model": QUBIT, "spec": NON_UNITARY_NODES},
+    {"command": "steady-states", "model": QUBIT, "spec": ENERGY_VIOLATING_NODES,
+     "params": {"N": 3}},
+    {"command": "evolve-master", "model": QUBIT, "spec": ENERGY_VIOLATING_NODES, "seed": 1,
+     "params": {"N": 3, "t_max": 0.5, "steps": 2, "initial": {"kind": "random"}}},
+    {"command": "verify-spec", "model": QUBIT, "spec": ENERGY_VIOLATING_NODES},
     {"command": "evolve-qkbe", "model": QUBIT, "spec": "qubit_tilted",
      "params": {"t_max": 1.0, "step": 2, "initial": {"kind": "maximally_mixed"}}},
     {**ERGODICITY, "params": {"N": 2, "points_per_angle": 8}},
@@ -155,7 +162,9 @@ NON_UNITARY_NODES = f"sampled_file:{Path(__file__).parent / 'data' / 'non_unitar
         "seed_bool", "N_bool", "tolerance_bool", "t_max_bool", "matrix_part_string",
         "invariants_not_list", "rho_inf_values_nested", "points_per_angle_33",
         "node_file_weight_nan_evolve", "node_file_weight_nan_verify",
-        "node_file_not_unitary_evolve", "node_file_not_unitary_verify", "param_typo_step",
+        "node_file_not_unitary_evolve", "node_file_not_unitary_verify",
+        "node_file_energy_steady_states", "node_file_energy_evolve_master",
+        "node_file_energy_verify", "param_typo_step",
         "param_unread_by_command", "points_per_angle_for_exact_ea2", "steps_1e9",
         "steps_past_bound", "t_max_integer_past_float_range"])
 def test_malformed_config_exits_1_without_outputs(tmp_path, capsys, monkeypatch, doc):
@@ -662,6 +671,30 @@ def test_chaos_passes_the_tolerances_on(tmp_path, monkeypatch):
     assert seen[0] == ("qkbe_integrate", {"tol_psd": 2e-9})
     assert seen[1:] == [("evolve_master", {"tail_tol": 1e-11, "tol_psd": 2e-9})] * 4
     assert f"psd={2e-9:.17g} tail={1e-11:.17g}" in (out / "manifest.txt").read_text()
+
+
+def test_chaos_entropy_reads_the_psd_tolerance(tmp_path):
+    # eigenvalues at or below the psd tolerance count as zero in both
+    # entropies, so the kinetic column equals evolve-qkbe's at any tolerance
+    params = {"t_max": 0.5, "steps": 2,
+              "initial": {"kind": "matrix", "state": [[0.999, 0], [0, 0.001]]}}
+    extra = ("--tol", "psd=0.01")
+    (tmp_path / "chaos").mkdir()
+    (tmp_path / "qkbe").mkdir()
+    code, out = run_cli(tmp_path / "chaos", {
+        "command": "chaos", "model": QUBIT, "spec": "qubit_tilted",
+        "params": {"N_list": [2], **params}}, extra)
+    assert code == 0
+    header, *rows = read_csv(out / "chaos.csv")
+    chaos_entropy = [float(r[header.index("entropy_qkbe")]) for r in rows]
+    code, out = run_cli(tmp_path / "qkbe", {
+        "command": "evolve-qkbe", "model": QUBIT, "spec": "qubit_tilted",
+        "params": params}, extra)
+    assert code == 0
+    header, *rows = read_csv(out / "evolve-qkbe.csv")
+    qkbe_entropy = [float(r[header.index("entropy")]) for r in rows]
+    assert len(chaos_entropy) == len(qkbe_entropy) == 3
+    assert np.abs(np.subtract(chaos_entropy, qkbe_entropy)).max() < 1e-12
 
 
 def test_gap_reads_the_psd_tolerance(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,6 +429,9 @@ def test_sampled_file_errors(tmp_path, qubit_model):
     path.write_text("dim 3\n")
     with pytest.raises(ValueError):
         sampled_spec_from_file(path, qubit_model)
+    with pytest.raises(ValueError, match="conserve the pair energy"):
+        sampled_spec_from_file(Path(__file__).parent / "data" / "energy_violating_nodes.txt",
+                               qubit_model)
 
 
 def test_spec_by_name(qubit_model, three_level_model):

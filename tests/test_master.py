@@ -117,6 +117,8 @@ def units_block_oracle(gen, rows, cols):
     ("exact_ea2", (0, 1, 2), 3, False),
     ("exact_ea2", (0, 1, 4, 5), 3, False),
     ("identity", (0, 1, 3), 3, True),
+    ("qubit_tilted", (0, 1), 4, True),
+    ("exact_ea2", (0, 1, 2), 3, True),
 ])
 def test_shell_block_matches_matrix_unit_oracle(spec_name, energies, n,
                                                 all_blocks):
