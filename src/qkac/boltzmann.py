@@ -82,8 +82,8 @@ def wild_sum_plan(t_grid) -> tuple[np.ndarray, np.ndarray]:
     ``t_grid`` must increase from 0.  Substeps are at most 0.25 long and
     land on every grid time; a substep of length h keeps the
     M = ceil(ln eps / ln tau) terms, tau = 1 - e^{-2h}, whose tail mass
-    tau^M is below machine epsilon, and makes M - 1 stacked ``wild``
-    calls.  Nothing is formed per substep, so any span is planned at once.
+    tau^M is below machine epsilon, and forms the M - 1 terms past the
+    first.  Nothing is formed per substep, so any span is planned at once.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
@@ -96,13 +96,27 @@ def wild_sum_plan(t_grid) -> tuple[np.ndarray, np.ndarray]:
     return subs, np.ceil(np.log(np.finfo(float).eps) / np.log(tau))
 
 
+def _wild_sum_term(wild_matrix: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
+    """The Wild-sum term Q_n = (n-1)^{-1} sum_{k<n} Q_k * Q_{n-k}, flattened,
+    from the rows Q_1 .. Q_{n-1} of ``flat`` (the terms, each reshaped to
+    d^2 entries).
+
+    The n - 1 outer products are summed by one matrix product before the
+    one product with the Wild matrix, so no stack of d^4 entries per
+    product is formed: it equals ``wild(spec, q[:n-1], q[n-2::-1]).sum(0)``
+    up to the summation order.
+    """
+    pairs = flat[:n - 1].T @ flat[n - 2::-1]
+    return pairs.reshape(-1) @ wild_matrix / (n - 1)
+
+
 def qkbe_integrate(spec: CollisionSpec, rho0: np.ndarray, t_grid,
                    tol_psd: float = TOL_PSD) -> np.ndarray:
     """Integrate d rho/dt = 2(rho * rho - rho) through the given times.
 
     ``t_grid`` must increase from 0.  Each substep of ``wild_sum_plan``
-    is the truncated Wild sum, one stacked ``wild`` call per term past
-    the first.  Its Hermitian part is divided by its trace, and its
+    is the truncated Wild sum, one ``_wild_sum_term`` per term past the
+    first.  Its Hermitian part is divided by its trace, and its
     positivity is certified within tol_psd (never clipped), by the
     Cholesky test that ``evolve_master`` uses.  The largest trace defect
     removed between checkpoints is logged.  Returns the stacked
@@ -111,16 +125,18 @@ def qkbe_integrate(spec: CollisionSpec, rho0: np.ndarray, t_grid,
     t_grid = np.asarray(t_grid, dtype=float)
     subs, terms = wild_sum_plan(t_grid)
     rho = validate_density_matrix(rho0, tol_psd=tol_psd)
+    wild_matrix = spec.wild_matrix
     out = [rho]
     for t0, t1, nsub, m in zip(t_grid[:-1], t_grid[1:], subs.astype(int), terms.astype(int)):
         h = (t1 - t0) / nsub
         weights = np.exp(-2 * h) * (-np.expm1(-2 * h)) ** np.arange(m)
         q = np.empty((m,) + rho.shape, dtype=complex)
+        flat = q.reshape(m, -1)
         drift = 0.0
         for _ in range(nsub):
             q[0] = rho
             for n in range(2, m + 1):
-                q[n - 1] = wild(spec, q[:n - 1], q[n - 2::-1]).sum(0) / (n - 1)
+                flat[n - 1] = _wild_sum_term(wild_matrix, flat, n)
             nxt = np.tensordot(weights, q, 1)
             nxt = (nxt + nxt.conj().T) / 2
             tr = np.trace(nxt).real

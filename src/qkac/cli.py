@@ -224,13 +224,14 @@ def _read_params(cfg: RunConfig, rng: np.random.Generator) -> dict:
         if steps > MAX_STEPS:
             raise ConfigError(f"params.steps must be at most {MAX_STEPS}, got {steps}")
         out["grid"] = np.linspace(0.0, float(t_max), steps + 1)
-        # the kinetic solver's planned wild calls, at most as many as MAX_STEPS
-        # RK4 steps make; the jump series of the master equation grows with N t_max
+        # the Wild-sum terms the kinetic solver plans past the first of each
+        # substep, at most 4 * MAX_STEPS; the jump series of the master
+        # equation grows with N t_max
         if cfg.command != "evolve-master":
             subs, terms = wild_sum_plan(out["grid"])
-            calls = subs @ (terms - 1)
-            if calls > 4 * MAX_STEPS:
-                raise ConfigError(f"params.t_max = {t_max} needs {calls:.3g} wild calls, "
+            formed = subs @ (terms - 1)
+            if formed > 4 * MAX_STEPS:
+                raise ConfigError(f"params.t_max = {t_max} needs {formed:.3g} Wild-sum terms, "
                                   f"past the bound {4 * MAX_STEPS}")
         n_max = max(out.get("N_list") or [out.get("N", 1)])
         if t_max > MAX_STEPS / n_max:

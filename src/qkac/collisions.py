@@ -70,11 +70,20 @@ class Superoperator:
         s4 = self.mat.reshape(d, d, d, d)
         return s4.transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
+
+_NODE_BLOCK = 1 << 14   # nodes stacked at once by superoperator_from_nodes
+
+
 def superoperator_from_nodes(nodes, dim: int) -> Superoperator:
-    """Weighted average of unitary conjugations, assembled in one pass."""
-    ws = np.array([w for w, _ in nodes])
-    us = np.stack([u for _, u in nodes]).astype(complex)
-    s4 = np.einsum("m,mik,mjl->ijkl", ws, us, us.conj(), optimize=True)
+    """Weighted average of unitary conjugations, summed over blocks of
+    ``_NODE_BLOCK`` nodes so that no stack of every node is formed."""
+    s4 = None
+    for k in range(0, len(nodes), _NODE_BLOCK):
+        block = nodes[k:k + _NODE_BLOCK]
+        ws = np.array([w for w, _ in block])
+        us = np.array([u for _, u in block], dtype=complex)
+        part = np.einsum("m,mik,mjl->ijkl", ws, us, us.conj(), optimize=True)
+        s4 = part if s4 is None else s4 + part
     return Superoperator(s4.reshape(dim * dim, dim * dim), dim)
 
 
@@ -163,56 +172,148 @@ def _closure_residual(ws, us, images):
     ``images[k]`` is the image of node ``us[k]`` (weight ``ws[k]``) under
     the closure map.  Each image hits the node nearest to it in the max
     norm over the real and imaginary parts of the entries, the first in
-    node order on a tie.  Returns (matrix residual, weight residual)
-    maximized over nodes: the complex max-abs distance to the hit, and
-    the weight difference, reported as 0 when at most 1e-9.
-
-    The nodes are sorted by their projection on one fixed direction p.
-    Since |p . (x - y)| <= |p|_1 |x - y|_inf, the node nearest to an image
-    lies in the window of projections within |p|_1 r of the image's, r
-    the distance to the node nearest in projection, and only the window
-    is scanned.  On a closed set a window holds about one node; on a set
-    far from closed it can span every node.
+    node order on a tie (``_nearest_nodes``).  Returns (matrix residual,
+    weight residual) maximized over nodes: the complex max-abs distance to
+    the hit, and the weight difference, reported as 0 when at most 1e-9.
     """
     def real_rows(a):
         a = a.reshape(len(a), -1)
         return np.hstack([a.real, a.imag])
 
-    xs, ys = real_rows(us), real_rows(images)
+    hit = _nearest_nodes(real_rows(us), real_rows(images))
+    miss = us[hit]
+    miss -= images
+    worst_mat = float(np.abs(miss).max())
+    worst_w = float(np.abs(ws[hit] - ws).max())
+    return worst_mat, worst_w if worst_w > 1e-9 else 0.0
+
+
+_WIDE_WINDOW = 64       # windows longer than this go to the coordinate filter
+
+
+def _nearest_nodes(xs, ys):
+    """Index of the row of ``xs`` nearest to each row of ``ys`` in the max
+    norm, the first on a tie.
+
+    The rows of ``xs`` are sorted by their projection on one fixed
+    direction p.  Since |p . (x - y)| <= |p|_1 |x - y|_inf, the nearest
+    row lies in the window of projections within |p|_1 r of y's, r the
+    distance to the row nearest in projection.  On a closed set a window
+    holds about one row and is scanned.  On a set far from closed the
+    nearest row is about as far as the spread of the projections, so a
+    window can span every row; a window of more than ``_WIDE_WINDOW`` rows
+    goes to ``_coordinate_filter`` instead.
+    """
+    # the slack covers the rounding of the projections and of the window
+    # bounds, at most a few hundred ulps of the largest entry
+    slack = 1e-12 * max(1.0, xs.max(), -xs.min(), ys.max(), -ys.min())
     p = np.random.default_rng(0).standard_normal(xs.shape[1])
     px, py = xs @ p, ys @ p
     order = np.argsort(px, kind="stable")
-    xs, proj = xs[order], px[order]
+    sx, proj = xs[order], px[order]
     right = np.minimum(np.searchsorted(proj, py), len(proj) - 1)
     left = np.maximum(right - 1, 0)
-    near = np.where(np.abs(proj[left] - py) <= np.abs(proj[right] - py), left, right)
-    r = np.abs(xs[near] - ys).max(axis=1)
-    # the slack covers the rounding of the projections, at most a few
-    # hundred ulps of |p|_1 times the largest entry
-    half = (r + 1e-12 * max(1.0, np.abs(xs).max(), np.abs(ys).max())) * np.abs(p).sum()
-    lo = np.minimum(np.searchsorted(proj, py - half, "left"), near)
-    hi = np.maximum(np.searchsorted(proj, py + half, "right"), near + 1)
+    at = np.where(np.abs(proj[left] - py) <= np.abs(proj[right] - py), left, right)
+    r = sx[at]
+    r -= ys
+    r = np.abs(r, out=r).max(axis=1)
+    half = (r + slack) * np.abs(p).sum()
+    lo = np.minimum(np.searchsorted(proj, py - half, "left"), at)
+    hi = np.maximum(np.searchsorted(proj, py + half, "right"), at + 1)
+    wide = np.flatnonzero(hi - lo > _WIDE_WINDOW)
+    lo[wide], hi[wide] = at[wide], at[wide] + 1
+    counts = hi - lo
+    pos = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    hit = _nearest_candidates(sx, ys, counts, pos, order)
+    if wide.size:
+        hit[wide] = _coordinate_filter(xs, ys[wide], r[wide], order[at[wide]], slack)
+    return hit
+
+
+def _nearest_candidates(xs, ys, counts, cand, label):
+    """The label of the nearest of each row of ``ys`` among its ``counts``
+    candidate rows of ``xs``, listed one image after another in ``cand``:
+    the least label on a tie.  Whole candidate lists of about
+    ``_PAIR_BLOCK`` pair differences are formed at once, so memory stays
+    bounded."""
     hit = np.empty(len(ys), dtype=int)
-    # whole windows per block, about _PAIR_BLOCK entries of the pair
-    # differences each, so memory stays bounded
-    ends = np.cumsum(hi - lo)
+    ends = np.cumsum(counts)
     per_block = max(1, _PAIR_BLOCK // xs.shape[1])
     a = 0
     while a < len(ys):
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] - (hi[a] - lo[a]) + per_block,
-                                           "right")))
-        counts = hi[a:b] - lo[a:b]
-        starts = np.cumsum(counts) - counts
-        pos = np.arange(counts.sum()) + np.repeat(lo[a:b] - starts, counts)
-        diff = xs[pos]
-        diff -= np.repeat(ys[a:b], counts, axis=0)
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - counts[a] + per_block, "right")))
+        c = counts[a:b]
+        starts = np.cumsum(c) - c
+        block = cand[ends[a] - counts[a]:ends[b - 1]]
+        diff = xs[block]
+        diff -= np.repeat(ys[a:b], c, axis=0)
         dist = np.abs(diff, out=diff).max(axis=1)
-        best = dist == np.repeat(np.minimum.reduceat(dist, starts), counts)
-        hit[a:b] = np.minimum.reduceat(np.where(best, order[pos], len(xs)), starts)
+        best = dist == np.repeat(np.minimum.reduceat(dist, starts), c)
+        hit[a:b] = np.minimum.reduceat(np.where(best, label[block], len(xs)), starts)
         a = b
-    worst_mat = float(np.abs(us[hit] - images).max())
-    worst_w = float(np.abs(ws[hit] - ws).max())
-    return worst_mat, worst_w if worst_w > 1e-9 else 0.0
+    return hit
+
+
+def _coordinate_filter(xs, ys, r, near, slack, bins=64):
+    """``_nearest_nodes`` for the rows of ``ys`` whose projection windows are
+    wide; row ``near[k]`` of ``xs`` is at max-norm distance ``r[k]`` from
+    ``ys[k]``.
+
+    The bound r is first lowered to the nearest of the four rows nearest
+    in the Euclidean norm, found by one matrix product.  Only the rows
+    within r + slack of an image on every coordinate can then be nearer.
+    They are found with bitsets: on each coordinate the rows are ranked
+    and their ranks cut into ``bins`` bins, the rows within a coordinate
+    window of an image are the difference of two prefix unions of bins,
+    and the rows within every window are one AND per coordinate.  The
+    surviving rows are compared exactly.
+    """
+    n, dim = xs.shape
+    r, hit = r.copy(), near.copy()
+    rows = max(1, _PAIR_BLOCK // n)
+    scores = np.vstack([xs.T, -0.5 * (xs * xs).sum(axis=1)]).astype(np.float32)
+    for a in range(0, len(ys), rows):
+        y = ys[a:a + rows]
+        g = y.astype(np.float32) @ scores[:-1] + scores[-1]
+        for _ in range(4):
+            c = g.argmax(axis=1)
+            g[np.arange(len(g)), c] = -np.inf
+            dist = np.abs(xs[c] - y).max(axis=1)
+            closer = dist < r[a:a + rows]
+            r[a:a + rows][closer] = dist[closer]
+            hit[a:a + rows][closer] = c[closer]
+    del scores, g
+    # below[k, t] is the bitset of the rows ranked below t * size on coordinate k
+    size = -(-n // bins)
+    order = np.argsort(xs, axis=0, kind="stable")
+    sorted_cols = np.take_along_axis(xs, order, axis=0).T.copy()
+    rank_bin = np.empty((n, dim), dtype=np.int32)
+    np.put_along_axis(rank_bin, order, (np.arange(n, dtype=np.int32) // size)[:, None], axis=0)
+    del order
+    words = -(-n // 64)
+    below = np.zeros((dim, bins + 1, 8 * words), dtype=np.uint8)
+    cuts = np.arange(bins + 1)[:, None]
+    for k in range(dim):
+        below[k, :, :-(-n // 8)] = np.packbits(rank_bin[:, k] < cuts, axis=1, bitorder="little")
+    below = below.view(np.uint64)
+    del rank_bin
+    label = np.arange(n)
+    rows = max(1, _PAIR_BLOCK // (64 * words))
+    for a in range(0, len(ys), rows):
+        y, radius = ys[a:a + rows], r[a:a + rows] + slack
+        keep = np.full((len(y), words), ~np.uint64(0))
+        for k in range(dim):
+            lo = np.searchsorted(sorted_cols[k], y[:, k] - radius, "left") // size
+            hi = -(-np.searchsorted(sorted_cols[k], y[:, k] + radius, "right") // size)
+            keep &= below[k, hi] & ~below[k, lo]
+        img, word = np.nonzero(keep)
+        j, bit = np.nonzero(np.unpackbits(keep[img, word].view(np.uint8).reshape(-1, 8),
+                                          axis=1, bitorder="little"))
+        img, cand = img[j], word[j] * 64 + bit      # by image, then by row
+        counts = np.bincount(img, minlength=len(y))
+        found = np.flatnonzero(counts)
+        hit[a + found] = _nearest_candidates(xs, y[found], counts[found], cand, label)
+    return hit
 
 
 def verify_spec(spec: CollisionSpec) -> SpecReport:
@@ -270,40 +371,65 @@ def verify_spec(spec: CollisionSpec) -> SpecReport:
 # ---------------------------------------------------------------------------
 
 def _qubit_grid_nodes(points: int, tilted: bool) -> list:
-    """Equispaced product-grid discretization of the four-torus family."""
+    """Equispaced product-grid discretization of the four-torus family,
+    one node per distinct unitary, heaviest first.
+
+    On the grid the family has the exact coincidences
+
+        (phi, theta, psi, eta) ~ (phi + pi, -theta, psi, eta) ~ (phi, pi - theta, psi + pi, eta),
+
+    and phi drops out where sin(theta) = 0, psi where cos(theta) = 0.  So
+    each grid point (a, b, c, e) is keyed, in integer units of pi/n, by eta,
+    theta folded into [0, pi/2], and psi and phi shifted by pi where
+    cos(theta) and sin(theta) are negative, 0 where they vanish; the key
+    determines the unitary.  Each class of equal keys sums its weights in
+    grid order and is represented by its first grid point, and only the
+    representatives' unitaries are formed.  Classes of equal weight stay in
+    grid order.
+    """
     if points < 4:
         raise ValueError("need at least 4 points per angle for exactness")
     if points > 32:
         raise ValueError("at most 32 points per angle: 4 are already exact, "
                          "and memory grows as points**4")
-    angles = 2.0 * np.pi * np.arange(points) / points
+    n = points
+    angles = 2.0 * np.pi * np.arange(n) / n
     if tilted:
-        w1 = (1.0 + np.cos(angles)) / points
+        w1 = (1.0 + np.cos(angles)) / n
     else:
-        w1 = np.full(points, 1.0 / points)
-    phi, theta, psi, eta = [g.reshape(-1) for g in np.meshgrid(
-        angles, angles, angles, angles, indexing="ij")]
+        w1 = np.full(n, 1.0 / n)
     wgrid = (w1[:, None, None, None] * w1[None, :, None, None]
              * w1[None, None, :, None] * w1[None, None, None, :]).reshape(-1)
     keep = wgrid > 1e-15
-    phi, theta, psi, eta, wgrid = (a[keep] for a in (phi, theta, psi, eta, wgrid))
-    wgrid = wgrid / wgrid.sum()
-    m = wgrid.size
-    c, s = np.cos(theta), np.sin(theta)
-    u = np.zeros((m, 4, 4), dtype=complex)
-    u[:, 0, 0] = np.exp(1j * eta)
-    u[:, 1, 1] = np.exp(1j * psi) * c
-    u[:, 1, 2] = -np.exp(1j * phi) * s
-    u[:, 2, 1] = np.exp(-1j * phi) * s
-    u[:, 2, 2] = np.exp(-1j * psi) * c
-    u[:, 3, 3] = 1.0
+    wgrid = wgrid[keep]
+    wgrid /= wgrid.sum()
+    a, b, c, e = np.indices((n,) * 4, dtype=np.int32).reshape(4, -1)[:, keep]
+    # in units of pi/n, mod 2n: theta = 2b folded into [0, n/2]; psi = 2c
+    # and phi = 2a, moved by n where cos(theta) and sin(theta) are negative
+    # and set to 0 where they vanish
+    theta = np.minimum(np.minimum(2 * b, 2 * n - 2 * b), np.abs(n - 2 * b))
+    cos_neg = (4 * b > n) & (4 * b < 3 * n)
+    psi = np.where(4 * b % (2 * n) == n, 0, (2 * c + n * cos_neg) % (2 * n))
+    phi = np.where(2 * b % n == 0, 0, (2 * a + n * (2 * b > n)) % (2 * n))
+    key = ((e * 2 * n + theta) * 2 * n + psi) * 2 * n + phi
+    del theta, cos_neg, psi, phi      # at 32 points, 1M entries each
+    _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+    ws = np.bincount(cls, weights=wgrid)
+    by_grid = np.argsort(first)
+    order = by_grid[np.argsort(-ws[by_grid], kind="stable")]
+    rep = first[order]
+    phi, theta, psi, eta = angles[a[rep]], angles[b[rep]], angles[c[rep]], angles[e[rep]]
+    cos, sin = np.cos(theta), np.sin(theta)
+    u = np.zeros((rep.size, 4, 4), dtype=complex)
     # the family above is written with the first factor varying fastest;
-    # re-index into the package ordering
-    perm = np.array([0, 2, 1, 3])
-    u = u[:, perm][:, :, perm]
-    # at sin(theta) = 0 the phi-dependence drops out and grid points
-    # coincide; merge them so the weighted set is duplicate-free
-    return _merge_nodes(wgrid, u)
+    # the package ordering exchanges |01> and |10>
+    u[:, 0, 0] = np.exp(1j * eta)
+    u[:, 2, 2] = np.exp(1j * psi) * cos
+    u[:, 2, 1] = -np.exp(1j * phi) * sin
+    u[:, 1, 2] = np.exp(-1j * phi) * sin
+    u[:, 1, 1] = np.exp(-1j * psi) * cos
+    u[:, 3, 3] = 1.0
+    return list(zip(ws[order].tolist(), u))
 
 
 def _qubit_closed_channel(tilted: bool) -> Superoperator:

@@ -1,13 +1,41 @@
 """Independent solvers of the kinetic equation d rho/dt = 2(rho * rho - rho),
-kept as oracles for the Wild-sum integrator ``qkbe_integrate``: fixed-step
-RK4, and fixed-point iteration on the mild form."""
+kept as oracles for the Wild-sum integrator ``qkbe_integrate``: the Wild
+sum with one stacked ``wild`` call per term, fixed-step RK4, and
+fixed-point iteration on the mild form."""
 
 import numpy as np
 
-from qkac.boltzmann import wild
+from qkac.boltzmann import wild, wild_sum_plan
 from qkac.errors import NumericalContractError
 
 PICARD_TOL = 1e-8       # fixed-point iteration tolerance for the mild form
+
+
+def stacked_wild_sum(spec, rho0, t_grid):
+    """The truncated Wild sum on the substeps and terms of ``wild_sum_plan``,
+    each term one stacked ``wild`` call,
+
+        Q_n = wild(spec, Q[:n-1], Q[n-2::-1]).sum(0) / (n - 1),
+
+    and each substep's Hermitian part divided by its trace, as
+    ``qkbe_integrate`` does; no positivity certificate."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    subs, terms = wild_sum_plan(t_grid)
+    rho = np.asarray(rho0, dtype=complex)
+    out = [rho]
+    for t0, t1, nsub, m in zip(t_grid[:-1], t_grid[1:], subs.astype(int), terms.astype(int)):
+        h = (t1 - t0) / nsub
+        weights = np.exp(-2 * h) * (-np.expm1(-2 * h)) ** np.arange(m)
+        q = np.empty((m,) + rho.shape, dtype=complex)
+        for _ in range(nsub):
+            q[0] = rho
+            for n in range(2, m + 1):
+                q[n - 1] = wild(spec, q[:n - 1], q[n - 2::-1]).sum(0) / (n - 1)
+            nxt = np.tensordot(weights, q, 1)
+            nxt = (nxt + nxt.conj().T) / 2
+            rho = nxt / np.trace(nxt).real
+        out.append(rho)
+    return np.stack(out)
 
 
 def rk4_reference(spec, rho0, t_grid):

@@ -1,6 +1,7 @@
 """Helpers that only the tests call, kept out of the library as oracles
 and test fixtures: predicates on matrices, dense factor permutations and
-pair embeddings, shell projectors, the identity-only spec, the closed-form
+pair embeddings, shell projectors, the identity-only spec, the qubit grid
+nodes by brute-force merging, the closed-form
 diagonal Wild convolution, the full spectrum of Q_N, the
 permutation-covariance residuals and the dissipation form of the
 linearized operator.
@@ -9,7 +10,7 @@ linearized operator.
 import numpy as np
 
 from qkac.boltzmann import wild
-from qkac.collisions import CollisionSpec, superoperator_from_nodes
+from qkac.collisions import CollisionSpec, _merge_nodes, superoperator_from_nodes
 from qkac.linearized import BKMGeometry, _pair_geometry, multiply_super
 from qkac.master import (KacGenerator, _block_fixed_vectors, _shell_blocks,
                          apply_pair_channel, apply_QN)
@@ -160,6 +161,36 @@ def identity_spec(model: SingleParticleModel) -> CollisionSpec:
     nodes = [(1.0, np.eye(d * d, dtype=complex))]
     return CollisionSpec(model, "identity_only", "sampled",
                          superoperator_from_nodes(nodes, d * d), nodes)
+
+
+def merged_qubit_grid_nodes(points: int, tilted: bool) -> list:
+    """The qubit grid nodes by brute force: every grid unitary of the
+    four-torus family is formed, and ``_merge_nodes`` folds the ones that
+    agree to 9 decimals, summing their weights in grid order."""
+    angles = 2.0 * np.pi * np.arange(points) / points
+    if tilted:
+        w1 = (1.0 + np.cos(angles)) / points
+    else:
+        w1 = np.full(points, 1.0 / points)
+    phi, theta, psi, eta = [g.reshape(-1) for g in np.meshgrid(
+        angles, angles, angles, angles, indexing="ij")]
+    wgrid = (w1[:, None, None, None] * w1[None, :, None, None]
+             * w1[None, None, :, None] * w1[None, None, None, :]).reshape(-1)
+    keep = wgrid > 1e-15
+    phi, theta, psi, eta, wgrid = (a[keep] for a in (phi, theta, psi, eta, wgrid))
+    wgrid = wgrid / wgrid.sum()
+    c, s = np.cos(theta), np.sin(theta)
+    u = np.zeros((wgrid.size, 4, 4), dtype=complex)
+    u[:, 0, 0] = np.exp(1j * eta)
+    u[:, 1, 1] = np.exp(1j * psi) * c
+    u[:, 1, 2] = -np.exp(1j * phi) * s
+    u[:, 2, 1] = np.exp(-1j * phi) * s
+    u[:, 2, 2] = np.exp(-1j * psi) * c
+    u[:, 3, 3] = 1.0
+    # the family is written with the first factor varying fastest;
+    # re-index into the package ordering
+    perm = np.array([0, 2, 1, 3])
+    return _merge_nodes(wgrid, u[:, perm][:, :, perm])
 
 
 # ---------------------------------------------------------------------------

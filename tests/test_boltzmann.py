@@ -8,14 +8,14 @@ from qkac.boltzmann import (classify_steady_states, collision_invariants_basis,
                             conserved_check, gibbs, qkbe_integrate,
                             steady_state_from_coeffs, wild, wild_sum_plan)
 from qkac.collisions import (CollisionSpec, Superoperator, exact_EA2_spec,
-                             qubit_tilted_spec, qubit_uniform_spec)
+                             qubit_tilted_spec, qubit_uniform_spec, spec_by_name)
 from qkac.errors import NumericalContractError
 from qkac.operators import (FactorShape, partial_trace, random_density,
                             relative_entropy, tensor, von_neumann_entropy)
-from qkac.spectra import SingleParticleModel
+from qkac.spectra import SingleParticleModel, shell_structure
 from qkac.tolerances import TOL_PSD
 from conftest import random_matrix, random_state, random_unitary
-from kinetic_oracles import picard_solve, rk4_reference
+from kinetic_oracles import picard_solve, rk4_reference, stacked_wild_sum
 from oracles import identity_spec, is_steady, trace_first, wild_diagonal
 
 
@@ -277,23 +277,64 @@ def test_wild_sum_plan():
             wild_sum_plan(bad)
 
 
-def test_integrator_makes_the_planned_wild_calls(monkeypatch, tilted_spec):
-    # one stacked wild call per term past the first, one positivity
-    # certificate per substep
-    import qkac.boltzmann as boltzmann
-
+def test_integrator_forms_the_planned_wild_sum_terms(monkeypatch, tilted_spec):
+    # one summed-first term per Wild-sum term past the first, one
+    # positivity certificate per substep, and the trajectory of the form
+    # with one stacked wild call per term
     grid = [0.0, 0.1, 1.0, 2.5]
     subs, terms = wild_sum_plan(grid)
-    calls, certified = [], []
-    inner_wild, inner_cert = boltzmann.wild, boltzmann._negative_eigenvalue
-    monkeypatch.setattr(boltzmann, "wild",
-                        lambda *args: calls.append(args[1].shape) or inner_wild(*args))
+    formed, certified = [], []
+    inner_term, inner_cert = boltzmann._wild_sum_term, boltzmann._negative_eigenvalue
+    monkeypatch.setattr(boltzmann, "_wild_sum_term",
+                        lambda w, flat, n: formed.append(n) or inner_term(w, flat, n))
     monkeypatch.setattr(boltzmann, "_negative_eigenvalue",
                         lambda *args: certified.append(1) or inner_cert(*args))
-    qkbe_integrate(tilted_spec, qubit_state(0.3, 0.1 + 0.2j), grid)
-    assert len(calls) == subs @ (terms - 1) == 1 * 21 + 4 * 35 + 6 * 38
+    rho0 = qubit_state(0.3, 0.1 + 0.2j)
+    got = qkbe_integrate(tilted_spec, rho0, grid)
+    assert len(formed) == subs @ (terms - 1) == 1 * 21 + 4 * 35 + 6 * 38
     assert len(certified) == subs.sum() == 11
-    assert calls[:3] == [(1, 2, 2), (2, 2, 2), (3, 2, 2)]
+    assert formed[:3] == [2, 3, 4]
+    assert np.abs(got - stacked_wild_sum(tilted_spec, rho0, grid)).max() < 1e-14
+
+
+@pytest.fixture(scope="module")
+def node_file_spec(tmp_path_factory):
+    """A ``sampled_file:`` spec on the three-level model (0, 1, 3): the
+    identity and two unitaries drawn at random in every pair-energy shell,
+    closed by the loader."""
+    model = SingleParticleModel((0, 1, 3))
+    rng = np.random.default_rng(7)
+    lines = ["dim 9"]
+    for w in (0.5, 0.25, 0.25):
+        u = np.eye(9, dtype=complex)
+        if w < 0.5:
+            for _, idx in shell_structure(model, 2).shells:
+                u[np.ix_(idx, idx)] = random_unitary(rng, len(idx))
+        lines.append(f"weight {w}")
+        lines += [" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) for row in u]
+    path = tmp_path_factory.mktemp("nodes") / "shells.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return spec_by_name(f"sampled_file:{path}", model)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from(["qubit_tilted", "qubit_uniform", "exact_ea2", "sampled_file"]),
+       st.lists(st.integers(0, 9), min_size=2, max_size=4), st.integers(0, 2 ** 32 - 1),
+       st.integers(2, 24))
+def test_summed_first_terms_match_stacked_wild(node_file_spec, kind, energies, seed, m):
+    if kind == "exact_ea2":
+        spec = exact_EA2_spec(SingleParticleModel(tuple(sorted(energies))))
+    elif kind == "sampled_file":
+        spec = node_file_spec
+    else:
+        spec = spec_by_name(kind, SingleParticleModel((0, 1)))
+    rng = np.random.default_rng(seed)
+    q = np.stack([random_state(rng, spec.dim) for _ in range(m)])
+    flat = q.reshape(m, -1)
+    for n in range(2, m + 1):
+        want = wild(spec, q[:n - 1], q[n - 2::-1]).sum(0) / (n - 1)
+        got = boltzmann._wild_sum_term(spec.wild_matrix, flat, n)
+        assert np.abs(got - want.reshape(-1)).max() < 1e-13
 
 
 @pytest.mark.parametrize("c", [5000.0, 1e100])
@@ -301,7 +342,7 @@ def test_non_cp_spec_fails_within_the_planned_calls(monkeypatch, c):
     # Q(A) = (1 - c) A + c Z1 A Z1 is not completely positive for c > 1/2,
     # so the Wild sum is no convex combination: at c = 5000 it breaks
     # positivity by far, at c = 1e100 it overflows to NaN; the call must
-    # raise, never return NaN, and make no more wild calls than it planned
+    # raise, never return NaN, and form no more Wild-sum terms than it planned
     import qkac.boltzmann as boltzmann
 
     z1 = np.kron(np.diag([1.0, -1.0]), np.eye(2))
@@ -309,8 +350,9 @@ def test_non_cp_spec_fails_within_the_planned_calls(monkeypatch, c):
     spec = CollisionSpec(SingleParticleModel((0, 1)), "stiff", "closed_form",
                          Superoperator(mat, 4))
     calls = []
-    inner = boltzmann.wild
-    monkeypatch.setattr(boltzmann, "wild", lambda *args: calls.append(1) or inner(*args))
+    inner = boltzmann._wild_sum_term
+    monkeypatch.setattr(boltzmann, "_wild_sum_term",
+                        lambda *args: calls.append(1) or inner(*args))
     rho0 = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
     subs, terms = wild_sum_plan([0.0, 1.0])
     with np.errstate(all="ignore"), pytest.raises(NumericalContractError,

@@ -292,13 +292,13 @@ def test_forced_huge_N_out_of_memory_exits_1_without_traceback(tmp_path):
 
 
 @pytest.mark.parametrize("command, params, bound", [
-    ("evolve-qkbe", {"initial": {"kind": "maximally_mixed"}}, "wild calls"),
-    ("check-conserved", {"initial": {"kind": "maximally_mixed"}}, "wild calls"),
+    ("evolve-qkbe", {"initial": {"kind": "maximally_mixed"}}, "Wild-sum terms"),
+    ("check-conserved", {"initial": {"kind": "maximally_mixed"}}, "Wild-sum terms"),
     ("evolve-master", {"N": 3, "initial": {"kind": "random"}}, "N t_max"),
-    ("chaos", {"N_list": [2], "initial": {"kind": "maximally_mixed"}}, "wild calls"),
+    ("chaos", {"N_list": [2], "initial": {"kind": "maximally_mixed"}}, "Wild-sum terms"),
 ])
 def test_huge_t_max_exits_1_at_once(tmp_path, command, params, bound):
-    # a huge finite t_max would take about 1.5e302 wild calls, or a jump
+    # a huge finite t_max would take about 1.5e302 Wild-sum terms, or a jump
     # series split into about 1e297 pieces; it is refused before any work
     cfg = write_config(tmp_path, {
         "command": command, "model": QUBIT, "spec": "qubit_tilted",
@@ -311,7 +311,7 @@ def test_huge_t_max_exits_1_at_once(tmp_path, command, params, bound):
         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
-    # 4 wild calls for each of the 100000 RK4 steps that used to be allowed
+    # 4 Wild-sum terms for each of the 100000 steps that used to be allowed
     limit = 100000 if bound == "N t_max" else 400000
     assert bound in proc.stderr and f"bound {limit}" in proc.stderr
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
@@ -320,8 +320,8 @@ def test_huge_t_max_exits_1_at_once(tmp_path, command, params, bound):
 @pytest.mark.parametrize("t_max, ok", [(2630.0, True), (2630.5, False)])
 def test_t_max_bound_counts_rk4_steps(tmp_path, capsys, monkeypatch, t_max, ok):
     # 10 grid steps of 263 take 1052 substeps of 0.25 each, whose 39 Wild-sum
-    # terms make 38 wild calls: 399,760 calls, within 4 * 100000; steps of
-    # 263.05 take 1053 substeps of 0.2498 with 39 terms, 400,140 calls, and
+    # terms form 38 past the first: 399,760 terms, within 4 * 100000; steps of
+    # 263.05 take 1053 substeps of 0.2498 with 39 terms, 400,140 formed, and
     # so does every t_max in between.  The integrator is stubbed, only the
     # bound is under test.
     monkeypatch.setattr("qkac.cli.qkbe_integrate",
@@ -330,7 +330,7 @@ def test_t_max_bound_counts_rk4_steps(tmp_path, capsys, monkeypatch, t_max, ok):
         "command": "evolve-qkbe", "model": QUBIT, "spec": "qubit_tilted",
         "params": {"t_max": t_max, "steps": 10, "initial": {"kind": "maximally_mixed"}}})
     assert code == (0 if ok else 1)
-    assert ok or "wild calls, past the bound 400000" in capsys.readouterr().err
+    assert ok or "Wild-sum terms, past the bound 400000" in capsys.readouterr().err
 
 
 def test_master_rate_bound_is_on_N_times_t_max(tmp_path, capsys):

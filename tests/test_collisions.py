@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qkac import collisions
 from qkac.collisions import (_PAIR_BLOCK, CollisionSpec, _closure_residual,
                              exact_EA2_spec, fixed_space_of_Q, is_ergodic,
                              parse_sampled_nodes, qubit_tilted_spec,
@@ -305,11 +306,18 @@ def test_closure_residual_matches_bruteforce_oracle(rng):
     closed = check_variants([(1.0, np.eye(4, dtype=complex))] + [
         (rng.uniform(0.2, 1.0), random_unitary(rng, 4)) for _ in range(80)])
     assert len(closed) >= 300
-    # far from closed, each window spans about every node, so the pairs
-    # fill several blocks
+    # far from closed, each window spans about every node, so the images go
+    # to the coordinate filter; with small blocks every blocked loop of the
+    # search runs many times
     far = [(rng.uniform(0.2, 1.0), random_unitary(rng, 4)) for _ in range(600)]
     assert len(far) ** 2 > 3 * (_PAIR_BLOCK // 32)
     check(far)
+    check(far[:300] + closed[:300])
+    # every node the same: every window is wide and every node ties
+    check([(0.01, far[0][1])] * 100)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(collisions, "_PAIR_BLOCK", 1 << 10)
+        check(far)
 
 
 def test_fixed_space_dimensions(uniform_spec, tilted_spec, qubit_model):
@@ -497,8 +505,10 @@ def test_spec_by_name_rejects_points_for_non_qubit_specs(qubit_model, name):
 @pytest.mark.parametrize("points, uniform_count, tilted_count", [
     (4, 32, 21), (5, 525, 525), (8, 640, 553), (16, 12800, 11985)])
 def test_merged_qubit_grid_node_counts(points, uniform_count, tilted_count):
-    # grid points where sin(theta) = 0 coincide; the merge folds them, which
-    # leaves the channel unchanged but shrinks the node list to these counts
+    # grid points coincide under (phi, theta, psi) -> (phi + pi, -theta, psi)
+    # and (phi, pi - theta, psi + pi), and where sin(theta) = 0 drops phi or
+    # cos(theta) = 0 drops psi; one node per distinct unitary leaves the
+    # channel unchanged but shrinks the node list to these counts
     for build, count in ((qubit_uniform_spec, uniform_count),
                          (qubit_tilted_spec, tilted_count)):
         ws = np.array([w for w, _ in build(points).nodes])

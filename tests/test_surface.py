@@ -1,14 +1,19 @@
 """The public surface that code outside the library reads: every function
 the benchmark traces and every name the acceptance suite imports resolves,
-and the helpers only tests call live in ``oracles``, not in ``qkac``."""
+the helpers only tests call live in ``oracles``, not in ``qkac``, and the
+library's qubit grid nodes are those of the brute-force oracle there."""
 
 import ast
 import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import qkac
 import oracles
+from qkac.collisions import _qubit_grid_nodes
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,7 +23,7 @@ MOVED_TO_ORACLES = (
     "occupancy", "shell_projector", "shell_state", "accidental_relations",
     "identity_spec", "wild_diagonal", "is_steady", "TOL_STEADY",
     "qn_spectrum", "permutation_covariance_check",
-    "dirichlet_form", "UnsupportedOperationError",
+    "dirichlet_form", "UnsupportedOperationError", "merged_qubit_grid_nodes",
 )
 
 
@@ -59,3 +64,16 @@ def test_test_only_helpers_left_the_library():
     assert left == []
     assert all(hasattr(oracles, name) for name in MOVED_TO_ORACLES)
     assert not hasattr(qkac.Superoperator, "power")
+
+
+@pytest.mark.parametrize("tilted", [False, True], ids=["uniform", "tilted"])
+def test_qubit_grid_nodes_match_the_merge_oracle(tilted):
+    # the distinct grid points only, against every grid unitary merged to
+    # 9 decimals: the same nodes in the same order, weights and matrices
+    # equal bit for bit
+    for points in range(4, 17):
+        got = _qubit_grid_nodes(points, tilted)
+        want = oracles.merged_qubit_grid_nodes(points, tilted)
+        assert len(got) == len(want)
+        assert [w for w, _ in got] == [w for w, _ in want]
+        assert np.array_equal(np.stack([u for _, u in got]), np.stack([u for _, u in want]))
