@@ -291,11 +291,16 @@ def test_forced_huge_N_out_of_memory_exits_1_without_traceback(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+# each Wild-sum term past the first of a substep is one Wild product, the
+# count the case ids have named "wild calls" since the bound was set
 @pytest.mark.parametrize("command, params, bound", [
-    ("evolve-qkbe", {"initial": {"kind": "maximally_mixed"}}, "Wild-sum terms"),
-    ("check-conserved", {"initial": {"kind": "maximally_mixed"}}, "Wild-sum terms"),
+    pytest.param("evolve-qkbe", {"initial": {"kind": "maximally_mixed"}}, "Wild-sum terms",
+                 id="evolve-qkbe-params0-wild calls"),
+    pytest.param("check-conserved", {"initial": {"kind": "maximally_mixed"}}, "Wild-sum terms",
+                 id="check-conserved-params1-wild calls"),
     ("evolve-master", {"N": 3, "initial": {"kind": "random"}}, "N t_max"),
-    ("chaos", {"N_list": [2], "initial": {"kind": "maximally_mixed"}}, "Wild-sum terms"),
+    pytest.param("chaos", {"N_list": [2], "initial": {"kind": "maximally_mixed"}},
+                 "Wild-sum terms", id="chaos-params3-wild calls"),
 ])
 def test_huge_t_max_exits_1_at_once(tmp_path, command, params, bound):
     # a huge finite t_max would take about 1.5e302 Wild-sum terms, or a jump
