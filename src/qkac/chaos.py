@@ -80,8 +80,8 @@ def derivation_check(spec: CollisionSpec, x: np.ndarray, y: np.ndarray) -> float
     j = round(np.log(x.shape[0]) / np.log(d))
     m = round(np.log(y.shape[0]) / np.log(d))
     k = j + m
+    check_size_guard(d, k + 1)
     shape = FactorShape(k + 1, d)
-    check_size_guard(shape.dim)
     lhs = gamma_k(spec, tensor(x, y))
     inner = tensor(gamma_k(spec, x), np.eye(d ** m))
     pi = list(range(k + 1))
@@ -109,7 +109,7 @@ class ChaosExperiment:
             raise ValueError("t_grid must increase from 0")
         d = self.spec.dim
         for n in self.N_list:
-            check_size_guard(d ** n, force=self.force)
+            check_size_guard(d, n, force=self.force)
 
 
 @dataclass

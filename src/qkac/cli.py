@@ -39,7 +39,7 @@ from .operators import (entropy_and_relative_entropy, random_density, trace_norm
                         validate_density_matrix, von_neumann_entropy)
 from .spectra import (SingleParticleModel, commutant_projection,
                       is_fully_ergodic, shell_structure)
-from .tolerances import NAMED_TOLERANCES, SIZE_GUARD
+from .tolerances import NAMED_TOLERANCES, check_size_guard
 
 MAX_STEPS = 100_000
 
@@ -182,7 +182,7 @@ def load_config(path: str, output_override: str | None, force_flag: bool,
         spec_name=doc.get("spec"),
         params=params,
         output_dir=output_dir,
-        seed=_number(doc.get("seed", 0), "field 'seed'", integer=True),
+        seed=_number(doc.get("seed", 0), "field 'seed'", integer=True, minimum=0),
         force=force or force_flag,
         tols=tols,
         raw_bytes=raw,
@@ -190,12 +190,9 @@ def load_config(path: str, output_override: str | None, force_flag: bool,
 
 
 def _size(value, what: str, model: SingleParticleModel, force: bool, minimum: int) -> int:
-    """An integer N whose total dimension d**N the size guard admits.  Past
-    the guard's exponent d**N is never formed, so a huge N fails at once."""
+    """An integer N whose total dimension d**N the size guard admits."""
     n = _number(value, what, integer=True, minimum=minimum)
-    if not force and model.dim ** min(n, SIZE_GUARD.bit_length()) > SIZE_GUARD:
-        raise ConfigError(f"N = {n} gives total dimension {model.dim}**{n}, past the "
-                          f"guard {SIZE_GUARD}; pass --force to override")
+    check_size_guard(model.dim, n, force)
     return n
 
 

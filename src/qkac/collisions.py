@@ -47,8 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .operators import swap_unitary, tensor
-from .spectra import SingleParticleModel, commutant_projection, shell_structure
-from .tolerances import TOL_FIXED_EIG
+from .spectra import SingleParticleModel, shell_structure
 
 
 @dataclass(frozen=True)
@@ -323,7 +322,8 @@ def verify_spec(spec: CollisionSpec) -> SpecReport:
     identity membership, adjoint and swap closure as weighted sets).
     Closed-form channels are checked as maps: trace preserving, unital,
     Hermiticity preserving, self-adjoint for the Hilbert-Schmidt pairing,
-    and completely positive via the Choi matrix.
+    and completely positive via the Choi matrix.  A non-finite node or
+    channel entry, which no residual can measure, raises ValueError.
     """
     residuals = {}
     d = spec.dim
@@ -333,6 +333,9 @@ def verify_spec(spec: CollisionSpec) -> SpecReport:
         eye = np.eye(d * d)
         us = np.stack([u for _, u in nodes])
         ws = np.array([w for w, _ in nodes])
+        bad = np.flatnonzero(~(np.isfinite(ws) & np.isfinite(us).all(axis=(1, 2))))
+        if bad.size:
+            raise ValueError(f"nodes {bad.tolist()} have a non-finite weight or entry")
         residuals["unitary"] = float(
             np.abs(us @ us.conj().transpose(0, 2, 1) - eye).max())
         residuals["commutes_with_pair_hamiltonian"] = float(
@@ -348,6 +351,9 @@ def verify_spec(spec: CollisionSpec) -> SpecReport:
         residuals["closed_under_swap"] = float(max(swap_m, swap_w))
     else:
         q = spec.channel
+        bad = np.count_nonzero(~np.isfinite(q.mat))
+        if bad:
+            raise ValueError(f"the closed-form channel has {bad} non-finite entries")
         dim2 = d * d
         eye = np.eye(dim2).reshape(-1)
         # trace of the image of every input: rows of mat summed against traces
@@ -498,31 +504,6 @@ def exact_EA2_spec(model: SingleParticleModel) -> CollisionSpec:
         s[np.ix_(pos, pos)] = 1.0 / idx.size
     return CollisionSpec(model, "exact_ea2", "closed_form",
                          Superoperator(s, d * d), nodes=None)
-
-
-# ---------------------------------------------------------------------------
-# fixed space and ergodicity
-# ---------------------------------------------------------------------------
-
-def fixed_space_of_Q(q: Superoperator) -> list:
-    """Orthonormal basis (Hilbert-Schmidt) of the eigenvalue-1 eigenspace."""
-    asym = np.abs(q.mat - q.mat.conj().T).max()
-    if asym > 1e-8 * max(1.0, np.abs(q.mat).max()):
-        raise ValueError(f"channel is not HS self-adjoint (residual {asym:.3e})")
-    w, v = np.linalg.eigh((q.mat + q.mat.conj().T) / 2.0)
-    cols = np.where(np.abs(w - 1.0) <= TOL_FIXED_EIG)[0]
-    return [v[:, k].reshape(q.dim, q.dim) for k in cols]
-
-
-def is_ergodic(spec: CollisionSpec) -> bool:
-    """True iff the channel's fixed space is exactly the pair energy algebra."""
-    fixed = fixed_space_of_Q(spec.channel)
-    if len(fixed) != len(shell_structure(spec.model, 2).shells):
-        return False
-    # at N = 2 each shell is one class, so the projection onto the span of
-    # the shell projectors is the class (commutant) projection
-    return all(np.abs(f - commutant_projection(spec.model, 2, f)).max() <= TOL_FIXED_EIG
-               for f in fixed)
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collisions import CollisionSpec, is_ergodic
+from .collisions import CollisionSpec
 from .errors import NumericalContractError
 from .operators import (FactorShape, _negative_eigenvalue, entropy_and_relative_entropy,
                         is_hermitian)
 from .spectra import class_projections, commutant_projection, shell_structure
-from .tolerances import TAIL_TOL, TOL_FIXED_EIG, TOL_PSD
+from .tolerances import TAIL_TOL, TOL_FIXED_EIG, TOL_PSD, check_size_guard
 
 log = logging.getLogger(__name__)
 
@@ -74,7 +74,8 @@ class KacGenerator:
         if self.num_particles < 2:
             raise ValueError("need at least two particles")
         d, n = self.spec.model.dim, self.num_particles
-        self.shape = FactorShape(n, d).check_guard(self.force)
+        check_size_guard(d, n, self.force)
+        self.shape = FactorShape(n, d)
         mat = self.spec.channel.mat
         diag = mat.diagonal()
         self._pair_diag = (diag if diag.imag.any() else diag.real).reshape((d,) * 4)
@@ -237,7 +238,7 @@ def _shell_block(gen: KacGenerator, rows, cols) -> np.ndarray:
     return block
 
 
-def _block_fixed_vectors(gen: KacGenerator, rows, cols, tol):
+def _block_fixed_vectors(gen: KacGenerator, rows, cols, tol) -> list:
     """Eigenvalue-1 eigenvectors of Q_N on the block of operators with
     range in the row shell and corange in the column shell."""
     dim = gen.shape.dim
@@ -253,7 +254,7 @@ def _block_fixed_vectors(gen: KacGenerator, rows, cols, tol):
         mat = np.zeros((dim, dim), dtype=complex)
         mat[np.ix_(rows, cols)] = v[:, idx].reshape(len(rows), len(cols))
         out.append(mat)
-    return out, w
+    return out
 
 
 def _shell_blocks(gen: KacGenerator, diagonal_only: bool) -> list:
@@ -270,6 +271,33 @@ def _shell_blocks(gen: KacGenerator, diagonal_only: bool) -> list:
             if er == ec or not diagonal_only]
 
 
+def is_ergodic(spec: CollisionSpec) -> bool:
+    """True iff the channel's fixed space is exactly the pair energy algebra.
+
+    Q is Q_N at N = 2, so its fixed space is read off the N = 2 shell
+    blocks.  That holds only if Q maps each block into itself, which is
+    checked first: a ValueError is raised when a channel entry past
+    ``TOL_FIXED_EIG`` moves an operator between two pairs of shells.  The
+    generator is forced, so no model is refused for its block sizes.
+    """
+    gen = KacGenerator(spec, 2, force=True)
+    e = spec.model.energies
+    for out, src, s in gen._moves:
+        shells_out = (e[out[0]] + e[out[1]], e[out[2]] + e[out[3]])
+        shells_in = (e[src[0]] + e[src[1]], e[src[2]] + e[src[3]])
+        if shells_out != shells_in and abs(s) > TOL_FIXED_EIG:
+            raise ValueError(f"spec {spec.name!r} does not conserve the pair energy: it moves "
+                             f"the shells {shells_in} to {shells_out} with weight {abs(s):.3e}")
+    fixed = [f for rows, cols in _shell_blocks(gen, diagonal_only=False)
+             for f in _block_fixed_vectors(gen, rows, cols, TOL_FIXED_EIG)]
+    if len(fixed) != len(shell_structure(spec.model, 2, force=True).shells):
+        return False
+    # at N = 2 each shell is one class, so the projection onto the span of
+    # the shell projectors is the class (commutant) projection
+    return all(np.abs(f - commutant_projection(spec.model, 2, f, force=True)).max()
+               <= TOL_FIXED_EIG for f in fixed)
+
+
 def ln_null_basis(gen: KacGenerator, tol: float = TOL_FIXED_EIG) -> list:
     """Hilbert-Schmidt orthonormal basis of the null space of L_N.
 
@@ -279,11 +307,8 @@ def ln_null_basis(gen: KacGenerator, tol: float = TOL_FIXED_EIG) -> list:
     blocks (they are diagonal in the product eigenbasis); off-diagonal
     blocks are scanned too when the specification is not ergodic.
     """
-    basis = []
-    for rows, cols in _shell_blocks(gen, diagonal_only=is_ergodic(gen.spec)):
-        vecs, _ = _block_fixed_vectors(gen, rows, cols, tol)
-        basis.extend(vecs)
-    return basis
+    return [f for rows, cols in _shell_blocks(gen, diagonal_only=is_ergodic(gen.spec))
+            for f in _block_fixed_vectors(gen, rows, cols, tol)]
 
 
 def steady_states_basis(gen: KacGenerator, tol: float = TOL_FIXED_EIG) -> list:

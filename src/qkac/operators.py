@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import TOL_HERM, TOL_PSD, TOL_TRACE, check_size_guard
+from .tolerances import TOL_HERM, TOL_PSD, TOL_TRACE
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,6 @@ class FactorShape:
     @property
     def dim(self) -> int:
         return self.factor_dim ** self.num_factors
-
-    def check_guard(self, force: bool = False) -> "FactorShape":
-        check_size_guard(self.dim, force=force)
-        return self
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:
@@ -217,7 +213,8 @@ def _spectral_entropy(w: np.ndarray, tol_psd: float) -> float:
     if w.min() < -tol_psd:
         raise ValueError(f"state has negative eigenvalue {w.min():.3e}")
     w = w[w > tol_psd]
-    return float(-(w * np.log(w)).sum())
+    # 0.0 - x, not -x: a pure state's sum is 0.0, which -x would make -0.0
+    return 0.0 - float((w * np.log(w)).sum())
 
 
 def von_neumann_entropy(rho: np.ndarray, tol_psd: float = TOL_PSD) -> float:
@@ -243,7 +240,7 @@ def entropy_and_relative_entropy(w: np.ndarray, rho_diag: np.ndarray,
     inside = sigma_diag > tol_psd
     if rho_diag[~inside].sum() > tol_psd:
         return entropy, float("inf")
-    return entropy, -entropy - float(rho_diag[inside] @ np.log(sigma_diag[inside]))
+    return entropy, 0.0 - entropy - float(rho_diag[inside] @ np.log(sigma_diag[inside]))
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray,

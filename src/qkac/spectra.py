@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import FactorShape
 from .tolerances import check_size_guard
 
 
@@ -49,9 +48,6 @@ class SingleParticleModel:
 
     def hamiltonian(self) -> np.ndarray:
         return np.diag(np.asarray(self.energies, dtype=complex))
-
-    def shape(self, num_factors: int) -> FactorShape:
-        return FactorShape(num_factors, self.dim)
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,7 @@ class ShellStructure:
 def shell_structure(model: SingleParticleModel, num_factors: int,
                     force: bool = False) -> ShellStructure:
     """The cached shell and class structure of the N-factor product basis."""
-    check_size_guard(model.dim ** num_factors, force=force)
+    check_size_guard(model.dim, num_factors, force=force)
     return _build_shell_structure(model, num_factors)
 
 
@@ -256,11 +252,10 @@ def commutant_projection(model: SingleParticleModel, num_factors: int,
     preserving, positivity preserving, and Hilbert-Schmidt self-adjoint.
     The output is diagonal in the product eigenbasis, hence separable.
     """
-    shape = model.shape(num_factors)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (shape.dim, shape.dim):
-        raise ValueError(f"state has shape {rho.shape}, expected {(shape.dim,) * 2}")
     labels = shell_structure(model, num_factors, force=force).labels
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (labels.size,) * 2:
+        raise ValueError(f"state has shape {rho.shape}, expected {(labels.size,) * 2}")
     diag = np.diagonal(rho)
     sums = np.bincount(labels, diag.real) + 1j * np.bincount(labels, diag.imag)
     return np.diag((sums / np.bincount(labels))[labels])

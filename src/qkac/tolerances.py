@@ -21,10 +21,11 @@ NAMED_TOLERANCES = {
 }
 
 
-def check_size_guard(total_dim: int, force: bool = False) -> None:
-    """Reject problem sizes past the desk-scale guard unless forced."""
-    if not force and total_dim > SIZE_GUARD:
+def check_size_guard(factor_dim: int, num_factors: int, force: bool = False) -> None:
+    """Reject a total dimension d**N past the desk-scale guard unless forced.
+    Past the guard's exponent d**N is never formed, so a huge N fails at once."""
+    if not force and factor_dim ** min(num_factors, SIZE_GUARD.bit_length()) > SIZE_GUARD:
         raise ValueError(
-            f"total dimension {total_dim} exceeds the guard {SIZE_GUARD}; "
-            "pass force=True (CLI: --force) to override"
+            f"N = {num_factors} gives total dimension {factor_dim}**{num_factors}, "
+            f"past the guard {SIZE_GUARD}; pass force=True (CLI: --force) to override"
         )

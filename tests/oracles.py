@@ -1,7 +1,8 @@
 """Helpers that only the tests call, kept out of the library as oracles
 and test fixtures: predicates on matrices, dense factor permutations and
 pair embeddings, shell projectors, the identity-only spec, the qubit grid
-nodes by brute-force merging, the closed-form
+nodes by brute-force merging, the fixed space of a channel by one dense
+eigensolve, the closed-form
 diagonal Wild convolution, the full spectrum of Q_N, the
 permutation-covariance residuals and the dissipation form of the
 linearized operator.
@@ -10,14 +11,15 @@ linearized operator.
 import numpy as np
 
 from qkac.boltzmann import wild
-from qkac.collisions import CollisionSpec, _merge_nodes, superoperator_from_nodes
+from qkac.collisions import (CollisionSpec, Superoperator, _merge_nodes,
+                             superoperator_from_nodes)
 from qkac.linearized import BKMGeometry, _pair_geometry, multiply_super
-from qkac.master import (KacGenerator, _block_fixed_vectors, _shell_blocks,
-                         apply_pair_channel, apply_QN)
+from qkac.master import (KacGenerator, _shell_block, _shell_blocks, apply_pair_channel,
+                         apply_QN)
 from qkac.operators import (FactorShape, _invert, _require_hermitian,
                             _validate_permutation, is_hermitian, permute_factors, tensor)
 from qkac.spectra import SingleParticleModel, shell_structure
-from qkac.tolerances import TOL_HERM, TOL_PSD
+from qkac.tolerances import TOL_FIXED_EIG, TOL_HERM, TOL_PSD
 
 TOL_STEADY = 1e-10      # residual for steady-state checks
 
@@ -152,7 +154,7 @@ def accidental_relations(model: SingleParticleModel, num_factors: int,
 
 
 # ---------------------------------------------------------------------------
-# the identity-only spec (collisions)
+# the identity-only spec and the dense fixed space of a channel (collisions)
 # ---------------------------------------------------------------------------
 
 def identity_spec(model: SingleParticleModel) -> CollisionSpec:
@@ -193,6 +195,26 @@ def merged_qubit_grid_nodes(points: int, tilted: bool) -> list:
     return _merge_nodes(wgrid, u[:, perm][:, :, perm])
 
 
+def fixed_space_of_Q(q: Superoperator) -> list:
+    """Orthonormal basis (Hilbert-Schmidt) of the eigenvalue-1 eigenspace,
+    by one dense eigensolve.  A matrix unit whose row and column of the
+    channel are zero is an eigenvector of eigenvalue 0, so only the other
+    units enter the eigensolve."""
+    nonzero = q.mat != 0
+    live = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    m = q.mat[np.ix_(live, live)]     # the rest of the channel is zero
+    asym = np.abs(m - m.conj().T).max(initial=0.0)
+    if asym > 1e-8 * max(1.0, np.abs(m).max(initial=0.0)):
+        raise ValueError(f"channel is not HS self-adjoint (residual {asym:.3e})")
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    out = []
+    for k in np.where(np.abs(w - 1.0) <= TOL_FIXED_EIG)[0]:
+        f = np.zeros(q.dim * q.dim, dtype=complex)
+        f[live] = v[:, k]
+        out.append(f.reshape(q.dim, q.dim))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # closed-form Wild convolution and the steady-state check (boltzmann)
 # ---------------------------------------------------------------------------
@@ -231,7 +253,7 @@ def is_steady(spec: CollisionSpec, rho: np.ndarray,
 
 def qn_spectrum(gen: KacGenerator) -> np.ndarray:
     """All eigenvalues of Q_N on the operator space, via the shell blocks."""
-    eigs = [_block_fixed_vectors(gen, rows, cols, tol=0.0)[1]
+    eigs = [np.linalg.eigvalsh(_shell_block(gen, rows, cols))
             for rows, cols in _shell_blocks(gen, diagonal_only=False)]
     return np.sort(np.concatenate(eigs))
 

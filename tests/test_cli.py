@@ -503,6 +503,36 @@ def test_evolve_qkbe_gibbs_extreme_beta(tmp_path, beta, level):
         assert cells[f"rho_{1 - level}{1 - level}_re"] == 0.0
 
 
+PURE_GROUND = {"kind": "gibbs", "beta": 1e308}
+
+
+@pytest.mark.parametrize("doc", [
+    {"command": "evolve-qkbe", "model": {"dim": 3, "energies": [0, 1, 2]},
+     "spec": "exact_ea2", "params": {"t_max": 1.0, "steps": 2, "initial": PURE_GROUND}},
+    {"command": "chaos", "model": {"dim": 3, "energies": [0, 1, 2]}, "spec": "exact_ea2",
+     "params": {"N_list": [2, 3], "t_max": 1.0, "steps": 2, "initial": PURE_GROUND}},
+    {"command": "evolve-master", "model": QUBIT, "spec": "qubit_tilted",
+     "params": {"N": 2, "t_max": 1.0, "steps": 2,
+                "initial": {"kind": "matrix", "state": np.diag([1, 0, 0, 0]).tolist()}}},
+], ids=["evolve-qkbe", "chaos", "evolve-master"])
+def test_pure_states_write_entropy_0_not_minus_0(tmp_path, doc):
+    # the ground state is pure and stays fixed; -sum w log w over its one
+    # eigenvalue 1 is -0.0, which the CSV would print as -0
+    code, out = run_cli(tmp_path, doc)
+    assert code == 0
+    header, *rows = read_csv(out / f"{doc['command']}.csv")
+    columns = [k for k, name in enumerate(header) if "entropy" in name]
+    assert len(columns) == 2 - (doc["command"] == "evolve-qkbe")
+    assert {row[k] for row in rows for k in columns} == {"0"}
+
+
+def test_negative_seed_names_the_field(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, {**ERGODICITY, "seed": -1})
+    assert code == 1
+    assert "field 'seed'" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 @pytest.mark.parametrize("tail", ["1e-17", "1e-300"])
 def test_evolve_master_meets_a_tail_below_the_rounding_of_one(tmp_path, tail):
     # 1 - tail rounds to 1, which the summed Poisson weights may never reach;

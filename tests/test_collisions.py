@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from qkac import collisions
-from qkac.collisions import (_PAIR_BLOCK, CollisionSpec, _closure_residual,
-                             exact_EA2_spec, fixed_space_of_Q, is_ergodic,
-                             parse_sampled_nodes, qubit_tilted_spec,
+from qkac.collisions import (_PAIR_BLOCK, CollisionSpec, Superoperator, _closure_residual,
+                             exact_EA2_spec, parse_sampled_nodes, qubit_tilted_spec,
                              qubit_uniform_spec, sampled_spec_from_file, spec_by_name,
                              superoperator_from_nodes, symmetrize_nodes,
                              verify_spec)
+from qkac.master import is_ergodic
 from qkac.operators import reorder_pair_basis, swap_unitary, tensor
 from qkac.spectra import SingleParticleModel, shell_decomposition
 from conftest import random_matrix, random_state, random_unitary
-from oracles import hs_norm, identity_spec, shell_projector, shell_state
+from oracles import fixed_space_of_Q, hs_norm, identity_spec, shell_projector, shell_state
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +161,26 @@ def test_verify_flags_energy_violation(qubit_model, rng):
     h2 = spec.pair_hamiltonian()
     assert report.residuals["commutes_with_pair_hamiltonian"] == pytest.approx(
         np.abs(bad @ h2 - h2 @ bad).max())
+
+
+def test_verify_rejects_non_finite_nodes(tilted_sampled16):
+    nodes = list(tilted_sampled16.nodes)
+    u = nodes[3][1].copy()
+    u[1, 2] = np.nan
+    nodes[3] = (nodes[3][0], u)
+    spec = CollisionSpec(tilted_sampled16.model, "nan_node", "sampled",
+                         superoperator_from_nodes(nodes, 4), nodes)
+    with pytest.raises(ValueError, match=r"nodes \[3\] have a non-finite weight or entry"):
+        verify_spec(spec)
+
+
+def test_verify_rejects_a_non_finite_channel(tilted_spec):
+    mat = tilted_spec.channel.mat.copy()
+    mat[5, 10] = np.nan
+    spec = CollisionSpec(tilted_spec.model, "nan_channel", "closed_form",
+                         Superoperator(mat, 4))
+    with pytest.raises(ValueError, match="closed-form channel has 1 non-finite entries"):
+        verify_spec(spec)
 
 
 def one_excitation_rotation(theta=0.7, phase=0.3):

@@ -12,14 +12,14 @@ from scipy.linalg import null_space
 
 from qkac.boltzmann import classify_steady_states
 from qkac.collisions import (CollisionSpec, Superoperator, exact_EA2_spec,
-                             fixed_space_of_Q, is_ergodic,
-                             qubit_tilted_spec, qubit_uniform_spec)
+                             qubit_tilted_spec, qubit_uniform_spec, verify_spec)
+from qkac.master import KacGenerator, is_ergodic, steady_states_basis
 from qkac.operators import FactorShape, partial_trace
 from qkac.spectra import SingleParticleModel, classify_shell, shell_decomposition
 from qkac.tolerances import TOL_FIXED_EIG
 from conftest import random_matrix
-from oracles import (accidental_relations, identity_spec, occupancy, shell_projector,
-                     shell_state, wild_diagonal)
+from oracles import (accidental_relations, fixed_space_of_Q, identity_spec, occupancy,
+                     shell_projector, shell_state, wild_diagonal)
 
 MODELS = [(0, 1), (0, 1, 2), (0, 1, 4, 5), (1, 10, 100), (0, 2, 3, 7),
           (0, 0, 1), (0, 0, 0, 1), (0, 0, 1, 1)]
@@ -92,6 +92,33 @@ def test_is_ergodic_matches_dense_shell_projectors(energies):
 def test_is_ergodic_matches_dense_shell_projectors_qubit(points):
     for spec in (qubit_uniform_spec(points), qubit_tilted_spec(points)):
         assert is_ergodic(spec) == dense_is_ergodic(spec)
+
+
+def test_is_ergodic_matches_dense_shell_projectors_d8():
+    # 36 two-particle shells and a 4096 x 4096 channel; the identity spec
+    # is left out, since all 4096 of its matrix units enter the eigensolve
+    model = SingleParticleModel((0, 1, 3, 7, 12, 20, 30, 44))
+    for build, want in ((exact_EA2_spec, True), (decoy_spec, False)):
+        spec = build(model)
+        assert is_ergodic(spec) == dense_is_ergodic(spec) == want
+
+
+def test_is_ergodic_refuses_a_channel_that_moves_pair_energy():
+    # swaps the populations of the shells E=0 and E=2 and averages E=1: CP,
+    # unital and HS self-adjoint, but its fixed vector |00><00| + |11><11|
+    # spans two shell blocks, which the block scan cannot see
+    model = SingleParticleModel((0, 1))
+    mat = np.zeros((16, 16), dtype=complex)
+    mat[0, 15] = mat[15, 0] = 1.0       # |00><00| and |11><11| exchanged
+    mat[np.ix_([5, 10], [5, 10])] = 0.5
+    spec = CollisionSpec(model, "population_swap", "closed_form", Superoperator(mat, 4))
+    assert verify_spec(spec).passes
+    assert not dense_is_ergodic(spec)
+    with pytest.raises(ValueError, match="does not conserve the pair energy"):
+        is_ergodic(spec)
+    # ln_null_basis and steady_states_basis ask is_ergodic first
+    with pytest.raises(ValueError, match="does not conserve the pair energy"):
+        steady_states_basis(KacGenerator(spec, 3))
 
 
 @pytest.mark.parametrize("energies", MODELS + [(0, 0)])

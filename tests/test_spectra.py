@@ -1,14 +1,19 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkac.chaos import ChaosExperiment, derivation_check
+from qkac.cli import _size
+from qkac.collisions import exact_EA2_spec
+from qkac.master import KacGenerator
 from qkac.operators import FactorShape
 from qkac.spectra import (SingleParticleModel, classify_shell, class_projections,
                           commutant_projection, is_fully_ergodic,
-                          shell_decomposition)
+                          shell_decomposition, shell_structure)
 from conftest import random_matrix, random_state
 from oracles import accidental_relations, occupancy, shell_projector, shell_state
 
@@ -281,3 +286,31 @@ def test_size_guard():
     # a structure cached by the forced call must not bypass the guard
     with pytest.raises(ValueError):
         shell_decomposition(model, 7)
+
+
+HUGE_N = 10 ** 7
+QUTRIT = SingleParticleModel((0, 1, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: shell_structure(QUTRIT, HUGE_N),
+    lambda: commutant_projection(QUTRIT, HUGE_N, np.eye(3)),
+    lambda: KacGenerator(exact_EA2_spec(QUTRIT), HUGE_N),
+    lambda: ChaosExperiment(exact_EA2_spec(QUTRIT), np.eye(3) / 3, [2, HUGE_N], [0.0, 1.0]),
+    lambda: _size(HUGE_N, "params.N", QUTRIT, False, minimum=1),
+], ids=["shell_structure", "commutant_projection", "KacGenerator", "ChaosExperiment",
+        "cli._size"])
+def test_huge_N_meets_the_size_guard_without_forming_d_to_the_N(call):
+    # 3**N at this N takes seconds to form and cannot be printed in full
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"N = {HUGE_N} gives total dimension "
+                                         f"3\\*\\*{HUGE_N}, past the guard 4096"):
+        call()
+    assert time.perf_counter() - start < 0.1
+
+
+def test_derivation_check_meets_the_size_guard(tilted_spec):
+    # the operand shapes bound N here: X on 58 qubits, as a broadcast view
+    x = np.broadcast_to(np.complex128(0), (2 ** 58,))
+    with pytest.raises(ValueError, match="N = 60 gives total dimension 2\\*\\*60"):
+        derivation_check(tilted_spec, x, np.eye(2))
