@@ -34,7 +34,7 @@ from .chaos import ChaosExperiment, run_chaos_experiment
 from .collisions import spec_by_name, verify_spec
 from .errors import NumericalContractError
 from .linearized import BKMGeometry, spectral_gap
-from .master import KacGenerator, evolve_master, steady_states_basis
+from .master import KacGenerator, evolve_master, steady_state_classes
 from .operators import (entropy_and_relative_entropy, random_density, trace_norm,
                         validate_density_matrix, von_neumann_entropy)
 from .spectra import (SingleParticleModel, commutant_projection,
@@ -342,8 +342,8 @@ def _cmd_evolve_master(cfg: RunConfig, p: dict):
 
 def _cmd_steady_states(cfg: RunConfig, p: dict):
     gen = KacGenerator(p["spec"], p["N"], force=cfg.force)
-    basis = steady_states_basis(gen, tol=cfg.tols["fixed_eig"])
-    rows = [(E, k, rank) for k, (E, _, rank) in enumerate(basis)]
+    classes = steady_state_classes(gen, tol=cfg.tols["fixed_eig"])
+    rows = [(E, k, rank) for k, (E, rank) in enumerate(classes)]
     return ["E", "class_index", "rank"], rows
 
 

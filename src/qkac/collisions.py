@@ -165,36 +165,41 @@ def symmetrize_nodes(nodes, d: int) -> list:
     return _merge_nodes(np.repeat(ws, 4), orbit.reshape(-1, d * d, d * d))
 
 
-def _closure_residual(ws, us, images):
+def _closure_residual(ws, us, image):
     """Worst mismatch between each node's image and the node it hits.
 
-    ``images[k]`` is the image of node ``us[k]`` (weight ``ws[k]``) under
-    the closure map.  Each image hits the node nearest to it in the max
-    norm over the real and imaginary parts of the entries, the first in
-    node order on a tie (``_nearest_nodes``).  Returns (matrix residual,
-    weight residual) maximized over nodes: the complex max-abs distance to
-    the hit, and the weight difference, reported as 0 when at most 1e-9.
+    ``us`` is the stack of nodes (weights ``ws``) and ``image`` maps a
+    stack of nodes to their images under the closure map, which are formed
+    ``_NODE_BLOCK`` nodes at a time.  Each image hits the node nearest to
+    it in the max norm over the real and imaginary parts of the entries,
+    the first in node order on a tie (``_nearest_nodes``).  Returns (matrix
+    residual, weight residual) maximized over nodes: the complex max-abs
+    distance to the hit, and the weight difference, reported as 0 when at
+    most 1e-9.
     """
-    def real_rows(a):
-        a = a.reshape(len(a), -1)
-        return np.hstack([a.real, a.imag])
+    def real_rows(a):       # real and imaginary parts, interleaved; no copy
+        return np.ascontiguousarray(a).reshape(len(a), -1).view(float)
 
-    hit = _nearest_nodes(real_rows(us), real_rows(images))
-    miss = us[hit]
-    miss -= images
-    worst_mat = float(np.abs(miss).max())
-    worst_w = float(np.abs(ws[hit] - ws).max())
+    nearest = _nearest_nodes(real_rows(us))
+    worst_mat = worst_w = 0.0
+    for a in range(0, len(us), _NODE_BLOCK):
+        images = image(us[a:a + _NODE_BLOCK])
+        hit = nearest(real_rows(images))
+        miss = us[hit]
+        miss -= images
+        worst_mat = max(worst_mat, float(np.abs(miss).max()))
+        worst_w = max(worst_w, float(np.abs(ws[hit] - ws[a:a + _NODE_BLOCK]).max()))
     return worst_mat, worst_w if worst_w > 1e-9 else 0.0
 
 
 _WIDE_WINDOW = 64       # windows longer than this go to the coordinate filter
 
 
-def _nearest_nodes(xs, ys):
-    """Index of the row of ``xs`` nearest to each row of ``ys`` in the max
-    norm, the first on a tie.
+def _nearest_nodes(xs):
+    """The map from rows ``ys`` to the index of the row of ``xs`` nearest
+    to each in the max norm, the first on a tie.
 
-    The rows of ``xs`` are sorted by their projection on one fixed
+    The rows of ``xs`` are sorted once by their projection on one fixed
     direction p.  Since |p . (x - y)| <= |p|_1 |x - y|_inf, the nearest
     row lies in the window of projections within |p|_1 r of y's, r the
     distance to the row nearest in projection.  On a closed set a window
@@ -203,30 +208,37 @@ def _nearest_nodes(xs, ys):
     window can span every row; a window of more than ``_WIDE_WINDOW`` rows
     goes to ``_coordinate_filter`` instead.
     """
-    # the slack covers the rounding of the projections and of the window
-    # bounds, at most a few hundred ulps of the largest entry
-    slack = 1e-12 * max(1.0, xs.max(), -xs.min(), ys.max(), -ys.min())
     p = np.random.default_rng(0).standard_normal(xs.shape[1])
-    px, py = xs @ p, ys @ p
+    px = xs @ p
     order = np.argsort(px, kind="stable")
-    sx, proj = xs[order], px[order]
-    right = np.minimum(np.searchsorted(proj, py), len(proj) - 1)
-    left = np.maximum(right - 1, 0)
-    at = np.where(np.abs(proj[left] - py) <= np.abs(proj[right] - py), left, right)
-    r = sx[at]
-    r -= ys
-    r = np.abs(r, out=r).max(axis=1)
-    half = (r + slack) * np.abs(p).sum()
-    lo = np.minimum(np.searchsorted(proj, py - half, "left"), at)
-    hi = np.maximum(np.searchsorted(proj, py + half, "right"), at + 1)
-    wide = np.flatnonzero(hi - lo > _WIDE_WINDOW)
-    lo[wide], hi[wide] = at[wide], at[wide] + 1
-    counts = hi - lo
-    pos = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    hit = _nearest_candidates(sx, ys, counts, pos, order)
-    if wide.size:
-        hit[wide] = _coordinate_filter(xs, ys[wide], r[wide], order[at[wide]], slack)
-    return hit
+    proj = px[order]
+    top = max(1.0, xs.max(), -xs.min())
+    label = np.arange(len(xs))
+
+    def nearest(ys):
+        # the slack covers the rounding of the projections and of the window
+        # bounds, at most a few hundred ulps of the largest entry
+        slack = 1e-12 * max(top, ys.max(), -ys.min())
+        py = ys @ p
+        right = np.minimum(np.searchsorted(proj, py), len(proj) - 1)
+        left = np.maximum(right - 1, 0)
+        at = np.where(np.abs(proj[left] - py) <= np.abs(proj[right] - py), left, right)
+        r = xs[order[at]]
+        r -= ys
+        r = np.abs(r, out=r).max(axis=1)
+        half = (r + slack) * np.abs(p).sum()
+        lo = np.minimum(np.searchsorted(proj, py - half, "left"), at)
+        hi = np.maximum(np.searchsorted(proj, py + half, "right"), at + 1)
+        wide = np.flatnonzero(hi - lo > _WIDE_WINDOW)
+        lo[wide], hi[wide] = at[wide], at[wide] + 1
+        counts = hi - lo
+        pos = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        hit = _nearest_candidates(xs, ys, counts, order[pos], label)
+        if wide.size:
+            hit[wide] = _coordinate_filter(xs, ys[wide], r[wide], order[at[wide]], slack)
+        return hit
+
+    return nearest
 
 
 def _nearest_candidates(xs, ys, counts, cand, label):
@@ -336,17 +348,22 @@ def verify_spec(spec: CollisionSpec) -> SpecReport:
         bad = np.flatnonzero(~(np.isfinite(ws) & np.isfinite(us).all(axis=(1, 2))))
         if bad.size:
             raise ValueError(f"nodes {bad.tolist()} have a non-finite weight or entry")
-        residuals["unitary"] = float(
-            np.abs(us @ us.conj().transpose(0, 2, 1) - eye).max())
-        residuals["commutes_with_pair_hamiltonian"] = float(
-            np.abs(us @ h2 - h2 @ us).max())
-        residuals["contains_identity"] = float(
-            np.abs(us - eye).max(axis=(1, 2)).min())
+        unitary = commutes = 0.0
+        identity = np.inf
+        # node blocks bound the memory: no product of every node is formed
+        for a in range(0, len(us), _NODE_BLOCK):
+            block = us[a:a + _NODE_BLOCK]
+            unitary = max(unitary, np.abs(block @ block.conj().transpose(0, 2, 1) - eye).max())
+            commutes = max(commutes, np.abs(block @ h2 - h2 @ block).max())
+            identity = min(identity, np.abs(block - eye).max(axis=(1, 2)).min())
+        residuals["unitary"] = float(unitary)
+        residuals["commutes_with_pair_hamiltonian"] = float(commutes)
+        residuals["contains_identity"] = float(identity)
         residuals["weights_normalized"] = float(abs(ws.sum() - 1.0)) + (
             0.0 if ws.min() > 0 else float(-ws.min()) + 1.0)
-        adj_m, adj_w = _closure_residual(ws, us, us.conj().transpose(0, 2, 1))
+        adj_m, adj_w = _closure_residual(ws, us, lambda b: b.conj().transpose(0, 2, 1))
         v = swap_unitary(d)
-        swap_m, swap_w = _closure_residual(ws, us, v @ us @ v.conj().T)
+        swap_m, swap_w = _closure_residual(ws, us, lambda b: v @ b @ v.conj().T)
         residuals["closed_under_adjoint"] = float(max(adj_m, adj_w))
         residuals["closed_under_swap"] = float(max(swap_m, swap_w))
     else:

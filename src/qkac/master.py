@@ -18,7 +18,13 @@ which only rescales entries of the operand.  Summed over the pairs, that
 diagonal becomes one (d,) * 2N array D; the rest of Q_N is one table of
 (out slice, in slice, value) triples on the (d,) * 2N view, one per pair
 of factors and off-diagonal nonzero.  Q_N rho is D * rho plus each scaled
-in slice added into its out slice, and the shell blocks read the table.
+in slice added into its out slice.
+
+The null space of L_N is found one energy-shell block at a time.  Each
+block is read off the same table as merged (row, column, value) triples,
+and a fully reorthogonalized Lanczos run with deflation certifies its
+eigenvalue-1 vectors (``_lanczos_fixed_vectors``); no block is formed
+densely, so memory grows with the nonzeros of the largest block.
 """
 
 from __future__ import annotations
@@ -43,12 +49,6 @@ log = logging.getLogger(__name__)
 # 1 - TAIL_TOL, so longer times are split into equal pieces, which the
 # semigroup law composes exactly.
 MAX_JUMP_RATE = 1000.0
-
-# Largest dense shell block |rows| * |cols| of Q_N built unless forced: a
-# block and its eigensolve peak at about five times its memory, 1.9 GB for
-# the 4900-dimensional qubit block at N = 8 (N = 9 would need 15876).
-MAX_BLOCK_DIM = 5000
-
 
 @dataclass
 class KacGenerator:
@@ -218,57 +218,204 @@ def evolve_master(gen: KacGenerator, rho0: np.ndarray, t: float,
 # null space of the generator, computed per invariant block
 # ---------------------------------------------------------------------------
 
-def _shell_block(gen: KacGenerator, rows, cols) -> np.ndarray:
-    """Matrix of Q_N on the operators supported on rows x cols, read off
-    ``_diag`` and ``_slices`` and ordered row-major over the block.
+def _shell_blocks(gen: KacGenerator, diagonal_only: bool) -> list:
+    """(row energy, rows, column energy, columns) of the shell blocks of Q_N."""
+    shells = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).shells
+    return [(er, rows, ec, cols) for er, rows in shells for ec, cols in shells
+            if er == ec or not diagonal_only]
 
-    Each triple of ``_slices`` moves the entries of its in slice one to one
-    onto its out slice; the moves with both ends in the block add into it.
+
+def _slice_sides(gen: KacGenerator) -> dict:
+    """The triples of ``_slices``, split into a row and a column side and
+    grouped by the (row, column) pair energies they move.
+
+    Each side is (fixed factors, their out digits, flat-index shift from
+    out to in digits).  A triple whose in digits carry other pair energies
+    than its out digits joins two different shell pairs, so it reaches no
+    block and is left out (``is_ergodic`` bounds such triples).
     """
-    dim, size = gen.shape.dim, len(rows) * len(cols)
-    block = np.zeros((size, size), dtype=complex)
-    block.flat[::size + 1] = gen._diag.reshape(dim, dim)[np.ix_(rows, cols)].ravel()
-    where = np.full((dim, dim), -1)     # block position of each entry, or -1
-    where[np.ix_(rows, cols)] = np.arange(size).reshape(len(rows), len(cols))
-    where = where.reshape(gen._diag.shape)
+    n, e = gen.num_particles, gen.spec.model.energies
+    weight = gen.shape.factor_dim ** np.arange(n - 1, -1, -1)
+    groups = {}
     for dst, src, s in gen._slices:
-        i, j = where[dst].ravel(), where[src].ravel()
-        keep = (i >= 0) & (j >= 0)
-        block[i[keep], j[keep]] += s
-    return block
+        axes = [ax for ax, a in enumerate(dst) if not isinstance(a, slice)]
+        sides = [[ax for ax in axes if ax < n], [ax for ax in axes if ax >= n]]
+        energies = [sum(e[dst[ax]] for ax in side) for side in sides]
+        if energies == [sum(e[src[ax]] for ax in side) for side in sides]:
+            groups.setdefault(tuple(energies), []).append((*[
+                ([ax % n for ax in side], [dst[ax] for ax in side],
+                 sum((src[ax] - dst[ax]) * weight[ax % n] for ax in side))
+                for side in sides], s))
+    return groups
 
 
-def _block_fixed_vectors(gen: KacGenerator, rows, cols, tol) -> list:
-    """Eigenvalue-1 eigenvectors of Q_N on the block of operators with
-    range in the row shell and corange in the column shell."""
-    dim = gen.shape.dim
-    block = _shell_block(gen, rows, cols)
-    herm = np.abs(block - block.conj().T).max()
+def _side_positions(digits, idx, within, factors, out, shift):
+    """Positions in their shell of the indices ``idx`` (digit rows
+    ``digits``) whose digits at ``factors`` are ``out``, and of the indices
+    they are read from."""
+    hit = np.ones(len(idx), dtype=bool)
+    for f, a in zip(factors, out):
+        hit &= digits[:, f] == a
+    return np.flatnonzero(hit), within[idx[hit] + shift]
+
+
+def _sparse_block(gen: KacGenerator, triples: list, within, rows, cols, dtype):
+    """Q_N on the operators supported on rows x cols, ordered row-major over
+    the block, as its diagonal and merged (row, column, value) triples.
+
+    ``triples`` are the sides of the ``_slices`` triples that reach the
+    block, ``within`` the position of each index in its shell.  A triple
+    moves the entries of its in slice one to one onto its out slice; on the
+    block those are the products of the rows and of the columns whose fixed
+    digits match.  Duplicates are summed, and the block must be Hermitian
+    to 1e-8.
+    """
+    dim, nc = gen.shape.dim, len(cols)
+    size = len(rows) * nc
+    diag = gen._diag.reshape(dim, dim)[np.ix_(rows, cols)].ravel()
+    herm = 2 * np.abs(diag.imag).max()
+    i = j = np.zeros(0, dtype=np.intp)
+    val = np.zeros(0, dtype)
+    if triples:
+        digits = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).digits
+        rd, cd = digits[rows], digits[cols]
+        keys, vals = [], []
+        for row_side, col_side, s in triples:
+            r_out, r_in = _side_positions(rd, rows, within, *row_side)
+            c_out, c_in = _side_positions(cd, cols, within, *col_side)
+            keys.append(((r_out[:, None] * nc + c_out) * size
+                         + r_in[:, None] * nc + c_in).ravel())
+            vals.append(np.full(keys[-1].size, s.real if dtype is float else s, dtype=dtype))
+        key, val = np.concatenate(keys), np.concatenate(vals)
+        del keys, vals
+        order = np.argsort(key)
+        key, val = key[order], val[order]
+        del order
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        key, val = key[first], np.add.reduceat(val, first)
+        i, j = np.divmod(key, size)
+        # the entry at (j, i), or 0 where the pattern has none
+        mirror = j * size + i
+        at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+        mirror = np.where(key[at] == mirror, val[at], 0)
+        herm = max(herm, np.abs(val - mirror.conj()).max(initial=0.0))
     if herm > 1e-8:
         raise NumericalContractError(f"generator block is not Hermitian ({herm:.3e})")
-    # rebinding frees the unsymmetrized block before the eigensolver runs
-    block = (block + block.conj().T) / 2
-    w, v = np.linalg.eigh(block)
-    out = []
-    for idx in np.where(np.abs(w - 1.0) <= tol)[0]:
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[np.ix_(rows, cols)] = v[:, idx].reshape(len(rows), len(cols))
-        out.append(mat)
-    return out
+    return diag.astype(dtype), i, j, val
 
 
-def _shell_blocks(gen: KacGenerator, diagonal_only: bool) -> list:
-    """The (rows, cols) shell pairs whose blocks of Q_N are to be built, after
-    checking the largest against ``MAX_BLOCK_DIM`` unless the generator is forced."""
-    shells = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).shells
-    # |rows| * |cols| <= max(|rows|, |cols|)**2: the largest diagonal block is largest
-    E, idx = max(shells, key=lambda shell: len(shell[1]))
-    if not gen.force and len(idx) ** 2 > MAX_BLOCK_DIM:
-        raise ValueError(
-            f"the block of Q_N on the shell E={E} has dimension {len(idx) ** 2}, "
-            f"past the limit {MAX_BLOCK_DIM}; pass force=True (CLI: --force) to override")
-    return [(rows, cols) for er, rows in shells for ec, cols in shells
-            if er == ec or not diagonal_only]
+def _lanczos_fixed_vectors(diag, i, j, val, tol):
+    """Orthonormal eigenvalue-1 eigenvectors, one per row, of the Hermitian
+    block with diagonal ``diag`` and (row, column, value) triples, and the
+    Ritz values of the last Lanczos run, which has none within ``tol`` of 1.
+
+    Each run starts from a random vector (fixed seed) orthogonal to the
+    fixed vectors found so far.  Lanczos, fully reorthogonalized against
+    its basis and those vectors, runs until the residual norm beta drops to
+    sqrt(n eps) g: n is the block size, eps the machine epsilon and g the
+    largest absolute row sum of the block (Gershgorin's bound on its norm).
+    The threshold grows with n because the run's rounding errors grow with
+    its Lanczos polynomials: on the largest ``qubit_tilted`` block the
+    final beta is at most 2e-13 at n = 4,900 (N = 8) and 7e-8 at
+    n = 853,776 (N = 12), every earlier beta stays above 1e-2, and
+    sqrt(n eps) is 1e-6 and 1.4e-5.  Each Ritz value then lies within beta |s_i| of an
+    eigenvalue, s_i the last entry of its eigenvector of T.  Ritz values
+    within ``tol`` of 1 give Ritz vectors whose residual ||Q v - v|| must be
+    at most ``tol``; they join the fixed vectors and the next run starts.
+    A run with no Ritz value within ``tol`` of 1 ends the search; its
+    bounds must keep every Ritz value more than ``tol`` from 1.  A unit
+    fixed vector u that no run found then has overlap at most
+    beta / min_i |theta_i - 1| with the last start, against about n**-0.5
+    for a random start, so the count holds almost surely over the start.
+    """
+    n, dtype = diag.size, diag.dtype
+
+    def apply(x):
+        w = val * x[j]
+        y = diag * x + np.bincount(i, w.real, n)
+        return y + 1j * np.bincount(i, w.imag, n) if dtype.kind == "c" else y
+
+    def grown(space, k):
+        """``space``, doubled (up to n rows) if it has no row k."""
+        return space if k < len(space) else np.concatenate([space, np.empty_like(space[:n - k])])
+
+    def project_out(w, basis):
+        for _ in range(2):      # twice is enough
+            w -= (basis @ w.conj()).conj() @ basis
+        return w
+
+    floor = np.sqrt(n * np.finfo(float).eps) * np.max(np.abs(diag) + np.bincount(i, np.abs(val), n))
+    rng = np.random.default_rng(0)
+    # the fixed vectors found so far, then the Krylov basis of the run
+    space = np.empty((min(n, 32), n), dtype)
+    found = 0
+    while found < n:
+        start = rng.standard_normal(n) if dtype.kind != "c" else (
+            rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        start = project_out(start, space[:found])
+        space = grown(space, found)
+        space[found] = start / np.linalg.norm(start)
+        alpha, beta = [], []
+        for k in range(found, n):
+            w = apply(space[k])
+            alpha.append(np.vdot(space[k], w).real)
+            w -= alpha[-1] * space[k]
+            if k > found:
+                w -= beta[-1] * space[k - 1]
+            beta.append(np.linalg.norm(project_out(w, space[:k + 1])))
+            if beta[-1] <= floor or k + 1 == n:
+                break
+            space = grown(space, k + 1)
+            space[k + 1] = w / beta[-1]
+        m = len(alpha)
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:m - 1], 1)
+                                  + np.diag(beta[:m - 1], -1))
+        near = np.abs(theta - 1.0) <= tol
+        if not near.any():
+            if (np.abs(theta - 1.0) - beta[-1] * np.abs(s[-1]) <= tol).any():
+                raise NumericalContractError(
+                    f"a Ritz value of a shell block cannot be told from 1 (beta {beta[-1]:.3e})")
+            return space[:found].copy(), theta
+        ritz = s[:, near].T @ space[found:found + m]
+        res = max(np.linalg.norm(apply(v) - v) for v in ritz)
+        if res > tol:
+            raise NumericalContractError(
+                f"a Ritz vector at eigenvalue 1 has residual {res:.3e}, past {tol:.3e}")
+        space[found:found + len(ritz)] = ritz
+        found += len(ritz)
+    return space[:found], np.zeros(0)
+
+
+def _sparse_blocks(gen: KacGenerator, diagonal_only: bool):
+    """(row energy, rows, column energy, columns, (diagonal, rows, columns,
+    values)) of each shell block of Q_N, one block at a time.
+
+    A triple of ``_slices`` reaches a block only if the rest of each shell
+    energy, past the pair energy it moves, is an energy of the other N - 2
+    factors, so each block reads only the groups of ``_slice_sides`` that
+    pass; at N = 2 that is one group.
+    """
+    groups = _slice_sides(gen)
+    reach = {0}
+    for _ in range(gen.num_particles - 2):
+        reach = {r + e for r in reach for e in gen.spec.model.energies}
+    real = gen._diag.dtype.kind != "c" and all(s.imag == 0 for *_, s in gen._slices)
+    blocks = _shell_blocks(gen, diagonal_only)
+    within = np.zeros(gen.shape.dim, dtype=np.intp)
+    for _, rows in shell_structure(gen.spec.model, gen.num_particles, force=gen.force).shells:
+        within[rows] = np.arange(len(rows))
+    for er, rows, ec, cols in blocks:
+        triples = [t for (pr, pc), ts in groups.items()
+                   if er - pr in reach and ec - pc in reach for t in ts]
+        yield er, rows, ec, cols, _sparse_block(gen, triples, within, rows, cols,
+                                                float if real else complex)
+
+
+def _null_blocks(gen: KacGenerator, tol: float, diagonal_only: bool):
+    """(row energy, rows, column energy, columns, fixed vectors, last Ritz
+    values) of each shell block of Q_N, one block at a time."""
+    for er, rows, ec, cols, block in _sparse_blocks(gen, diagonal_only):
+        yield (er, rows, ec, cols, *_lanczos_fixed_vectors(*block, tol))
 
 
 def is_ergodic(spec: CollisionSpec) -> bool:
@@ -277,8 +424,7 @@ def is_ergodic(spec: CollisionSpec) -> bool:
     Q is Q_N at N = 2, so its fixed space is read off the N = 2 shell
     blocks.  That holds only if Q maps each block into itself, which is
     checked first: a ValueError is raised when a channel entry past
-    ``TOL_FIXED_EIG`` moves an operator between two pairs of shells.  The
-    generator is forced, so no model is refused for its block sizes.
+    ``TOL_FIXED_EIG`` moves an operator between two pairs of shells.
     """
     gen = KacGenerator(spec, 2, force=True)
     e = spec.model.energies
@@ -288,45 +434,60 @@ def is_ergodic(spec: CollisionSpec) -> bool:
         if shells_out != shells_in and abs(s) > TOL_FIXED_EIG:
             raise ValueError(f"spec {spec.name!r} does not conserve the pair energy: it moves "
                              f"the shells {shells_in} to {shells_out} with weight {abs(s):.3e}")
-    fixed = [f for rows, cols in _shell_blocks(gen, diagonal_only=False)
-             for f in _block_fixed_vectors(gen, rows, cols, TOL_FIXED_EIG)]
+    fixed = [(er == ec, f.reshape(len(rows), -1)) for er, rows, ec, _, vecs, _ in
+             _null_blocks(gen, TOL_FIXED_EIG, diagonal_only=False) for f in vecs]
     if len(fixed) != len(shell_structure(spec.model, 2, force=True).shells):
         return False
-    # at N = 2 each shell is one class, so the projection onto the span of
-    # the shell projectors is the class (commutant) projection
-    return all(np.abs(f - commutant_projection(spec.model, 2, f, force=True)).max()
-               <= TOL_FIXED_EIG for f in fixed)
+    # at N = 2 each shell is one class, so the pair energy algebra holds the
+    # multiples of each shell's identity, which lie in its diagonal block
+    return all(np.abs(f - diagonal * np.trace(f) / len(f) * np.eye(len(f))).max()
+               <= TOL_FIXED_EIG for diagonal, f in fixed)
 
 
 def ln_null_basis(gen: KacGenerator, tol: float = TOL_FIXED_EIG) -> list:
     """Hilbert-Schmidt orthonormal basis of the null space of L_N.
 
-    The shell subspaces are invariant under every pair channel, so Q_N is
-    diagonalized block by block and never materialized as a full matrix.
-    For an ergodic specification all fixed vectors live in the diagonal
-    blocks (they are diagonal in the product eigenbasis); off-diagonal
-    blocks are scanned too when the specification is not ergodic.
+    The shell subspaces are invariant under every pair channel, so the
+    fixed vectors of Q_N are found block by block, and Q_N is never
+    materialized as a full matrix.  For an ergodic specification all fixed
+    vectors live in the diagonal blocks (they are diagonal in the product
+    eigenbasis); off-diagonal blocks are scanned too when the
+    specification is not ergodic.
     """
-    return [f for rows, cols in _shell_blocks(gen, diagonal_only=is_ergodic(gen.spec))
-            for f in _block_fixed_vectors(gen, rows, cols, tol)]
+    dim = gen.shape.dim
+    out = []
+    for _, rows, _, cols, vecs, _ in _null_blocks(gen, tol, diagonal_only=is_ergodic(gen.spec)):
+        for f in vecs:
+            mat = np.zeros((dim, dim), dtype=complex)
+            mat[np.ix_(rows, cols)] = f.reshape(len(rows), len(cols))
+            out.append(mat)
+    return out
+
+
+def steady_state_classes(gen: KacGenerator, tol: float = TOL_FIXED_EIG) -> list:
+    """(E, rank) of each minimal class projection, sorted by shell and class.
+
+    The null-space dimension of L_N, counted block by block, must match the
+    class count; for a non-ergodic specification the count runs over all
+    shell blocks and a mismatch raises.  No d^N x d^N matrix is formed.
+    """
+    null_dim = sum(len(vecs) for *_, vecs, _ in
+                   _null_blocks(gen, tol, diagonal_only=is_ergodic(gen.spec)))
+    st = shell_structure(gen.spec.model, gen.num_particles, force=gen.force)
+    ranks = np.bincount(st.labels)
+    if null_dim != len(ranks):
+        raise NumericalContractError(
+            f"null-space dimension {null_dim} does not match the "
+            f"class count {len(ranks)}")
+    return list(zip(st.class_energies.tolist(), ranks.tolist()))
 
 
 def steady_states_basis(gen: KacGenerator, tol: float = TOL_FIXED_EIG) -> list:
-    """Normalized minimal class projections spanning the steady states.
-
-    Returns (E, state, rank) triples.  The numerically computed null-space
-    dimension of L_N must match the class count; for a non-ergodic
-    specification the check runs over all shell blocks and a mismatch
-    raises.
-    """
-    # first, so an oversized block fails before the dense projections are built
-    null_dim = len(ln_null_basis(gen, tol=tol))
-    projections = class_projections(gen.spec.model, gen.num_particles, force=gen.force)
-    if null_dim != len(projections):
-        raise NumericalContractError(
-            f"null-space dimension {null_dim} does not match the "
-            f"class count {len(projections)}")
-    return [(E, p / rank, rank) for E, p, rank in projections]
+    """Normalized minimal class projections spanning the steady states, as
+    (E, state, rank) triples, after the check of ``steady_state_classes``."""
+    steady_state_classes(gen, tol=tol)
+    return [(E, p / rank, rank) for E, p, rank in
+            class_projections(gen.spec.model, gen.num_particles, force=gen.force)]
 
 
 def entropy_production(gen: KacGenerator, rho: np.ndarray):

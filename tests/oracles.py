@@ -3,7 +3,8 @@ and test fixtures: predicates on matrices, dense factor permutations and
 pair embeddings, shell projectors, the identity-only spec, the qubit grid
 nodes by brute-force merging, the fixed space of a channel by one dense
 eigensolve, the closed-form
-diagonal Wild convolution, the full spectrum of Q_N, the
+diagonal Wild convolution, the dense shell blocks of Q_N with their
+fixed vectors by ``eigh`` and its full spectrum, the
 permutation-covariance residuals and the dissipation form of the
 linearized operator.
 """
@@ -14,8 +15,7 @@ from qkac.boltzmann import wild
 from qkac.collisions import (CollisionSpec, Superoperator, _merge_nodes,
                              superoperator_from_nodes)
 from qkac.linearized import BKMGeometry, _pair_geometry, multiply_super
-from qkac.master import (KacGenerator, _shell_block, _shell_blocks, apply_pair_channel,
-                         apply_QN)
+from qkac.master import KacGenerator, _shell_blocks, apply_pair_channel, apply_QN
 from qkac.operators import (FactorShape, _invert, _require_hermitian,
                             _validate_permutation, is_hermitian, permute_factors, tensor)
 from qkac.spectra import SingleParticleModel, shell_structure
@@ -251,10 +251,36 @@ def is_steady(spec: CollisionSpec, rho: np.ndarray,
 # spectrum and permutation covariance of Q_N (master)
 # ---------------------------------------------------------------------------
 
+def _shell_block(gen: KacGenerator, rows, cols) -> np.ndarray:
+    """Dense matrix of Q_N on the operators supported on rows x cols, read
+    off ``_diag`` and ``_slices`` and ordered row-major over the block.
+
+    Each triple of ``_slices`` moves the entries of its in slice one to one
+    onto its out slice; the moves with both ends in the block add into it.
+    """
+    dim, size = gen.shape.dim, len(rows) * len(cols)
+    block = np.zeros((size, size), dtype=complex)
+    block.flat[::size + 1] = gen._diag.reshape(dim, dim)[np.ix_(rows, cols)].ravel()
+    where = np.full((dim, dim), -1)     # block position of each entry, or -1
+    where[np.ix_(rows, cols)] = np.arange(size).reshape(len(rows), len(cols))
+    where = where.reshape(gen._diag.shape)
+    for dst, src, s in gen._slices:
+        i, j = where[dst].ravel(), where[src].ravel()
+        keep = (i >= 0) & (j >= 0)
+        block[i[keep], j[keep]] += s
+    return block
+
+
+def dense_block_fixed_vectors(gen: KacGenerator, rows, cols, tol=TOL_FIXED_EIG) -> np.ndarray:
+    """Eigenvalue-1 eigenvectors of the dense block, one per row, by ``eigh``."""
+    w, v = np.linalg.eigh(_shell_block(gen, rows, cols))
+    return v[:, np.abs(w - 1.0) <= tol].T
+
+
 def qn_spectrum(gen: KacGenerator) -> np.ndarray:
     """All eigenvalues of Q_N on the operator space, via the shell blocks."""
     eigs = [np.linalg.eigvalsh(_shell_block(gen, rows, cols))
-            for rows, cols in _shell_blocks(gen, diagonal_only=False)]
+            for _, rows, _, cols in _shell_blocks(gen, diagonal_only=False)]
     return np.sort(np.concatenate(eigs))
 
 

@@ -211,29 +211,37 @@ def test_params_read_before_any_work(tmp_path, capsys, monkeypatch, doc):
     assert not out.exists()
 
 
-def test_oversized_shell_block_exits_1_without_outputs(tmp_path):
-    # the size guard admits qubits at N = 9, but the dense E = 4 block of
-    # Q_N would be 126**2 = 15876-dimensional (about 4 GB).  The run gets a
-    # 1 GB address-space limit, so if the block check failed to stop it,
-    # it would end in a MemoryError instead of exhausting the host.
+def test_steady_states_at_N9_match_the_ergodicity_counts(tmp_path):
+    # the size guard admits qubits at N = 9, whose E = 4 block of Q_N has
+    # 126**2 = 15876 rows (about 4 GB as a dense matrix).  The run gets a
+    # 1 GB address-space limit, so a dense block or a d^N x d^N matrix per
+    # class would end it in a MemoryError.
     import resource
 
-    cfg = write_config(tmp_path, {
-        "command": "steady-states", "model": QUBIT, "spec": "qubit_tilted",
-        "params": {"N": 9}, "output_dir": str(tmp_path / "out")})
     src = str(Path(qkac.__file__).resolve().parents[1])
     limit = 1 << 30
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "qkac.cli", "--config", str(cfg)], cwd=tmp_path,
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
-    assert time.perf_counter() - start < 10
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ")
-    assert "E=4" in proc.stderr and "15876" in proc.stderr
-    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+    tables = {}
+    for command in ("steady-states", "ergodicity"):
+        cfg = write_config(tmp_path, {
+            "command": command, "model": QUBIT, "spec": "qubit_tilted",
+            "params": {"N": 9}, "output_dir": str(tmp_path / command)}, f"{command}.json")
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "qkac.cli", "--config", str(cfg)], cwd=tmp_path,
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 0, proc.stderr
+        assert time.perf_counter() - start < 30
+        header, *rows = read_csv(tmp_path / command / f"{command}.csv")
+        tables[command] = [dict(zip(header, row)) for row in rows]
+    steady, ergodicity = tables["steady-states"], tables["ergodicity"]
+    assert len(steady) == 10
+    per_shell = {}
+    for row in steady:
+        per_shell[row["E"]] = per_shell.get(row["E"], 0) + 1
+    assert per_shell == {row["E"]: int(row["class_count"]) for row in ergodicity}
+    assert [row["rank"] for row in steady] == [row["dim_KE"] for row in ergodicity]
 
 
 HUGE_N = 10_000_000_000

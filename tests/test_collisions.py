@@ -174,6 +174,23 @@ def test_verify_rejects_non_finite_nodes(tilted_sampled16):
         verify_spec(spec)
 
 
+@pytest.mark.parametrize("tilted", [False, True], ids=["uniform", "tilted"])
+def test_verify_residuals_do_not_depend_on_the_node_block(tilted, monkeypatch):
+    spec = (qubit_tilted_spec if tilted else qubit_uniform_spec)(9)
+    whole = verify_spec(spec).residuals
+    monkeypatch.setattr(collisions, "_NODE_BLOCK", 97)
+    assert len(spec.nodes) > 10 * 97
+    assert verify_spec(spec).residuals == whole
+    # a non-finite node in a later block is still named
+    nodes = list(spec.nodes)
+    u = nodes[500][1].copy()
+    u[0, 0] = np.inf
+    nodes[500] = (nodes[500][0], u)
+    bad = CollisionSpec(spec.model, "inf_node", "sampled", spec.channel, nodes)
+    with pytest.raises(ValueError, match=r"nodes \[500\] have a non-finite"):
+        verify_spec(bad)
+
+
 def test_verify_rejects_a_non_finite_channel(tilted_spec):
     mat = tilted_spec.channel.mat.copy()
     mat[5, 10] = np.nan
@@ -288,7 +305,7 @@ def test_closure_residual_matches_bruteforce_oracle(rng):
     def check(nodes):
         ws = np.array([w for w, _ in nodes])
         us = np.stack([u for _, u in nodes])
-        images = [us.conj().transpose(0, 2, 1), v @ us @ v.conj().T]
+        images = [lambda b: b.conj().transpose(0, 2, 1), lambda b: v @ b @ v.conj().T]
         out = []
         for transform, image in zip(transforms, images):
             mat, w, nearest = closure_oracle(nodes, transform)
@@ -337,6 +354,10 @@ def test_closure_residual_matches_bruteforce_oracle(rng):
     check([(0.01, far[0][1])] * 100)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(collisions, "_PAIR_BLOCK", 1 << 10)
+        check(far)
+        # nodes and images in blocks of 64: the blocks meet the whole node set
+        mp.setattr(collisions, "_NODE_BLOCK", 64)
+        check(far[:300] + closed[:300])
         check(far)
 
 

@@ -1,22 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 
-from qkac import master
-from qkac.collisions import (exact_EA2_spec, qubit_tilted_spec, qubit_uniform_spec,
-                             spec_by_name)
+from qkac.collisions import (CollisionSpec, exact_EA2_spec, qubit_tilted_spec,
+                             qubit_uniform_spec, spec_by_name, superoperator_from_nodes)
 from qkac.errors import NumericalContractError
-from qkac.master import (MAX_BLOCK_DIM, KacGenerator, _shell_block,
-                         _shell_blocks, apply_LN, apply_pair_channel, apply_QN,
+from qkac.master import (KacGenerator, _null_blocks, _sparse_blocks, apply_LN,
+                         apply_pair_channel, apply_QN,
                          entropy_production, evolve_master, ln_null_basis,
-                         steady_states_basis)
-from qkac.operators import (commutator, partial_trace, relative_entropy,
+                         steady_state_classes, steady_states_basis)
+from qkac.operators import (commutator, partial_trace, relative_entropy, swap_unitary,
                             tensor_power, trace_norm)
-from qkac.spectra import (SingleParticleModel, commutant_projection,
+from qkac.spectra import (SingleParticleModel, commutant_projection, is_fully_ergodic,
                           shell_structure)
 from qkac.tolerances import TOL_PSD
 from conftest import random_matrix, random_state, symmetrize_state
-from oracles import (embed_pair, hermitian_function, identity_spec,
-                     permutation_covariance_check, qn_spectrum, shell_state)
+from oracles import (_shell_block, dense_block_fixed_vectors, embed_pair,
+                     hermitian_function, identity_spec, permutation_covariance_check,
+                     qn_spectrum, shell_state)
 
 
 def pair_sum_oracle(spec, rho, num_particles):
@@ -257,23 +259,96 @@ def test_steady_states_basis_two_particles(uniform_spec):
         assert np.abs(s - np.diag(np.diag(s))).max() == 0.0
 
 
-def test_oversized_shell_block_rejected_before_gathering(tilted_spec, monkeypatch):
-    # qubit shells at N = 9 reach 126 indices, so the largest block is
-    # 126**2 = 15876-dimensional, while N = 8 peaks at 70**2 = 4900.
-    # _shell_blocks only lists the blocks, so none of this builds one.
-    with pytest.raises(ValueError, match="shell E=4 has dimension 15876"):
-        _shell_blocks(KacGenerator(tilted_spec, 9), True)
-    assert len(_shell_blocks(KacGenerator(tilted_spec, 9, force=True), True)) == 10
-    assert max(len(r) * len(c) for r, c in
-               _shell_blocks(KacGenerator(tilted_spec, 8), False)) == 4900 <= MAX_BLOCK_DIM
-    # every caller checks before it gathers; shown on a lowered limit,
-    # where a missed check would only build a 400-dimensional block
-    monkeypatch.setattr(master, "MAX_BLOCK_DIM", 399)
-    gen = KacGenerator(tilted_spec, 6)
-    for fn in (ln_null_basis, qn_spectrum, steady_states_basis):
-        with pytest.raises(ValueError, match="shell E=3 has dimension 400"):
-            fn(gen)
-    assert len(steady_states_basis(KacGenerator(tilted_spec, 6, force=True))) == 7
+def test_steady_state_classes_at_N9_match_the_class_counts(tilted_spec):
+    # N = 9 has a 15876-row E = 4 block; the sparse path needs no force
+    gen = KacGenerator(tilted_spec, 9)
+    _, counts = is_fully_ergodic(tilted_spec.model, 9)
+    classes = steady_state_classes(gen)
+    assert len(classes) == 10
+    assert classes == [(E, math.comb(9, E)) for E in range(10)]
+    assert all(counts[E] == 1 for E, _ in classes)
+
+
+def make_spec(name, energies):
+    model = SingleParticleModel(energies)
+    if name == "half_swap":
+        # moves one pair digit of the row and none of the column, e.g.
+        # |01><00| to |10><00|: the row and column pair energies differ
+        d = model.dim
+        nodes = [(0.5, np.eye(d * d, dtype=complex)), (0.5, swap_unitary(d))]
+        return CollisionSpec(model, name, "sampled", superoperator_from_nodes(nodes, d * d),
+                             nodes)
+    return identity_spec(model) if name == "identity" else spec_by_name(name, model)
+
+
+def dense_from_triples(diag, i, j, val):
+    block = np.diag(diag).astype(complex)
+    np.add.at(block, (i, j), val)
+    return block
+
+
+@pytest.mark.parametrize("spec_name,energies,n", [
+    ("qubit_tilted", (0, 1), 4), ("qubit_uniform", (0, 1), 3), ("exact_ea2", (0, 1, 2), 3),
+    ("exact_ea2", (0, 0, 1), 3), ("exact_ea2", (0, 1, 1, 2), 3), ("identity", (0, 1, 3), 3),
+    ("half_swap", (0, 1, 3), 3),
+])
+def test_sparse_block_matches_dense_block(spec_name, energies, n):
+    # every shell block, off-diagonal ones included; the degenerate models
+    # send moves on different pairs to one entry, which must be summed
+    gen = KacGenerator(make_spec(spec_name, energies), n)
+    blocks = list(_sparse_blocks(gen, diagonal_only=False))
+    assert len(blocks) == len(shell_structure(gen.spec.model, n).shells) ** 2
+    for _, rows, _, cols, (diag, i, j, val) in blocks:
+        assert np.all(np.diff(i * diag.size + j) > 0)      # merged: one triple per entry
+        want = _shell_block(gen, rows, cols)
+        assert np.abs(dense_from_triples(diag, i, j, val) - want).max() < 1e-15
+
+
+@pytest.mark.parametrize("spec_name,energies,n,all_blocks", [
+    ("qubit_tilted", (0, 1), 2, True), ("qubit_tilted", (0, 1), 4, True),
+    ("qubit_tilted", (0, 1), 6, False), ("qubit_uniform", (0, 1), 3, True),
+    ("qubit_uniform", (0, 1), 6, False), ("exact_ea2", (0, 1, 2), 3, True),
+    ("exact_ea2", (0, 1, 2), 4, False), ("exact_ea2", (0, 1, 4, 5), 3, True),
+    ("identity", (0, 1), 2, True), ("identity", (0, 1, 3), 2, True),
+    ("half_swap", (0, 1), 3, True), ("half_swap", (0, 1, 3), 3, True),
+])
+def test_lanczos_fixed_spaces_match_dense_eigh(spec_name, energies, n, all_blocks):
+    gen = KacGenerator(make_spec(spec_name, energies), n)
+    total = 0
+    for _, rows, _, cols, vecs, _ in _null_blocks(gen, 1e-8, diagonal_only=not all_blocks):
+        want = dense_block_fixed_vectors(gen, rows, cols)
+        assert len(vecs) == len(want)
+        assert np.abs(vecs.T @ vecs.conj() - want.T @ want.conj()).max() < 1e-12
+        total += len(vecs)
+    if spec_name == "identity":
+        # Q_N = 1: every run finds one vector, deflates it and restarts
+        assert total == len(energies) ** (2 * n)
+
+
+def test_ritz_values_are_the_bernoulli_laplace_spectrum_at_N8(tilted_spec):
+    # the populations of shell E move like the Bernoulli-Laplace urn, whose
+    # eigenvalues are 1 - j (N - j + 1) / (N (N - 1)), j <= min(E, N - E);
+    # j = 0 is the fixed vector, so the last run starts at j = 1
+    n = 8
+    gen = KacGenerator(tilted_spec, n)
+    for E, _, _, _, vecs, theta in _null_blocks(gen, 1e-8, diagonal_only=True):
+        assert len(vecs) == 1
+        top = np.sort(theta)[::-1][:min(E, n - E, 3)]
+        want = [1 - j * (n - j + 1) / (n * (n - 1)) for j in range(1, len(top) + 1)]
+        assert np.abs(top - want).max(initial=0.0) < 1e-12
+
+
+@pytest.mark.parametrize("delta,raises", [(1e-6, True), (2e-9, False)])
+def test_non_hermitian_block_raises(tilted_spec, delta, raises):
+    # one move of a Hermitian pair gets a different weight from its reverse
+    gen = KacGenerator(tilted_spec, 3)
+    dst, src, s = gen._slices[0]
+    gen._slices[0] = (dst, src, s + delta)
+    if raises:
+        with pytest.raises(NumericalContractError, match="not Hermitian"):
+            ln_null_basis(gen)
+    else:
+        assert len(ln_null_basis(gen)) == 4
 
 
 def test_steady_states_nonergodic_mismatch_raises(qubit_model):
