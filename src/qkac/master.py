@@ -310,23 +310,35 @@ def _lanczos_fixed_vectors(diag, i, j, val, tol):
     Ritz values of the last Lanczos run, which has none within ``tol`` of 1.
 
     Each run starts from a random vector (fixed seed) orthogonal to the
-    fixed vectors found so far.  Lanczos, fully reorthogonalized against
-    its basis and those vectors, runs until the residual norm beta drops to
-    sqrt(n eps) g: n is the block size, eps the machine epsilon and g the
-    largest absolute row sum of the block (Gershgorin's bound on its norm).
-    The threshold grows with n because the run's rounding errors grow with
-    its Lanczos polynomials: on the largest ``qubit_tilted`` block the
-    final beta is at most 2e-13 at n = 4,900 (N = 8) and 7e-8 at
-    n = 853,776 (N = 12), every earlier beta stays above 1e-2, and
-    sqrt(n eps) is 1e-6 and 1.4e-5.  Each Ritz value then lies within beta |s_i| of an
-    eigenvalue, s_i the last entry of its eigenvector of T.  Ritz values
-    within ``tol`` of 1 give Ritz vectors whose residual ||Q v - v|| must be
-    at most ``tol``; they join the fixed vectors and the next run starts.
-    A run with no Ritz value within ``tol`` of 1 ends the search; its
-    bounds must keep every Ritz value more than ``tol`` from 1.  A unit
-    fixed vector u that no run found then has overlap at most
-    beta / min_i |theta_i - 1| with the last start, against about n**-0.5
-    for a random start, so the count holds almost surely over the start.
+    fixed vectors found so far and runs Lanczos, fully reorthogonalized
+    against its basis and those vectors.  With n the block size, eps the
+    machine epsilon and g the largest absolute row sum of the block
+    (Gershgorin's bound on its norm), a run stops at the first of:
+
+    * breakdown, the residual norm beta at most sqrt(n eps) g.  Rounding
+      errors grow with the Lanczos polynomials, so the threshold grows
+      with n: on the largest ``qubit_tilted`` block the final beta is at
+      most 2e-13 at n = 4,900 (N = 8) and 7e-8 at n = 853,776 (N = 12),
+      while every earlier beta stays above 1e-2;
+    * converged fixed vectors: every Ritz value within ``tol`` of 1 has
+      its bound beta |s_i| at most sqrt(n) eps g, s_i the last entry of its
+      eigenvector of T;
+    * a start without fixed component: no Ritz value within ``tol`` of 1,
+      each one's bound beta |s_i| keeping it more than ``tol`` from 1, and
+      prod(betas) / prod |1 - theta_i| at most sqrt(eps / n).  That ratio
+      bounds the start's component along the eigenvalue-1 eigenvectors
+      (the Lanczos polynomial at 1), so the run need not wait for a
+      breakdown that the rounding of close eigenvalues can hide: on the
+      ``exact_ea2`` blocks of three levels at N = 6 the betas sink to the
+      rounding level and stay there for hundreds of steps.
+
+    The Ritz vectors of the Ritz values within ``tol`` of 1 must have
+    residual ||Q v - v|| at most ``tol``; they join the fixed vectors and
+    the next run starts.  A run with no such Ritz value ends the search;
+    each Ritz value must then lie more than ``tol`` from 1 by its bound.
+    A random start has a component of about n**-0.5 along any fixed unit
+    vector, below sqrt(eps / n) with probability about sqrt(eps), so the
+    count holds almost surely over the start.
     """
     n, dtype = diag.size, diag.dtype
 
@@ -344,7 +356,9 @@ def _lanczos_fixed_vectors(diag, i, j, val, tol):
             w -= (basis @ w.conj()).conj() @ basis
         return w
 
-    floor = np.sqrt(n * np.finfo(float).eps) * np.max(np.abs(diag) + np.bincount(i, np.abs(val), n))
+    eps = np.finfo(float).eps
+    g = np.max(np.abs(diag) + np.bincount(i, np.abs(val), n))
+    floor, sharp, quiet = np.sqrt(n * eps) * g, np.sqrt(n) * eps * g, np.sqrt(eps / n)
     rng = np.random.default_rng(0)
     # the fixed vectors found so far, then the Krylov basis of the run
     space = np.empty((min(n, 32), n), dtype)
@@ -363,13 +377,19 @@ def _lanczos_fixed_vectors(diag, i, j, val, tol):
             if k > found:
                 w -= beta[-1] * space[k - 1]
             beta.append(np.linalg.norm(project_out(w, space[:k + 1])))
+            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1)
+                                      + np.diag(beta[:-1], -1))
             if beta[-1] <= floor or k + 1 == n:
+                break
+            off, bound = np.abs(theta - 1.0), beta[-1] * np.abs(s[-1])
+            near = off <= tol
+            if (bound[near].max() <= sharp if near.any() else
+                    (off - bound > tol).all()
+                    and np.log(beta).sum() - np.log(off).sum() <= np.log(quiet)):
                 break
             space = grown(space, k + 1)
             space[k + 1] = w / beta[-1]
         m = len(alpha)
-        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:m - 1], 1)
-                                  + np.diag(beta[:m - 1], -1))
         near = np.abs(theta - 1.0) <= tol
         if not near.any():
             if (np.abs(theta - 1.0) - beta[-1] * np.abs(s[-1]) <= tol).any():

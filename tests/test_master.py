@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ import pytest
 from qkac.collisions import (CollisionSpec, exact_EA2_spec, qubit_tilted_spec,
                              qubit_uniform_spec, spec_by_name, superoperator_from_nodes)
 from qkac.errors import NumericalContractError
-from qkac.master import (KacGenerator, _null_blocks, _sparse_blocks, apply_LN,
-                         apply_pair_channel, apply_QN,
-                         entropy_production, evolve_master, ln_null_basis,
-                         steady_state_classes, steady_states_basis)
+from qkac.master import (KacGenerator, _lanczos_fixed_vectors, _null_blocks, _sparse_blocks,
+                         apply_LN, apply_pair_channel, apply_QN, entropy_production,
+                         evolve_master, ln_null_basis, steady_state_classes,
+                         steady_states_basis)
 from qkac.operators import (commutator, partial_trace, relative_entropy, swap_unitary,
                             tensor_power, trace_norm)
 from qkac.spectra import (SingleParticleModel, commutant_projection, is_fully_ergodic,
@@ -336,6 +337,33 @@ def test_ritz_values_are_the_bernoulli_laplace_spectrum_at_N8(tilted_spec):
         top = np.sort(theta)[::-1][:min(E, n - E, 3)]
         want = [1 - j * (n - j + 1) / (n * (n - 1)) for j in range(1, len(top) + 1)]
         assert np.abs(top - want).max(initial=0.0) < 1e-12
+
+
+def test_lanczos_stops_without_breakdown_on_a_dense_spectrum():
+    # 1998 distinct eigenvalues in [0, 0.8] and 1 twice: no run breaks down
+    # before step 1998, yet converged fixed vectors end the first two runs
+    # and the start's vanishing fixed component ends the last one
+    n = 2000
+    diag = np.concatenate([np.random.default_rng(1).uniform(0.0, 0.8, n - 2), [1.0, 1.0]])
+    empty = np.zeros(0, dtype=np.intp)
+    vecs, theta = _lanczos_fixed_vectors(diag, empty, empty, np.zeros(0), 1e-8)
+    want = np.zeros((n, n))
+    want[-2:, -2:] = np.eye(2)
+    assert len(vecs) == 2
+    assert np.abs(vecs.T @ vecs - want).max() < 1e-12
+    assert 0 < len(theta) < 100 and theta.max() < 0.8 + 1e-12
+
+
+def test_three_level_steady_states_at_N6_match_the_class_counts():
+    # the exact_ea2 blocks of three levels have close eigenvalues whose
+    # rounding hides the breakdown; the run stops on the start's certificate
+    model = SingleParticleModel((0, 1, 2))
+    start = time.perf_counter()
+    classes = steady_state_classes(KacGenerator(exact_EA2_spec(model), 6))
+    assert time.perf_counter() - start < 20
+    _, counts = is_fully_ergodic(model, 6)
+    assert [E for E, _ in classes] == sorted(counts)
+    assert sum(rank for _, rank in classes) == 3 ** 6
 
 
 @pytest.mark.parametrize("delta,raises", [(1e-6, True), (2e-9, False)])
