@@ -369,34 +369,38 @@ def _lanczos_fixed_vectors(diag, i, j, val, tol):
         start = project_out(start, space[:found])
         space = grown(space, found)
         space[found] = start / np.linalg.norm(start)
-        alpha, beta = [], []
+        beta = []
+        t = np.zeros((len(space), len(space)))      # T, grown with the basis
         for k in range(found, n):
+            m = k - found
             w = apply(space[k])
-            alpha.append(np.vdot(space[k], w).real)
-            w -= alpha[-1] * space[k]
-            if k > found:
+            t[m, m] = np.vdot(space[k], w).real
+            w -= t[m, m] * space[k]
+            if m:
                 w -= beta[-1] * space[k - 1]
+                t[m, m - 1] = t[m - 1, m] = beta[-1]
             beta.append(np.linalg.norm(project_out(w, space[:k + 1])))
-            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1)
-                                      + np.diag(beta[:-1], -1))
-            if beta[-1] <= floor or k + 1 == n:
-                break
+            theta, s = np.linalg.eigh(t[:m + 1, :m + 1])
             off, bound = np.abs(theta - 1.0), beta[-1] * np.abs(s[-1])
             near = off <= tol
-            if (bound[near].max() <= sharp if near.any() else
-                    (off - bound > tol).all()
-                    and np.log(beta).sum() - np.log(off).sum() <= np.log(quiet)):
+            if beta[-1] <= floor or k + 1 == n:
+                break
+            if near.any():
+                if bound[near].max() <= sharp:
+                    break
+            elif (off - bound > tol).all() and (np.log(beta).sum() - np.log(off).sum()
+                                                <= np.log(quiet)):
                 break
             space = grown(space, k + 1)
             space[k + 1] = w / beta[-1]
-        m = len(alpha)
-        near = np.abs(theta - 1.0) <= tol
+            if m + 1 == len(t):
+                t = np.pad(t, (0, len(t)))
         if not near.any():
-            if (np.abs(theta - 1.0) - beta[-1] * np.abs(s[-1]) <= tol).any():
+            if (off - bound <= tol).any():
                 raise NumericalContractError(
                     f"a Ritz value of a shell block cannot be told from 1 (beta {beta[-1]:.3e})")
             return space[:found].copy(), theta
-        ritz = s[:, near].T @ space[found:found + m]
+        ritz = s[:, near].T @ space[found:found + len(beta)]
         res = max(np.linalg.norm(apply(v) - v) for v in ritz)
         if res > tol:
             raise NumericalContractError(
