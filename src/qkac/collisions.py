@@ -343,7 +343,7 @@ def verify_spec(spec: CollisionSpec) -> SpecReport:
         nodes = spec.nodes
         h2 = spec.pair_hamiltonian()
         eye = np.eye(d * d)
-        us = np.stack([u for _, u in nodes])
+        us = np.stack([u for _, u in nodes]).astype(complex, copy=False)
         ws = np.array([w for w, _ in nodes])
         bad = np.flatnonzero(~(np.isfinite(ws) & np.isfinite(us).all(axis=(1, 2))))
         if bad.size:

@@ -259,7 +259,7 @@ def _side_positions(digits, idx, within, factors, out, shift):
     return np.flatnonzero(hit), within[idx[hit] + shift]
 
 
-def _sparse_block(gen: KacGenerator, triples: list, within, rows, cols, dtype):
+def _sparse_block(gen: KacGenerator, triples: list, within, rows, cols):
     """Q_N on the operators supported on rows x cols, ordered row-major over
     the block, as its diagonal and merged (row, column, value) triples.
 
@@ -275,7 +275,7 @@ def _sparse_block(gen: KacGenerator, triples: list, within, rows, cols, dtype):
     diag = gen._diag.reshape(dim, dim)[np.ix_(rows, cols)].ravel()
     herm = 2 * np.abs(diag.imag).max()
     i = j = np.zeros(0, dtype=np.intp)
-    val = np.zeros(0, dtype)
+    val = np.zeros(0, complex)
     if triples:
         digits = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).digits
         rd, cd = digits[rows], digits[cols]
@@ -285,7 +285,7 @@ def _sparse_block(gen: KacGenerator, triples: list, within, rows, cols, dtype):
             c_out, c_in = _side_positions(cd, cols, within, *col_side)
             keys.append(((r_out[:, None] * nc + c_out) * size
                          + r_in[:, None] * nc + c_in).ravel())
-            vals.append(np.full(keys[-1].size, s.real if dtype is float else s, dtype=dtype))
+            vals.append(np.full(keys[-1].size, s, dtype=complex))
         key, val = np.concatenate(keys), np.concatenate(vals)
         del keys, vals
         order = np.argsort(key)
@@ -301,10 +301,10 @@ def _sparse_block(gen: KacGenerator, triples: list, within, rows, cols, dtype):
         herm = max(herm, np.abs(val - mirror.conj()).max(initial=0.0))
     if herm > 1e-8:
         raise NumericalContractError(f"generator block is not Hermitian ({herm:.3e})")
-    return diag.astype(dtype), i, j, val
+    return diag.astype(complex), i, j, val
 
 
-def _lanczos_fixed_vectors(diag, i, j, val, tol):
+def _lanczos_fixed_vectors(diag, i, j, val, tol, limit=None):
     """Orthonormal eigenvalue-1 eigenvectors, one per row, of the Hermitian
     block with diagonal ``diag`` and (row, column, value) triples, and the
     Ritz values of the last Lanczos run, which has none within ``tol`` of 1.
@@ -313,7 +313,8 @@ def _lanczos_fixed_vectors(diag, i, j, val, tol):
     fixed vectors found so far and runs Lanczos, fully reorthogonalized
     against its basis and those vectors.  With n the block size, eps the
     machine epsilon and g the largest absolute row sum of the block
-    (Gershgorin's bound on its norm), a run stops at the first of:
+    (Gershgorin's bound on its norm), a run with a Ritz value within
+    ``tol`` of 1 stops at the first of:
 
     * breakdown, the residual norm beta at most sqrt(n eps) g.  Rounding
       errors grow with the Lanczos polynomials, so the threshold grows
@@ -322,30 +323,37 @@ def _lanczos_fixed_vectors(diag, i, j, val, tol):
       while every earlier beta stays above 1e-2;
     * converged fixed vectors: every Ritz value within ``tol`` of 1 has
       its bound beta |s_i| at most sqrt(n) eps g, s_i the last entry of its
-      eigenvector of T;
-    * a start without fixed component: no Ritz value within ``tol`` of 1,
-      each one's bound beta |s_i| keeping it more than ``tol`` from 1, and
-      prod(betas) / prod |1 - theta_i| at most sqrt(eps / n).  That ratio
-      bounds the start's component along the eigenvalue-1 eigenvectors
-      (the Lanczos polynomial at 1), so the run need not wait for a
-      breakdown that the rounding of close eigenvalues can hide: on the
-      ``exact_ea2`` blocks of three levels at N = 6 the betas sink to the
-      rounding level and stay there for hundreds of steps.
+      eigenvector of T.
+
+    A run with no Ritz value within ``tol`` of 1 stops only when each Ritz
+    value's bound beta |s_i| keeps it more than ``tol`` from 1 and
+    prod(betas) / prod |1 - theta_i| is at most sqrt(eps / n).  That ratio
+    bounds the start's component along the eigenvalue-1 eigenvectors (the
+    Lanczos polynomial at 1).  A small beta alone does not end such a
+    run: a fixed vector the run has not seen forces a Ritz value only
+    within about beta / c of 1, c the start's component along it, which
+    for a beta at the breakdown threshold is far more than ``tol``.  At an
+    exact breakdown the last beta makes the ratio pass at once; past an
+    inexact one the run goes on, and the ratio, not the rounding of close
+    eigenvalues, ends it: on the ``exact_ea2`` blocks of three levels at
+    N = 6 the betas sink to the rounding level and stay there for
+    hundreds of steps.
 
     The Ritz vectors of the Ritz values within ``tol`` of 1 must have
     residual ||Q v - v|| at most ``tol``; they join the fixed vectors and
-    the next run starts.  A run with no such Ritz value ends the search;
-    each Ritz value must then lie more than ``tol`` from 1 by its bound.
+    the next run starts.  A run with no such Ritz value ends the search.
     A random start has a component of about n**-0.5 along any fixed unit
     vector, below sqrt(eps / n) with probability about sqrt(eps), so the
-    count holds almost surely over the start.
+    count holds almost surely over the start.  Given a ``limit``, the
+    search stops as soon as it holds more fixed vectors than that, with
+    no Ritz values, so a fixed space larger than the caller expects does
+    not fill memory.
     """
-    n, dtype = diag.size, diag.dtype
+    n = diag.size
 
     def apply(x):
         w = val * x[j]
-        y = diag * x + np.bincount(i, w.real, n)
-        return y + 1j * np.bincount(i, w.imag, n) if dtype.kind == "c" else y
+        return diag * x + np.bincount(i, w.real, n) + 1j * np.bincount(i, w.imag, n)
 
     def grown(space, k):
         """``space``, doubled (up to n rows) if it has no row k."""
@@ -361,16 +369,14 @@ def _lanczos_fixed_vectors(diag, i, j, val, tol):
     floor, sharp, quiet = np.sqrt(n * eps) * g, np.sqrt(n) * eps * g, np.sqrt(eps / n)
     rng = np.random.default_rng(0)
     # the fixed vectors found so far, then the Krylov basis of the run
-    space = np.empty((min(n, 32), n), dtype)
+    space = np.empty((min(n, 32), n), complex)
     found = 0
-    while found < n:
-        start = rng.standard_normal(n) if dtype.kind != "c" else (
-            rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        start = project_out(start, space[:found])
+    while found < n and (limit is None or found <= limit):
+        start = project_out(rng.standard_normal(n) + 1j * rng.standard_normal(n), space[:found])
         space = grown(space, found)
         space[found] = start / np.linalg.norm(start)
         beta = []
-        t = np.zeros((len(space), len(space)))      # T, grown with the basis
+        t = np.zeros((32, 32))      # T of the run, grown with it
         for k in range(found, n):
             m = k - found
             w = apply(space[k])
@@ -383,13 +389,13 @@ def _lanczos_fixed_vectors(diag, i, j, val, tol):
             theta, s = np.linalg.eigh(t[:m + 1, :m + 1])
             off, bound = np.abs(theta - 1.0), beta[-1] * np.abs(s[-1])
             near = off <= tol
-            if beta[-1] <= floor or k + 1 == n:
+            if k + 1 == n:
                 break
             if near.any():
-                if bound[near].max() <= sharp:
+                if beta[-1] <= floor or bound[near].max() <= sharp:
                     break
-            elif (off - bound > tol).all() and (np.log(beta).sum() - np.log(off).sum()
-                                                <= np.log(quiet)):
+            elif (off - bound > tol).all() and (beta[-1] == 0 or (
+                    np.log(beta).sum() - np.log(off).sum() <= np.log(quiet))):
                 break
             space = grown(space, k + 1)
             space[k + 1] = w / beta[-1]
@@ -423,7 +429,6 @@ def _sparse_blocks(gen: KacGenerator, diagonal_only: bool):
     reach = {0}
     for _ in range(gen.num_particles - 2):
         reach = {r + e for r in reach for e in gen.spec.model.energies}
-    real = gen._diag.dtype.kind != "c" and all(s.imag == 0 for *_, s in gen._slices)
     blocks = _shell_blocks(gen, diagonal_only)
     within = np.zeros(gen.shape.dim, dtype=np.intp)
     for _, rows in shell_structure(gen.spec.model, gen.num_particles, force=gen.force).shells:
@@ -431,15 +436,24 @@ def _sparse_blocks(gen: KacGenerator, diagonal_only: bool):
     for er, rows, ec, cols in blocks:
         triples = [t for (pr, pc), ts in groups.items()
                    if er - pr in reach and ec - pc in reach for t in ts]
-        yield er, rows, ec, cols, _sparse_block(gen, triples, within, rows, cols,
-                                                float if real else complex)
+        yield er, rows, ec, cols, _sparse_block(gen, triples, within, rows, cols)
 
 
-def _null_blocks(gen: KacGenerator, tol: float, diagonal_only: bool):
+def _null_blocks(gen: KacGenerator, tol: float, diagonal_only: bool, limit=None):
     """(row energy, rows, column energy, columns, fixed vectors, last Ritz
-    values) of each shell block of Q_N, one block at a time."""
+    values) of each shell block of Q_N, one block at a time.
+
+    Given a ``limit``, the scan ends at the first block that takes the
+    count of fixed vectors past it, and that block's own search stops as
+    soon as it does.
+    """
     for er, rows, ec, cols, block in _sparse_blocks(gen, diagonal_only):
-        yield (er, rows, ec, cols, *_lanczos_fixed_vectors(*block, tol))
+        vecs, theta = _lanczos_fixed_vectors(*block, tol, limit)
+        yield er, rows, ec, cols, vecs, theta
+        if limit is not None:
+            limit -= len(vecs)
+            if limit < 0:
+                return
 
 
 def is_ergodic(spec: CollisionSpec) -> bool:
@@ -493,16 +507,16 @@ def steady_state_classes(gen: KacGenerator, tol: float = TOL_FIXED_EIG) -> list:
 
     The null-space dimension of L_N, counted block by block, must match the
     class count; for a non-ergodic specification the count runs over all
-    shell blocks and a mismatch raises.  No d^N x d^N matrix is formed.
+    shell blocks and a mismatch raises, the moment the fixed vectors found
+    pass the class count if they do.  No d^N x d^N matrix is formed.
     """
-    null_dim = sum(len(vecs) for *_, vecs, _ in
-                   _null_blocks(gen, tol, diagonal_only=is_ergodic(gen.spec)))
     st = shell_structure(gen.spec.model, gen.num_particles, force=gen.force)
     ranks = np.bincount(st.labels)
+    null_dim = sum(len(vecs) for *_, vecs, _ in _null_blocks(
+        gen, tol, diagonal_only=is_ergodic(gen.spec), limit=len(ranks)))
     if null_dim != len(ranks):
-        raise NumericalContractError(
-            f"null-space dimension {null_dim} does not match the "
-            f"class count {len(ranks)}")
+        found = "passes" if null_dim > len(ranks) else f"{null_dim} does not match"
+        raise NumericalContractError(f"null-space dimension {found} the class count {len(ranks)}")
     return list(zip(st.class_energies.tolist(), ranks.tolist()))
 
 

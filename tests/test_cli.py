@@ -831,6 +831,30 @@ def test_numerical_contract_violation_exits_2(tmp_path, capsys):
     assert "contract" in capsys.readouterr().err
 
 
+def test_identity_nodes_at_N9_exit_2_before_filling_memory(tmp_path):
+    # Q_N = 1 fixes all 2**18 operators at N = 9; the count of fixed
+    # vectors must stop at the 10 classes, not after gigabytes of them
+    import resource
+
+    lines = ["dim 4", "weight 1"] + [" ".join(f"{v:.1f} 0.0" for v in row) for row in np.eye(4)]
+    nodes = tmp_path / "identity_nodes.txt"
+    nodes.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path, {
+        "command": "steady-states", "model": QUBIT, "spec": f"sampled_file:{nodes}",
+        "params": {"N": 9}, "output_dir": str(tmp_path / "out")})
+    src = str(Path(qkac.__file__).resolve().parents[1])
+    limit = 1 << 30
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qkac.cli", "--config", str(cfg)], cwd=tmp_path,
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2, proc.stderr
+    assert "passes the class count 10" in proc.stderr
+
+
 def test_crlf_line_endings(tmp_path):
     code, out = run_cli(tmp_path, {
         "command": "steady-family", "model": QUBIT})

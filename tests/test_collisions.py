@@ -221,6 +221,17 @@ def test_symmetrize_closes_asymmetric_family(qubit_model):
     assert report.passes, report.violations
 
 
+def test_verify_accepts_real_nodes(qubit_model):
+    # real unitaries (identity and swap) have complex swap images; the
+    # closure check must compare them with the nodes all the same
+    nodes = [(0.5, np.eye(4)), (0.5, swap_unitary(2).real)]
+    spec = CollisionSpec(qubit_model, "real", "sampled",
+                         superoperator_from_nodes(nodes, 4), nodes)
+    report = verify_spec(spec)
+    assert report.passes, report.violations
+    assert report.residuals["closed_under_swap"] == 0.0
+
+
 def symmetrize_reference(nodes, d):
     """Per-node loop over each orbit {u, u*, su, su*}, merging unitaries
     equal to 9 decimals; the heaviest first, ties in order of appearance."""

@@ -350,8 +350,32 @@ def test_lanczos_stops_without_breakdown_on_a_dense_spectrum():
     want = np.zeros((n, n))
     want[-2:, -2:] = np.eye(2)
     assert len(vecs) == 2
-    assert np.abs(vecs.T @ vecs - want).max() < 1e-12
+    assert np.abs(vecs.T @ vecs.conj() - want).max() < 1e-12
     assert 0 < len(theta) < 100 and theta.max() < 0.8 + 1e-12
+
+
+def test_lanczos_finds_a_fixed_vector_past_an_inexact_breakdown():
+    # one fixed vector next to 1999 eigenvalues 1e-6 below it: the first
+    # beta, about 1e-6 times the start's component n**-0.5 along the fixed
+    # vector, lies under the breakdown threshold sqrt(n eps), though the
+    # lone Ritz value is 1e-6 from 1; only the start's certificate can
+    # tell that the run has not yet seen the fixed vector
+    n = 2000
+    diag = np.concatenate([[1.0], np.full(n - 1, 1.0 - 1e-6)])
+    empty = np.zeros(0, dtype=np.intp)
+    vecs, _ = _lanczos_fixed_vectors(diag, empty, empty, np.zeros(0), 1e-8)
+    assert len(vecs) == 1
+    assert abs(abs(vecs[0, 0]) - 1.0) < 1e-12
+
+
+def test_lanczos_stops_past_its_limit():
+    # Q = 1 on 1000 rows: each run deflates one vector, and the search
+    # ends once it holds one vector more than the limit
+    n = 1000
+    empty = np.zeros(0, dtype=np.intp)
+    vecs, theta = _lanczos_fixed_vectors(np.ones(n), empty, empty, np.zeros(0), 1e-8, limit=3)
+    assert len(vecs) == 4 and len(theta) == 0
+    assert np.abs(vecs.conj() @ vecs.T - np.eye(4)).max() < 1e-12
 
 
 def test_three_level_steady_states_at_N6_match_the_class_counts():
