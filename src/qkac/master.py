@@ -318,9 +318,9 @@ def _lanczos_fixed_vectors(diag, i, j, val, tol, limit=None):
 
     * breakdown, the residual norm beta at most sqrt(n eps) g.  Rounding
       errors grow with the Lanczos polynomials, so the threshold grows
-      with n: on the largest ``qubit_tilted`` block the final beta is at
-      most 2e-13 at n = 4,900 (N = 8) and 7e-8 at n = 853,776 (N = 12),
-      while every earlier beta stays above 1e-2;
+      with n: on the largest ``qubit_tilted`` block the run that finds
+      the fixed vector ends at beta 8e-14 at n = 4,900 (N = 8) and 1e-8
+      at n = 853,776 (N = 12), while every earlier beta stays above 1e-2;
     * converged fixed vectors: every Ritz value within ``tol`` of 1 has
       its bound beta |s_i| at most sqrt(n) eps g, s_i the last entry of its
       eigenvector of T.
