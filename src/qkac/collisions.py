@@ -193,6 +193,7 @@ def _closure_residual(ws, us, image):
 
 
 _WIDE_WINDOW = 64       # windows longer than this go to the coordinate filter
+_FILTER_BINS = 64       # rank bins per coordinate in the coordinate filter
 
 
 def _nearest_nodes(xs):
@@ -265,7 +266,7 @@ def _nearest_candidates(xs, ys, counts, cand, label):
     return hit
 
 
-def _coordinate_filter(xs, ys, r, near, slack, bins=64):
+def _coordinate_filter(xs, ys, r, near, slack):
     """``_nearest_nodes`` for the rows of ``ys`` whose projection windows are
     wide; row ``near[k]`` of ``xs`` is at max-norm distance ``r[k]`` from
     ``ys[k]``.
@@ -274,7 +275,7 @@ def _coordinate_filter(xs, ys, r, near, slack, bins=64):
     in the Euclidean norm, found by one matrix product.  Only the rows
     within r + slack of an image on every coordinate can then be nearer.
     They are found with bitsets: on each coordinate the rows are ranked
-    and their ranks cut into ``bins`` bins, the rows within a coordinate
+    and their ranks cut into ``_FILTER_BINS`` bins, the rows within a coordinate
     window of an image are the difference of two prefix unions of bins,
     and the rows within every window are one AND per coordinate.  The
     surviving rows are compared exactly.
@@ -295,15 +296,15 @@ def _coordinate_filter(xs, ys, r, near, slack, bins=64):
             hit[a:a + rows][closer] = c[closer]
     del scores, g
     # below[k, t] is the bitset of the rows ranked below t * size on coordinate k
-    size = -(-n // bins)
+    size = -(-n // _FILTER_BINS)
     order = np.argsort(xs, axis=0, kind="stable")
     sorted_cols = np.take_along_axis(xs, order, axis=0).T.copy()
     rank_bin = np.empty((n, dim), dtype=np.int32)
     np.put_along_axis(rank_bin, order, (np.arange(n, dtype=np.int32) // size)[:, None], axis=0)
     del order
     words = -(-n // 64)
-    below = np.zeros((dim, bins + 1, 8 * words), dtype=np.uint8)
-    cuts = np.arange(bins + 1)[:, None]
+    below = np.zeros((dim, _FILTER_BINS + 1, 8 * words), dtype=np.uint8)
+    cuts = np.arange(_FILTER_BINS + 1)[:, None]
     for k in range(dim):
         below[k, :, :-(-n // 8)] = np.packbits(rank_bin[:, k] < cuts, axis=1, bitorder="little")
     below = below.view(np.uint64)

@@ -47,6 +47,20 @@ _STEADY_TOL = 1e-9      # residual of rho * rho = rho accepted by build_K
 _AGREE_TOL = 1e-10      # entrywise gap allowed between the two K constructions
 
 
+def _log_mean_table(w: np.ndarray) -> np.ndarray:
+    """The logarithmic means L_ij of the eigenvalues ``w``."""
+    # within a ratio of 2, w_i - w_j is exact and log1p of the relative
+    # difference keeps the digits of close eigenvalues; np.where takes
+    # log1p of every pair, -inf where w_i / w_j is below eps, unread
+    wi, wj = w[:, None], w[None, :]
+    close = (wi <= 2 * wj) & (wj <= 2 * wi)
+    with np.errstate(divide="ignore"):
+        den = np.where(close, np.log1p((wi - wj) / wj), np.log(wi) - np.log(wj))
+    table = np.broadcast_to(wj, den.shape).copy()   # den is 0 only where w_i == w_j
+    np.divide(wi - wj, den, out=table, where=den != 0)
+    return table
+
+
 @dataclass(frozen=True)
 class BKMGeometry:
     """Eigendecomposition of a strictly positive state with the
@@ -65,22 +79,9 @@ class BKMGeometry:
         if not w.min() > tol_psd:     # NaN compares False, so it fails too
             raise ValueError(
                 f"reference state must be strictly positive (min eigenvalue {w.min():.3e})")
-        self._fill(rho, w, v)
-
-    def _fill(self, rho, w, v) -> "BKMGeometry":
-        # within a ratio of 2, w_i - w_j is exact and log1p of the relative
-        # difference keeps the digits of close eigenvalues; np.where takes
-        # log1p of every pair, -inf where w_i / w_j is below eps, unread
-        wi, wj = w[:, None], w[None, :]
-        close = (wi <= 2 * wj) & (wj <= 2 * wi)
-        with np.errstate(divide="ignore"):
-            den = np.where(close, np.log1p((wi - wj) / wj), np.log(wi) - np.log(wj))
-        table = np.broadcast_to(wj, den.shape).copy()   # den is 0 only where w_i == w_j
-        np.divide(wi - wj, den, out=table, where=den != 0)
         for name, value in (("rho_inf", rho), ("eigvals", w), ("eigvecs", v),
-                            ("multipliers", table)):
+                            ("multipliers", _log_mean_table(w))):
             object.__setattr__(self, name, value)
-        return self
 
     @property
     def dim(self) -> int:
@@ -103,14 +104,6 @@ def bkm_inner(geo: BKMGeometry, a: np.ndarray, b: np.ndarray) -> complex:
     """<A, B> = Tr[A^* [rho] B]; sesquilinear and positive definite."""
     return complex(np.trace(np.asarray(a, dtype=complex).conj().T
                             @ multiply_super(geo, b)))
-
-
-def _pair_geometry(geo: BKMGeometry) -> BKMGeometry:
-    """Geometry of rho_inf x rho_inf from the eigenpairs of rho_inf: no
-    second eigensolve, and no positivity check past the one rho_inf passed."""
-    w, v = geo.eigvals, geo.eigvecs
-    return object.__new__(BKMGeometry)._fill(tensor(geo.rho_inf, geo.rho_inf),
-                                              np.kron(w, w), np.kron(v, v))
 
 
 def _check_steady(spec: CollisionSpec, geo: BKMGeometry) -> None:
@@ -143,7 +136,10 @@ def _k_apply_alternate(spec: CollisionSpec, geo: BKMGeometry,
     # np.kron multiplies the trailing two axes and keeps the stack axis
     sharp = (tensor(x, eye) + tensor(eye, x)).reshape(len(x), -1)
     big = (sharp @ spec.channel.mat.T).reshape(len(x), d * d, d * d)
-    pair = multiply_super(_pair_geometry(geo), big).reshape(len(x), d, d, d, d)
+    # [rho x rho] through the Kronecker squares of rho's eigenpairs
+    w2, v2 = np.kron(geo.eigvals, geo.eigvals), np.kron(geo.eigvecs, geo.eigvecs)
+    pair = (v2 @ (_log_mean_table(w2) * (v2.conj().T @ big @ v2)) @ v2.conj().T).reshape(
+        len(x), d, d, d, d)
     w = np.einsum("nkrlr->nkl", pair)
     trace = np.trace(multiply_super(geo, x), axis1=1, axis2=2)[:, None, None] * np.eye(d)
     return 2.0 * (divide_super(geo, w) - x - trace)

@@ -21,9 +21,9 @@ of factors and off-diagonal nonzero.  Q_N rho is D * rho plus each scaled
 in slice added into its out slice.
 
 The null space of L_N is found one energy-shell block at a time.  Each
-block is read off the same table as merged (row, column, value) triples,
-and a fully reorthogonalized Lanczos run with deflation certifies its
-eigenvalue-1 vectors (``_lanczos_fixed_vectors``); no block is formed
+block is read off the channel's moves on each pair as (row, column, value)
+triples, and a fully reorthogonalized Lanczos run with deflation certifies
+its eigenvalue-1 vectors (``_lanczos_fixed_vectors``); no block is formed
 densely, so memory grows with the nonzeros of the largest block.
 """
 
@@ -81,8 +81,8 @@ class KacGenerator:
         self._pair_diag = (diag if diag.imag.any() else diag.real).reshape((d,) * 4)
         rows, cols = np.nonzero(mat)
         rows, cols = rows[rows != cols], cols[rows != cols]
-        self._moves = list(zip(np.transpose(np.unravel_index(rows, (d,) * 4)).tolist(),
-                               np.transpose(np.unravel_index(cols, (d,) * 4)).tolist(),
+        self._moves = list(zip(map(tuple, np.transpose(np.unravel_index(rows, (d,) * 4)).tolist()),
+                               map(tuple, np.transpose(np.unravel_index(cols, (d,) * 4)).tolist()),
                                mat[rows, cols].tolist()))
         self._diag = np.zeros((d,) * (2 * n), dtype=self._pair_diag.dtype)
         for (i, j) in self.pairs:
@@ -225,27 +225,37 @@ def _shell_blocks(gen: KacGenerator, diagonal_only: bool) -> list:
             if er == ec or not diagonal_only]
 
 
-def _slice_sides(gen: KacGenerator) -> dict:
-    """The triples of ``_slices``, split into a row and a column side and
-    grouped by the (row, column) pair energies they move.
+def _move_sides(gen: KacGenerator) -> dict:
+    """Each move of ``_moves`` on each pair of factors as a row side and a
+    column side, grouped by the (row, column) pair energies it keeps.
 
-    Each side is (fixed factors, their out digits, flat-index shift from
-    out to in digits).  A triple whose in digits carry other pair energies
-    than its out digits joins two different shell pairs, so it reaches no
-    block and is left out (``is_ergodic`` bounds such triples).
+    Each side is (the pair's factors, its out digits, flat-index shift from
+    out to in digits); the weight is s / binom(N, 2).  A move that changes a
+    pair energy reaches no block: past ``TOL_FIXED_EIG`` it raises a
+    ValueError, and a smaller one is left out.  Then each move's reverse
+    must carry the conjugate weight, and the pair diagonal must be real, to
+    1e-8 on the blocks' scale (``NumericalContractError``).
     """
-    n, e = gen.num_particles, gen.spec.model.energies
+    n, e, scale = gen.num_particles, gen.spec.model.energies, len(gen.pairs)
+    table = {(out, src): s for out, src, s in gen._moves}
+    herm, kept = 2 * np.abs(gen._pair_diag.imag).max(), []
+    for (out, src), s in table.items():
+        e_out, e_in = [(e[a] + e[b], e[c] + e[f]) for a, b, c, f in (out, src)]
+        if e_out == e_in:
+            kept.append((e_out, out, np.subtract(src, out), s / scale))
+        elif abs(s) > TOL_FIXED_EIG:
+            raise ValueError(f"spec {gen.spec.name!r} does not conserve the pair energy: it moves "
+                             f"the shells {e_in} to {e_out} with weight {abs(s):.3e}")
+        herm = max(herm, abs(s - np.conj(table.get((src, out), 0))) / scale)
+    if herm > 1e-8:
+        raise NumericalContractError(f"generator block is not Hermitian ({herm:.3e})")
     weight = gen.shape.factor_dim ** np.arange(n - 1, -1, -1)
     groups = {}
-    for dst, src, s in gen._slices:
-        axes = [ax for ax, a in enumerate(dst) if not isinstance(a, slice)]
-        sides = [[ax for ax in axes if ax < n], [ax for ax in axes if ax >= n]]
-        energies = [sum(e[dst[ax]] for ax in side) for side in sides]
-        if energies == [sum(e[src[ax]] for ax in side) for side in sides]:
-            groups.setdefault(tuple(energies), []).append((*[
-                ([ax % n for ax in side], [dst[ax] for ax in side],
-                 sum((src[ax] - dst[ax]) * weight[ax % n] for ax in side))
-                for side in sides], s))
+    for i, j in gen.pairs:
+        w = weight[[i, j]]
+        for shells, out, delta, s in kept:
+            groups.setdefault(shells, []).append(
+                (((i, j), out[:2], delta[:2] @ w), ((i, j), out[2:], delta[2:] @ w), s))
     return groups
 
 
@@ -261,47 +271,27 @@ def _side_positions(digits, idx, within, factors, out, shift):
 
 def _sparse_block(gen: KacGenerator, triples: list, within, rows, cols):
     """Q_N on the operators supported on rows x cols, ordered row-major over
-    the block, as its diagonal and merged (row, column, value) triples.
+    the block, as its diagonal and (row, column, value) triples.
 
-    ``triples`` are the sides of the ``_slices`` triples that reach the
-    block, ``within`` the position of each index in its shell.  A triple
-    moves the entries of its in slice one to one onto its out slice; on the
-    block those are the products of the rows and of the columns whose fixed
-    digits match.  Duplicates are summed, and the block must be Hermitian
-    to 1e-8.
+    ``triples`` are the sides of the moves that reach the block, ``within``
+    the position of each index in its shell.  A move takes the entries of
+    its in digits one to one onto its out digits; on the block those are
+    the products of the rows and of the columns whose fixed digits match.
+    Moves on different pairs that meet on one entry give one triple each,
+    which the Lanczos matvec sums.
     """
     dim, nc = gen.shape.dim, len(cols)
-    size = len(rows) * nc
     diag = gen._diag.reshape(dim, dim)[np.ix_(rows, cols)].ravel()
-    herm = 2 * np.abs(diag.imag).max()
-    i = j = np.zeros(0, dtype=np.intp)
-    val = np.zeros(0, complex)
-    if triples:
-        digits = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).digits
-        rd, cd = digits[rows], digits[cols]
-        keys, vals = [], []
-        for row_side, col_side, s in triples:
-            r_out, r_in = _side_positions(rd, rows, within, *row_side)
-            c_out, c_in = _side_positions(cd, cols, within, *col_side)
-            keys.append(((r_out[:, None] * nc + c_out) * size
-                         + r_in[:, None] * nc + c_in).ravel())
-            vals.append(np.full(keys[-1].size, s, dtype=complex))
-        key, val = np.concatenate(keys), np.concatenate(vals)
-        del keys, vals
-        order = np.argsort(key)
-        key, val = key[order], val[order]
-        del order
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        key, val = key[first], np.add.reduceat(val, first)
-        i, j = np.divmod(key, size)
-        # the entry at (j, i), or 0 where the pattern has none
-        mirror = j * size + i
-        at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
-        mirror = np.where(key[at] == mirror, val[at], 0)
-        herm = max(herm, np.abs(val - mirror.conj()).max(initial=0.0))
-    if herm > 1e-8:
-        raise NumericalContractError(f"generator block is not Hermitian ({herm:.3e})")
-    return diag.astype(complex), i, j, val
+    digits = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).digits
+    rd, cd = digits[rows], digits[cols]
+    i, j, val = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0, complex)]
+    for row_side, col_side, s in triples:
+        r_out, r_in = _side_positions(rd, rows, within, *row_side)
+        c_out, c_in = _side_positions(cd, cols, within, *col_side)
+        i.append((r_out[:, None] * nc + c_out).ravel())
+        j.append((r_in[:, None] * nc + c_in).ravel())
+        val.append(np.full(i[-1].size, s, dtype=complex))
+    return diag.astype(complex), np.concatenate(i), np.concatenate(j), np.concatenate(val)
 
 
 def _lanczos_fixed_vectors(diag, i, j, val, tol, limit=None):
@@ -420,20 +410,19 @@ def _sparse_blocks(gen: KacGenerator, diagonal_only: bool):
     """(row energy, rows, column energy, columns, (diagonal, rows, columns,
     values)) of each shell block of Q_N, one block at a time.
 
-    A triple of ``_slices`` reaches a block only if the rest of each shell
-    energy, past the pair energy it moves, is an energy of the other N - 2
-    factors, so each block reads only the groups of ``_slice_sides`` that
-    pass; at N = 2 that is one group.
+    A move reaches a block only if the rest of each shell energy, past the
+    pair energy it moves, is an energy of the other N - 2 factors, so each
+    block reads only the groups of ``_move_sides`` that pass; at N = 2 that
+    is one group.
     """
-    groups = _slice_sides(gen)
+    groups = _move_sides(gen)
     reach = {0}
     for _ in range(gen.num_particles - 2):
         reach = {r + e for r in reach for e in gen.spec.model.energies}
-    blocks = _shell_blocks(gen, diagonal_only)
     within = np.zeros(gen.shape.dim, dtype=np.intp)
     for _, rows in shell_structure(gen.spec.model, gen.num_particles, force=gen.force).shells:
         within[rows] = np.arange(len(rows))
-    for er, rows, ec, cols in blocks:
+    for er, rows, ec, cols in _shell_blocks(gen, diagonal_only):
         triples = [t for (pr, pc), ts in groups.items()
                    if er - pr in reach and ec - pc in reach for t in ts]
         yield er, rows, ec, cols, _sparse_block(gen, triples, within, rows, cols)
@@ -460,18 +449,11 @@ def is_ergodic(spec: CollisionSpec) -> bool:
     """True iff the channel's fixed space is exactly the pair energy algebra.
 
     Q is Q_N at N = 2, so its fixed space is read off the N = 2 shell
-    blocks.  That holds only if Q maps each block into itself, which is
-    checked first: a ValueError is raised when a channel entry past
-    ``TOL_FIXED_EIG`` moves an operator between two pairs of shells.
+    blocks.  That holds only if Q maps each block into itself, which
+    ``_move_sides`` checks first: a ValueError is raised when a channel
+    entry past ``TOL_FIXED_EIG`` moves an operator between two pairs of shells.
     """
     gen = KacGenerator(spec, 2, force=True)
-    e = spec.model.energies
-    for out, src, s in gen._moves:
-        shells_out = (e[out[0]] + e[out[1]], e[out[2]] + e[out[3]])
-        shells_in = (e[src[0]] + e[src[1]], e[src[2]] + e[src[3]])
-        if shells_out != shells_in and abs(s) > TOL_FIXED_EIG:
-            raise ValueError(f"spec {spec.name!r} does not conserve the pair energy: it moves "
-                             f"the shells {shells_in} to {shells_out} with weight {abs(s):.3e}")
     fixed = [(er == ec, f.reshape(len(rows), -1)) for er, rows, ec, _, vecs, _ in
              _null_blocks(gen, TOL_FIXED_EIG, diagonal_only=False) for f in vecs]
     if len(fixed) != len(shell_structure(spec.model, 2, force=True).shells):

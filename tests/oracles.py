@@ -14,7 +14,7 @@ import numpy as np
 from qkac.boltzmann import wild
 from qkac.collisions import (CollisionSpec, Superoperator, _merge_nodes,
                              superoperator_from_nodes)
-from qkac.linearized import BKMGeometry, _pair_geometry, multiply_super
+from qkac.linearized import BKMGeometry, multiply_super
 from qkac.master import KacGenerator, _shell_blocks, apply_pair_channel, apply_QN
 from qkac.operators import (FactorShape, _invert, _require_hermitian,
                             _validate_permutation, is_hermitian, permute_factors, tensor)
@@ -335,7 +335,7 @@ def dirichlet_form(spec: CollisionSpec, geo: BKMGeometry, a: np.ndarray,
     b = np.asarray(b, dtype=complex)
     d = geo.dim
     eye = np.eye(d)
-    pair_geo = _pair_geometry(geo)
+    pair_geo = BKMGeometry(tensor(geo.rho_inf, geo.rho_inf), tol_psd=0.0)   # its own eigh
     asharp = tensor(a, eye) + tensor(eye, a)
     bsharp = tensor(b, eye) + tensor(eye, b)
     total = 0.0 + 0.0j

@@ -300,7 +300,6 @@ def test_sparse_block_matches_dense_block(spec_name, energies, n):
     blocks = list(_sparse_blocks(gen, diagonal_only=False))
     assert len(blocks) == len(shell_structure(gen.spec.model, n).shells) ** 2
     for _, rows, _, cols, (diag, i, j, val) in blocks:
-        assert np.all(np.diff(i * diag.size + j) > 0)      # merged: one triple per entry
         want = _shell_block(gen, rows, cols)
         assert np.abs(dense_from_triples(diag, i, j, val) - want).max() < 1e-15
 
@@ -312,6 +311,9 @@ def test_sparse_block_matches_dense_block(spec_name, energies, n):
     ("exact_ea2", (0, 1, 2), 4, False), ("exact_ea2", (0, 1, 4, 5), 3, True),
     ("identity", (0, 1), 2, True), ("identity", (0, 1, 3), 2, True),
     ("half_swap", (0, 1), 3, True), ("half_swap", (0, 1, 3), 3, True),
+    # degenerate levels: moves on different pairs meet on one entry, and the
+    # matvec sums the unmerged triples
+    ("exact_ea2", (0, 0, 1), 3, True), ("exact_ea2", (0, 1, 1, 2), 3, True),
 ])
 def test_lanczos_fixed_spaces_match_dense_eigh(spec_name, energies, n, all_blocks):
     gen = KacGenerator(make_spec(spec_name, energies), n)
@@ -392,15 +394,24 @@ def test_three_level_steady_states_at_N6_match_the_class_counts():
 
 @pytest.mark.parametrize("delta,raises", [(1e-6, True), (2e-9, False)])
 def test_non_hermitian_block_raises(tilted_spec, delta, raises):
-    # one move of a Hermitian pair gets a different weight from its reverse
+    # one move gets a different weight from its reverse; on the blocks,
+    # which carry s / binom(N, 2), the two differ by delta
     gen = KacGenerator(tilted_spec, 3)
-    dst, src, s = gen._slices[0]
-    gen._slices[0] = (dst, src, s + delta)
+    dst, src, s = gen._moves[0]
+    gen._moves[0] = (dst, src, s + delta * len(gen.pairs))
     if raises:
         with pytest.raises(NumericalContractError, match="not Hermitian"):
             ln_null_basis(gen)
     else:
         assert len(ln_null_basis(gen)) == 4
+
+
+def test_move_without_reverse_raises(tilted_spec):
+    gen = KacGenerator(tilted_spec, 3)
+    dst, src, _ = gen._moves[0]
+    gen._moves = [m for m in gen._moves if m[:2] != (src, dst)]
+    with pytest.raises(NumericalContractError, match="not Hermitian"):
+        ln_null_basis(gen)
 
 
 def test_steady_states_nonergodic_mismatch_raises(qubit_model):
