@@ -19,5 +19,5 @@ __version__ = "0.1.0"
 
 from .operators import FactorShape  # noqa: F401
 from .spectra import SingleParticleModel  # noqa: F401
-from .collisions import (CollisionSpec, Superoperator,  # noqa: F401
-                         exact_EA2_spec, qubit_tilted_spec, qubit_uniform_spec)
+from .collisions import (CollisionSpec, exact_EA2_spec,  # noqa: F401
+                         qubit_tilted_spec, qubit_uniform_spec)

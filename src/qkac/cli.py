@@ -7,7 +7,7 @@ initial data is drawn from the recorded seed, and CSV files are written
 atomically with floats at 17 significant digits.
 
 Exit codes: 0 success (and ``--help``), 1 usage, configuration or
-validation failure or a forced run out of memory (no partial outputs),
+validation failure or a run out of memory (no partial outputs),
 2 numerical contract violation (positivity or convergence).
 """
 
@@ -39,7 +39,7 @@ from .operators import (entropy_and_relative_entropy, random_density, trace_norm
                         validate_density_matrix, von_neumann_entropy)
 from .spectra import (SingleParticleModel, commutant_projection,
                       is_fully_ergodic, shell_structure)
-from .tolerances import NAMED_TOLERANCES, check_size_guard
+from .tolerances import NAMED_TOLERANCES, TOL_AXIOM, check_size_guard
 
 MAX_STEPS = 100_000
 
@@ -281,7 +281,8 @@ def _read_params(cfg: RunConfig, rng: np.random.Generator) -> dict:
         if kind == "maximally_mixed":
             out["rho0"] = np.eye(dim, dtype=complex) / dim
         elif kind == "matrix":
-            out["rho0"] = validate_density_matrix(_parse_matrix(init.get("state"), dim))
+            out["rho0"] = validate_density_matrix(_parse_matrix(init.get("state"), dim),
+                                                  tol_psd=cfg.tols["psd"])
         elif kind == "gibbs":
             if dim != d:
                 raise ConfigError("gibbs initial data is single-particle only")
@@ -310,7 +311,7 @@ def _read_params(cfg: RunConfig, rng: np.random.Generator) -> dict:
 
 def _cmd_verify_spec(cfg: RunConfig, p: dict):
     report = verify_spec(p["spec"])
-    rows = [(name, resid, resid <= 1e-9)
+    rows = [(name, resid, resid <= TOL_AXIOM)
             for name, resid in sorted(report.residuals.items())]
     return ["check", "residual", "passes"], rows
 
@@ -441,6 +442,17 @@ def _manifest_text(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _out_of_memory(cfg: RunConfig) -> str:
+    """The pair channel's 16 d^8 bytes against the largest d^N x d^N operator's 16 d^2N,
+    each a power past 2^1000: only when the operator is larger does a smaller N help."""
+    d, p = cfg.model.dim, cfg.params
+    n = max([p.get("N", 1), *p.get("N_list", [])])    # read and checked before any large array
+    gb = [f"{16 * d ** k / 1e9:.3g} GB" if k * math.log2(d) < 1000 else f"16 * {d}**{k} bytes"
+          for k in (8, 2 * n)]
+    return (f"out of memory: the dense d^4 x d^4 pair channel takes {gb[0]}, and the largest "
+            f"d^N x d^N operator (N = {n}) takes {gb[1]}" + "; lower N or drop --force" * (n > 4))
+
+
 def run(cfg: RunConfig) -> int:
     params = _read_params(cfg, np.random.default_rng(cfg.seed))
     header, rows = _COMMANDS[cfg.command][0](cfg, params)
@@ -474,6 +486,7 @@ def main(argv=None) -> int:
             return 1
         name, value = item.split("=", 1)
         overrides[name] = value
+    cfg = None
     try:
         cfg = load_config(args.config, args.output, args.force, overrides)
         return run(cfg)
@@ -481,8 +494,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
-        # a run forced past the size guard can exhaust memory
-        print("error: out of memory; lower N or drop --force", file=sys.stderr)
+        print(f"error: {_out_of_memory(cfg) if cfg else 'out of memory'}", file=sys.stderr)
         return 1
     except NumericalContractError as exc:
         print(f"numerical contract violation: {exc}", file=sys.stderr)

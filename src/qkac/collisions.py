@@ -1,19 +1,15 @@
 """Collision specifications and the two-particle collision channel.
 
-A collision specification pairs a single-particle model with a family of
-two-particle unitaries that conserve the pair energy.  It comes in two
-kinds:
-
-* ``sampled``: a finite weighted node list (w_k, U_k), weights positive
-  and summing to one.  The axioms are: every node commutes with the pair
-  Hamiltonian; some node is the identity; the weighted node set is closed
-  under taking adjoints and under conjugation by the factor swap.
-* ``closed_form``: the averaged channel Q(A) = sum_k w_k U_k A U_k^* given
-  directly as a superoperator (possibly for a continuum of unitaries whose
-  average is known exactly).
-
-Superoperators act on row-stacked matrices: vec(A) = A.reshape(-1), and
-conjugation by U has matrix kron(U, conj(U)).
+A collision specification pairs a single-particle model with a
+probability measure on two-particle unitaries that conserve the pair
+energy, and holds its average Q(A) = E[U A U^*] as the (d^4, d^4) channel
+matrix on row-stacked pair operators: vec(A) = A.reshape(-1), and
+conjugation by U has matrix kron(U, conj(U)).  A sampled spec also holds
+the finite measure, its nodes, as weights (m,) and unitaries
+(m, d^2, d^2), heaviest first.  Their axioms: every node commutes with
+the pair Hamiltonian; some node is the identity; the weighted node set is
+closed under adjoints and under conjugation by the factor swap.  A
+closed-form spec has no nodes (its channel may average a continuum).
 
 The two built-in qubit families live on the four-torus of angles
 (phi, theta, psi, eta) with the block-diagonal unitary (written in the
@@ -48,57 +44,34 @@ import numpy as np
 
 from .operators import swap_unitary, tensor
 from .spectra import SingleParticleModel, shell_structure
-
-
-@dataclass(frozen=True)
-class Superoperator:
-    """Linear map on a dim x dim operator space, stored over row-stacked vecs."""
-
-    mat: np.ndarray
-    dim: int
-
-    def __call__(self, a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=complex)
-        if a.shape == (self.dim, self.dim):
-            return (self.mat @ a.reshape(-1)).reshape(self.dim, self.dim)
-        raise ValueError(f"operand shape {a.shape} does not match dim {self.dim}")
-
-    def choi(self) -> np.ndarray:
-        """Choi matrix J[(i,k),(j,l)] = image(E_ij)[k,l]; PSD iff completely positive."""
-        d = self.dim
-        s4 = self.mat.reshape(d, d, d, d)
-        return s4.transpose(2, 0, 3, 1).reshape(d * d, d * d)
+from .tolerances import TOL_AXIOM
 
 
 _NODE_BLOCK = 1 << 14   # nodes stacked at once by superoperator_from_nodes
 
 
-def superoperator_from_nodes(nodes, dim: int) -> Superoperator:
-    """Weighted average of unitary conjugations, summed over blocks of
-    ``_NODE_BLOCK`` nodes so that no stack of every node is formed."""
+def superoperator_from_nodes(nodes) -> np.ndarray:
+    """The channel matrix of the nodes ``(weights, unitaries)``, their weighted average
+    of conjugations summed over blocks of ``_NODE_BLOCK`` nodes."""
+    ws, us = nodes
     s4 = None
-    for k in range(0, len(nodes), _NODE_BLOCK):
-        block = nodes[k:k + _NODE_BLOCK]
-        ws = np.array([w for w, _ in block])
-        us = np.array([u for _, u in block], dtype=complex)
-        part = np.einsum("m,mik,mjl->ijkl", ws, us, us.conj(), optimize=True)
+    for k in range(0, len(ws), _NODE_BLOCK):
+        u = us[k:k + _NODE_BLOCK].astype(complex, copy=False)
+        part = np.einsum("m,mik,mjl->ijkl", ws[k:k + _NODE_BLOCK], u, u.conj(), optimize=True)
         s4 = part if s4 is None else s4 + part
-    return Superoperator(s4.reshape(dim * dim, dim * dim), dim)
+    return s4.reshape(us.shape[1] ** 2, -1)
 
 
 @dataclass(frozen=True)
 class CollisionSpec:
-    """A collision specification: model plus channel, with node list when sampled.
-
-    ``kind`` is "sampled" (channel derived from ``nodes``, the weighted
-    unitaries) or "closed_form" (channel authoritative, ``nodes`` None).
-    """
+    """Model, name, the (d^4, d^4) channel matrix and, for a sampled spec,
+    the nodes ``(weights, unitaries)`` of shapes (m,) and (m, d^2, d^2)
+    that it averages; ``nodes`` is None for a closed-form channel."""
 
     model: SingleParticleModel
     name: str
-    kind: str
-    channel: Superoperator
-    nodes: list | None = field(default=None, repr=False)
+    channel: np.ndarray
+    nodes: tuple | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -114,7 +87,7 @@ class CollisionSpec:
         view C of the channel, taken once per spec.
         """
         d = self.dim
-        c = self.channel.mat.reshape((d,) * 8)
+        c = self.channel.reshape((d,) * 8)
         w = np.einsum("krlrimjn->ijmnkl", c).reshape(d ** 4, d * d)
         w.flags.writeable = False   # one array, shared by every caller
         return w
@@ -139,30 +112,33 @@ class SpecReport:
 _PAIR_BLOCK = 1 << 21    # entries of the pair differences formed at once
 
 
-def _merge_nodes(ws, us) -> list:
-    """(weight, unitary) pairs, heaviest first, with the weights of
-    unitaries that agree to 9 decimals summed."""
+def _merge_nodes(ws, us):
+    """The nodes ``(weights, unitaries)`` with the weights of unitaries
+    that agree to 9 decimals summed in order, each class kept as its first
+    unitary: heaviest first, classes of equal weight in order of appearance."""
     keys = np.round(us, 9) + 0.0     # fold -0.0 into +0.0
-    merged = {}
-    for w, u, key in zip(ws.tolist(), us, keys):
-        merged.setdefault(key.tobytes(), [0.0, u])[0] += w
-    return sorted(map(tuple, merged.values()), key=lambda wu: -wu[0])
+    first = {}
+    reps, cls = np.unique([first.setdefault(key.tobytes(), k) for k, key in enumerate(keys)],
+                          return_inverse=True)
+    merged = np.bincount(cls, weights=ws)
+    order = np.argsort(-merged, kind="stable")
+    return merged[order], us[reps[order]]
 
 
-def symmetrize_nodes(nodes, d: int) -> list:
-    """Close a weighted node list under adjoints and swap conjugation.
+def symmetrize_nodes(nodes, d: int):
+    """Close the nodes ``(weights, unitaries)`` under adjoints and swap conjugation.
 
     Each node is spread with weight w/4 over its orbit under
     {id, adjoint, swap, adjoint o swap}; coinciding unitaries are merged
     with summed weights.  The result satisfies the closure axioms exactly.
     """
+    ws, us = nodes
     v = swap_unitary(d)
-    us = np.stack([u for _, u in nodes]).astype(complex)
+    us = np.asarray(us, dtype=complex)
     sus = v @ us @ v.conj().T
     orbit = np.stack([us, us.conj().transpose(0, 2, 1),
                       sus, sus.conj().transpose(0, 2, 1)], axis=1)
-    ws = np.array([w for w, _ in nodes], dtype=float) / 4.0
-    return _merge_nodes(np.repeat(ws, 4), orbit.reshape(-1, d * d, d * d))
+    return _merge_nodes(np.repeat(ws / 4.0, 4), orbit.reshape(-1, d * d, d * d))
 
 
 def _closure_residual(ws, us, image):
@@ -329,23 +305,22 @@ def _coordinate_filter(xs, ys, r, near, slack):
 
 
 def verify_spec(spec: CollisionSpec) -> SpecReport:
-    """Check the defining axioms, reporting each residual (violated above 1e-9).
+    """Check the defining axioms, reporting each residual (violated above TOL_AXIOM).
 
     Sampled specs are checked node-wise (unitarity, energy conservation,
     identity membership, adjoint and swap closure as weighted sets).
     Closed-form channels are checked as maps: trace preserving, unital,
     Hermiticity preserving, self-adjoint for the Hilbert-Schmidt pairing,
-    and completely positive via the Choi matrix.  A non-finite node or
-    channel entry, which no residual can measure, raises ValueError.
+    and completely positive via the Choi matrix on its support.  A
+    non-finite node or channel entry, which no residual can measure,
+    raises ValueError.
     """
     residuals = {}
     d = spec.dim
-    if spec.kind == "sampled":
-        nodes = spec.nodes
+    if spec.nodes is not None:
+        ws, us = spec.nodes[0], spec.nodes[1].astype(complex, copy=False)
         h2 = spec.pair_hamiltonian()
         eye = np.eye(d * d)
-        us = np.stack([u for _, u in nodes]).astype(complex, copy=False)
-        ws = np.array([w for w, _ in nodes])
         bad = np.flatnonzero(~(np.isfinite(ws) & np.isfinite(us).all(axis=(1, 2))))
         if bad.size:
             raise ValueError(f"nodes {bad.tolist()} have a non-finite weight or entry")
@@ -362,41 +337,44 @@ def verify_spec(spec: CollisionSpec) -> SpecReport:
         residuals["contains_identity"] = float(identity)
         residuals["weights_normalized"] = float(abs(ws.sum() - 1.0)) + (
             0.0 if ws.min() > 0 else float(-ws.min()) + 1.0)
-        adj_m, adj_w = _closure_residual(ws, us, lambda b: b.conj().transpose(0, 2, 1))
         v = swap_unitary(d)
-        swap_m, swap_w = _closure_residual(ws, us, lambda b: v @ b @ v.conj().T)
-        residuals["closed_under_adjoint"] = float(max(adj_m, adj_w))
-        residuals["closed_under_swap"] = float(max(swap_m, swap_w))
+        residuals["closed_under_adjoint"] = float(max(
+            _closure_residual(ws, us, lambda b: b.conj().transpose(0, 2, 1))))
+        residuals["closed_under_swap"] = float(max(
+            _closure_residual(ws, us, lambda b: v @ b @ v.conj().T)))
     else:
         q = spec.channel
-        bad = np.count_nonzero(~np.isfinite(q.mat))
+        bad = np.count_nonzero(~np.isfinite(q))
         if bad:
             raise ValueError(f"the closed-form channel has {bad} non-finite entries")
         dim2 = d * d
         eye = np.eye(dim2).reshape(-1)
-        # trace of the image of every input: rows of mat summed against traces
-        tr_map = eye @ q.mat
-        residuals["trace_preserving"] = float(np.abs(tr_map - eye).max())
-        residuals["unital"] = float(np.abs(q.mat @ eye - eye).max())
-        s4 = q.mat.reshape(dim2, dim2, dim2, dim2)
+        # trace of the image of every input: rows of q summed against traces
+        residuals["trace_preserving"] = float(np.abs(eye @ q - eye).max())
+        residuals["unital"] = float(np.abs(q @ eye - eye).max())
+        s4 = q.reshape(dim2, dim2, dim2, dim2)
         residuals["hermiticity_preserving"] = float(
             np.abs(s4 - s4.transpose(1, 0, 3, 2).conj()).max())
-        residuals["hs_self_adjoint"] = float(np.abs(q.mat - q.mat.conj().T).max())
+        residuals["hs_self_adjoint"] = float(np.abs(q - q.conj().T).max())
+        # the Choi matrix J[(i,k),(j,l)] = image(E_ij)[k,l] is PSD iff Q is CP; an
+        # index whose row and column of J are zero adds only a zero eigenvalue
+        choi = s4.transpose(2, 0, 3, 1).reshape(dim2 * dim2, dim2 * dim2)
+        nonzero = choi != 0
+        live = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
         residuals["completely_positive"] = float(
-            max(0.0, -np.linalg.eigvalsh(q.choi()).min()))
+            max(0.0, -np.linalg.eigvalsh(choi[np.ix_(live, live)]).min(initial=0.0)))
     violations = [f"{name}: residual {r:.3e}" for name, r in residuals.items()
-                  if r > 1e-9]
-    return SpecReport(passes=not violations, residuals=residuals,
-                      violations=violations)
+                  if r > TOL_AXIOM]
+    return SpecReport(not violations, residuals, violations)
 
 
 # ---------------------------------------------------------------------------
 # built-in qubit families
 # ---------------------------------------------------------------------------
 
-def _qubit_grid_nodes(points: int, tilted: bool) -> list:
-    """Equispaced product-grid discretization of the four-torus family,
-    one node per distinct unitary, heaviest first.
+def _qubit_grid_nodes(points: int, tilted: bool):
+    """Equispaced product-grid discretization of the four-torus family as
+    nodes ``(weights, unitaries)``, one per distinct unitary, heaviest first.
 
     On the grid the family has the exact coincidences
 
@@ -453,22 +431,7 @@ def _qubit_grid_nodes(points: int, tilted: bool) -> list:
     u[:, 1, 2] = np.exp(-1j * phi) * sin
     u[:, 1, 1] = np.exp(-1j * psi) * cos
     u[:, 3, 3] = 1.0
-    return list(zip(ws[order].tolist(), u))
-
-
-def _qubit_closed_channel(tilted: bool) -> Superoperator:
-    """Entrywise form of the averaged qubit channel.
-
-    It scales the matrix unit |a><b| by ``damp[a, b]``, read off the
-    measure moments, except that |01><01| and |10><10| both map to their
-    average.  Exchanging |01> and |10> leaves the table unchanged.
-    """
-    damp = np.diag([1.0, 0.0, 0.0, 1.0])
-    if tilted:
-        damp += np.array([[0, 1, 1, 4], [1, 0, 0, 2], [1, 0, 0, 2], [4, 2, 2, 0]]) / 8.0
-    s = np.diag(damp.reshape(-1)).astype(complex)
-    s[np.ix_([5, 10], [5, 10])] = 0.5
-    return Superoperator(s, 4)
+    return ws[order], u
 
 
 QUBIT_MODEL = SingleParticleModel((0, 1))
@@ -480,11 +443,17 @@ def _qubit_spec(name: str, points_per_angle: int | None) -> CollisionSpec:
     channel equals the closed form for 4 or more points."""
     tilted = name == "qubit_tilted"
     if points_per_angle is None:
-        return CollisionSpec(QUBIT_MODEL, name, "closed_form",
-                             _qubit_closed_channel(tilted))
+        # the average scales |a><b| by damp[a, b], read off the measure moments, but maps
+        # |01><01| and |10><10| to their mean; exchanging |01> and |10> keeps the table
+        damp = np.diag([1.0, 0.0, 0.0, 1.0])
+        if tilted:
+            damp += np.array([[0, 1, 1, 4], [1, 0, 0, 2], [1, 0, 0, 2], [4, 2, 2, 0]]) / 8.0
+        s = np.diag(damp.reshape(-1)).astype(complex)
+        s[np.ix_([5, 10], [5, 10])] = 0.5
+        return CollisionSpec(QUBIT_MODEL, name, s)
     nodes = _qubit_grid_nodes(points_per_angle, tilted)
     return CollisionSpec(QUBIT_MODEL, f"{name}_sampled{points_per_angle}",
-                         "sampled", superoperator_from_nodes(nodes, 4), nodes)
+                         superoperator_from_nodes(nodes), nodes)
 
 
 def qubit_uniform_spec(points_per_angle: int | None = None) -> CollisionSpec:
@@ -520,16 +489,15 @@ def exact_EA2_spec(model: SingleParticleModel) -> CollisionSpec:
     for _, idx in shell_structure(model, 2).shells:
         pos = idx * (d * d + 1)     # vec position of the diagonal unit |i><i|
         s[np.ix_(pos, pos)] = 1.0 / idx.size
-    return CollisionSpec(model, "exact_ea2", "closed_form",
-                         Superoperator(s, d * d), nodes=None)
+    return CollisionSpec(model, "exact_ea2", s)
 
 
 # ---------------------------------------------------------------------------
 # sampled-node file format
 # ---------------------------------------------------------------------------
 
-def parse_sampled_nodes(text: str, dim: int) -> list:
-    """Parse a plain-text weighted unitary list.
+def parse_sampled_nodes(text: str, dim: int):
+    """Parse a plain-text weighted unitary list into normalized nodes ``(weights, unitaries)``.
 
     Grammar (comments start with '#'):
 
@@ -559,27 +527,26 @@ def parse_sampled_nodes(text: str, dim: int) -> list:
     values = np.array([[float(t) for t in r[1:]] for r in records])
     if not np.isfinite(values).all():
         raise ValueError("sampled-node file numbers must be finite")
-    ws = values[:, 0].tolist()
-    if min(ws) <= 0:
+    ws = values[:, 0]
+    if ws.min() <= 0:
         raise ValueError("node weights must be positive")
     us = (values[:, 1::2] + 1j * values[:, 2::2]).reshape(-1, n, n)
-    if np.abs(us @ us.conj().transpose(0, 2, 1) - np.eye(n)).max() > 1e-9:
-        raise ValueError("sampled-node matrices must be unitary to within 1e-9")
-    total = sum(ws)
-    return [(w / total, u) for w, u in zip(ws, us)]
+    if np.abs(us @ us.conj().transpose(0, 2, 1) - np.eye(n)).max() > TOL_AXIOM:
+        raise ValueError(f"sampled-node matrices must be unitary to within {TOL_AXIOM:g}")
+    return ws / ws.cumsum()[-1], us      # the total summed in file order
 
 
 def sampled_spec_from_file(path, model: SingleParticleModel) -> CollisionSpec:
     """Load a sampled specification from disk, closed by ``symmetrize_nodes``;
-    every node must conserve the pair energy, |U h2 - h2 U| <= 1e-9."""
+    every node must conserve the pair energy, |U h2 - h2 U| <= ``TOL_AXIOM``."""
     with open(path) as fh:
         nodes = symmetrize_nodes(parse_sampled_nodes(fh.read(), model.dim * model.dim),
                                  model.dim)
-    spec = CollisionSpec(model, f"sampled_file:{path}", "sampled",
-                         superoperator_from_nodes(nodes, model.dim ** 2), nodes)
-    h2, us = spec.pair_hamiltonian(), np.stack([u for _, u in nodes])
-    if np.abs(us @ h2 - h2 @ us).max() > 1e-9:
-        raise ValueError("sampled-node matrices must conserve the pair energy to within 1e-9")
+    spec = CollisionSpec(model, f"sampled_file:{path}", superoperator_from_nodes(nodes), nodes)
+    h2, us = spec.pair_hamiltonian(), nodes[1]
+    if np.abs(us @ h2 - h2 @ us).max() > TOL_AXIOM:
+        raise ValueError("sampled-node matrices must conserve the pair energy "
+                         f"to within {TOL_AXIOM:g}")
     return spec
 
 

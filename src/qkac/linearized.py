@@ -38,7 +38,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .boltzmann import collision_invariants_basis, wild
-from .collisions import CollisionSpec, Superoperator
+from .collisions import CollisionSpec
 from .operators import tensor
 from .tolerances import TOL_PSD
 
@@ -135,7 +135,7 @@ def _k_apply_alternate(spec: CollisionSpec, geo: BKMGeometry,
     eye = np.eye(d)
     # np.kron multiplies the trailing two axes and keeps the stack axis
     sharp = (tensor(x, eye) + tensor(eye, x)).reshape(len(x), -1)
-    big = (sharp @ spec.channel.mat.T).reshape(len(x), d * d, d * d)
+    big = (sharp @ spec.channel.T).reshape(len(x), d * d, d * d)
     # [rho x rho] through the Kronecker squares of rho's eigenpairs
     w2, v2 = np.kron(geo.eigvals, geo.eigvals), np.kron(geo.eigvecs, geo.eigvecs)
     pair = (v2 @ (_log_mean_table(w2) * (v2.conj().T @ big @ v2)) @ v2.conj().T).reshape(
@@ -145,9 +145,9 @@ def _k_apply_alternate(spec: CollisionSpec, geo: BKMGeometry,
     return 2.0 * (divide_super(geo, w) - x - trace)
 
 
-def build_K(spec: CollisionSpec, geo: BKMGeometry) -> Superoperator:
-    """Assemble the linearized operator, cross-checked against the
-    pair-channel construction entrywise."""
+def build_K(spec: CollisionSpec, geo: BKMGeometry) -> np.ndarray:
+    """The linearized operator as its (d^2, d^2) matrix on row-stacked operators,
+    cross-checked against the pair-channel construction entrywise."""
     _check_steady(spec, geo)
     d = geo.dim
     # column r * d + c of K is the image of the matrix unit E_rc
@@ -158,7 +158,7 @@ def build_K(spec: CollisionSpec, geo: BKMGeometry) -> Superoperator:
     if disagree > _AGREE_TOL:
         raise ValueError(
             f"the two constructions of the linearized operator disagree ({disagree:.3e})")
-    return Superoperator(mat, d)
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def build_K(spec: CollisionSpec, geo: BKMGeometry) -> Superoperator:
 # ---------------------------------------------------------------------------
 
 def spectral_gap(spec: CollisionSpec, geo: BKMGeometry,
-                 k_op: Superoperator | None = None):
+                 k_op: np.ndarray | None = None):
     """Smallest decay rate of -K orthogonal to the collision invariants.
 
     With V the eigenvectors of rho_inf and U = V (x) conj(V), -K in the
@@ -183,7 +183,7 @@ def spectral_gap(spec: CollisionSpec, geo: BKMGeometry,
         k_op = build_K(spec, geo)
     u = np.kron(geo.eigvecs, geo.eigvecs.conj())
     scale = np.sqrt(geo.multipliers).ravel()
-    m = -scale[:, None] * (u.conj().T @ k_op.mat @ u) / scale
+    m = -scale[:, None] * (u.conj().T @ k_op @ u) / scale
     resid = np.abs(m - m.conj().T).max()
     if resid > 1e-9:
         raise ValueError(f"the linearized operator is not BKM self-adjoint ({resid:.3e})")

@@ -76,7 +76,7 @@ class KacGenerator:
         d, n = self.spec.model.dim, self.num_particles
         check_size_guard(d, n, self.force)
         self.shape = FactorShape(n, d)
-        mat = self.spec.channel.mat
+        mat = self.spec.channel
         diag = mat.diagonal()
         self._pair_diag = (diag if diag.imag.any() else diag.real).reshape((d,) * 4)
         rows, cols = np.nonzero(mat)

@@ -11,6 +11,7 @@ TOL_TRACE = 1e-10       # trace-one residual
 TOL_PSD = 1e-9          # most negative admissible eigenvalue
 TOL_FIXED_EIG = 1e-8    # distance from 1 for fixed-space eigenvalues
 TAIL_TOL = 1e-12        # Poisson tail cutoff in the jump-series evolver
+TOL_AXIOM = 1e-9        # residual of a collision-spec axiom, node files included
 
 SIZE_GUARD = 4096       # largest allowed total Hilbert dimension d**N
 

@@ -1,19 +1,20 @@
 """Helpers that only the tests call, kept out of the library as oracles
 and test fixtures: predicates on matrices, dense factor permutations and
 pair embeddings, shell projectors, the identity-only spec, the qubit grid
-nodes by brute-force merging, the fixed space of a channel by one dense
-eigensolve, the closed-form
+nodes by brute-force merging, a channel matrix as a map and its full Choi
+matrix, the fixed space of a channel by one dense eigensolve, the closed-form
 diagonal Wild convolution, the dense shell blocks of Q_N with their
 fixed vectors by ``eigh`` and its full spectrum, the
 permutation-covariance residuals and the dissipation form of the
 linearized operator.
 """
 
+import math
+
 import numpy as np
 
 from qkac.boltzmann import wild
-from qkac.collisions import (CollisionSpec, Superoperator, _merge_nodes,
-                             superoperator_from_nodes)
+from qkac.collisions import CollisionSpec, _merge_nodes, superoperator_from_nodes
 from qkac.linearized import BKMGeometry, multiply_super
 from qkac.master import KacGenerator, _shell_blocks, apply_pair_channel, apply_QN
 from qkac.operators import (FactorShape, _invert, _require_hermitian,
@@ -160,12 +161,11 @@ def accidental_relations(model: SingleParticleModel, num_factors: int,
 def identity_spec(model: SingleParticleModel) -> CollisionSpec:
     """Degenerate specification containing only the trivial collision."""
     d = model.dim
-    nodes = [(1.0, np.eye(d * d, dtype=complex))]
-    return CollisionSpec(model, "identity_only", "sampled",
-                         superoperator_from_nodes(nodes, d * d), nodes)
+    nodes = np.ones(1), np.eye(d * d, dtype=complex)[None]
+    return CollisionSpec(model, "identity_only", superoperator_from_nodes(nodes), nodes)
 
 
-def merged_qubit_grid_nodes(points: int, tilted: bool) -> list:
+def merged_qubit_grid_nodes(points: int, tilted: bool):
     """The qubit grid nodes by brute force: every grid unitary of the
     four-torus family is formed, and ``_merge_nodes`` folds the ones that
     agree to 9 decimals, summing their weights in grid order."""
@@ -195,23 +195,37 @@ def merged_qubit_grid_nodes(points: int, tilted: bool) -> list:
     return _merge_nodes(wgrid, u[:, perm][:, :, perm])
 
 
-def fixed_space_of_Q(q: Superoperator) -> list:
-    """Orthonormal basis (Hilbert-Schmidt) of the eigenvalue-1 eigenspace,
-    by one dense eigensolve.  A matrix unit whose row and column of the
-    channel are zero is an eigenvector of eigenvalue 0, so only the other
-    units enter the eigensolve."""
-    nonzero = q.mat != 0
+def as_map(q: np.ndarray):
+    """The channel matrix ``q`` on row-stacked operators as a function of
+    the operator."""
+    return lambda a: (q @ np.asarray(a, dtype=complex).reshape(-1)).reshape(np.shape(a))
+
+
+def choi(q: np.ndarray) -> np.ndarray:
+    """The full Choi matrix J[(i,k),(j,l)] = image(E_ij)[k,l] of the channel
+    matrix ``q``; PSD iff the channel is completely positive."""
+    n = math.isqrt(len(q))
+    return q.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n)
+
+
+def fixed_space_of_Q(q: np.ndarray) -> list:
+    """Orthonormal basis (Hilbert-Schmidt) of the eigenvalue-1 eigenspace of
+    the channel matrix ``q``, by one dense eigensolve.  A matrix unit whose
+    row and column of the channel are zero is an eigenvector of eigenvalue
+    0, so only the other units enter the eigensolve."""
+    dim = math.isqrt(len(q))
+    nonzero = q != 0
     live = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    m = q.mat[np.ix_(live, live)]     # the rest of the channel is zero
+    m = q[np.ix_(live, live)]     # the rest of the channel is zero
     asym = np.abs(m - m.conj().T).max(initial=0.0)
     if asym > 1e-8 * max(1.0, np.abs(m).max(initial=0.0)):
         raise ValueError(f"channel is not HS self-adjoint (residual {asym:.3e})")
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     out = []
     for k in np.where(np.abs(w - 1.0) <= TOL_FIXED_EIG)[0]:
-        f = np.zeros(q.dim * q.dim, dtype=complex)
+        f = np.zeros(len(q), dtype=complex)
         f[live] = v[:, k]
-        out.append(f.reshape(q.dim, q.dim))
+        out.append(f.reshape(dim, dim))
     return out
 
 
@@ -339,7 +353,7 @@ def dirichlet_form(spec: CollisionSpec, geo: BKMGeometry, a: np.ndarray,
     asharp = tensor(a, eye) + tensor(eye, a)
     bsharp = tensor(b, eye) + tensor(eye, b)
     total = 0.0 + 0.0j
-    for w, u in spec.nodes:
+    for w, u in zip(*spec.nodes):
         da = asharp - u @ asharp @ u.conj().T
         db = bsharp - u @ bsharp @ u.conj().T
         total += w * np.trace(db.conj().T @ multiply_super(pair_geo, da))

@@ -7,8 +7,8 @@ from qkac import boltzmann
 from qkac.boltzmann import (classify_steady_states, collision_invariants_basis,
                             conserved_check, gibbs, qkbe_integrate,
                             steady_state_from_coeffs, wild, wild_sum_plan)
-from qkac.collisions import (CollisionSpec, Superoperator, exact_EA2_spec,
-                             qubit_tilted_spec, qubit_uniform_spec, spec_by_name)
+from qkac.collisions import (CollisionSpec, exact_EA2_spec, qubit_tilted_spec,
+                             qubit_uniform_spec, spec_by_name)
 from qkac.errors import NumericalContractError
 from qkac.operators import (FactorShape, partial_trace, random_density,
                             relative_entropy, tensor, von_neumann_entropy)
@@ -16,7 +16,7 @@ from qkac.spectra import SingleParticleModel, shell_structure
 from qkac.tolerances import TOL_PSD
 from conftest import random_matrix, random_state, random_unitary
 from kinetic_oracles import picard_solve, rk4_reference, stacked_wild_sum
-from oracles import identity_spec, is_steady, trace_first, wild_diagonal
+from oracles import as_map, identity_spec, is_steady, trace_first, wild_diagonal
 
 
 def qubit_state(a, z):
@@ -46,7 +46,7 @@ def test_wild_tilted_closed_form(tilted_spec, rng):
 def reference_wild(spec, a, b):
     """The Wild convolution by its definition: the pair channel on the
     Kronecker product, then the partial trace over the second factor."""
-    return partial_trace(spec.channel(tensor(a, b)), FactorShape(2, spec.dim), keep=1)
+    return partial_trace(as_map(spec.channel)(tensor(a, b)), FactorShape(2, spec.dim), keep=1)
 
 
 @pytest.mark.parametrize("make_spec", [
@@ -81,7 +81,7 @@ def einsum_wild(spec, a, b):
     channel, summing over the traced-out index r on every call."""
     d = spec.dim
     return np.einsum("krlrimjn,...ij,...mn->...kl",
-                     spec.channel.mat.reshape((d,) * 8), a, b)
+                     spec.channel.reshape((d,) * 8), a, b)
 
 
 @pytest.mark.parametrize("spec_name", [
@@ -130,7 +130,7 @@ def test_wild_psd_preserving(tilted_spec, rng):
 
 def test_wild_swap_identity(tilted_spec, uniform_spec, rng):
     for spec in (tilted_spec, uniform_spec):
-        q = spec.channel
+        q = as_map(spec.channel)
         rho = random_state(rng, 2)
         out = q(tensor(rho, rho))
         shape = FactorShape(2, 2)
@@ -347,8 +347,7 @@ def test_non_cp_spec_fails_within_the_planned_calls(monkeypatch, c):
 
     z1 = np.kron(np.diag([1.0, -1.0]), np.eye(2))
     mat = (1 - c) * np.eye(16) + c * np.kron(z1, z1)
-    spec = CollisionSpec(SingleParticleModel((0, 1)), "stiff", "closed_form",
-                         Superoperator(mat, 4))
+    spec = CollisionSpec(SingleParticleModel((0, 1)), "stiff", mat)
     calls = []
     inner = boltzmann._wild_sum_term
     monkeypatch.setattr(boltzmann, "_wild_sum_term",

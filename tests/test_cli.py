@@ -299,6 +299,46 @@ def test_forced_huge_N_out_of_memory_exits_1_without_traceback(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+def test_out_of_memory_names_the_dense_pair_channel(tmp_path):
+    # d = 12 at N = 2 is far below the size guard, but the dense d^4 x d^4
+    # pair channel of exact_ea2 alone takes 16 d^8 bytes = 6.9 GB; under a
+    # 1 GB address-space limit the message names it, and lowering N or
+    # dropping --force, which cannot help, is not suggested
+    import resource
+
+    cfg = write_config(tmp_path, {
+        "command": "steady-states", "model": {"dim": 12, "energies": list(range(12))},
+        "spec": "exact_ea2", "params": {"N": 2}, "output_dir": str(tmp_path / "out")})
+    src = str(Path(qkac.__file__).resolve().parents[1])
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "qkac.cli", "--config", str(cfg)], cwd=tmp_path,
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: out of memory")
+    assert "pair channel takes 6.88 GB" in proc.stderr
+    assert "(N = 2)" in proc.stderr and "--force" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_tol_psd_reaches_the_initial_state_check(tmp_path, capsys):
+    # an initial matrix 1e-8 below positive passes only under a looser psd
+    doc = {"command": "evolve-master", "model": QUBIT, "spec": "qubit_tilted",
+           "params": {"N": 2, "t_max": 0.1, "steps": 1, "initial": {
+               "kind": "matrix",
+               "state": [[1 + 1e-8, 0, 0, 0], [0, -1e-8, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}}}
+    code, out = run_cli(tmp_path, doc)
+    assert code == 1
+    assert "state has negative eigenvalue -1.000e-08" in capsys.readouterr().err
+    assert not out.exists()
+    code, out = run_cli(tmp_path, doc, extra=("--tol", "psd=1e-6"))
+    assert code == 0, capsys.readouterr().err
+    assert (out / "evolve-master.csv").exists()
+
+
 # each Wild-sum term past the first of a substep is one Wild product, the
 # count the case ids have named "wild calls" since the bound was set
 @pytest.mark.parametrize("command, params, bound", [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qkac import collisions
-from qkac.collisions import (_PAIR_BLOCK, CollisionSpec, Superoperator, _closure_residual,
+from qkac.collisions import (_PAIR_BLOCK, CollisionSpec, _closure_residual,
                              exact_EA2_spec, parse_sampled_nodes, qubit_tilted_spec,
                              qubit_uniform_spec, sampled_spec_from_file, spec_by_name,
                              superoperator_from_nodes, symmetrize_nodes,
@@ -14,7 +14,8 @@ from qkac.master import is_ergodic
 from qkac.operators import reorder_pair_basis, swap_unitary, tensor
 from qkac.spectra import SingleParticleModel, shell_decomposition
 from conftest import random_matrix, random_state, random_unitary
-from oracles import fixed_space_of_Q, hs_norm, identity_spec, shell_projector, shell_state
+from oracles import (as_map, choi, fixed_space_of_Q, hs_norm, identity_spec, shell_projector,
+                     shell_state)
 
 
 # ---------------------------------------------------------------------------
@@ -63,16 +64,16 @@ def fastfirst_unit(r, c):
 
 def test_uniform_channel_matches_quadrature_oracle(uniform_spec):
     oracle = quadrature_channel(16, tilted=False)
-    assert np.abs(uniform_spec.channel.mat - oracle).max() < 1e-12
+    assert np.abs(uniform_spec.channel - oracle).max() < 1e-12
 
 
 def test_tilted_channel_matches_quadrature_oracle(tilted_spec):
     oracle = quadrature_channel(16, tilted=True)
-    assert np.abs(tilted_spec.channel.mat - oracle).max() < 1e-12
+    assert np.abs(tilted_spec.channel - oracle).max() < 1e-12
 
 
 def test_uniform_channel_entrywise(uniform_spec):
-    q = uniform_spec.channel
+    q = as_map(uniform_spec.channel)
     p0 = fastfirst_unit(0, 0)
     p1 = fastfirst_unit(1, 1) + fastfirst_unit(2, 2)
     p2 = fastfirst_unit(3, 3)
@@ -88,7 +89,7 @@ def test_uniform_channel_entrywise(uniform_spec):
 
 
 def test_tilted_channel_entrywise(tilted_spec):
-    q = tilted_spec.channel
+    q = as_map(tilted_spec.channel)
     factors = {(0, 1): 0.125, (0, 2): 0.125, (0, 3): 0.5,
                (1, 3): 0.25, (2, 3): 0.25, (1, 2): 0.0}
     for (r, c), f in factors.items():
@@ -100,7 +101,7 @@ def test_tilted_channel_entrywise(tilted_spec):
 
 
 def test_channel_is_unital_and_trace_preserving(tilted_spec, rng):
-    q = tilted_spec.channel
+    q = as_map(tilted_spec.channel)
     assert np.abs(q(np.eye(4)) - np.eye(4)).max() < 1e-14
     a = random_matrix(rng, 4)
     assert abs(np.trace(q(a)) - np.trace(a)) < 1e-12
@@ -108,7 +109,7 @@ def test_channel_is_unital_and_trace_preserving(tilted_spec, rng):
 
 def test_uniform_channel_idempotent(uniform_spec):
     q = uniform_spec.channel
-    assert np.abs(q.mat @ q.mat - q.mat).max() < 1e-13
+    assert np.abs(q @ q - q).max() < 1e-13
 
 
 def test_closed_form_qubit_specs_carry_no_nodes(uniform_spec, tilted_spec):
@@ -118,12 +119,12 @@ def test_closed_form_qubit_specs_carry_no_nodes(uniform_spec, tilted_spec):
 
 def test_tilted_channel_powers_converge(tilted_spec, uniform_spec):
     q = tilted_spec.channel
-    assert np.abs(q.mat @ q.mat - q.mat).max() > 1e-3
-    high = np.linalg.matrix_power(q.mat, 200)
-    higher = np.linalg.matrix_power(q.mat, 201)
+    assert np.abs(q @ q - q).max() > 1e-3
+    high = np.linalg.matrix_power(q, 200)
+    higher = np.linalg.matrix_power(q, 201)
     assert np.abs(high - higher).max() < 1e-12
     # the limit is the conditional expectation onto the energy algebra
-    assert np.abs(high - uniform_spec.channel.mat).max() < 1e-12
+    assert np.abs(high - uniform_spec.channel).max() < 1e-12
 
 
 def test_verify_passes_builtin_specs(uniform_spec, tilted_spec,
@@ -136,13 +137,11 @@ def test_verify_passes_builtin_specs(uniform_spec, tilted_spec,
 
 
 def test_verify_flags_missing_identity(tilted_sampled16):
-    eye = np.eye(4)
-    nodes = [(w, u) for w, u in tilted_sampled16.nodes
-             if np.abs(u - eye).max() > 1e-9]
-    total = sum(w for w, _ in nodes)
-    nodes = [(w / total, u) for w, u in nodes]
-    spec = CollisionSpec(tilted_sampled16.model, "broken", "sampled",
-                         superoperator_from_nodes(nodes, 4), nodes)
+    ws, us = tilted_sampled16.nodes
+    keep = np.abs(us - np.eye(4)).max(axis=(1, 2)) > 1e-9
+    nodes = ws[keep] / ws[keep].sum(), us[keep]
+    spec = CollisionSpec(tilted_sampled16.model, "broken",
+                         superoperator_from_nodes(nodes), nodes)
     report = verify_spec(spec)
     assert not report.passes
     assert any("contains_identity" in v for v in report.violations)
@@ -152,9 +151,8 @@ def test_verify_flags_energy_violation(qubit_model, rng):
     # a Hadamard-like rotation mixes the shells, breaking energy conservation
     had = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     bad = tensor(had, np.eye(2))
-    nodes = symmetrize_nodes([(0.5, np.eye(4, dtype=complex)), (0.5, bad)], 2)
-    spec = CollisionSpec(qubit_model, "bad_energy", "sampled",
-                         superoperator_from_nodes(nodes, 4), nodes)
+    nodes = symmetrize_nodes((np.array([0.5, 0.5]), np.stack([np.eye(4), bad])), 2)
+    spec = CollisionSpec(qubit_model, "bad_energy", superoperator_from_nodes(nodes), nodes)
     report = verify_spec(spec)
     assert not report.passes
     assert any("commutes_with_pair_hamiltonian" in v for v in report.violations)
@@ -164,12 +162,11 @@ def test_verify_flags_energy_violation(qubit_model, rng):
 
 
 def test_verify_rejects_non_finite_nodes(tilted_sampled16):
-    nodes = list(tilted_sampled16.nodes)
-    u = nodes[3][1].copy()
-    u[1, 2] = np.nan
-    nodes[3] = (nodes[3][0], u)
-    spec = CollisionSpec(tilted_sampled16.model, "nan_node", "sampled",
-                         superoperator_from_nodes(nodes, 4), nodes)
+    ws, us = tilted_sampled16.nodes
+    us = us.copy()
+    us[3, 1, 2] = np.nan
+    nodes = ws, us
+    spec = CollisionSpec(tilted_sampled16.model, "nan_node", superoperator_from_nodes(nodes), nodes)
     with pytest.raises(ValueError, match=r"nodes \[3\] have a non-finite weight or entry"):
         verify_spec(spec)
 
@@ -179,23 +176,20 @@ def test_verify_residuals_do_not_depend_on_the_node_block(tilted, monkeypatch):
     spec = (qubit_tilted_spec if tilted else qubit_uniform_spec)(9)
     whole = verify_spec(spec).residuals
     monkeypatch.setattr(collisions, "_NODE_BLOCK", 97)
-    assert len(spec.nodes) > 10 * 97
+    assert len(spec.nodes[0]) > 10 * 97
     assert verify_spec(spec).residuals == whole
     # a non-finite node in a later block is still named
-    nodes = list(spec.nodes)
-    u = nodes[500][1].copy()
-    u[0, 0] = np.inf
-    nodes[500] = (nodes[500][0], u)
-    bad = CollisionSpec(spec.model, "inf_node", "sampled", spec.channel, nodes)
+    us = spec.nodes[1].copy()
+    us[500, 0, 0] = np.inf
+    bad = CollisionSpec(spec.model, "inf_node", spec.channel, (spec.nodes[0], us))
     with pytest.raises(ValueError, match=r"nodes \[500\] have a non-finite"):
         verify_spec(bad)
 
 
 def test_verify_rejects_a_non_finite_channel(tilted_spec):
-    mat = tilted_spec.channel.mat.copy()
+    mat = tilted_spec.channel.copy()
     mat[5, 10] = np.nan
-    spec = CollisionSpec(tilted_spec.model, "nan_channel", "closed_form",
-                         Superoperator(mat, 4))
+    spec = CollisionSpec(tilted_spec.model, "nan_channel", mat)
     with pytest.raises(ValueError, match="closed-form channel has 1 non-finite entries"):
         verify_spec(spec)
 
@@ -214,9 +208,8 @@ def one_excitation_rotation(theta=0.7, phase=0.3):
 def test_symmetrize_closes_asymmetric_family(qubit_model):
     # a single non-symmetric node, plus identity, closes to a valid spec
     u = one_excitation_rotation()
-    nodes = symmetrize_nodes([(0.5, np.eye(4, dtype=complex)), (0.5, u)], 2)
-    spec = CollisionSpec(qubit_model, "sym", "sampled",
-                         superoperator_from_nodes(nodes, 4), nodes)
+    nodes = symmetrize_nodes((np.array([0.5, 0.5]), np.stack([np.eye(4), u])), 2)
+    spec = CollisionSpec(qubit_model, "sym", superoperator_from_nodes(nodes), nodes)
     report = verify_spec(spec)
     assert report.passes, report.violations
 
@@ -224,9 +217,8 @@ def test_symmetrize_closes_asymmetric_family(qubit_model):
 def test_verify_accepts_real_nodes(qubit_model):
     # real unitaries (identity and swap) have complex swap images; the
     # closure check must compare them with the nodes all the same
-    nodes = [(0.5, np.eye(4)), (0.5, swap_unitary(2).real)]
-    spec = CollisionSpec(qubit_model, "real", "sampled",
-                         superoperator_from_nodes(nodes, 4), nodes)
+    nodes = np.array([0.5, 0.5]), np.stack([np.eye(4), swap_unitary(2).real])
+    spec = CollisionSpec(qubit_model, "real", superoperator_from_nodes(nodes), nodes)
     report = verify_spec(spec)
     assert report.passes, report.violations
     assert report.residuals["closed_under_swap"] == 0.0
@@ -237,7 +229,7 @@ def symmetrize_reference(nodes, d):
     equal to 9 decimals; the heaviest first, ties in order of appearance."""
     v = swap_unitary(d)
     merged = {}
-    for w, u in nodes:
+    for w, u in zip(*nodes):
         su = v @ u @ v.conj().T
         for variant in (u, u.conj().T, su, su.conj().T):
             key = (np.round(variant, 9) + 0.0).tobytes()
@@ -247,23 +239,25 @@ def symmetrize_reference(nodes, d):
 
 @pytest.mark.parametrize("d, size", [(2, 1), (2, 4), (3, 3)])
 def test_symmetrize_matches_per_node_reference(rng, d, size):
-    nodes = []
+    ws, us = [], []
     for _ in range(size):
         z = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-        nodes.append((float(rng.uniform(0.1, 1.0)), np.linalg.qr(z)[0]))
+        ws.append(float(rng.uniform(0.1, 1.0)))
+        us.append(np.linalg.qr(z)[0])
     # an identity and an adjoint partner make orbits overlap, so nodes merge
-    nodes += [(0.3, np.eye(d * d, dtype=complex)), (0.2, nodes[0][1].conj().T)]
+    nodes = (np.array(ws + [0.3, 0.2]),
+             np.stack(us + [np.eye(d * d, dtype=complex), us[0].conj().T]))
     got, want = symmetrize_nodes(nodes, d), symmetrize_reference(nodes, d)
-    assert len(got) < 4 * len(nodes)
-    assert [w for w, _ in got] == [w for w, _ in want]
-    assert all(np.array_equal(u, v) for (_, u), (_, v) in zip(got, want))
+    assert len(got[0]) < 4 * len(nodes[0])
+    assert got[0].tolist() == [w for w, _ in want]
+    assert len(got[1]) == len(want)
+    assert all(np.array_equal(u, v) for u, (_, v) in zip(got[1], want))
 
 
 def test_verify_flags_closure_violations(qubit_model):
     u = one_excitation_rotation()
-    nodes = [(0.5, np.eye(4, dtype=complex)), (0.5, u)]
-    spec = CollisionSpec(qubit_model, "unclosed", "sampled",
-                         superoperator_from_nodes(nodes, 4), nodes)
+    nodes = np.array([0.5, 0.5]), np.stack([np.eye(4, dtype=complex), u])
+    spec = CollisionSpec(qubit_model, "unclosed", superoperator_from_nodes(nodes), nodes)
     report = verify_spec(spec)
     assert sorted(msg.split(":")[0] for msg in report.violations) == [
         "closed_under_adjoint", "closed_under_swap"]
@@ -271,10 +265,9 @@ def test_verify_flags_closure_violations(qubit_model):
     # every partner present, but with the wrong weight
     v = swap_unitary(2)
     su = v @ u @ v.conj().T
-    nodes = [(0.5, np.eye(4, dtype=complex)), (0.2, u), (0.1, u.conj().T),
-             (0.1, su), (0.1, su.conj().T)]
-    spec = CollisionSpec(qubit_model, "unbalanced", "sampled",
-                         superoperator_from_nodes(nodes, 4), nodes)
+    nodes = (np.array([0.5, 0.2, 0.1, 0.1, 0.1]),
+             np.stack([np.eye(4, dtype=complex), u, u.conj().T, su, su.conj().T]))
+    spec = CollisionSpec(qubit_model, "unbalanced", superoperator_from_nodes(nodes), nodes)
     report = verify_spec(spec)
     assert report.residuals["closed_under_adjoint"] == pytest.approx(0.1, abs=1e-12)
     assert report.residuals["closed_under_swap"] == pytest.approx(0.1, abs=1e-12)
@@ -295,10 +288,9 @@ def closure_oracle(nodes, transform, weight_tol=1e-9):
     weight difference (0 when at most weight_tol), and the worst distance
     to the nearest node in the complex max-abs norm itself.
     """
-    ws = np.array([w for w, _ in nodes])
-    us = np.stack([u for _, u in nodes])
+    ws, us = nodes
     worst_mat, worst_w, worst_nearest = 0.0, 0.0, 0.0
-    for w, u in nodes:
+    for w, u in zip(ws, us):
         diffs = us - transform(u)
         real_dist = np.maximum(np.abs(diffs.real).max(axis=(1, 2)),
                                np.abs(diffs.imag).max(axis=(1, 2)))
@@ -313,9 +305,11 @@ def test_closure_residual_matches_bruteforce_oracle(rng):
     v = swap_unitary(2)
     transforms = [lambda u: u.conj().T, lambda u: v @ u @ v.conj().T]
 
+    def nodes_of(*pairs):
+        return np.array([w for w, _ in pairs]), np.stack([u for _, u in pairs])
+
     def check(nodes):
-        ws = np.array([w for w, _ in nodes])
-        us = np.stack([u for _, u in nodes])
+        ws, us = nodes
         images = [lambda b: b.conj().transpose(0, 2, 1), lambda b: v @ b @ v.conj().T]
         out = []
         for transform, image in zip(transforms, images):
@@ -328,10 +322,10 @@ def test_closure_residual_matches_bruteforce_oracle(rng):
 
     def check_variants(family):
         # the closed set of the family, one node dropped, one reweighted
-        closed = symmetrize_nodes(family, 2)
-        k = int(rng.integers(1, len(closed)))
-        dropped = closed[:k] + closed[k + 1:]
-        reweighted = [(w * (1.5 if j == k else 1.0), u) for j, (w, u) in enumerate(closed)]
+        closed = symmetrize_nodes(nodes_of(*family), 2)
+        k = int(rng.integers(1, len(closed[0])))
+        dropped = np.delete(closed[0], k), np.delete(closed[1], k, axis=0)
+        reweighted = closed[0] * np.where(np.arange(len(closed[0])) == k, 1.5, 1.0), closed[1]
         assert all(mat < 1e-12 and w == 0.0 for mat, w in check(closed))
         assert all(mat > 1e-3 for mat, _ in check(dropped))
         check(reweighted)
@@ -341,34 +335,35 @@ def test_closure_residual_matches_bruteforce_oracle(rng):
         check_variants([(1.0, np.eye(4, dtype=complex))] + [
             (rng.uniform(0.2, 1.0), random_unitary(rng, 4)) for _ in range(2)])
     # one and two nodes
-    assert check([(1.0, np.eye(4, dtype=complex))]) == [(0.0, 0.0)] * 2
-    check([(0.5, np.eye(4, dtype=complex)), (0.5, random_unitary(rng, 4))])
+    assert check(nodes_of((1.0, np.eye(4, dtype=complex)))) == [(0.0, 0.0)] * 2
+    check(nodes_of((0.5, np.eye(4, dtype=complex)), (0.5, random_unitary(rng, 4))))
     # the adjoint of w sits at exactly the same distance from x and from y:
     # the first of them in node order is hit, whatever the order
     phase = np.exp(0.7j)
     x, y, w = (np.diag(a).astype(complex) for a in
                ([phase, 1, 1, 1], [1, 1, 1, phase], [phase.conjugate(), 1, 1, phase.conjugate()]))
-    check([(0.2, x), (0.3, y), (0.5, w)])
-    check([(0.3, y), (0.2, x), (0.5, w)])
+    check(nodes_of((0.2, x), (0.3, y), (0.5, w)))
+    check(nodes_of((0.3, y), (0.2, x), (0.5, w)))
     # a closed family of hundreds of nodes
     closed = check_variants([(1.0, np.eye(4, dtype=complex))] + [
         (rng.uniform(0.2, 1.0), random_unitary(rng, 4)) for _ in range(80)])
-    assert len(closed) >= 300
+    assert len(closed[0]) >= 300
     # far from closed, each window spans about every node, so the images go
     # to the coordinate filter; with small blocks every blocked loop of the
     # search runs many times
-    far = [(rng.uniform(0.2, 1.0), random_unitary(rng, 4)) for _ in range(600)]
-    assert len(far) ** 2 > 3 * (_PAIR_BLOCK // 32)
+    far = nodes_of(*[(rng.uniform(0.2, 1.0), random_unitary(rng, 4)) for _ in range(600)])
+    assert len(far[0]) ** 2 > 3 * (_PAIR_BLOCK // 32)
+    mixed = tuple(np.concatenate([a[:300], b[:300]]) for a, b in zip(far, closed))
     check(far)
-    check(far[:300] + closed[:300])
+    check(mixed)
     # every node the same: every window is wide and every node ties
-    check([(0.01, far[0][1])] * 100)
+    check((np.full(100, 0.01), np.repeat(far[1][:1], 100, axis=0)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(collisions, "_PAIR_BLOCK", 1 << 10)
         check(far)
         # nodes and images in blocks of 64: the blocks meet the whole node set
         mp.setattr(collisions, "_NODE_BLOCK", 64)
-        check(far[:300] + closed[:300])
+        check(mixed)
         check(far)
 
 
@@ -404,12 +399,12 @@ def test_exact_ea2_matches_projector_definition(energies):
     want = sum(np.outer(shell_projector(model, 2, E).reshape(-1) / len(idx),
                         shell_projector(model, 2, E).reshape(-1))
                for E, idx in shell_decomposition(model, 2))
-    assert np.array_equal(exact_EA2_spec(model).channel.mat, want)
+    assert np.array_equal(exact_EA2_spec(model).channel, want)
 
 
 def test_exact_ea2_maps_product_units_to_shell_states(ea2_three_level):
     model = ea2_three_level.model
-    q = ea2_three_level.channel
+    q = as_map(ea2_three_level.channel)
     for i, k in itertools.product(range(3), repeat=2):
         unit = np.zeros((9, 9), dtype=complex)
         unit[3 * i + k, 3 * i + k] = 1.0
@@ -419,19 +414,19 @@ def test_exact_ea2_maps_product_units_to_shell_states(ea2_three_level):
 
 def test_exact_ea2_fixes_energy_algebra(ea2_three_level):
     model = ea2_three_level.model
-    q = ea2_three_level.channel
+    q = as_map(ea2_three_level.channel)
     x = sum(E * shell_projector(model, 2, E) for E in (0, 1, 2, 3, 4))
     assert np.abs(q(x) - x).max() < 1e-13
 
 
 def test_exact_ea2_choi_psd(ea2_three_level):
-    w = np.linalg.eigvalsh(ea2_three_level.channel.choi())
+    w = np.linalg.eigvalsh(choi(ea2_three_level.channel))
     assert w.min() > -1e-12
 
 
 def test_kadison_inequality(uniform_spec, tilted_spec, ea2_three_level, rng):
     for spec in (uniform_spec, tilted_spec, ea2_three_level):
-        q = spec.channel
+        q = as_map(spec.channel)
         d = spec.dim ** 2
         for _ in range(20):
             a = random_matrix(rng, d)
@@ -440,7 +435,7 @@ def test_kadison_inequality(uniform_spec, tilted_spec, ea2_three_level, rng):
 
 
 def test_hs_contraction_with_equality_on_fixed_space(tilted_spec, rng):
-    q = tilted_spec.channel
+    q = as_map(tilted_spec.channel)
     for _ in range(10):
         a = random_matrix(rng, 4)
         assert hs_norm(q(a)) <= hs_norm(a) + 1e-12
@@ -454,7 +449,7 @@ def test_hs_contraction_with_equality_on_fixed_space(tilted_spec, rng):
 
 
 def test_swap_symmetry_of_pair_output(tilted_spec, rng):
-    q = tilted_spec.channel
+    q = as_map(tilted_spec.channel)
     v = swap_unitary(2)
     rho = random_state(rng, 2)
     out = q(tensor(rho, rho))
@@ -481,7 +476,7 @@ def test_sampled_file_round_trip(tmp_path, qubit_model):
     spec = sampled_spec_from_file(path, qubit_model)
     report = verify_spec(spec)
     assert report.passes, report.violations
-    assert abs(sum(w for w, _ in spec.nodes) - 1.0) < 1e-12
+    assert abs(spec.nodes[0].sum() - 1.0) < 1e-12
 
 
 def test_sampled_file_errors(tmp_path, qubit_model):
@@ -516,10 +511,10 @@ def node_text(records, dim=4):
 
 def test_parse_sampled_nodes_reads_records_in_order():
     u = np.eye(4, dtype=complex)[[0, 2, 1, 3]] * 1j
-    nodes = parse_sampled_nodes(node_text([(3, np.eye(4)), (1.0, u)]), 4)
-    assert [w for w, _ in nodes] == [0.75, 0.25]
-    assert np.array_equal(nodes[0][1], np.eye(4))
-    assert np.array_equal(nodes[1][1], u)
+    ws, us = parse_sampled_nodes(node_text([(3, np.eye(4)), (1.0, u)]), 4)
+    assert ws.tolist() == [0.75, 0.25]
+    assert np.array_equal(us[0], np.eye(4))
+    assert np.array_equal(us[1], u)
 
 
 @pytest.mark.parametrize("text", [
@@ -563,7 +558,57 @@ def test_merged_qubit_grid_node_counts(points, uniform_count, tilted_count):
     # channel unchanged but shrinks the node list to these counts
     for build, count in ((qubit_uniform_spec, uniform_count),
                          (qubit_tilted_spec, tilted_count)):
-        ws = np.array([w for w, _ in build(points).nodes])
+        ws = build(points).nodes[0]
         assert ws.size == count
         assert abs(ws.sum() - 1.0) < 1e-12
         assert ws.min() > 0 and np.all(np.diff(ws) <= 0)
+
+
+def transpose_map(n):
+    """The transpose on n x n matrices as a channel matrix: trace preserving,
+    unital and HS self-adjoint, but not completely positive; its Choi
+    matrix is the swap, with eigenvalue -1."""
+    q = np.zeros((n * n, n * n), dtype=complex)
+    for i, j in itertools.product(range(n), repeat=2):
+        q[i * n + j, j * n + i] = 1.0
+    return q
+
+
+def test_cp_residual_on_the_choi_support_matches_the_full_eigensolve(qubit_model):
+    # verify_spec solves the Choi matrix on its rows and columns that are not
+    # both zero; every closed-form built-in spec at d <= 4 and the transpose
+    # map agree with the eigensolve of the whole Choi matrix
+    specs = [qubit_uniform_spec(), qubit_tilted_spec(),
+             CollisionSpec(qubit_model, "transpose", transpose_map(4))]
+    specs += [exact_EA2_spec(SingleParticleModel(e))
+              for e in [(0, 1), (0, 0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 4, 5)]]
+    for spec in specs:
+        want = max(0.0, -np.linalg.eigvalsh(choi(spec.channel)).min())
+        got = verify_spec(spec).residuals["completely_positive"]
+        assert abs(got - want) <= 1e-15, spec.name
+    transpose = verify_spec(specs[2])
+    assert transpose.residuals["completely_positive"] == pytest.approx(1.0, abs=1e-15)
+    assert [v.split(":")[0] for v in transpose.violations] == ["completely_positive"]
+
+
+def assert_node_arrays(nodes, d2):
+    """Float weights (m,) summing to one, heaviest first, and complex
+    unitaries (m, d2, d2)."""
+    ws, us = nodes
+    assert isinstance(ws, np.ndarray) and ws.dtype == float and ws.ndim == 1
+    assert isinstance(us, np.ndarray) and us.dtype == complex and us.shape == (len(ws), d2, d2)
+    assert abs(ws.sum() - 1.0) < 1e-12
+    assert np.all(np.diff(ws) <= 0)
+
+
+def test_node_builders_return_weight_and_unitary_arrays(tmp_path, qubit_model):
+    for tilted in (False, True):
+        assert_node_arrays(collisions._qubit_grid_nodes(5, tilted), 4)
+    u = one_excitation_rotation()
+    assert_node_arrays(symmetrize_nodes((np.array([0.2, 0.8]), np.stack([np.eye(4), u])), 2), 4)
+    # parsed nodes keep the file order, here heaviest first
+    text = node_text([(3, np.eye(4)), (1.0, u)])
+    assert_node_arrays(parse_sampled_nodes(text, 4), 4)
+    path = tmp_path / "nodes.txt"
+    path.write_text(text)
+    assert_node_arrays(sampled_spec_from_file(path, qubit_model).nodes, 4)

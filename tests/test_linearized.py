@@ -7,13 +7,12 @@ import scipy.linalg
 
 from qkac.boltzmann import (classify_steady_states, collision_invariants_basis,
                             gibbs, wild)
-from qkac.collisions import (Superoperator, exact_EA2_spec, qubit_tilted_spec,
-                             qubit_uniform_spec)
+from qkac.collisions import exact_EA2_spec, qubit_tilted_spec, qubit_uniform_spec
 from qkac.linearized import (BKMGeometry, bkm_inner, build_K, divide_super,
                              multiply_super, spectral_gap)
 from qkac.spectra import SingleParticleModel
 from conftest import random_matrix, random_state
-from oracles import UnsupportedOperationError, dirichlet_form
+from oracles import UnsupportedOperationError, as_map, dirichlet_form
 
 
 def hermitian(rng, dim):
@@ -155,7 +154,7 @@ def test_build_k_rejects_non_steady(tilted_spec):
 def test_k_kills_collision_invariants(uniform_spec, tilted_spec):
     geo = BKMGeometry(np.diag([0.35, 0.65]).astype(complex))
     for spec in (uniform_spec, tilted_spec):
-        k = build_K(spec, geo)
+        k = as_map(build_K(spec, geo))
         for inv in collision_invariants_basis(spec.model):
             assert np.abs(k(inv)).max() < 1e-12
         assert np.abs(k(np.eye(2, dtype=complex))).max() < 1e-12
@@ -166,9 +165,9 @@ def test_k_offdiagonal_eigenvalues(uniform_spec, tilted_spec):
     unit[0, 1] = 1.0
     for a in (0.2, 0.5, 0.8):
         geo = BKMGeometry(np.diag([a, 1 - a]).astype(complex))
-        ku = build_K(uniform_spec, geo)
+        ku = as_map(build_K(uniform_spec, geo))
         assert np.abs(ku(unit) + 2.0 * unit).max() < 1e-12
-        kt = build_K(tilted_spec, geo)
+        kt = as_map(build_K(tilted_spec, geo))
         lam = (2 - a) / 4 - 2
         assert np.abs(kt(unit) - lam * unit).max() < 1e-12
 
@@ -178,7 +177,7 @@ def test_k_matches_finite_difference_of_flow(tilted_spec, rng):
     # the steady state, in the direction [rho_inf]X with Tr[[rho_inf]X]=0
     rho_inf = np.diag([0.45, 0.55]).astype(complex)
     geo = BKMGeometry(rho_inf)
-    k = build_K(tilted_spec, geo)
+    k = as_map(build_K(tilted_spec, geo))
     x = hermitian(rng, 2)
     x = x - np.trace(multiply_super(geo, x)) * np.eye(2)
     kx = k(x)
@@ -199,7 +198,7 @@ def test_k_matches_finite_difference_of_flow(tilted_spec, rng):
 def test_k_bkm_self_adjoint_and_dissipative(uniform_spec, tilted_spec, rng):
     geo = BKMGeometry(np.diag([0.4, 0.6]).astype(complex))
     for spec in (uniform_spec, tilted_spec):
-        k = build_K(spec, geo)
+        k = as_map(build_K(spec, geo))
         for _ in range(30):
             a = random_matrix(rng, 2)
             b = random_matrix(rng, 2)
@@ -218,7 +217,7 @@ def test_dirichlet_form_matches_k(uniform_spec, tilted_spec, rng):
     # the 8-point grids carry the nodes of the same channels
     for spec, grid in ((uniform_spec, qubit_uniform_spec(8)),
                        (tilted_spec, qubit_tilted_spec(8))):
-        k = build_K(spec, geo)
+        k = as_map(build_K(spec, geo))
         for _ in range(10):
             a = random_matrix(rng, 2)
             b = random_matrix(rng, 2)
@@ -276,8 +275,7 @@ def test_kernel_dimension_matches_invariant_count():
 
 def test_spectral_gap_rejects_an_operator_that_is_not_self_adjoint(ea2_qubit, rng):
     geo = BKMGeometry(np.diag([0.3, 0.7]).astype(complex))
-    k_op = build_K(ea2_qubit, geo)
-    k_op = Superoperator(k_op.mat + 1e-6 * random_matrix(rng, 4), 2)
+    k_op = build_K(ea2_qubit, geo) + 1e-6 * random_matrix(rng, 4)
     with pytest.raises(ValueError, match="not BKM self-adjoint"):
         spectral_gap(ea2_qubit, geo, k_op)
 
@@ -303,7 +301,7 @@ def reference_hermitian_basis(d):
 def reference_spectral_gap(spec, geo):
     """spectral_gap with the basis built element by element and both forms
     filled entry by entry from bkm_inner."""
-    k_op = build_K(spec, geo)
+    k_op = as_map(build_K(spec, geo))
     basis = reference_hermitian_basis(geo.dim)
     nb = len(basis)
     kmat = np.empty((nb, nb))

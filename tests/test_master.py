@@ -17,7 +17,7 @@ from qkac.spectra import (SingleParticleModel, commutant_projection, is_fully_er
                           shell_structure)
 from qkac.tolerances import TOL_PSD
 from conftest import random_matrix, random_state, symmetrize_state
-from oracles import (_shell_block, dense_block_fixed_vectors, embed_pair,
+from oracles import (_shell_block, as_map, dense_block_fixed_vectors, embed_pair,
                      hermitian_function, identity_spec, permutation_covariance_check,
                      qn_spectrum, shell_state)
 
@@ -32,7 +32,7 @@ def pair_sum_oracle(spec, rho, num_particles):
     pairs = [(i, j) for i in range(num_particles)
              for j in range(i + 1, num_particles)]
     for (i, j) in pairs:
-        for w, u in spec.nodes:
+        for w, u in zip(*spec.nodes):
             ue = embed_pair(u, i, j, shape)
             total += w * (ue @ rho @ ue.conj().T)
     return total / len(pairs)
@@ -47,7 +47,7 @@ def test_apply_qn_fixes_shell_states(tilted_spec):
 
 def test_apply_qn_two_particles_is_the_pair_channel(tilted_spec, rng):
     gen = KacGenerator(tilted_spec, 2)
-    q = tilted_spec.channel
+    q = as_map(tilted_spec.channel)
     a = random_matrix(rng, 4)
     assert np.abs(apply_QN(gen, a) - q(a)).max() < 1e-13
 
@@ -276,9 +276,8 @@ def make_spec(name, energies):
         # moves one pair digit of the row and none of the column, e.g.
         # |01><00| to |10><00|: the row and column pair energies differ
         d = model.dim
-        nodes = [(0.5, np.eye(d * d, dtype=complex)), (0.5, swap_unitary(d))]
-        return CollisionSpec(model, name, "sampled", superoperator_from_nodes(nodes, d * d),
-                             nodes)
+        nodes = np.array([0.5, 0.5]), np.stack([np.eye(d * d, dtype=complex), swap_unitary(d)])
+        return CollisionSpec(model, name, superoperator_from_nodes(nodes), nodes)
     return identity_spec(model) if name == "identity" else spec_by_name(name, model)
 
 
@@ -528,7 +527,7 @@ def test_marginal_flow_consistency(tilted_spec, rng):
     gen = KacGenerator(tilted_spec, 3)
     rho = symmetrize_state(random_state(rng, 8), gen.shape)
     m2 = partial_trace(rho, gen.shape, keep=2)
-    q = tilted_spec.channel
+    q = as_map(tilted_spec.channel)
     from qkac.operators import FactorShape
 
     want = 2.0 * (partial_trace(q(m2), FactorShape(2, 2), keep=1)

@@ -28,7 +28,7 @@ def tensordot_pair_channel(spec, rho, n, i, j):
     d = spec.dim
     rho = np.asarray(rho, dtype=complex)
     axes = [i, j, n + i, n + j]
-    y = np.tensordot(spec.channel.mat.reshape((d,) * 8), rho.reshape((d,) * (2 * n)),
+    y = np.tensordot(spec.channel.reshape((d,) * 8), rho.reshape((d,) * (2 * n)),
                      axes=([4, 5, 6, 7], axes))
     return np.moveaxis(y, [0, 1, 2, 3], axes).reshape(rho.shape)
 
@@ -51,16 +51,13 @@ def random_family_spec(energies, seed, num_nodes):
     rng = np.random.default_rng(seed)
     model = SingleParticleModel(energies)
     d = model.dim
-    nodes = []
-    for w in rng.uniform(0.2, 1.0, num_nodes):
-        u = np.zeros((d * d, d * d), dtype=complex)
+    ws = rng.uniform(0.2, 1.0, num_nodes)
+    us = np.zeros((num_nodes, d * d, d * d), dtype=complex)
+    for u in us:
         for _, idx in shell_structure(model, 2).shells:
             u[np.ix_(idx, idx)] = random_unitary(rng, idx.size)
-        nodes.append((w, u))
-    total = sum(w for w, _ in nodes)
-    nodes = [(w / total, u) for w, u in nodes]
-    return CollisionSpec(model, "random_family", "sampled",
-                         superoperator_from_nodes(nodes, d * d), nodes)
+    nodes = ws / ws.sum(), us
+    return CollisionSpec(model, "random_family", superoperator_from_nodes(nodes), nodes)
 
 
 # every (d, N, energies, spec) combination with d^N <= MAX_DIM, drawn with
@@ -106,7 +103,7 @@ def test_two_particle_kernel_reproduces_every_channel_entry():
     # that dropped them would move the images by ~1e-17 only, so the
     # images of the matrix units are compared exactly
     spec = named_spec("tilted_sampled4")
-    mat = spec.channel.mat
+    mat = spec.channel
     assert np.count_nonzero(mat) == 36
     assert np.count_nonzero(np.abs(mat) > 1e-12) == 16
     gen = KacGenerator(spec, 2)

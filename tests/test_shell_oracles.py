@@ -11,8 +11,8 @@ import pytest
 from scipy.linalg import null_space
 
 from qkac.boltzmann import classify_steady_states
-from qkac.collisions import (CollisionSpec, Superoperator, exact_EA2_spec,
-                             qubit_tilted_spec, qubit_uniform_spec, verify_spec)
+from qkac.collisions import (CollisionSpec, exact_EA2_spec, qubit_tilted_spec,
+                             qubit_uniform_spec, verify_spec)
 from qkac.master import KacGenerator, is_ergodic, steady_states_basis
 from qkac.operators import FactorShape, partial_trace
 from qkac.spectra import SingleParticleModel, classify_shell, shell_decomposition
@@ -77,7 +77,7 @@ def decoy_spec(model):
     for _, idxs in shell_decomposition(model, 2):
         k = np.ravel_multi_index(idxs[0], (model.dim,) * 2)
         mat[k * d2 + k, k * d2 + k] = 1.0
-    return CollisionSpec(model, "decoy", "closed_form", Superoperator(mat, d2))
+    return CollisionSpec(model, "decoy", mat)
 
 
 @pytest.mark.parametrize("energies", MODELS)
@@ -111,7 +111,7 @@ def test_is_ergodic_refuses_a_channel_that_moves_pair_energy():
     mat = np.zeros((16, 16), dtype=complex)
     mat[0, 15] = mat[15, 0] = 1.0       # |00><00| and |11><11| exchanged
     mat[np.ix_([5, 10], [5, 10])] = 0.5
-    spec = CollisionSpec(model, "population_swap", "closed_form", Superoperator(mat, 4))
+    spec = CollisionSpec(model, "population_swap", mat)
     assert verify_spec(spec).passes
     assert not dense_is_ergodic(spec)
     with pytest.raises(ValueError, match="does not conserve the pair energy"):

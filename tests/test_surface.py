@@ -4,6 +4,7 @@ the helpers only tests call live in ``oracles``, not in ``qkac``, and the
 library's qubit grid nodes are those of the brute-force oracle there."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -64,7 +65,13 @@ def test_test_only_helpers_left_the_library():
             for name in MOVED_TO_ORACLES if hasattr(m, name)]
     assert left == []
     assert all(hasattr(oracles, name) for name in MOVED_TO_ORACLES)
-    assert not hasattr(qkac.Superoperator, "power")
+
+
+def test_a_spec_holds_the_channel_matrix_and_node_arrays():
+    # no wrapper class and no kind field: a spec is sampled iff it has nodes
+    assert [m.__name__ for m in qkac_modules() if hasattr(m, "Superoperator")] == []
+    fields = [f.name for f in dataclasses.fields(qkac.CollisionSpec)]
+    assert fields == ["model", "name", "channel", "nodes"]
 
 
 @pytest.mark.parametrize("tilted", [False, True], ids=["uniform", "tilted"])
@@ -75,6 +82,6 @@ def test_qubit_grid_nodes_match_the_merge_oracle(tilted):
     for points in range(4, 17):
         got = _qubit_grid_nodes(points, tilted)
         want = oracles.merged_qubit_grid_nodes(points, tilted)
-        assert len(got) == len(want)
-        assert [w for w, _ in got] == [w for w, _ in want]
-        assert np.array_equal(np.stack([u for _, u in got]), np.stack([u for _, u in want]))
+        assert len(got[0]) == len(want[0])
+        assert got[0].tolist() == want[0].tolist()
+        assert np.array_equal(got[1], want[1])
