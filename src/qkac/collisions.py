@@ -130,7 +130,9 @@ def symmetrize_nodes(nodes, d: int):
 
     Each node is spread with weight w/4 over its orbit under
     {id, adjoint, swap, adjoint o swap}; coinciding unitaries are merged
-    with summed weights.  The result satisfies the closure axioms exactly.
+    with summed weights.  The result satisfies the closure axioms, unless
+    distinct unitaries lie within about 1e-9 of each other: the 9-decimal
+    classes of a unitary and of its images can then split differently.
     """
     ws, us = nodes
     v = swap_unitary(d)
@@ -151,7 +153,7 @@ def _closure_residual(ws, us, image):
     the first in node order on a tie (``_nearest_nodes``).  Returns (matrix
     residual, weight residual) maximized over nodes: the complex max-abs
     distance to the hit, and the weight difference, reported as 0 when at
-    most 1e-9.
+    most ``TOL_AXIOM``.
     """
     def real_rows(a):       # real and imaginary parts, interleaved; no copy
         return np.ascontiguousarray(a).reshape(len(a), -1).view(float)
@@ -165,11 +167,7 @@ def _closure_residual(ws, us, image):
         miss -= images
         worst_mat = max(worst_mat, float(np.abs(miss).max()))
         worst_w = max(worst_w, float(np.abs(ws[hit] - ws[a:a + _NODE_BLOCK]).max()))
-    return worst_mat, worst_w if worst_w > 1e-9 else 0.0
-
-
-_WIDE_WINDOW = 64       # windows longer than this go to the coordinate filter
-_FILTER_BINS = 64       # rank bins per coordinate in the coordinate filter
+    return worst_mat, worst_w if worst_w > TOL_AXIOM else 0.0
 
 
 def _nearest_nodes(xs):
@@ -179,18 +177,19 @@ def _nearest_nodes(xs):
     The rows of ``xs`` are sorted once by their projection on one fixed
     direction p.  Since |p . (x - y)| <= |p|_1 |x - y|_inf, the nearest
     row lies in the window of projections within |p|_1 r of y's, r the
-    distance to the row nearest in projection.  On a closed set a window
-    holds about one row and is scanned.  On a set far from closed the
-    nearest row is about as far as the spread of the projections, so a
-    window can span every row; a window of more than ``_WIDE_WINDOW`` rows
-    goes to ``_coordinate_filter`` instead.
+    distance to the row nearest in projection, and ``_nearest_candidates``
+    scans that window.  On a closed set a window holds about one row.  A
+    window widens where the nearest row is about as far as the spread of
+    the projections: on a hand-built set far from closed, or a node file
+    whose unitaries cluster at the 9-decimal merge scale of
+    ``_merge_nodes``.  There a window can span every row, and the scan is
+    quadratic in the number of rows.
     """
     p = np.random.default_rng(0).standard_normal(xs.shape[1])
     px = xs @ p
     order = np.argsort(px, kind="stable")
     proj = px[order]
     top = max(1.0, xs.max(), -xs.min())
-    label = np.arange(len(xs))
 
     def nearest(ys):
         # the slack covers the rounding of the projections and of the window
@@ -206,24 +205,17 @@ def _nearest_nodes(xs):
         half = (r + slack) * np.abs(p).sum()
         lo = np.minimum(np.searchsorted(proj, py - half, "left"), at)
         hi = np.maximum(np.searchsorted(proj, py + half, "right"), at + 1)
-        wide = np.flatnonzero(hi - lo > _WIDE_WINDOW)
-        lo[wide], hi[wide] = at[wide], at[wide] + 1
-        counts = hi - lo
-        pos = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        hit = _nearest_candidates(xs, ys, counts, order[pos], label)
-        if wide.size:
-            hit[wide] = _coordinate_filter(xs, ys[wide], r[wide], order[at[wide]], slack)
-        return hit
+        return _nearest_candidates(xs, ys, lo, hi - lo, order)
 
     return nearest
 
 
-def _nearest_candidates(xs, ys, counts, cand, label):
-    """The label of the nearest of each row of ``ys`` among its ``counts``
-    candidate rows of ``xs``, listed one image after another in ``cand``:
-    the least label on a tie.  Whole candidate lists of about
-    ``_PAIR_BLOCK`` pair differences are formed at once, so memory stays
-    bounded."""
+def _nearest_candidates(xs, ys, lo, counts, order):
+    """The index of the nearest of each row of ``ys`` among the ``counts``
+    rows of ``xs`` listed from position ``lo`` of ``order``: the least
+    index on a tie.  The windows are scanned in blocks of about
+    ``_PAIR_BLOCK`` pair-difference entries, a longer window in a block of
+    its own, so memory stays bounded however wide the windows are."""
     hit = np.empty(len(ys), dtype=int)
     ends = np.cumsum(counts)
     per_block = max(1, _PAIR_BLOCK // xs.shape[1])
@@ -232,75 +224,13 @@ def _nearest_candidates(xs, ys, counts, cand, label):
         b = max(a + 1, int(np.searchsorted(ends, ends[a] - counts[a] + per_block, "right")))
         c = counts[a:b]
         starts = np.cumsum(c) - c
-        block = cand[ends[a] - counts[a]:ends[b - 1]]
+        block = order[np.arange(c.sum()) + np.repeat(lo[a:b] - starts, c)]
         diff = xs[block]
         diff -= np.repeat(ys[a:b], c, axis=0)
         dist = np.abs(diff, out=diff).max(axis=1)
         best = dist == np.repeat(np.minimum.reduceat(dist, starts), c)
-        hit[a:b] = np.minimum.reduceat(np.where(best, label[block], len(xs)), starts)
+        hit[a:b] = np.minimum.reduceat(np.where(best, block, len(xs)), starts)
         a = b
-    return hit
-
-
-def _coordinate_filter(xs, ys, r, near, slack):
-    """``_nearest_nodes`` for the rows of ``ys`` whose projection windows are
-    wide; row ``near[k]`` of ``xs`` is at max-norm distance ``r[k]`` from
-    ``ys[k]``.
-
-    The bound r is first lowered to the nearest of the four rows nearest
-    in the Euclidean norm, found by one matrix product.  Only the rows
-    within r + slack of an image on every coordinate can then be nearer.
-    They are found with bitsets: on each coordinate the rows are ranked
-    and their ranks cut into ``_FILTER_BINS`` bins, the rows within a coordinate
-    window of an image are the difference of two prefix unions of bins,
-    and the rows within every window are one AND per coordinate.  The
-    surviving rows are compared exactly.
-    """
-    n, dim = xs.shape
-    r, hit = r.copy(), near.copy()
-    rows = max(1, _PAIR_BLOCK // n)
-    scores = np.vstack([xs.T, -0.5 * (xs * xs).sum(axis=1)]).astype(np.float32)
-    for a in range(0, len(ys), rows):
-        y = ys[a:a + rows]
-        g = y.astype(np.float32) @ scores[:-1] + scores[-1]
-        for _ in range(4):
-            c = g.argmax(axis=1)
-            g[np.arange(len(g)), c] = -np.inf
-            dist = np.abs(xs[c] - y).max(axis=1)
-            closer = dist < r[a:a + rows]
-            r[a:a + rows][closer] = dist[closer]
-            hit[a:a + rows][closer] = c[closer]
-    del scores, g
-    # below[k, t] is the bitset of the rows ranked below t * size on coordinate k
-    size = -(-n // _FILTER_BINS)
-    order = np.argsort(xs, axis=0, kind="stable")
-    sorted_cols = np.take_along_axis(xs, order, axis=0).T.copy()
-    rank_bin = np.empty((n, dim), dtype=np.int32)
-    np.put_along_axis(rank_bin, order, (np.arange(n, dtype=np.int32) // size)[:, None], axis=0)
-    del order
-    words = -(-n // 64)
-    below = np.zeros((dim, _FILTER_BINS + 1, 8 * words), dtype=np.uint8)
-    cuts = np.arange(_FILTER_BINS + 1)[:, None]
-    for k in range(dim):
-        below[k, :, :-(-n // 8)] = np.packbits(rank_bin[:, k] < cuts, axis=1, bitorder="little")
-    below = below.view(np.uint64)
-    del rank_bin
-    label = np.arange(n)
-    rows = max(1, _PAIR_BLOCK // (64 * words))
-    for a in range(0, len(ys), rows):
-        y, radius = ys[a:a + rows], r[a:a + rows] + slack
-        keep = np.full((len(y), words), ~np.uint64(0))
-        for k in range(dim):
-            lo = np.searchsorted(sorted_cols[k], y[:, k] - radius, "left") // size
-            hi = -(-np.searchsorted(sorted_cols[k], y[:, k] + radius, "right") // size)
-            keep &= below[k, hi] & ~below[k, lo]
-        img, word = np.nonzero(keep)
-        j, bit = np.nonzero(np.unpackbits(keep[img, word].view(np.uint8).reshape(-1, 8),
-                                          axis=1, bitorder="little"))
-        img, cand = img[j], word[j] * 64 + bit      # by image, then by row
-        counts = np.bincount(img, minlength=len(y))
-        found = np.flatnonzero(counts)
-        hit[a + found] = _nearest_candidates(xs, y[found], counts[found], cand, label)
     return hit
 
 

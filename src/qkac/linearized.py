@@ -165,8 +165,7 @@ def build_K(spec: CollisionSpec, geo: BKMGeometry) -> np.ndarray:
 # spectral gap
 # ---------------------------------------------------------------------------
 
-def spectral_gap(spec: CollisionSpec, geo: BKMGeometry,
-                 k_op: np.ndarray | None = None):
+def spectral_gap(spec: CollisionSpec, geo: BKMGeometry):
     """Smallest decay rate of -K orthogonal to the collision invariants.
 
     With V the eigenvectors of rho_inf and U = V (x) conj(V), -K in the
@@ -179,11 +178,9 @@ def spectral_gap(spec: CollisionSpec, geo: BKMGeometry,
     spanned by right singular vectors of those coordinates; the gap does
     not depend on which orthonormal basis of the complement is taken.
     """
-    if k_op is None:
-        k_op = build_K(spec, geo)
     u = np.kron(geo.eigvecs, geo.eigvecs.conj())
     scale = np.sqrt(geo.multipliers).ravel()
-    m = -scale[:, None] * (u.conj().T @ k_op @ u) / scale
+    m = -scale[:, None] * (u.conj().T @ build_K(spec, geo) @ u) / scale
     resid = np.abs(m - m.conj().T).max()
     if resid > 1e-9:
         raise ValueError(f"the linearized operator is not BKM self-adjoint ({resid:.3e})")

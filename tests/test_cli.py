@@ -25,6 +25,7 @@ from qkac.master import KacGenerator, evolve_master
 from qkac.operators import (random_density, relative_entropy, tensor_power,
                             trace_norm, von_neumann_entropy)
 from qkac.spectra import SingleParticleModel, commutant_projection
+from test_pair_kernel import random_family_spec
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -485,6 +486,27 @@ def test_verify_spec_command(tmp_path):
     assert all(r[2] == "True" for r in rows[1:])
     manifest = (out / "manifest.txt").read_text()
     assert "config_sha256" in manifest and "seed: 0" in manifest
+
+
+def test_verify_spec_on_a_node_file_of_thousands_of_unitaries(tmp_path):
+    # 3,000 random energy-conserving unitaries and the identity, about 12,000
+    # nodes once symmetrized on load: every projection window of the closure
+    # search holds about one node, so the check is fast
+    us = np.concatenate([np.eye(4)[None], random_family_spec((0, 1), 5, 3000).nodes[1]])
+    lines = ["dim 4"]
+    for u in us:
+        lines.append("weight 1")
+        lines += [" ".join(f"{x.real:.17g} {x.imag:.17g}" for x in row) for row in u]
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, {
+        "command": "verify-spec", "model": QUBIT, "spec": f"sampled_file:{nodes}"})
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    rows = read_csv(out / "verify-spec.csv")
+    assert len(rows) == 7 and all(r[2] == "True" for r in rows[1:])
+    assert len(spec_by_name(f"sampled_file:{nodes}", SingleParticleModel((0, 1))).nodes[0]) > 11_000
 
 
 def test_ergodicity_command_matches_library(tmp_path):

@@ -348,8 +348,8 @@ def test_closure_residual_matches_bruteforce_oracle(rng):
     closed = check_variants([(1.0, np.eye(4, dtype=complex))] + [
         (rng.uniform(0.2, 1.0), random_unitary(rng, 4)) for _ in range(80)])
     assert len(closed[0]) >= 300
-    # far from closed, each window spans about every node, so the images go
-    # to the coordinate filter; with small blocks every blocked loop of the
+    # far from closed, each window spans about every node and is scanned in
+    # blocks of candidate rows; with small blocks every blocked loop of the
     # search runs many times
     far = nodes_of(*[(rng.uniform(0.2, 1.0), random_unitary(rng, 4)) for _ in range(600)])
     assert len(far[0]) ** 2 > 3 * (_PAIR_BLOCK // 32)
@@ -365,6 +365,25 @@ def test_closure_residual_matches_bruteforce_oracle(rng):
         mp.setattr(collisions, "_NODE_BLOCK", 64)
         check(mixed)
         check(far)
+
+
+def test_closure_residual_memory_is_bounded_on_wide_windows(rng, monkeypatch):
+    # far from closed, each of the 2,500 projection windows spans about every
+    # node: listing all their rows at once takes 2,500**2 indices, twice the
+    # bound; with small blocks of candidate rows the scan stays far below it
+    import tracemalloc
+
+    monkeypatch.setattr(collisions, "_PAIR_BLOCK", 1 << 18)
+    m = 2500
+    nodes = rng.uniform(0.2, 1.0, m), np.stack([random_unitary(rng, 4) for _ in range(m)])
+    tracemalloc.start()
+    try:
+        got = _closure_residual(*nodes, lambda b: b.conj().transpose(0, 2, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < np.dtype(np.intp).itemsize * m * m / 2
+    assert got == closure_oracle(nodes, lambda u: u.conj().T)[:2]
 
 
 def test_fixed_space_dimensions(uniform_spec, tilted_spec, qubit_model):

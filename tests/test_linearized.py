@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from qkac import linearized
 from qkac.boltzmann import (classify_steady_states, collision_invariants_basis,
                             gibbs, wild)
 from qkac.collisions import exact_EA2_spec, qubit_tilted_spec, qubit_uniform_spec
@@ -273,11 +274,12 @@ def test_kernel_dimension_matches_invariant_count():
 
 
 
-def test_spectral_gap_rejects_an_operator_that_is_not_self_adjoint(ea2_qubit, rng):
+def test_spectral_gap_rejects_an_operator_that_is_not_self_adjoint(ea2_qubit, rng, monkeypatch):
     geo = BKMGeometry(np.diag([0.3, 0.7]).astype(complex))
     k_op = build_K(ea2_qubit, geo) + 1e-6 * random_matrix(rng, 4)
+    monkeypatch.setattr(linearized, "build_K", lambda spec, geo: k_op)
     with pytest.raises(ValueError, match="not BKM self-adjoint"):
-        spectral_gap(ea2_qubit, geo, k_op)
+        spectral_gap(ea2_qubit, geo)
 
 def reference_hermitian_basis(d):
     basis = []
