@@ -219,8 +219,7 @@ def collision_invariants_basis(model: SingleParticleModel) -> list:
     return out
 
 
-def conserved_check(spec: CollisionSpec, trajectory: np.ndarray,
-                    invariant: np.ndarray) -> float:
+def conserved_check(trajectory: np.ndarray, invariant: np.ndarray) -> float:
     """Largest drift of Tr[A rho(t)] along a trajectory."""
     traj = np.asarray(trajectory, dtype=complex)
     vals = np.einsum("tij,ji->t", traj, np.asarray(invariant, dtype=complex))

@@ -369,7 +369,7 @@ def _cmd_steady_family(cfg: RunConfig, p: dict):
 
 def _cmd_check_conserved(cfg: RunConfig, p: dict):
     traj = qkbe_integrate(p["spec"], p["rho0"], p["grid"], tol_psd=cfg.tols["psd"])
-    rows = [(name, conserved_check(p["spec"], traj, op)) for name, op in p["invariants"]]
+    rows = [(name, conserved_check(traj, op)) for name, op in p["invariants"]]
     return ["invariant", "max_drift"], rows
 
 
@@ -443,14 +443,14 @@ def _manifest_text(cfg: RunConfig) -> str:
 
 
 def _out_of_memory(cfg: RunConfig) -> str:
-    """The pair channel's 16 d^8 bytes against the largest d^N x d^N operator's 16 d^2N,
+    """The Wild matrix's 16 d^6 bytes against the largest d^N x d^N operator's 16 d^2N,
     each a power past 2^1000: only when the operator is larger does a smaller N help."""
     d, p = cfg.model.dim, cfg.params
     n = max([p.get("N", 1), *p.get("N_list", [])])    # read and checked before any large array
     gb = [f"{16 * d ** k / 1e9:.3g} GB" if k * math.log2(d) < 1000 else f"16 * {d}**{k} bytes"
-          for k in (8, 2 * n)]
-    return (f"out of memory: the dense d^4 x d^4 pair channel takes {gb[0]}, and the largest "
-            f"d^N x d^N operator (N = {n}) takes {gb[1]}" + "; lower N or drop --force" * (n > 4))
+          for k in (6, 2 * n)]
+    return (f"out of memory: the d^4 x d^2 Wild matrix takes {gb[0]}, and the largest "
+            f"d^N x d^N operator (N = {n}) takes {gb[1]}" + "; lower N or drop --force" * (n > 3))
 
 
 def run(cfg: RunConfig) -> int:

@@ -2,10 +2,10 @@
 
 A collision specification pairs a single-particle model with a
 probability measure on two-particle unitaries that conserve the pair
-energy, and holds its average Q(A) = E[U A U^*] as the (d^4, d^4) channel
-matrix on row-stacked pair operators: vec(A) = A.reshape(-1), and
-conjugation by U has matrix kron(U, conj(U)).  A sampled spec also holds
-the finite measure, its nodes, as weights (m,) and unitaries
+energy, and holds its average Q(A) = E[U A U^*] as the nonzeros of its
+(d^4, d^4) matrix on row-stacked pair operators: vec(A) = A.reshape(-1),
+and conjugation by U has matrix kron(U, conj(U)).  A sampled spec also
+holds the finite measure, its nodes, as weights (m,) and unitaries
 (m, d^2, d^2), heaviest first.  Their axioms: every node commutes with
 the pair Hamiltonian; some node is the identity; the weighted node set is
 closed under adjoints and under conjugation by the factor swap.  A
@@ -50,27 +50,39 @@ from .tolerances import TOL_AXIOM
 _NODE_BLOCK = 1 << 14   # nodes stacked at once by superoperator_from_nodes
 
 
-def superoperator_from_nodes(nodes) -> np.ndarray:
-    """The channel matrix of the nodes ``(weights, unitaries)``, their weighted average
-    of conjugations summed over blocks of ``_NODE_BLOCK`` nodes."""
+def _channel(rows, cols, values):
+    """The channel ``(rows, cols, values)`` of the nonzero ``values``, in row-major order."""
+    rows, cols, values = (np.ravel(a) for a in (rows, cols, values))
+    keep = np.flatnonzero(values)
+    order = keep[np.lexsort((cols[keep], rows[keep]))]
+    return rows[order], cols[order], values[order]
+
+
+def superoperator_from_nodes(nodes) -> tuple:
+    """The channel of the nodes ``(weights, unitaries)``, their weighted average of
+    conjugations Q[(i, j), (k, l)] = sum_m w_m U_m[i, k] conj(U_m[j, l]) summed over
+    blocks of ``_NODE_BLOCK`` nodes, formed only where some node uses (i, k) and (j, l)."""
     ws, us = nodes
-    s4 = None
-    for k in range(0, len(ws), _NODE_BLOCK):
-        u = us[k:k + _NODE_BLOCK].astype(complex, copy=False)
-        part = np.einsum("m,mik,mjl->ijkl", ws[k:k + _NODE_BLOCK], u, u.conj(), optimize=True)
-        s4 = part if s4 is None else s4 + part
-    return s4.reshape(us.shape[1] ** 2, -1)
+    n = us.shape[1]
+    live = np.flatnonzero((us != 0).any(axis=0))     # entry (i, k) at i * n + k
+    q = 0
+    for a in range(0, len(ws), _NODE_BLOCK):
+        u = us[a:a + _NODE_BLOCK].reshape(-1, n * n)[:, live].astype(complex, copy=False)
+        q = q + np.einsum("m,ma,mb->ab", ws[a:a + _NODE_BLOCK], u, u.conj(), optimize=True)
+    i, k = np.divmod(live, n)
+    return _channel(np.add.outer(i * n, i), np.add.outer(k * n, k), q)
 
 
 @dataclass(frozen=True)
 class CollisionSpec:
-    """Model, name, the (d^4, d^4) channel matrix and, for a sampled spec,
-    the nodes ``(weights, unitaries)`` of shapes (m,) and (m, d^2, d^2)
+    """Model, name, the channel as the nonzeros ``(rows, cols, values)`` of
+    its (d^4, d^4) matrix, each once in row-major order, and, for a sampled
+    spec, the nodes ``(weights, unitaries)`` of shapes (m,) and (m, d^2, d^2)
     that it averages; ``nodes`` is None for a closed-form channel."""
 
     model: SingleParticleModel
     name: str
-    channel: np.ndarray
+    channel: tuple
     nodes: tuple | None = field(default=None, repr=False)
 
     @property
@@ -81,14 +93,18 @@ class CollisionSpec:
     def wild_matrix(self) -> np.ndarray:
         """The Wild convolution as one (d^4, d^2) matrix,
 
-            W[(i, j, m, n), (k, l)] = sum_r C[k, r, l, r, i, m, j, n],
+            W[(i, j, m, n), (k, l)] = sum_r Q[(k, r, l, r), (i, m, j, n)],
 
-        the partial trace over the second output factor of the (d,) * 8
-        view C of the channel, taken once per spec.
+        the partial trace over the second output factor of the channel Q:
+        the nonzeros whose two traced-out digits agree, summed in order,
+        taken once per spec.
         """
         d = self.dim
-        c = self.channel.reshape((d,) * 8)
-        w = np.einsum("krlrimjn->ijmnkl", c).reshape(d ** 4, d * d)
+        rows, cols, q = self.channel
+        (k, r, l, s), (i, m, j, n) = (np.unravel_index(x, (d,) * 4) for x in (rows, cols))
+        on = r == s
+        w = np.zeros((d ** 4, d * d), dtype=complex)
+        np.add.at(w, (np.ravel_multi_index((i, j, m, n), (d,) * 4)[on], (k * d + l)[on]), q[on])
         w.flags.writeable = False   # one array, shared by every caller
         return w
 
@@ -113,10 +129,10 @@ _PAIR_BLOCK = 1 << 21    # entries of the pair differences formed at once
 
 
 def _merge_nodes(ws, us):
-    """The nodes ``(weights, unitaries)`` with the weights of unitaries
-    that agree to 9 decimals summed in order, each class kept as its first
-    unitary: heaviest first, classes of equal weight in order of appearance."""
-    keys = np.round(us, 9) + 0.0     # fold -0.0 into +0.0
+    """The nodes ``(weights, unitaries)`` with the weights of equal unitaries
+    summed in order, each class kept as its first unitary: heaviest first,
+    classes of equal weight in order of appearance."""
+    keys = us + 0.0     # fold -0.0 into +0.0
     first = {}
     reps, cls = np.unique([first.setdefault(key.tobytes(), k) for k, key in enumerate(keys)],
                           return_inverse=True)
@@ -129,10 +145,10 @@ def symmetrize_nodes(nodes, d: int):
     """Close the nodes ``(weights, unitaries)`` under adjoints and swap conjugation.
 
     Each node is spread with weight w/4 over its orbit under
-    {id, adjoint, swap, adjoint o swap}; coinciding unitaries are merged
-    with summed weights.  The result satisfies the closure axioms, unless
-    distinct unitaries lie within about 1e-9 of each other: the 9-decimal
-    classes of a unitary and of its images can then split differently.
+    {id, adjoint, swap, adjoint o swap}; equal unitaries are merged with
+    summed weights.  Adjoint and swap act exactly on the floats, so each
+    class of equal unitaries maps onto one class of the same weight, and
+    the result satisfies the closure axioms however close its nodes lie.
     """
     ws, us = nodes
     v = swap_unitary(d)
@@ -180,10 +196,8 @@ def _nearest_nodes(xs):
     distance to the row nearest in projection, and ``_nearest_candidates``
     scans that window.  On a closed set a window holds about one row.  A
     window widens where the nearest row is about as far as the spread of
-    the projections: on a hand-built set far from closed, or a node file
-    whose unitaries cluster at the 9-decimal merge scale of
-    ``_merge_nodes``.  There a window can span every row, and the scan is
-    quadratic in the number of rows.
+    the projections: on a hand-built set far from closed.  There a window
+    can span every row, and the scan is quadratic in the number of rows.
     """
     p = np.random.default_rng(0).standard_normal(xs.shape[1])
     px = xs @ p
@@ -273,26 +287,35 @@ def verify_spec(spec: CollisionSpec) -> SpecReport:
         residuals["closed_under_swap"] = float(max(
             _closure_residual(ws, us, lambda b: v @ b @ v.conj().T)))
     else:
-        q = spec.channel
+        rows, cols, q = spec.channel
         bad = np.count_nonzero(~np.isfinite(q))
         if bad:
             raise ValueError(f"the closed-form channel has {bad} non-finite entries")
-        dim2 = d * d
-        eye = np.eye(dim2).reshape(-1)
-        # trace of the image of every input: rows of q summed against traces
-        residuals["trace_preserving"] = float(np.abs(eye @ q - eye).max())
-        residuals["unital"] = float(np.abs(q @ eye - eye).max())
-        s4 = q.reshape(dim2, dim2, dim2, dim2)
-        residuals["hermiticity_preserving"] = float(
-            np.abs(s4 - s4.transpose(1, 0, 3, 2).conj()).max())
-        residuals["hs_self_adjoint"] = float(np.abs(q - q.conj().T).max())
+        n, eye = d * d, np.eye(d * d).reshape(-1)
+        table = dict(zip(zip(rows.tolist(), cols.tolist()), q.tolist()))
+
+        def eye_residual(at, other):    # |vec(1) Q - vec(1)| (at = cols) or |Q vec(1) - vec(1)|
+            out = np.zeros(n * n, dtype=complex)
+            np.add.at(out, at, eye[other] * q)
+            return float(np.abs(out - eye).max())
+
+        def mismatch(partner):          # max |Q_rc - conj(Q_partner(r,c))|, 0 where not held
+            return max((abs(v - table.get(partner(r, c), 0).conjugate())
+                        for (r, c), v in table.items()), default=0.0)
+
+        residuals["trace_preserving"] = eye_residual(cols, rows)
+        residuals["unital"] = eye_residual(rows, cols)
+        residuals["hermiticity_preserving"] = mismatch(
+            lambda r, c: (r % n * n + r // n, c % n * n + c // n))
+        residuals["hs_self_adjoint"] = mismatch(lambda r, c: (c, r))
         # the Choi matrix J[(i,k),(j,l)] = image(E_ij)[k,l] is PSD iff Q is CP; an
         # index whose row and column of J are zero adds only a zero eigenvalue
-        choi = s4.transpose(2, 0, 3, 1).reshape(dim2 * dim2, dim2 * dim2)
-        nonzero = choi != 0
-        live = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+        live, at = np.unique(np.r_[cols // n * n + rows // n, cols % n * n + rows % n],
+                             return_inverse=True)
+        choi = np.zeros((live.size, live.size), dtype=complex)
+        choi[at[:q.size], at[q.size:]] = q
         residuals["completely_positive"] = float(
-            max(0.0, -np.linalg.eigvalsh(choi[np.ix_(live, live)]).min(initial=0.0)))
+            max(0.0, -np.linalg.eigvalsh(choi).min(initial=0.0)))
     violations = [f"{name}: residual {r:.3e}" for name, r in residuals.items()
                   if r > TOL_AXIOM]
     return SpecReport(not violations, residuals, violations)
@@ -380,7 +403,8 @@ def _qubit_spec(name: str, points_per_angle: int | None) -> CollisionSpec:
             damp += np.array([[0, 1, 1, 4], [1, 0, 0, 2], [1, 0, 0, 2], [4, 2, 2, 0]]) / 8.0
         s = np.diag(damp.reshape(-1)).astype(complex)
         s[np.ix_([5, 10], [5, 10])] = 0.5
-        return CollisionSpec(QUBIT_MODEL, name, s)
+        rows, cols = np.nonzero(s)
+        return CollisionSpec(QUBIT_MODEL, name, (rows, cols, s[rows, cols]))
     nodes = _qubit_grid_nodes(points_per_angle, tilted)
     return CollisionSpec(QUBIT_MODEL, f"{name}_sampled{points_per_angle}",
                          superoperator_from_nodes(nodes), nodes)
@@ -415,11 +439,11 @@ def exact_EA2_spec(model: SingleParticleModel) -> CollisionSpec:
     model; no finite node family is attached.
     """
     d = model.dim
-    s = np.zeros((d ** 4, d ** 4), dtype=complex)
-    for _, idx in shell_structure(model, 2).shells:
-        pos = idx * (d * d + 1)     # vec position of the diagonal unit |i><i|
-        s[np.ix_(pos, pos)] = 1.0 / idx.size
-    return CollisionSpec(model, "exact_ea2", s)
+    # per shell, every pair of vec positions of its diagonal units |i><i|
+    blocks = [(np.repeat(pos, pos.size), np.tile(pos, pos.size),
+               np.full(pos.size ** 2, 1.0 / pos.size, dtype=complex))
+              for pos in (idx * (d * d + 1) for _, idx in shell_structure(model, 2).shells)]
+    return CollisionSpec(model, "exact_ea2", _channel(*map(np.concatenate, zip(*blocks))))
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +508,10 @@ def spec_by_name(name: str, model: SingleParticleModel,
                  points_per_angle: int | None = None) -> CollisionSpec:
     """Resolve the CLI spec names (``points_per_angle``: qubit specs only)."""
     if name in ("qubit_uniform", "qubit_tilted"):
-        _require_qubit(model)
+        if model.dim != 2:
+            raise ValueError("qubit specs need a two-level model")
+        if model.energies[0] == model.energies[1]:
+            raise ValueError("qubit specs need distinct energies")
         return _qubit_spec(name, points_per_angle)
     if points_per_angle is not None:
         raise ValueError(f"points_per_angle applies only to the qubit specs, not {name!r}")
@@ -494,9 +521,3 @@ def spec_by_name(name: str, model: SingleParticleModel,
         return sampled_spec_from_file(name.split(":", 1)[1], model)
     raise ValueError(f"unknown collision spec '{name}'")
 
-
-def _require_qubit(model: SingleParticleModel) -> None:
-    if model.dim != 2:
-        raise ValueError("qubit specs need a two-level model")
-    if model.energies[0] == model.energies[1]:
-        raise ValueError("qubit specs need distinct energies")

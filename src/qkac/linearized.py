@@ -39,6 +39,7 @@ import numpy as np
 
 from .boltzmann import collision_invariants_basis, wild
 from .collisions import CollisionSpec
+from .master import KacGenerator, apply_QN
 from .operators import tensor
 from .tolerances import TOL_PSD
 
@@ -128,14 +129,14 @@ def _k_apply_alternate(spec: CollisionSpec, geo: BKMGeometry,
 
         K A = 2( [rho]^{-1} Tr_2[ [rho x rho] Q(A x 1 + 1 x A) ] - A ),
 
-    minus the same trace direction.  Uses that every collision unitary
-    commutes with rho x rho when rho is steady.
+    minus the same trace direction, Q applied by the N = 2 pair kernel.
+    Uses that every collision unitary commutes with rho x rho when rho is steady.
     """
     d = geo.dim
     eye = np.eye(d)
+    gen = KacGenerator(spec, 2, force=True)
     # np.kron multiplies the trailing two axes and keeps the stack axis
-    sharp = (tensor(x, eye) + tensor(eye, x)).reshape(len(x), -1)
-    big = (sharp @ spec.channel.T).reshape(len(x), d * d, d * d)
+    big = np.stack([apply_QN(gen, a) for a in tensor(x, eye) + tensor(eye, x)])
     # [rho x rho] through the Kronecker squares of rho's eigenpairs
     w2, v2 = np.kron(geo.eigvals, geo.eigvals), np.kron(geo.eigvecs, geo.eigvecs)
     pair = (v2 @ (_log_mean_table(w2) * (v2.conj().T @ big @ v2)) @ v2.conj().T).reshape(

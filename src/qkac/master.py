@@ -29,6 +29,7 @@ densely, so memory grows with the nonzeros of the largest block.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -76,14 +77,14 @@ class KacGenerator:
         d, n = self.spec.model.dim, self.num_particles
         check_size_guard(d, n, self.force)
         self.shape = FactorShape(n, d)
-        mat = self.spec.channel
-        diag = mat.diagonal()
+        rows, cols, q = self.spec.channel
+        on = rows == cols
+        diag = np.zeros(d ** 4, dtype=complex)
+        diag[rows[on]] = q[on]
         self._pair_diag = (diag if diag.imag.any() else diag.real).reshape((d,) * 4)
-        rows, cols = np.nonzero(mat)
-        rows, cols = rows[rows != cols], cols[rows != cols]
-        self._moves = list(zip(map(tuple, np.transpose(np.unravel_index(rows, (d,) * 4)).tolist()),
-                               map(tuple, np.transpose(np.unravel_index(cols, (d,) * 4)).tolist()),
-                               mat[rows, cols].tolist()))
+        out, src = (map(tuple, np.transpose(np.unravel_index(x[~on], (d,) * 4)).tolist())
+                    for x in (rows, cols))
+        self._moves = list(zip(out, src, q[~on].tolist()))
         self._diag = np.zeros((d,) * (2 * n), dtype=self._pair_diag.dtype)
         for (i, j) in self.pairs:
             self._diag += _on_pair_axes(self._pair_diag, n, i, j)
@@ -217,13 +218,6 @@ def evolve_master(gen: KacGenerator, rho0: np.ndarray, t: float,
 # ---------------------------------------------------------------------------
 # null space of the generator, computed per invariant block
 # ---------------------------------------------------------------------------
-
-def _shell_blocks(gen: KacGenerator, diagonal_only: bool) -> list:
-    """(row energy, rows, column energy, columns) of the shell blocks of Q_N."""
-    shells = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).shells
-    return [(er, rows, ec, cols) for er, rows in shells for ec, cols in shells
-            if er == ec or not diagonal_only]
-
 
 def _move_sides(gen: KacGenerator) -> dict:
     """Each move of ``_moves`` on each pair of factors as a row side and a
@@ -419,13 +413,15 @@ def _sparse_blocks(gen: KacGenerator, diagonal_only: bool):
     reach = {0}
     for _ in range(gen.num_particles - 2):
         reach = {r + e for r in reach for e in gen.spec.model.energies}
+    shells = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).shells
     within = np.zeros(gen.shape.dim, dtype=np.intp)
-    for _, rows in shell_structure(gen.spec.model, gen.num_particles, force=gen.force).shells:
+    for _, rows in shells:
         within[rows] = np.arange(len(rows))
-    for er, rows, ec, cols in _shell_blocks(gen, diagonal_only):
-        triples = [t for (pr, pc), ts in groups.items()
-                   if er - pr in reach and ec - pc in reach for t in ts]
-        yield er, rows, ec, cols, _sparse_block(gen, triples, within, rows, cols)
+    for (er, rows), (ec, cols) in itertools.product(shells, shells):
+        if er == ec or not diagonal_only:
+            triples = [t for (pr, pc), ts in groups.items()
+                       if er - pr in reach and ec - pc in reach for t in ts]
+            yield er, rows, ec, cols, _sparse_block(gen, triples, within, rows, cols)
 
 
 def _null_blocks(gen: KacGenerator, tol: float, diagonal_only: bool, limit=None):

@@ -231,10 +231,9 @@ def entropy_and_relative_entropy(w: np.ndarray, rho_diag: np.ndarray,
     ``w`` are the eigenvalues of rho, ``rho_diag`` and ``sigma_diag`` the
     (real) diagonals of rho and sigma.  For a diagonal sigma,
     Tr[rho log sigma] = sum_i rho_ii log sigma_ii, so once w is known this
-    costs O(dim) and sigma is never diagonalized.  As in
-    ``relative_entropy``, the relative entropy is ``inf`` when rho carries
-    more than tol_psd weight where sigma_ii <= tol_psd (the support of a
-    diagonal sigma).
+    costs O(dim) and sigma is never diagonalized.  The relative entropy is
+    ``inf`` when rho carries more than tol_psd weight where sigma_ii <=
+    tol_psd (the support of a diagonal sigma).
     """
     entropy = _spectral_entropy(w, tol_psd)
     inside = sigma_diag > tol_psd
@@ -245,29 +244,16 @@ def entropy_and_relative_entropy(w: np.ndarray, rho_diag: np.ndarray,
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray,
                      tol_psd: float = TOL_PSD) -> float:
-    """Umegaki relative entropy Tr[rho (log rho - log sigma)].
-
-    Returns ``inf`` when rho carries weight outside the support of sigma
-    (support decided at tol_psd).
-    """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
+    """Umegaki relative entropy Tr[rho (log rho - log sigma)], by
+    ``entropy_and_relative_entropy`` in the eigenbasis of sigma: ``inf`` when
+    rho carries weight outside the support of sigma (support decided at
+    tol_psd), and a ValueError on an eigenvalue of rho below -tol_psd."""
+    rho, sigma = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch {rho.shape} vs {sigma.shape}")
     ws, vs = np.linalg.eigh(sigma)
-    outside = ws <= tol_psd
-    if outside.any():
-        vout = vs[:, outside]
-        leak = np.einsum("ij,ji->", vout.conj().T, rho @ vout).real
-        if leak > tol_psd:
-            return float("inf")
-    wr = np.linalg.eigvalsh(rho)
-    pos_r = wr > tol_psd
-    term_r = float((wr[pos_r] * np.log(wr[pos_r])).sum())
-    pos_s = ws > tol_psd
-    diag = np.einsum("ij,ji->i", vs.conj().T, rho @ vs).real
-    term_s = float((diag[pos_s] * np.log(ws[pos_s])).sum())
-    return term_r - term_s
+    rho_diag = np.einsum("ij,ji->i", vs.conj().T, rho @ vs).real
+    return entropy_and_relative_entropy(np.linalg.eigvalsh(rho), rho_diag, ws, tol_psd)[1]
 
 
 def op_norm(a: np.ndarray) -> float:

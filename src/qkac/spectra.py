@@ -71,13 +71,6 @@ class ShellStructure:
     occupancies: np.ndarray
     occupancy_of: np.ndarray
 
-    def shell(self, E: int) -> np.ndarray:
-        """Ascending flat indices of the shell at energy E."""
-        for energy, idx in self.shells:
-            if energy == E:
-                return idx
-        raise ValueError(f"E={E} is not an N-particle energy of this model")
-
 
 def shell_structure(model: SingleParticleModel, num_factors: int,
                     force: bool = False) -> ShellStructure:
@@ -209,7 +202,9 @@ def classify_shell(model: SingleParticleModel, num_factors: int, E: int,
     leaving all other positions fixed.
     """
     st = shell_structure(model, num_factors, force=force)
-    idx = st.shell(E)
+    idx = dict(st.shells).get(E)
+    if idx is None:
+        raise ValueError(f"E={E} is not an N-particle energy of this model")
     labels = st.labels[idx]
     blocks = [idx[labels == c] for c in np.unique(labels)]
     return EnergyShellPartition(

@@ -1,12 +1,12 @@
 """Helpers that only the tests call, kept out of the library as oracles
 and test fixtures: predicates on matrices, dense factor permutations and
 pair embeddings, shell projectors, the identity-only spec, the qubit grid
-nodes by brute-force merging, a channel matrix as a map and its full Choi
-matrix, the fixed space of a channel by one dense eigensolve, the closed-form
-diagonal Wild convolution, the dense shell blocks of Q_N with their
-fixed vectors by ``eigh`` and its full spectrum, the
-permutation-covariance residuals and the dissipation form of the
-linearized operator.
+nodes by brute-force merging, the dense channel matrix of a spec, a channel
+matrix as a map and its full Choi matrix, the fixed space of a channel by
+one dense eigensolve, the closed-form diagonal Wild convolution, the dense
+shell blocks of Q_N with their fixed vectors by ``eigh`` and its full
+spectrum, the permutation-covariance residuals and the dissipation form of
+the linearized operator.
 """
 
 import math
@@ -14,9 +14,9 @@ import math
 import numpy as np
 
 from qkac.boltzmann import wild
-from qkac.collisions import CollisionSpec, _merge_nodes, superoperator_from_nodes
+from qkac.collisions import CollisionSpec, superoperator_from_nodes
 from qkac.linearized import BKMGeometry, multiply_super
-from qkac.master import KacGenerator, _shell_blocks, apply_pair_channel, apply_QN
+from qkac.master import KacGenerator, apply_pair_channel, apply_QN
 from qkac.operators import (FactorShape, _invert, _require_hermitian,
                             _validate_permutation, is_hermitian, permute_factors, tensor)
 from qkac.spectra import SingleParticleModel, shell_structure
@@ -125,7 +125,9 @@ def occupancy(alpha, d: int) -> tuple:
 def shell_projector(model: SingleParticleModel, num_factors: int, E: int,
                     force: bool = False) -> np.ndarray:
     """Orthogonal projection onto the energy-E eigenspace of the free Hamiltonian."""
-    idx = shell_structure(model, num_factors, force=force).shell(E)
+    idx = dict(shell_structure(model, num_factors, force=force).shells).get(E)
+    if idx is None:
+        raise ValueError(f"E={E} is not an N-particle energy of this model")
     dim = model.dim ** num_factors
     p = np.zeros((dim, dim), dtype=complex)
     p[idx, idx] = 1.0
@@ -167,8 +169,9 @@ def identity_spec(model: SingleParticleModel) -> CollisionSpec:
 
 def merged_qubit_grid_nodes(points: int, tilted: bool):
     """The qubit grid nodes by brute force: every grid unitary of the
-    four-torus family is formed, and ``_merge_nodes`` folds the ones that
-    agree to 9 decimals, summing their weights in grid order."""
+    four-torus family is formed, and the ones that agree to 9 decimals are
+    folded into the first, their weights summed in grid order; heaviest
+    first, classes of equal weight in grid order."""
     angles = 2.0 * np.pi * np.arange(points) / points
     if tilted:
         w1 = (1.0 + np.cos(angles)) / points
@@ -192,7 +195,35 @@ def merged_qubit_grid_nodes(points: int, tilted: bool):
     # the family is written with the first factor varying fastest;
     # re-index into the package ordering
     perm = np.array([0, 2, 1, 3])
-    return _merge_nodes(wgrid, u[:, perm][:, :, perm])
+    u = u[:, perm][:, :, perm]
+    first = {}
+    keys = np.round(u, 9) + 0.0     # fold -0.0 into +0.0
+    reps, cls = np.unique([first.setdefault(key.tobytes(), k) for k, key in enumerate(keys)],
+                          return_inverse=True)
+    merged = np.bincount(cls, weights=wgrid)
+    order = np.argsort(-merged, kind="stable")
+    return merged[order], u[reps[order]]
+
+
+def dense_channel(spec: CollisionSpec) -> np.ndarray:
+    """The (d^4, d^4) channel matrix of ``spec``, formed densely: for a
+    sampled spec the weighted average of kron(U, conj(U)) over all its
+    nodes, independent of the library's nonzeros; for a closed form its
+    nonzeros set into a zero matrix."""
+    size = spec.dim ** 4
+    if spec.nodes is not None:
+        ws, us = spec.nodes[0], spec.nodes[1].astype(complex)
+        return np.einsum("m,mik,mjl->ijkl", ws, us, us.conj(), optimize=True).reshape(size, size)
+    rows, cols, values = spec.channel
+    q = np.zeros((size, size), dtype=complex)
+    q[rows, cols] = values
+    return q
+
+
+def nonzeros(q: np.ndarray) -> tuple:
+    """A (d^4, d^4) channel matrix as the spec channel ``(rows, cols, values)``."""
+    rows, cols = np.nonzero(q)
+    return rows, cols, q[rows, cols]
 
 
 def as_map(q: np.ndarray):
@@ -293,8 +324,9 @@ def dense_block_fixed_vectors(gen: KacGenerator, rows, cols, tol=TOL_FIXED_EIG) 
 
 def qn_spectrum(gen: KacGenerator) -> np.ndarray:
     """All eigenvalues of Q_N on the operator space, via the shell blocks."""
+    shells = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).shells
     eigs = [np.linalg.eigvalsh(_shell_block(gen, rows, cols))
-            for _, rows, _, cols in _shell_blocks(gen, diagonal_only=False)]
+            for _, rows in shells for _, cols in shells]
     return np.sort(np.concatenate(eigs))
 
 

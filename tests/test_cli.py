@@ -300,16 +300,17 @@ def test_forced_huge_N_out_of_memory_exits_1_without_traceback(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
-def test_out_of_memory_names_the_dense_pair_channel(tmp_path):
-    # d = 12 at N = 2 is far below the size guard, but the dense d^4 x d^4
-    # pair channel of exact_ea2 alone takes 16 d^8 bytes = 6.9 GB; under a
-    # 1 GB address-space limit the message names it, and lowering N or
-    # dropping --force, which cannot help, is not suggested
+def test_out_of_memory_names_the_wild_matrix(tmp_path):
+    # the kinetic equation at d = 24 needs the d^4 x d^2 Wild matrix of
+    # exact_ea2, 16 d^6 bytes = 3.06 GB; under a 1 GB address-space limit
+    # the message names it, and lowering N or dropping --force, which cannot
+    # help, is not suggested
     import resource
 
     cfg = write_config(tmp_path, {
-        "command": "steady-states", "model": {"dim": 12, "energies": list(range(12))},
-        "spec": "exact_ea2", "params": {"N": 2}, "output_dir": str(tmp_path / "out")})
+        "command": "evolve-qkbe", "model": {"dim": 24, "energies": list(range(24))},
+        "spec": "exact_ea2", "params": {"t_max": 1.0, "steps": 1, "initial": {"kind": "random"}},
+        "output_dir": str(tmp_path / "out")})
     src = str(Path(qkac.__file__).resolve().parents[1])
     limit = 1 << 30
     proc = subprocess.run(
@@ -319,10 +320,35 @@ def test_out_of_memory_names_the_dense_pair_channel(tmp_path):
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: out of memory")
-    assert "pair channel takes 6.88 GB" in proc.stderr
-    assert "(N = 2)" in proc.stderr and "--force" not in proc.stderr
+    assert "d^4 x d^2 Wild matrix takes 3.06 GB" in proc.stderr
+    assert "(N = 1)" in proc.stderr and "--force" not in proc.stderr
     assert "Traceback" not in proc.stderr
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("command, params", [
+    ("verify-spec", {}),
+    ("steady-states", {"N": 2}),
+    ("gap", {"rho_inf": [{"kind": "gibbs", "beta": 0.0}]}),
+], ids=["verify-spec", "steady-states", "gap"])
+def test_d12_pair_commands_run_in_3_gb(tmp_path, command, params):
+    # the dense d^4 x d^4 channel of this d = 12 model would take 6.9 GB;
+    # held as its nonzeros, each command runs under a 3 GB address-space limit
+    import resource
+
+    cfg = write_config(tmp_path, {
+        "command": command, "spec": "exact_ea2", "params": params,
+        "model": {"dim": 12, "energies": [0, 1, 3, 7, 12, 20, 30, 44, 65, 80, 96, 122]},
+        "output_dir": str(tmp_path / "out")})
+    src = str(Path(qkac.__file__).resolve().parents[1])
+    limit = 3 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "qkac.cli", "--config", str(cfg)], cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / f"{command}.csv").exists()
 
 
 def test_tol_psd_reaches_the_initial_state_check(tmp_path, capsys):

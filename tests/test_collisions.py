@@ -1,3 +1,4 @@
+import functools
 import itertools
 from pathlib import Path
 
@@ -10,12 +11,12 @@ from qkac.collisions import (_PAIR_BLOCK, CollisionSpec, _closure_residual,
                              qubit_uniform_spec, sampled_spec_from_file, spec_by_name,
                              superoperator_from_nodes, symmetrize_nodes,
                              verify_spec)
-from qkac.master import is_ergodic
+from qkac.master import KacGenerator, is_ergodic
 from qkac.operators import reorder_pair_basis, swap_unitary, tensor
 from qkac.spectra import SingleParticleModel, shell_decomposition
 from conftest import random_matrix, random_state, random_unitary
-from oracles import (as_map, choi, fixed_space_of_Q, hs_norm, identity_spec, shell_projector,
-                     shell_state)
+from oracles import (as_map, choi, dense_channel, fixed_space_of_Q, hs_norm, identity_spec,
+                     nonzeros, shell_projector, shell_state)
 
 
 # ---------------------------------------------------------------------------
@@ -64,16 +65,16 @@ def fastfirst_unit(r, c):
 
 def test_uniform_channel_matches_quadrature_oracle(uniform_spec):
     oracle = quadrature_channel(16, tilted=False)
-    assert np.abs(uniform_spec.channel - oracle).max() < 1e-12
+    assert np.abs(dense_channel(uniform_spec) - oracle).max() < 1e-12
 
 
 def test_tilted_channel_matches_quadrature_oracle(tilted_spec):
     oracle = quadrature_channel(16, tilted=True)
-    assert np.abs(tilted_spec.channel - oracle).max() < 1e-12
+    assert np.abs(dense_channel(tilted_spec) - oracle).max() < 1e-12
 
 
 def test_uniform_channel_entrywise(uniform_spec):
-    q = as_map(uniform_spec.channel)
+    q = as_map(dense_channel(uniform_spec))
     p0 = fastfirst_unit(0, 0)
     p1 = fastfirst_unit(1, 1) + fastfirst_unit(2, 2)
     p2 = fastfirst_unit(3, 3)
@@ -89,7 +90,7 @@ def test_uniform_channel_entrywise(uniform_spec):
 
 
 def test_tilted_channel_entrywise(tilted_spec):
-    q = as_map(tilted_spec.channel)
+    q = as_map(dense_channel(tilted_spec))
     factors = {(0, 1): 0.125, (0, 2): 0.125, (0, 3): 0.5,
                (1, 3): 0.25, (2, 3): 0.25, (1, 2): 0.0}
     for (r, c), f in factors.items():
@@ -101,14 +102,14 @@ def test_tilted_channel_entrywise(tilted_spec):
 
 
 def test_channel_is_unital_and_trace_preserving(tilted_spec, rng):
-    q = as_map(tilted_spec.channel)
+    q = as_map(dense_channel(tilted_spec))
     assert np.abs(q(np.eye(4)) - np.eye(4)).max() < 1e-14
     a = random_matrix(rng, 4)
     assert abs(np.trace(q(a)) - np.trace(a)) < 1e-12
 
 
 def test_uniform_channel_idempotent(uniform_spec):
-    q = uniform_spec.channel
+    q = dense_channel(uniform_spec)
     assert np.abs(q @ q - q).max() < 1e-13
 
 
@@ -118,13 +119,13 @@ def test_closed_form_qubit_specs_carry_no_nodes(uniform_spec, tilted_spec):
 
 
 def test_tilted_channel_powers_converge(tilted_spec, uniform_spec):
-    q = tilted_spec.channel
+    q = dense_channel(tilted_spec)
     assert np.abs(q @ q - q).max() > 1e-3
     high = np.linalg.matrix_power(q, 200)
     higher = np.linalg.matrix_power(q, 201)
     assert np.abs(high - higher).max() < 1e-12
     # the limit is the conditional expectation onto the energy algebra
-    assert np.abs(high - uniform_spec.channel).max() < 1e-12
+    assert np.abs(high - dense_channel(uniform_spec)).max() < 1e-12
 
 
 def test_verify_passes_builtin_specs(uniform_spec, tilted_spec,
@@ -186,10 +187,81 @@ def test_verify_residuals_do_not_depend_on_the_node_block(tilted, monkeypatch):
         verify_spec(bad)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_symmetrized_nodes_within_1e_9_of_each_other_are_closed(qubit_model, seed):
+    # the identity and 99 unitaries exp(1e-9 i H), H Hermitian and block
+    # diagonal on the pair shells {|00>}, {|01>, |10>}, {|11>}: rounded to 9
+    # decimals, a unitary and its adjoint or swap image fell into classes
+    # that split differently and the merged weights broke the closure
+    rng = np.random.default_rng(seed)
+    us = [np.eye(4, dtype=complex)]
+    for _ in range(99):
+        h = np.zeros((4, 4), dtype=complex)
+        for block in ([0], [1, 2], [3]):
+            a = random_matrix(rng, len(block))
+            h[np.ix_(block, block)] = a + a.conj().T
+        w, v = np.linalg.eigh(h)
+        us.append((v * np.exp(1e-9j * w)) @ v.conj().T)
+    ws = rng.uniform(0.1, 1.0, 100)
+    nodes = symmetrize_nodes((ws / ws.sum(), np.stack(us)), 2)
+    report = verify_spec(CollisionSpec(qubit_model, "near_identity",
+                                       superoperator_from_nodes(nodes), nodes))
+    assert report.passes, report.violations
+    assert report.residuals["closed_under_adjoint"] == report.residuals["closed_under_swap"] == 0
+
+
+def test_merge_keeps_unitaries_apart_unless_equal():
+    # -0.0 and +0.0 are one value; a difference of 1e-300 is not
+    u = np.eye(4, dtype=complex)
+    near = u.copy()
+    near[1, 2] = 1e-300
+    ws, us = collisions._merge_nodes(np.array([0.25, 0.25, 0.5]), np.stack([u, u.conj(), near]))
+    assert ws.tolist() == [0.5, 0.5] and np.array_equal(us[1], near)
+
+
+def assert_nonzeros_match_the_dense_oracle(spec):
+    """The channel holds nonzeros only, each once in row-major order, and
+    they are the dense channel's to 1e-15 (for a sampled spec the average
+    of kron(U, conj(U)) over every node, summed in another order)."""
+    rows, cols, values = spec.channel
+    size = spec.dim ** 4
+    assert np.all(np.diff(rows * size + cols) > 0) and np.all(values != 0)
+    held = np.zeros((size, size), dtype=complex)
+    held[rows, cols] = values
+    assert np.abs(held - dense_channel(spec)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("build", [
+    qubit_uniform_spec, qubit_tilted_spec,
+    *(functools.partial(b, p) for p in (4, 8, 16) for b in (qubit_uniform_spec, qubit_tilted_spec)),
+    *(functools.partial(exact_EA2_spec, SingleParticleModel(e))
+      for e in [(0, 1, 2), (0, 0, 1), (0, 1, 2, 3)]),
+])
+def test_builtin_channel_nonzeros_match_the_dense_oracle(build):
+    assert_nonzeros_match_the_dense_oracle(build())
+
+
+def test_d8_spec_checks_hold_no_dense_channel():
+    # the dense d^4 x d^4 channel of this model takes 268 MB; the spec, its
+    # axiom checks and the N = 2 generator stay far below that
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        spec = exact_EA2_spec(SingleParticleModel((0, 1, 3, 7, 12, 20, 30, 44)))
+        report = verify_spec(spec)
+        KacGenerator(spec, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passes and len(spec.channel[0]) == 120
+    assert peak < 32 << 20
+
+
 def test_verify_rejects_a_non_finite_channel(tilted_spec):
-    mat = tilted_spec.channel.copy()
+    mat = dense_channel(tilted_spec)
     mat[5, 10] = np.nan
-    spec = CollisionSpec(tilted_spec.model, "nan_channel", mat)
+    spec = CollisionSpec(tilted_spec.model, "nan_channel", nonzeros(mat))
     with pytest.raises(ValueError, match="closed-form channel has 1 non-finite entries"):
         verify_spec(spec)
 
@@ -387,14 +459,14 @@ def test_closure_residual_memory_is_bounded_on_wide_windows(rng, monkeypatch):
 
 
 def test_fixed_space_dimensions(uniform_spec, tilted_spec, qubit_model):
-    assert len(fixed_space_of_Q(uniform_spec.channel)) == 3
-    assert len(fixed_space_of_Q(tilted_spec.channel)) == 3
+    assert len(fixed_space_of_Q(dense_channel(uniform_spec))) == 3
+    assert len(fixed_space_of_Q(dense_channel(tilted_spec))) == 3
     ident = identity_spec(qubit_model)
-    assert len(fixed_space_of_Q(ident.channel)) == 16
+    assert len(fixed_space_of_Q(dense_channel(ident))) == 16
 
 
 def test_fixed_space_spanned_by_shell_projectors(uniform_spec, qubit_model):
-    fixed = fixed_space_of_Q(uniform_spec.channel)
+    fixed = fixed_space_of_Q(dense_channel(uniform_spec))
     projs = [shell_projector(qubit_model, 2, E) for E in (0, 1, 2)]
     for f in fixed:
         back = sum(np.vdot(p, f) / np.vdot(p, p) * p for p in projs)
@@ -418,12 +490,12 @@ def test_exact_ea2_matches_projector_definition(energies):
     want = sum(np.outer(shell_projector(model, 2, E).reshape(-1) / len(idx),
                         shell_projector(model, 2, E).reshape(-1))
                for E, idx in shell_decomposition(model, 2))
-    assert np.array_equal(exact_EA2_spec(model).channel, want)
+    assert np.array_equal(dense_channel(exact_EA2_spec(model)), want)
 
 
 def test_exact_ea2_maps_product_units_to_shell_states(ea2_three_level):
     model = ea2_three_level.model
-    q = as_map(ea2_three_level.channel)
+    q = as_map(dense_channel(ea2_three_level))
     for i, k in itertools.product(range(3), repeat=2):
         unit = np.zeros((9, 9), dtype=complex)
         unit[3 * i + k, 3 * i + k] = 1.0
@@ -433,19 +505,19 @@ def test_exact_ea2_maps_product_units_to_shell_states(ea2_three_level):
 
 def test_exact_ea2_fixes_energy_algebra(ea2_three_level):
     model = ea2_three_level.model
-    q = as_map(ea2_three_level.channel)
+    q = as_map(dense_channel(ea2_three_level))
     x = sum(E * shell_projector(model, 2, E) for E in (0, 1, 2, 3, 4))
     assert np.abs(q(x) - x).max() < 1e-13
 
 
 def test_exact_ea2_choi_psd(ea2_three_level):
-    w = np.linalg.eigvalsh(choi(ea2_three_level.channel))
+    w = np.linalg.eigvalsh(choi(dense_channel(ea2_three_level)))
     assert w.min() > -1e-12
 
 
 def test_kadison_inequality(uniform_spec, tilted_spec, ea2_three_level, rng):
     for spec in (uniform_spec, tilted_spec, ea2_three_level):
-        q = as_map(spec.channel)
+        q = as_map(dense_channel(spec))
         d = spec.dim ** 2
         for _ in range(20):
             a = random_matrix(rng, d)
@@ -454,7 +526,7 @@ def test_kadison_inequality(uniform_spec, tilted_spec, ea2_three_level, rng):
 
 
 def test_hs_contraction_with_equality_on_fixed_space(tilted_spec, rng):
-    q = as_map(tilted_spec.channel)
+    q = as_map(dense_channel(tilted_spec))
     for _ in range(10):
         a = random_matrix(rng, 4)
         assert hs_norm(q(a)) <= hs_norm(a) + 1e-12
@@ -468,7 +540,7 @@ def test_hs_contraction_with_equality_on_fixed_space(tilted_spec, rng):
 
 
 def test_swap_symmetry_of_pair_output(tilted_spec, rng):
-    q = as_map(tilted_spec.channel)
+    q = as_map(dense_channel(tilted_spec))
     v = swap_unitary(2)
     rho = random_state(rng, 2)
     out = q(tensor(rho, rho))
@@ -593,16 +665,43 @@ def transpose_map(n):
     return q
 
 
+def test_closed_form_residuals_match_their_dense_formulas(qubit_model, rng):
+    # verify_spec reads only the nonzeros; the five residuals by their dense
+    # formulas on the whole matrix, for maps that break each axiom: a random
+    # complex matrix breaks all five, the transpose only complete positivity,
+    # the population swap none
+    swap = np.zeros((16, 16), dtype=complex)
+    swap[0, 15] = swap[15, 0] = 1.0
+    swap[np.ix_([5, 10], [5, 10])] = 0.5
+    specs = [qubit_tilted_spec(), exact_EA2_spec(SingleParticleModel((0, 1, 2))),
+             *(CollisionSpec(qubit_model, "map", nonzeros(q))
+               for q in (random_matrix(rng, 16), transpose_map(4), swap))]
+    for spec in specs:
+        q = dense_channel(spec)
+        n = spec.dim ** 2
+        eye = np.eye(n).reshape(-1)
+        s4 = q.reshape(n, n, n, n)
+        want = {"trace_preserving": np.abs(eye @ q - eye).max(),
+                "unital": np.abs(q @ eye - eye).max(),
+                "hermiticity_preserving": np.abs(s4 - s4.transpose(1, 0, 3, 2).conj()).max(),
+                "hs_self_adjoint": np.abs(q - q.conj().T).max(),
+                "completely_positive": max(0.0, -np.linalg.eigvalsh(choi(q)).min())}
+        got = verify_spec(spec).residuals
+        assert got.keys() == want.keys()
+        assert all(abs(got[k] - want[k]) <= 1e-12 for k in got), (spec.name, got, want)
+    assert min(verify_spec(specs[2]).residuals.values()) > 0.1
+
+
 def test_cp_residual_on_the_choi_support_matches_the_full_eigensolve(qubit_model):
     # verify_spec solves the Choi matrix on its rows and columns that are not
     # both zero; every closed-form built-in spec at d <= 4 and the transpose
     # map agree with the eigensolve of the whole Choi matrix
     specs = [qubit_uniform_spec(), qubit_tilted_spec(),
-             CollisionSpec(qubit_model, "transpose", transpose_map(4))]
+             CollisionSpec(qubit_model, "transpose", nonzeros(transpose_map(4)))]
     specs += [exact_EA2_spec(SingleParticleModel(e))
               for e in [(0, 1), (0, 0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 4, 5)]]
     for spec in specs:
-        want = max(0.0, -np.linalg.eigvalsh(choi(spec.channel)).min())
+        want = max(0.0, -np.linalg.eigvalsh(choi(dense_channel(spec))).min())
         got = verify_spec(spec).residuals["completely_positive"]
         assert abs(got - want) <= 1e-15, spec.name
     transpose = verify_spec(specs[2])

@@ -17,7 +17,7 @@ from qkac.spectra import (SingleParticleModel, commutant_projection, is_fully_er
                           shell_structure)
 from qkac.tolerances import TOL_PSD
 from conftest import random_matrix, random_state, symmetrize_state
-from oracles import (_shell_block, as_map, dense_block_fixed_vectors, embed_pair,
+from oracles import (_shell_block, as_map, dense_channel, dense_block_fixed_vectors, embed_pair,
                      hermitian_function, identity_spec, permutation_covariance_check,
                      qn_spectrum, shell_state)
 
@@ -47,7 +47,7 @@ def test_apply_qn_fixes_shell_states(tilted_spec):
 
 def test_apply_qn_two_particles_is_the_pair_channel(tilted_spec, rng):
     gen = KacGenerator(tilted_spec, 2)
-    q = as_map(tilted_spec.channel)
+    q = as_map(dense_channel(tilted_spec))
     a = random_matrix(rng, 4)
     assert np.abs(apply_QN(gen, a) - q(a)).max() < 1e-13
 
@@ -527,7 +527,7 @@ def test_marginal_flow_consistency(tilted_spec, rng):
     gen = KacGenerator(tilted_spec, 3)
     rho = symmetrize_state(random_state(rng, 8), gen.shape)
     m2 = partial_trace(rho, gen.shape, keep=2)
-    q = as_map(tilted_spec.channel)
+    q = as_map(dense_channel(tilted_spec))
     from qkac.operators import FactorShape
 
     want = 2.0 * (partial_trace(q(m2), FactorShape(2, 2), keep=1)

@@ -17,6 +17,7 @@ from qkac.collisions import (CollisionSpec, exact_EA2_spec, qubit_tilted_spec,
 from qkac.master import KacGenerator, apply_pair_channel, apply_QN
 from qkac.spectra import SingleParticleModel, shell_structure
 from conftest import random_matrix, random_unitary
+from oracles import dense_channel
 
 MODELS = {2: [(0, 1)], 3: [(0, 1, 2)], 4: [(0, 1, 4, 5), (0, 1, 2, 3)]}
 NAMED = {"uniform": qubit_uniform_spec, "tilted": qubit_tilted_spec,
@@ -28,7 +29,7 @@ def tensordot_pair_channel(spec, rho, n, i, j):
     d = spec.dim
     rho = np.asarray(rho, dtype=complex)
     axes = [i, j, n + i, n + j]
-    y = np.tensordot(spec.channel.reshape((d,) * 8), rho.reshape((d,) * (2 * n)),
+    y = np.tensordot(dense_channel(spec).reshape((d,) * 8), rho.reshape((d,) * (2 * n)),
                      axes=([4, 5, 6, 7], axes))
     return np.moveaxis(y, [0, 1, 2, 3], axes).reshape(rho.shape)
 
@@ -101,10 +102,12 @@ def test_sparse_kernel_matches_tensordot_oracle(case):
 def test_two_particle_kernel_reproduces_every_channel_entry():
     # this sampled spec has 20 nonzeros at roundoff level; a tolerance
     # that dropped them would move the images by ~1e-17 only, so the
-    # images of the matrix units are compared exactly
+    # images of the matrix units are compared exactly with the spec's own
+    # nonzeros
     spec = named_spec("tilted_sampled4")
-    mat = spec.channel
-    assert np.count_nonzero(mat) == 36
+    mat = np.zeros((16, 16), dtype=complex)
+    mat[spec.channel[:2]] = spec.channel[2]
+    assert np.count_nonzero(mat) == len(spec.channel[2]) == 36
     assert np.count_nonzero(np.abs(mat) > 1e-12) == 16
     gen = KacGenerator(spec, 2)
     for k, unit in enumerate(np.eye(16, dtype=complex)):

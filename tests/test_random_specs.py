@@ -5,21 +5,30 @@ energy shells, plus the identity, closed under adjoints and the factor
 swap by ``symmetrize_nodes``.  It must pass ``verify_spec``, the fixed
 vectors of every shell block of Q_N must be those of a dense ``eigh`` (up
 to d^N = 27; the dense blocks at 81 take seconds), and the ergodicity and
-steady-state verdicts must match their dense oracles.
+steady-state verdicts must match their dense oracles.  At N <= 3 its
+channel nonzeros must be the dense channel's, ``evolve_master`` must
+agree with ``scipy.linalg.expm`` of the dense generator, and the Wild sum
+with the RK4 oracle.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
+from qkac.boltzmann import qkbe_integrate
 from qkac.collisions import (CollisionSpec, superoperator_from_nodes, symmetrize_nodes,
                              verify_spec)
 from qkac.errors import NumericalContractError
-from qkac.master import KacGenerator, _null_blocks, is_ergodic, steady_state_classes
+from qkac.master import (KacGenerator, _null_blocks, evolve_master, is_ergodic,
+                         steady_state_classes)
+from qkac.operators import random_density
 from qkac.spectra import classify_shell, shell_decomposition
 from qkac.tolerances import TOL_FIXED_EIG
-from oracles import dense_block_fixed_vectors
+from kinetic_oracles import rk4_reference
+from oracles import dense_block_fixed_vectors, dense_channel
+from test_collisions import assert_nonzeros_match_the_dense_oracle
 from test_pair_kernel import random_family_spec
 from test_shell_oracles import dense_is_ergodic
 
@@ -39,8 +48,8 @@ def closed_spec(spec, identity_weight):
 
 
 @st.composite
-def random_specs(draw):
-    energies, n = draw(st.sampled_from(CASES))
+def random_specs(draw, cases=CASES):
+    energies, n = draw(st.sampled_from(cases))
     spec = random_family_spec(energies, draw(st.integers(0, 2 ** 32 - 1)),
                               draw(st.integers(1, 2)))
     return closed_spec(spec, draw(st.floats(0.1, 1.0))), n
@@ -57,6 +66,18 @@ def assert_fixed_spaces_match_dense_eigh(gen):
         off = rows[:, None] != cols
         off_diagonal += [np.abs(f.reshape(off.shape)[off]).max(initial=0.0) for f in vecs]
     return off_diagonal
+
+
+def dense_generator(spec, n):
+    """L_N as a dense matrix on row-stacked operators: the dense channel laid
+    on the axes (i, j, N+i, N+j) of every matrix unit at once, per pair."""
+    d, dim = spec.dim, spec.dim ** n
+    q = dense_channel(spec).reshape((d,) * 8)
+    units = np.eye(dim * dim).reshape((d,) * (2 * n) + (dim * dim,))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    qn = sum(np.moveaxis(np.tensordot(q, units, axes=([4, 5, 6, 7], [i, j, n + i, n + j])),
+                         [0, 1, 2, 3], [i, j, n + i, n + j]) for i, j in pairs)
+    return n * (qn.reshape(dim * dim, dim * dim) / len(pairs) - np.eye(dim * dim))
 
 
 def class_counts(model, n):
@@ -77,6 +98,20 @@ def test_random_closed_specs_match_the_dense_oracles(case):
     assert ergodic == dense_is_ergodic(spec)
     if ergodic:
         assert sorted(steady_state_classes(gen)) == class_counts(spec.model, n)
+
+
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(random_specs([(energies, n) for energies, n in CASES if n <= 3]))
+def test_random_closed_specs_evolve_as_the_dense_oracles(case):
+    spec, n = case
+    assert_nonzeros_match_the_dense_oracle(spec)
+    rng = np.random.default_rng(0)
+    dim = spec.dim ** n
+    rho = random_density(dim, rng)
+    want = (expm(0.7 * dense_generator(spec, n)) @ rho.ravel()).reshape(dim, dim)
+    assert np.abs(evolve_master(KacGenerator(spec, n), rho, 0.7) - want).max() < 1e-10
+    rho, grid = random_density(spec.dim, rng), np.linspace(0.0, 2.0, 5)
+    assert np.abs(qkbe_integrate(spec, rho, grid) - rk4_reference(spec, rho, grid)).max() < 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -18,8 +18,8 @@ from qkac.operators import FactorShape, partial_trace
 from qkac.spectra import SingleParticleModel, classify_shell, shell_decomposition
 from qkac.tolerances import TOL_FIXED_EIG
 from conftest import random_matrix
-from oracles import (accidental_relations, fixed_space_of_Q, identity_spec, occupancy,
-                     shell_projector, shell_state, wild_diagonal)
+from oracles import (accidental_relations, dense_channel, fixed_space_of_Q, identity_spec,
+                     nonzeros, occupancy, shell_projector, shell_state, wild_diagonal)
 
 MODELS = [(0, 1), (0, 1, 2), (0, 1, 4, 5), (1, 10, 100), (0, 2, 3, 7),
           (0, 0, 1), (0, 0, 0, 1), (0, 0, 1, 1)]
@@ -39,7 +39,7 @@ def occupancy_vectors(d, n):
 def dense_is_ergodic(spec):
     """The fixed space of Q, projected onto the span of the normalized
     two-particle shell projectors, one dense projector per shell."""
-    fixed = fixed_space_of_Q(spec.channel)
+    fixed = fixed_space_of_Q(dense_channel(spec))
     shells = shell_decomposition(spec.model, 2)
     if len(fixed) != len(shells):
         return False
@@ -73,11 +73,9 @@ def decoy_spec(model):
     shell's first pair: the fixed space has the right dimension but is not
     the pair energy algebra, since the shell e_0 + e_1 holds two pairs."""
     d2 = model.dim ** 2
-    mat = np.zeros((d2 * d2,) * 2, dtype=complex)
-    for _, idxs in shell_decomposition(model, 2):
-        k = np.ravel_multi_index(idxs[0], (model.dim,) * 2)
-        mat[k * d2 + k, k * d2 + k] = 1.0
-    return CollisionSpec(model, "decoy", mat)
+    pos = np.sort([np.ravel_multi_index(idxs[0], (model.dim,) * 2)
+                   for _, idxs in shell_decomposition(model, 2)]) * (d2 + 1)
+    return CollisionSpec(model, "decoy", (pos, pos, np.ones(len(pos), dtype=complex)))
 
 
 @pytest.mark.parametrize("energies", MODELS)
@@ -111,7 +109,7 @@ def test_is_ergodic_refuses_a_channel_that_moves_pair_energy():
     mat = np.zeros((16, 16), dtype=complex)
     mat[0, 15] = mat[15, 0] = 1.0       # |00><00| and |11><11| exchanged
     mat[np.ix_([5, 10], [5, 10])] = 0.5
-    spec = CollisionSpec(model, "population_swap", mat)
+    spec = CollisionSpec(model, "population_swap", nonzeros(mat))
     assert verify_spec(spec).passes
     assert not dense_is_ergodic(spec)
     with pytest.raises(ValueError, match="does not conserve the pair energy"):

@@ -25,7 +25,7 @@ MOVED_TO_ORACLES = (
     "identity_spec", "wild_diagonal", "is_steady", "TOL_STEADY",
     "qn_spectrum", "permutation_covariance_check",
     "dirichlet_form", "UnsupportedOperationError", "merged_qubit_grid_nodes",
-    "fixed_space_of_Q", "_shell_block",
+    "fixed_space_of_Q", "_shell_block", "dense_channel",
 )
 
 
@@ -72,6 +72,9 @@ def test_a_spec_holds_the_channel_matrix_and_node_arrays():
     assert [m.__name__ for m in qkac_modules() if hasattr(m, "Superoperator")] == []
     fields = [f.name for f in dataclasses.fields(qkac.CollisionSpec)]
     assert fields == ["model", "name", "channel", "nodes"]
+    # the channel is held as its nonzeros (rows, cols, values), not as a matrix
+    rows, cols, values = qkac.qubit_tilted_spec().channel
+    assert rows.ndim == cols.ndim == values.ndim == 1 and len(rows) == len(cols) == len(values)
 
 
 @pytest.mark.parametrize("tilted", [False, True], ids=["uniform", "tilted"])
