@@ -7,6 +7,7 @@ operators    dense tensor-product kernel (products, factor permutations,
 spectra      energy shells and pair-move classes, cached per (model, N)
 collisions   collision specifications and the two-particle channel
 master       N-particle generator, jump-series semigroup, steady states
+symmetric    Q_N on the permutation-symmetric sector's occupation coefficients
 boltzmann    Wild convolution and the nonlinear kinetic equation
 chaos        hierarchy operators and propagation-of-chaos experiments
 linearized   BKM geometry, linearized operator, spectral gap

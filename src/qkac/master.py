@@ -97,6 +97,16 @@ class KacGenerator:
         n = self.num_particles
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
+    # the state hooks of ``evolve_master``, shared with ``SymmetricGenerator``
+    def jump(self, rho: np.ndarray) -> np.ndarray:
+        return apply_QN(self, rho)
+
+    def trace(self, rho: np.ndarray) -> float:
+        return float(np.trace(rho).real)
+
+    def expand(self, rho: np.ndarray) -> np.ndarray:
+        return rho
+
 
 def _on_pair_axes(a4: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
     """A (d,) * 4 pair array laid on axes (i, j, n+i, n+j) of a shape that
@@ -162,16 +172,19 @@ def apply_LN(gen: KacGenerator, x: np.ndarray) -> np.ndarray:
     return gen.num_particles * (apply_QN(gen, x) - x)
 
 
-def evolve_master(gen: KacGenerator, rho0: np.ndarray, t: float,
+def evolve_master(gen, rho0: np.ndarray, t: float,
                   tail_tol: float = TAIL_TOL, tol_psd: float = TOL_PSD) -> np.ndarray:
     """Evolve a state for time t with the truncated jump series.
 
-    A time whose rate N t exceeds ``MAX_JUMP_RATE`` is split into equal
-    pieces, each summed by its own series.  The output trace is
-    renormalized to one (the drift, bounded by the Poisson tail of each
-    piece, is logged) and positivity is asserted within tol_psd: a
-    Cholesky factorization of the Hermitian part of the output, shifted
-    by about tol_psd, certifies that its smallest eigenvalue is at least
+    ``gen`` is a ``KacGenerator``, on a d^N x d^N matrix or its tensor
+    view, or a ``SymmetricGenerator``, on the coefficients of a
+    permutation-invariant state; the output has the input's form.  A time
+    whose rate N t exceeds ``MAX_JUMP_RATE`` is split into equal pieces,
+    each summed by its own series.  The output trace is renormalized to
+    one (the drift, bounded by the Poisson tail of each piece, is logged)
+    and positivity is asserted within tol_psd on the d^N x d^N matrix of
+    the output: a Cholesky factorization of its Hermitian part, shifted by
+    about tol_psd, certifies that its smallest eigenvalue is at least
     -tol_psd, and only when it fails is the Hermitian part diagonalized,
     to decide and to report the eigenvalue.
     """
@@ -200,16 +213,16 @@ def evolve_master(gen: KacGenerator, rho0: np.ndarray, t: float,
             if acc >= 1.0 - tail_tol or (k + 1 > rate
                                           and w * rate / (k + 1 - rate) <= tail_tol):
                 break
-            term = apply_QN(gen, term)
+            term = gen.jump(term)
             k += 1
     del term    # one matrix less alive while the positivity check factors its own copy
-    tr = np.trace(out).real
+    tr = gen.trace(out)
     if abs(tr - 1.0) > 100 * pieces * tail_tol + 1e-13:
         raise NumericalContractError(f"trace drifted to {tr} under the jump series")
     log.debug("jump series trace drift %.3e over %d pieces of up to %d terms",
               tr - 1.0, pieces, k)
     out = out / tr
-    lo = _negative_eigenvalue(out, tol_psd)
+    lo = _negative_eigenvalue(gen.expand(out), tol_psd)
     if lo is not None:
         raise NumericalContractError(f"evolved state has negative eigenvalue {lo:.3e}")
     return out
@@ -272,20 +285,26 @@ def _sparse_block(gen: KacGenerator, triples: list, within, rows, cols):
     its in digits one to one onto its out digits; on the block those are
     the products of the rows and of the columns whose fixed digits match.
     Moves on different pairs that meet on one entry give one triple each,
-    which the Lanczos matvec sums.
+    which the Lanczos matvec sums.  The triples are written into arrays of
+    their final size, so they are held once while the block is built.
     """
     dim, nc = gen.shape.dim, len(cols)
     diag = gen._diag.reshape(dim, dim)[np.ix_(rows, cols)].ravel()
     digits = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).digits
     rd, cd = digits[rows], digits[cols]
-    i, j, val = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0, complex)]
-    for row_side, col_side, s in triples:
-        r_out, r_in = _side_positions(rd, rows, within, *row_side)
-        c_out, c_in = _side_positions(cd, cols, within, *col_side)
-        i.append((r_out[:, None] * nc + c_out).ravel())
-        j.append((r_in[:, None] * nc + c_in).ravel())
-        val.append(np.full(i[-1].size, s, dtype=complex))
-    return diag.astype(complex), np.concatenate(i), np.concatenate(j), np.concatenate(val)
+    sides = [(_side_positions(rd, rows, within, *row_side),
+              _side_positions(cd, cols, within, *col_side), s)
+             for row_side, col_side, s in triples]
+    total = sum(len(r_out) * len(c_out) for (r_out, _), (c_out, _), _ in sides)
+    i, j, val = np.empty(total, np.intp), np.empty(total, np.intp), np.empty(total, complex)
+    at = 0
+    for (r_out, r_in), (c_out, c_in), s in sides:
+        end = at + len(r_out) * len(c_out)
+        np.add.outer(r_out * nc, c_out, out=i[at:end].reshape(len(r_out), len(c_out)))
+        np.add.outer(r_in * nc, c_in, out=j[at:end].reshape(len(r_in), len(c_in)))
+        val[at:end] = s
+        at = end
+    return diag.astype(complex), i, j, val
 
 
 def _lanczos_fixed_vectors(diag, i, j, val, tol, limit=None):

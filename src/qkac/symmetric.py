@@ -1,0 +1,194 @@
+"""The permutation-symmetric sector of the N-particle collision generator.
+
+Q_N commutes with permuting the particles, and so does a product state
+rho^{xN}, so the jump series keeps such a state in the symmetric sector.
+A permutation-invariant operator is a sum over the occupation vectors n of
+the K = d^2 matrix-unit types E_ac (type a d + c), each n summing to N,
+
+    X = sum_n c_n S_n,   S_n = sum of the E_{t_1} x ... x E_{t_N} whose
+                               types t_1, ..., t_N have occupation n,
+
+so the sector has C(N + K - 1, N) dimensions, and Q_N acts on the
+coefficients c_n.  Summed over ordered pairs of factors,
+Q_N = sum_{i != j} Q_{i,j} / (N (N - 1)), which holds only if Q commutes
+with swapping its two factors.  A channel nonzero q that takes the types
+(u1, u2) of a pair to (v1, v2) then adds
+
+    n_{v1} (n_{v2} - delta_{v1 v2}) q / (N (N - 1)) c_{n - v1 - v2 + u1 + u2}
+
+to c_n, one term for each occupation of the other N - 2 factors.  The
+product state rho^{xN} has c_n = prod_t rho[t]^{n_t}.  S_n has trace equal
+to its number of terms, the multinomial N! / prod_t n_t!, when every type
+it holds is diagonal (a = c), and 0 otherwise; the one- and two-particle
+marginals read the coefficients of m + u and m + u1 + u2 against the
+diagonal occupations m of N - 1 and N - 2 particles in the same way.
+
+The occupations of k particles are ranked in colex order: those whose
+largest type is t follow the C(t + k - 1, k) with smaller largest types,
+in the order of their other k - 1 types.  One table per k gives the rank
+of an occupation of k - 1 particles with one particle added; it is built
+from the table for k - 1, and every rank stays below the sector size, so
+no rank overflows.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import deque
+
+import numpy as np
+
+from .collisions import CollisionSpec
+from .operators import FactorShape
+from .tolerances import TOL_AXIOM, check_size_guard
+
+
+def _swap_residual(spec: CollisionSpec) -> float:
+    """Largest entry of Q - S Q S, S the swap of the two factors: each channel
+    nonzero against its swapped image, a missing image counting as 0."""
+    d = spec.dim
+    rows, cols, q = spec.channel
+
+    def swap(x):
+        a, b, c, f = np.unravel_index(x, (d,) * 4)
+        return np.ravel_multi_index((b, a, f, c), (d,) * 4)
+
+    r, c = np.concatenate([rows, swap(rows)]), np.concatenate([cols, swap(cols)])
+    v = np.concatenate([q, -q])
+    order = np.lexsort((c, r))
+    r, c, v = r[order], c[order], v[order]
+    start = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])])
+    return float(np.abs(np.add.reduceat(v, start)).max(initial=0.0))
+
+
+def _add_tables(num_types: int, n: int):
+    """Yield, for k = 1..n, the table whose entry [r, t] is the rank among
+    the occupations of k particles of the occupation of rank r among k - 1
+    particles with one particle of type t added."""
+    types = np.arange(num_types)
+    table = types[None, :]
+    yield table
+    for k in range(2, n + 1):
+        # the occupations of k - 1 particles: the first of each largest type, and their count
+        first = np.array([math.comb(t + k - 2, k - 1) for t in range(num_types + 1)])
+        rank = np.arange(first[-1])
+        top = np.searchsorted(first, rank, side="right") - 1
+        offset = np.array([math.comb(t + k - 1, k) for t in types])
+        table = np.where(types >= top[:, None], offset + rank[:, None],
+                         offset[top, None] + table[(rank - first[top])[:, None], types])
+        yield table
+
+
+class SymmetricGenerator:
+    """Q_N on the coefficients c_n of the permutation-invariant operators.
+
+    ``_rows``, ``_cols`` and ``_vals`` hold Q_N as (row, column, value)
+    triples, ``_into`` and ``_last`` the rank tables of ``_add_tables`` for
+    N - 1 and N particles, and ``_diag[k]`` the ranks and multinomial
+    weights of the diagonal occupations of N - 2 + k particles, k = 0, 1, 2.
+    Building it raises a ValueError when Q does not commute with the swap
+    of its two factors within ``TOL_AXIOM``.
+    """
+
+    def __init__(self, spec: CollisionSpec, num_particles: int, force: bool = False):
+        if num_particles < 2:
+            raise ValueError("need at least two particles")
+        d, n = spec.dim, num_particles
+        check_size_guard(d, n, force)
+        residual = _swap_residual(spec)
+        if residual > TOL_AXIOM:
+            raise ValueError(f"spec {spec.name!r} does not commute with the factor swap "
+                             f"(residual {residual:.3e}), so its symmetric sector is not exact")
+        self.spec, self.num_particles = spec, num_particles
+        self.shape = FactorShape(n, d)
+        self.size = math.comb(n + d * d - 1, n)
+        # diagonal occupations level by level; the weight of each counts its orderings
+        tables, diag = deque(maxlen=2), deque([(np.zeros(1, np.intp), np.ones(1))], maxlen=3)
+        for table in _add_tables(d * d, n):
+            ranks, weights = diag[-1]
+            found, inverse = np.unique(table[ranks[:, None], np.arange(d) * (d + 1)],
+                                       return_inverse=True)
+            diag.append((found, np.bincount(inverse.ravel(), np.repeat(weights, d))))
+            tables.append(table)
+        self._into, self._last = tables
+        self._diag = list(diag)
+        # each channel nonzero with each occupation m of the other N - 2 factors; a
+        # pair entry's digits (a, b, c, f) put E_ac on the first factor, E_bf on the second
+        rows, cols, q = spec.channel
+        (v1, v2), (u1, u2) = ((a[:, None] * d + c[:, None], b[:, None] * d + f[:, None])
+                              for a, b, c, f in (np.unravel_index(x, (d,) * 4)
+                                                 for x in (rows, cols)))
+        eye = np.eye(d * d, dtype=np.min_scalar_type(n))
+        held = _by_largest_type(np.zeros((1, d * d), eye.dtype), d * d, n - 2,
+                                lambda part, t: part + eye[t])
+        rest = np.arange(len(held))
+        # n_{v1} (n_{v2} - delta_{v1 v2}) at n = m + v1 + v2
+        weight = (held[rest, v1] + 1.0 + (v1 == v2)) * (held[rest, v2] + 1.0)
+        self._rows = self._last[self._into[rest, v1], v2].ravel()
+        self._cols = self._last[self._into[rest, u1], u2].ravel()
+        self._vals = (weight * (q[:, None] / (n * (n - 1)))).ravel()
+
+    def product_state(self, rho: np.ndarray) -> np.ndarray:
+        """The coefficients of rho^{xN}: prod_t rho[t]^{n_t}."""
+        flat = np.asarray(rho, dtype=complex).reshape(-1)
+        return _by_largest_type(np.ones(1, dtype=complex), len(flat), self.num_particles,
+                                lambda part, t: part * flat[t])
+
+    def _check(self, c) -> np.ndarray:
+        c = np.asarray(c, dtype=complex)
+        if c.shape != (self.size,):
+            raise ValueError(f"operand shape {c.shape} is not the sector's ({self.size},)")
+        return c
+
+    def jump(self, c: np.ndarray) -> np.ndarray:
+        """Q_N on the coefficients."""
+        w = self._vals * self._check(c)[self._cols]
+        return (np.bincount(self._rows, w.real, self.size)
+                + 1j * np.bincount(self._rows, w.imag, self.size))
+
+    def trace(self, c: np.ndarray) -> float:
+        ranks, weights = self._diag[2]
+        return float((self._check(c)[ranks] @ weights).real)
+
+    def marginals(self, c: np.ndarray) -> tuple:
+        """The one- and two-particle marginals as d x d and d^2 x d^2 matrices."""
+        d, n = self.spec.dim, self.num_particles
+        c, types = self._check(c), np.arange(d * d)
+        last, into = self._last, self._into
+        (r2, w2), (r1, w1) = self._diag[0], self._diag[1]
+        m1 = c[last[r1, types[:, None]]] @ w1
+        m2 = c[last[into[r2, types[:, None, None]], types[:, None]]] @ w2
+        return (m1.reshape(d, d),
+                m2.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d))
+
+    def expand(self, c: np.ndarray) -> np.ndarray:
+        """The d^N x d^N matrix of the coefficients: the rank of each entry's
+        occupation is read factor by factor, and the last factor is filled one
+        type at a time, so no rank array of the full size is formed."""
+        d, n = self.spec.dim, self.num_particles
+        c, m = self._check(c), n - 1
+        rank = np.zeros((1,) * (2 * m), np.intp)
+        for k, table in enumerate(_add_tables(d * d, m), 1):
+            axes = [1] * (2 * m)
+            axes[k - 1] = d
+            row = np.arange(d).reshape(axes)
+            axes[k - 1], axes[m + k - 1] = 1, d
+            rank = table[rank, row * d + np.arange(d).reshape(axes)]
+        rank = rank.reshape(d ** m, d ** m)
+        out = np.empty((d ** m, d, d ** m, d), dtype=complex)
+        for a in range(d):
+            for b in range(d):
+                out[:, a, :, b] = c[self._last[rank, a * d + b]]
+        return out.reshape(self.shape.dim, self.shape.dim)
+
+
+def _by_largest_type(start: np.ndarray, num_types: int, k: int, add) -> np.ndarray:
+    """Values on the occupations of k particles, by rank, from ``start`` on
+    the empty occupation: those of j particles with largest type t are the
+    occupations of j - 1 particles of rank below C(t + j - 1, j - 1), their
+    values passed through ``add(values, t)``."""
+    values = start
+    for j in range(1, k + 1):
+        values = np.concatenate([add(values[:math.comb(t + j - 1, j - 1)], t)
+                                 for t in range(num_types)])
+    return values

@@ -179,3 +179,17 @@ def test_chaos_grid_validation(tilted_spec):
     with pytest.raises(ValueError):
         ChaosExperiment(tilted_spec, qubit_state(0.5, 0.1), [2],
                         np.array([0.1, 0.2]))
+
+
+def test_chaos_never_reaches_the_dense_kernel(tilted_spec, monkeypatch):
+    # a product state stays in the symmetric sector: no d^N x d^N generator
+    import qkac.chaos as chaos
+    import qkac.master as master
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense path was used")
+
+    monkeypatch.setattr(master, "apply_QN", refuse)
+    monkeypatch.setattr(chaos, "KacGenerator", refuse)
+    exp = ChaosExperiment(tilted_spec, qubit_state(0.5, 0.3), [2, 5], np.array([0.0, 0.5]))
+    assert len(run_chaos_experiment(exp)) == 4

@@ -804,6 +804,33 @@ def test_chaos_passes_the_tolerances_on(tmp_path, monkeypatch):
     assert f"psd={2e-9:.17g} tail={1e-11:.17g}" in (out / "manifest.txt").read_text()
 
 
+def test_chaos_refuses_a_swap_asymmetric_spec(tmp_path, monkeypatch, capsys):
+    # the symmetric sector is exact only for a channel that commutes with the swap
+    from test_symmetric import dephase_first_factor
+
+    monkeypatch.setattr(cli, "spec_by_name", lambda *args: dephase_first_factor())
+    code, out = run_cli(tmp_path, {
+        "command": "chaos", "model": QUBIT, "spec": "qubit_tilted",
+        "params": {"N_list": [2, 3], "t_max": 0.5, "steps": 2,
+                   "initial": {"kind": "maximally_mixed"}}})
+    assert code == 1
+    assert "factor swap (residual 1.000e+00)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_chaos_at_n_10_runs_within_its_budget(tmp_path):
+    # the symmetric sector holds 286 coefficients at N = 10, where the dense
+    # path held 1024 x 1024 matrices and took seconds for the evolution alone
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, {
+        "command": "chaos", "model": QUBIT, "spec": "qubit_tilted",
+        "params": {"N_list": [10], "t_max": 1.0, "steps": 4,
+                   "initial": {"kind": "matrix", "state": [[0.6, [0.1, 0.05]], [[0.1, -0.05], 0.4]]}}})
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert len(read_csv(out / "chaos.csv")) == 6
+
+
 def test_chaos_entropy_reads_the_psd_tolerance(tmp_path):
     # eigenvalues at or below the psd tolerance count as zero in both
     # entropies, so the kinetic column equals evolve-qkbe's at any tolerance

@@ -114,13 +114,14 @@ def test_random_closed_specs_evolve_as_the_dense_oracles(case):
     assert np.abs(qkbe_integrate(spec, rho, grid) - rk4_reference(spec, rho, grid)).max() < 1e-10
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_split_degenerate_shell_is_not_ergodic(n):
-    # on (0, 0, 1) the pair shell E = 0 holds |00>, |01>, |10>, |11>; every
-    # node acts on {|00>, |11>} and on {|01>, |10>} by one unitary W that
-    # commutes with sigma_x, so swap conjugation keeps it and the fixed
-    # space of E = 0 is the 8-dimensional commutant, with operators that
-    # are not diagonal
+def split_spec():
+    """A closed spec on (0, 0, 1) that is not ergodic.
+
+    The pair shell E = 0 holds |00>, |01>, |10>, |11>; every node acts on
+    {|00>, |11>} and on {|01>, |10>} by one unitary W that commutes with
+    sigma_x, so swap conjugation keeps it and the fixed space of E = 0 is
+    the 8-dimensional commutant, with operators that are not diagonal.
+    """
     spec = random_family_spec((0, 0, 1), 3, 2)
     ws, us = spec.nodes
     rng = np.random.default_rng(4)
@@ -131,8 +132,13 @@ def test_split_degenerate_shell_is_not_ergodic(n):
         u[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])] = 0.0
         u[np.ix_([0, 4], [0, 4])] = w
         u[np.ix_([1, 3], [1, 3])] = w
-    spec = closed_spec(CollisionSpec(spec.model, "split", superoperator_from_nodes((ws, us)),
+    return closed_spec(CollisionSpec(spec.model, "split", superoperator_from_nodes((ws, us)),
                                      (ws, us)), 0.5)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_split_degenerate_shell_is_not_ergodic(n):
+    spec = split_spec()
     assert verify_spec(spec).passes
     assert not is_ergodic(spec) and not dense_is_ergodic(spec)
     gen = KacGenerator(spec, n)

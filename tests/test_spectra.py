@@ -14,6 +14,7 @@ from qkac.operators import FactorShape
 from qkac.spectra import (SingleParticleModel, classify_shell, class_projections,
                           commutant_projection, is_fully_ergodic,
                           shell_decomposition, shell_structure)
+from qkac.symmetric import SymmetricGenerator
 from conftest import random_matrix, random_state
 from oracles import accidental_relations, occupancy, shell_projector, shell_state
 
@@ -298,8 +299,9 @@ QUTRIT = SingleParticleModel((0, 1, 2))
     lambda: KacGenerator(exact_EA2_spec(QUTRIT), HUGE_N),
     lambda: ChaosExperiment(exact_EA2_spec(QUTRIT), np.eye(3) / 3, [2, HUGE_N], [0.0, 1.0]),
     lambda: _size(HUGE_N, "params.N", QUTRIT, False, minimum=1),
+    lambda: SymmetricGenerator(exact_EA2_spec(QUTRIT), HUGE_N),
 ], ids=["shell_structure", "commutant_projection", "KacGenerator", "ChaosExperiment",
-        "cli._size"])
+        "cli._size", "SymmetricGenerator"])
 def test_huge_N_meets_the_size_guard_without_forming_d_to_the_N(call):
     # 3**N at this N takes seconds to form and cannot be printed in full
     start = time.perf_counter()

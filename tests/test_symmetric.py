@@ -1,0 +1,150 @@
+"""The symmetric-sector generator against the dense N-particle path.
+
+Each spec's sector must have C(N + d^2 - 1, N) coefficients, the product
+state's coefficients must expand to ``tensor_power``, and after
+``evolve_master`` the expanded state and its one- and two-particle
+marginals must match the dense evolution and ``partial_trace``.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from qkac.collisions import CollisionSpec, exact_EA2_spec, qubit_tilted_spec, qubit_uniform_spec
+from qkac.errors import NumericalContractError
+from qkac.master import KacGenerator, evolve_master
+from qkac.operators import partial_trace, random_density, tensor, tensor_power
+from qkac.spectra import SingleParticleModel
+from qkac.symmetric import SymmetricGenerator, _add_tables
+from test_random_specs import CASES, random_specs, split_spec
+
+NAMED = {
+    "qubit_tilted": qubit_tilted_spec,
+    "qubit_uniform": qubit_uniform_spec,
+    "qubit_tilted_ppa4": lambda: qubit_tilted_spec(points_per_angle=4),
+    "qubit_uniform_ppa4": lambda: qubit_uniform_spec(points_per_angle=4),
+    "ea2_012": lambda: exact_EA2_spec(SingleParticleModel((0, 1, 2))),
+    "ea2_0134": lambda: exact_EA2_spec(SingleParticleModel((0, 1, 3, 4))),
+}
+NAMED_CASES = [(name, n) for name, d in [("qubit_tilted", 2), ("qubit_uniform", 2),
+                                         ("qubit_tilted_ppa4", 2), ("qubit_uniform_ppa4", 2),
+                                         ("ea2_012", 3), ("ea2_0134", 4)]
+               for n in range(2, 7) if d ** n <= 81]
+
+
+def dyadic_state(d):
+    """A full-rank state whose entries have a few binary digits, so the
+    products of up to six of them are exact in any order."""
+    top = 2 ** math.ceil(math.log2(d))
+    rho = np.diag(np.full(d, 1.0 / top)).astype(complex)
+    rho[0, 0] += 1.0 - d / top
+    upper = np.triu(np.full((d, d), (1 + 1j) / 64), 1)
+    return rho + upper + upper.conj().T
+
+
+def assert_sector_matches_dense(spec, n, t=0.7):
+    d = spec.dim
+    gen, dense = SymmetricGenerator(spec, n), KacGenerator(spec, n)
+    assert gen.size == math.comb(n + d * d - 1, n)
+    rho = dyadic_state(d)
+    c = gen.product_state(rho)
+    assert np.array_equal(gen.expand(c), tensor_power(rho, n))
+    assert gen.trace(c) == pytest.approx(1.0, abs=1e-15)
+    rho = random_density(d, np.random.default_rng(n))
+    c = gen.product_state(rho)
+    assert np.abs(gen.expand(c) - tensor_power(rho, n)).max() < 1e-15
+    got = evolve_master(gen, c, t)
+    want = evolve_master(dense, tensor_power(rho, n), t)
+    assert np.abs(gen.expand(got) - want).max() < 1e-13
+    m1, m2 = gen.marginals(got)
+    assert np.abs(m1 - partial_trace(want, dense.shape, keep=1)).max() < 1e-13
+    assert np.abs(m2 - partial_trace(want, dense.shape, keep=2)).max() < 1e-13
+
+
+@pytest.mark.parametrize("name,n", NAMED_CASES, ids=[f"{a}-N{n}" for a, n in NAMED_CASES])
+def test_named_specs_match_the_dense_path(name, n):
+    assert_sector_matches_dense(NAMED[name](), n)
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(random_specs(CASES))
+def test_random_sector_specs_match_the_dense_path(case):
+    assert_sector_matches_dense(*case)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_non_ergodic_split_spec_matches_the_dense_path(n):
+    assert_sector_matches_dense(split_spec(), n)
+
+
+@pytest.mark.parametrize("num_types,n", [(4, 5), (9, 4), (25, 3), (64, 3)])
+def test_rank_tables_add_one_particle_in_colex_order(num_types, n):
+    # brute force: every multiset of k types, sorted, ranked by its reversed tuple
+    for k, table in enumerate(_add_tables(num_types, n), 1):
+        rank = {m: r for r, m in enumerate(sorted(
+            itertools.combinations_with_replacement(range(num_types), k), key=lambda m: m[::-1]))}
+        below = sorted(itertools.combinations_with_replacement(range(num_types), k - 1),
+                       key=lambda m: m[::-1])
+        assert table.shape == (len(below), num_types)
+        want = [[rank[tuple(sorted(m + (t,)))] for t in range(num_types)] for m in below]
+        assert np.array_equal(table, want)
+
+
+@pytest.mark.parametrize("energies,n", [((0, 1, 2, 3, 4), 5), ((0, 1, 3, 7, 12, 20, 30, 44), 3)])
+def test_product_marginals_past_a_base_n_plus_1_key(energies, n):
+    # 25 types at N = 5 and 64 at N = 3 overflow an int64 key in base N + 1;
+    # a product state's marginals are its factor and the factor's square
+    spec = exact_EA2_spec(SingleParticleModel(energies))
+    gen = SymmetricGenerator(spec, n)
+    rho = random_density(spec.dim, np.random.default_rng(1))
+    c = gen.product_state(rho)
+    assert gen.trace(c) == pytest.approx(1.0, abs=1e-13)
+    m1, m2 = gen.marginals(c)
+    assert np.abs(m1 - rho).max() < 1e-15
+    assert np.abs(m2 - tensor(rho, rho)).max() < 1e-15
+    if spec.dim ** n <= 512:
+        assert np.abs(gen.expand(c) - tensor_power(rho, n)).max() < 1e-15
+
+
+def dephase_first_factor():
+    """The closed-form channel that fully dephases the first factor of a
+    qubit pair and keeps the second: it conserves the pair energy, but
+    does not commute with the swap."""
+    a, b, f = np.meshgrid(range(2), range(2), range(2), indexing="ij")
+    idx = np.ravel_multi_index((a.ravel(), b.ravel(), a.ravel(), f.ravel()), (2,) * 4)
+    return CollisionSpec(SingleParticleModel((0, 1)), "dephase_first",
+                         (idx, idx.copy(), np.ones(idx.size, complex)))
+
+
+def test_swap_asymmetric_channel_is_refused():
+    with pytest.raises(ValueError, match=r"factor swap \(residual 1\.000e\+00\)"):
+        SymmetricGenerator(dephase_first_factor(), 3)
+
+
+def test_swap_residual_is_measured_against_the_axiom_tolerance():
+    rows, cols, q = qubit_tilted_spec().channel
+    off = np.flatnonzero(rows != cols)[0]
+    for size, refused in [(1e-12, False), (1e-6, True)]:
+        bent = q.copy()
+        bent[off] += size
+        spec = CollisionSpec(SingleParticleModel((0, 1)), "bent", (rows, cols, bent))
+        if refused:
+            with pytest.raises(ValueError, match=r"residual 1\.000e-06"):
+                SymmetricGenerator(spec, 2)
+        else:
+            SymmetricGenerator(spec, 2)
+
+
+def test_sector_evolution_keeps_the_checks(tilted_spec):
+    gen = SymmetricGenerator(tilted_spec, 3)
+    c = gen.product_state(np.diag([0.5, 0.5]))
+    with pytest.raises(NumericalContractError, match="trace drifted"):
+        evolve_master(gen, 2 * c, 0.1)
+    # a Hermitian product of trace one with a negative eigenvalue stays one
+    with pytest.raises(NumericalContractError, match="negative eigenvalue"):
+        evolve_master(gen, gen.product_state(np.diag([1.5, -0.5])), 0.01)
+    with pytest.raises(ValueError, match="operand shape"):
+        evolve_master(gen, c[:-1], 0.1)
