@@ -46,6 +46,7 @@ from .tolerances import TOL_PSD
 _GAP_KERNEL_TOL = 1e-8
 _STEADY_TOL = 1e-9      # residual of rho * rho = rho accepted by build_K
 _AGREE_TOL = 1e-10      # entrywise gap allowed between the two K constructions
+_UNIT_CHUNK = 16        # matrix units per application of K: d <= 4 is one chunk
 
 
 def _log_mean_table(w: np.ndarray) -> np.ndarray:
@@ -151,10 +152,13 @@ def build_K(spec: CollisionSpec, geo: BKMGeometry) -> np.ndarray:
     cross-checked against the pair-channel construction entrywise."""
     _check_steady(spec, geo)
     d = geo.dim
-    # column r * d + c of K is the image of the matrix unit E_rc
+    # column r * d + c of K is the image of the matrix unit E_rc; the units go
+    # a chunk at a time, which bounds the stacks of d^4 pair products and the
+    # (units, d^2, d^2) ones of the pair channel
     units = np.eye(d * d).reshape(d * d, d, d)
-    mat = _k_apply(spec, geo, units).reshape(d * d, d * d).T
-    mat_alt = _k_apply_alternate(spec, geo, units).reshape(d * d, d * d).T
+    mat, mat_alt = (np.concatenate([k(spec, geo, units[i:i + _UNIT_CHUNK])
+                                    for i in range(0, d * d, _UNIT_CHUNK)]).reshape(d * d, -1).T
+                    for k in (_k_apply, _k_apply_alternate))
     disagree = np.abs(mat - mat_alt).max()
     if disagree > _AGREE_TOL:
         raise ValueError(

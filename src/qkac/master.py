@@ -51,6 +51,10 @@ log = logging.getLogger(__name__)
 # semigroup law composes exactly.
 MAX_JUMP_RATE = 1000.0
 
+# Block triples gathered and summed per pass of the Lanczos matvec: its
+# temporaries take 32 bytes a triple, so a pass holds at most 32 MB of them.
+MATVEC_CHUNK = 1 << 20
+
 @dataclass
 class KacGenerator:
     """Pair-averaged collision generator on N particles.
@@ -102,10 +106,10 @@ class KacGenerator:
         return apply_QN(self, rho)
 
     def trace(self, rho: np.ndarray) -> float:
-        return float(np.trace(rho).real)
+        return float(np.trace(rho.reshape(self.shape.dim, -1)).real)
 
-    def expand(self, rho: np.ndarray) -> np.ndarray:
-        return rho
+    def blocks(self, rho: np.ndarray) -> list:
+        return [(rho.reshape(self.shape.dim, -1), 0.0)]
 
 
 def _on_pair_axes(a4: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
@@ -182,11 +186,14 @@ def evolve_master(gen, rho0: np.ndarray, t: float,
     whose rate N t exceeds ``MAX_JUMP_RATE`` is split into equal pieces,
     each summed by its own series.  The output trace is renormalized to
     one (the drift, bounded by the Poisson tail of each piece, is logged)
-    and positivity is asserted within tol_psd on the d^N x d^N matrix of
-    the output: a Cholesky factorization of its Hermitian part, shifted by
-    about tol_psd, certifies that its smallest eigenvalue is at least
-    -tol_psd, and only when it fails is the Hermitian part diagonalized,
-    to decide and to report the eigenvalue.
+    and positivity is asserted within tol_psd on each of the generator's
+    ``blocks`` of the output, whose spectra together are the state's: the
+    d^N x d^N matrix itself, or for a qubit sector state its Schur-Weyl
+    spin blocks, det(A)^k Sym^{N-2k}(A) in A^{xN} (see ``qkac.symmetric``).
+    A Cholesky factorization of each block's Hermitian part, shifted by
+    about tol_psd and by the block's forming-error bound, certifies that
+    its smallest eigenvalue is at least -tol_psd; only when one fails is
+    that block diagonalized, and the most negative eigenvalue is reported.
     """
     if t < 0:
         raise ValueError("time must be non-negative")
@@ -222,9 +229,10 @@ def evolve_master(gen, rho0: np.ndarray, t: float,
     log.debug("jump series trace drift %.3e over %d pieces of up to %d terms",
               tr - 1.0, pieces, k)
     out = out / tr
-    lo = _negative_eigenvalue(gen.expand(out), tol_psd)
-    if lo is not None:
-        raise NumericalContractError(f"evolved state has negative eigenvalue {lo:.3e}")
+    lows = [lo for block, err in gen.blocks(out)
+            if (lo := _negative_eigenvalue(block, tol_psd, err)) is not None]
+    if lows:
+        raise NumericalContractError(f"evolved state has negative eigenvalue {min(lows):.3e}")
     return out
 
 
@@ -355,8 +363,13 @@ def _lanczos_fixed_vectors(diag, i, j, val, tol, limit=None):
     n = diag.size
 
     def apply(x):
-        w = val * x[j]
-        return diag * x + np.bincount(i, w.real, n) + 1j * np.bincount(i, w.imag, n)
+        re, im = np.zeros(n), np.zeros(n)
+        for at in range(0, len(val), MATVEC_CHUNK):
+            part = slice(at, at + MATVEC_CHUNK)
+            w = val[part] * x[j[part]]
+            re += np.bincount(i[part], w.real, n)
+            im += np.bincount(i[part], w.imag, n)
+        return diag * x + re + 1j * im
 
     def grown(space, k):
         """``space``, doubled (up to n rows) if it has no row k."""

@@ -91,7 +91,7 @@ def validate_density_matrix(rho: np.ndarray, tol_psd: float = TOL_PSD) -> np.nda
     return rho
 
 
-def _negative_eigenvalue(a: np.ndarray, tol: float) -> float | None:
+def _negative_eigenvalue(a: np.ndarray, tol: float, err: float = 0.0) -> float | None:
     """The smallest eigenvalue of the Hermitian part of ``a`` if it is below
     -tol, else None; NaN if ``a`` has a non-finite entry, which no
     factorization or eigensolve can certify.
@@ -102,8 +102,10 @@ def _negative_eigenvalue(a: np.ndarray, tol: float) -> float | None:
     backward error: a computed factor R of h + s I has R^* R = h + s I + E
     with ||E|| <= gamma_{n+1} Tr R^* R (Higham, Accuracy and Stability of
     Numerical Algorithms, Thm. 10.5), here taken four times over for
-    complex arithmetic.  Only when the factorization fails does
-    ``eigvalsh`` decide, so every rejection reports the eigenvalue.
+    complex arithmetic.  ``err`` bounds the norm of the error with which
+    ``a`` itself was formed and joins delta.  Only when the factorization
+    fails does ``eigvalsh`` decide, so every rejection reports the
+    eigenvalue.
     """
     if not np.isfinite(a).all():
         return float("nan")
@@ -111,7 +113,7 @@ def _negative_eigenvalue(a: np.ndarray, tol: float) -> float | None:
     herm = np.conjugate(a).T
     herm += a
     herm /= 2
-    delta = 2 * (n + 1) * np.finfo(float).eps * max(np.trace(herm).real + n * tol, 0.0)
+    delta = 2 * (n + 1) * np.finfo(float).eps * max(np.trace(herm).real + n * tol, 0.0) + err
     herm[np.diag_indices(n)] += tol - delta
     try:
         np.linalg.cholesky(herm)

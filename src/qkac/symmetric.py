@@ -29,6 +29,21 @@ in the order of their other k - 1 types.  One table per k gives the rank
 of an occupation of k - 1 particles with one particle added; it is built
 from the table for k - 1, and every rank stays below the sector size, so
 no rank overflows.
+
+For qubits the state is certified without forming it.  With x_t = A[a, c]
+for t = 2a + c, S_n = [x^n] A^{xN}, and by Schur-Weyl duality A^{xN} acts
+on the spin block k = 0..N//2 (spin (N - 2k) / 2, m = N - 2k) as
+det(A)^k Sym^m(A) (the Dicke/total-spin reduction of Shammah et al.,
+Phys. Rev. A 98, 063815 (2018), and Gegg & Richter, New J. Phys. 18,
+043037 (2016)).  In the orthonormal basis singlet^{xk} x |Dicke_a>, a the
+number of 1s among the m factors, X = sum_n c_n S_n is
+
+    X_k[a, b] = sqrt(C(m, b) / C(m, a)) sum_{j=0..k} (-1)^j C(k, j)
+                sum_i C(b, i) C(m - b, a - i) c[n],
+    n = (m - a - b + i + k - j, b - i + j, a - i + j, i + k - j),
+
+and the spectrum of X is the union of those of the X_k
+(``SymmetricGenerator.blocks``).
 """
 
 from __future__ import annotations
@@ -61,6 +76,66 @@ def _swap_residual(spec: CollisionSpec) -> float:
     return float(np.abs(np.add.reduceat(v, start)).max(initial=0.0))
 
 
+def _qubit_occupations(m: int) -> np.ndarray:
+    """The occupations (n_00, n_01, n_10, n_11) of m qubit particles as the
+    columns of a (4, M) array, in colex order: by n_11, n_10, then n_01."""
+    n11, top = np.triu_indices(m + 1)       # top = n_11 + n_10
+    count = m + 1 - top
+    n01 = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    n10, n11 = np.repeat(top - n11, count), np.repeat(n11, count)
+    return np.stack([m - n01 - n10 - n11, n01, n10, n11])
+
+
+class _SpinBlocks:
+    """The spin blocks X_k, k = 0..N//2, of a qubit sector state of N
+    particles, each with a bound on its forming error.
+
+    The det^k sum is folded one level at a time: g_0 = c, and g_k(p) =
+    g_{k-1}(p + D) - g_{k-1}(p + O) on the occupations p of m = N - 2k
+    particles, p + D adding one particle of each of the types 00 and 11,
+    p + O one of each of 01 and 10.  Each level is held on the cube of
+    (p_01, p_10, p_11).  Then X_k[a, b] sums the g_k(p) with (a, b) =
+    (p_10 + p_11, p_01 + p_11), weighted by sqrt(C(m, b) / C(m, a))
+    C(b, p_11) C(m - b, p_10).  h_k folds |c| the same way with sums; each
+    summand passes through at most k + m + 8 roundings, so eps (k + m + 8)
+    sum |weight| h_k bounds the error of the block's entries, and with it
+    the norm of its error.  Positions, bins and weights depend only on N.
+    """
+
+    def __init__(self, n: int):
+        binom = np.array([[math.comb(r, s) for s in range(n + 1)] for r in range(n + 1)], float)
+        self.m = n - 2 * np.arange(n // 2 + 1)
+        self.rounding = np.finfo(float).eps * (np.arange(len(self.m)) + self.m + 8)
+        _, x, y, z = _qubit_occupations(n)
+        self.top = np.ravel_multi_index((x, y, z), (n + 1,) * 3)
+        # the occupations of N - 2k particles are the (x, y, z) of N with x + y + z <= N - 2k
+        k, src = np.nonzero(np.arange(len(self.m))[:, None] <= (n - x - y - z) // 2)
+        x, y, z, m = x[src], y[src], z[src], n - 2 * k
+        a, b, side = y + z, x + z, m + 1
+        self.w = binom[b, z] * binom[m - b, y] * np.sqrt(binom[m, b] / binom[m, a])
+        offset = np.cumsum(np.r_[0, (self.m + 1) ** 2])
+        self.at, self.size, self.ends = offset[k] + a * side + b, offset[-1], offset[1:]
+        self.starts = np.searchsorted(k, np.arange(len(self.m)))
+        self.cells = np.split((x * side + y) * side + z, self.starts[1:])
+
+    def __call__(self, c: np.ndarray) -> list:
+        g, h = np.zeros((self.m[0] + 1,) * 3, complex), np.zeros((self.m[0] + 1,) * 3)
+        g.flat[self.top], h.flat[self.top] = c, np.abs(c)
+        vals, mags = [], []
+        for k, cells in enumerate(self.cells):
+            if k:   # the cells past the level's simplex hold values never gathered
+                g = g[:-2, :-2, 1:-1] - g[1:-1, 1:-1, :-2]
+                h = h[:-2, :-2, 1:-1] + h[1:-1, 1:-1, :-2]
+            vals.append(g.ravel()[cells])
+            mags.append(h.ravel()[cells])
+        w, g = self.w, np.concatenate(vals)
+        flat = (np.bincount(self.at, w * g.real, self.size)
+                + 1j * np.bincount(self.at, w * g.imag, self.size))
+        err = self.rounding * np.add.reduceat(w * np.concatenate(mags), self.starts)
+        return [(flat[end - (m + 1) ** 2:end].reshape(m + 1, m + 1), e)
+                for m, end, e in zip(self.m, self.ends, err)]
+
+
 def _add_tables(num_types: int, n: int):
     """Yield, for k = 1..n, the table whose entry [r, t] is the rank among
     the occupations of k particles of the occupation of rank r among k - 1
@@ -85,7 +160,8 @@ class SymmetricGenerator:
     ``_rows``, ``_cols`` and ``_vals`` hold Q_N as (row, column, value)
     triples, ``_into`` and ``_last`` the rank tables of ``_add_tables`` for
     N - 1 and N particles, and ``_diag[k]`` the ranks and multinomial
-    weights of the diagonal occupations of N - 2 + k particles, k = 0, 1, 2.
+    weights of the diagonal occupations of N - 2 + k particles, k = 0, 1, 2,
+    and ``_spin`` the spin blocks of a qubit state (None for d > 2).
     Building it raises a ValueError when Q does not commute with the swap
     of its two factors within ``TOL_AXIOM``.
     """
@@ -100,6 +176,7 @@ class SymmetricGenerator:
             raise ValueError(f"spec {spec.name!r} does not commute with the factor swap "
                              f"(residual {residual:.3e}), so its symmetric sector is not exact")
         self.spec, self.num_particles = spec, num_particles
+        self._spin = _SpinBlocks(n) if d == 2 else None
         self.shape = FactorShape(n, d)
         self.size = math.comb(n + d * d - 1, n)
         # diagonal occupations level by level; the weight of each counts its orderings
@@ -160,6 +237,15 @@ class SymmetricGenerator:
         m2 = c[last[into[r2, types[:, None, None]], types[:, None]]] @ w2
         return (m1.reshape(d, d),
                 m2.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d))
+
+    def blocks(self, c: np.ndarray) -> list:
+        """Blocks whose spectra together are the state's, each with a bound on
+        its forming error: the spin blocks for qubits, else the expanded
+        d^N x d^N matrix."""
+        c = self._check(c)
+        if self._spin is not None:
+            return self._spin(c)
+        return [(self.expand(c), 0.0)]
 
     def expand(self, c: np.ndarray) -> np.ndarray:
         """The d^N x d^N matrix of the coefficients: the rank of each entry's

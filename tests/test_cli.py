@@ -831,6 +831,29 @@ def test_chaos_at_n_10_runs_within_its_budget(tmp_path):
     assert len(read_csv(out / "chaos.csv")) == 6
 
 
+def test_chaos_past_the_size_guard_runs_within_its_budget(tmp_path):
+    # 2^40 is far past the guard, but the qubit sector holds C(43, 3)
+    # coefficients and its certificate reads spin blocks of at most 41 rows
+    import resource
+
+    cfg = write_config(tmp_path, {
+        "command": "chaos", "model": QUBIT, "spec": "qubit_tilted", "force": True,
+        "params": {"N_list": [40], "t_max": 1.0, "steps": 4,
+                   "initial": {"kind": "matrix", "state": [[0.6, [0.1, 0.05]], [[0.1, -0.05], 0.4]]}},
+        "output_dir": str(tmp_path / "out")})
+    src = str(Path(qkac.__file__).resolve().parents[1])
+    limit = 1 << 30
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qkac.cli", "--config", str(cfg)], cwd=tmp_path,
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 0, proc.stderr
+    assert len(read_csv(tmp_path / "out" / "chaos.csv")) == 6
+
+
 def test_chaos_entropy_reads_the_psd_tolerance(tmp_path):
     # eigenvalues at or below the psd tolerance count as zero in both
     # entropies, so the kinetic column equals evolve-qkbe's at any tolerance

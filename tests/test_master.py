@@ -172,6 +172,18 @@ def test_evolve_rejects_negative_time(tilted_spec, rng):
         evolve_master(gen, random_state(rng, 4), 0.1, tail_tol=-1e-12)
 
 
+def test_evolve_takes_the_tensor_view(tilted_spec, rng):
+    # the trace and the certificate read the view as its d^N x d^N matrix
+    gen = KacGenerator(tilted_spec, 3)
+    rho = random_state(rng, 8)
+    out = evolve_master(gen, rho.reshape((2,) * 6), 0.5)
+    assert out.shape == (2,) * 6
+    assert np.array_equal(out.reshape(8, 8), evolve_master(gen, rho, 0.5))
+    with pytest.raises(NumericalContractError, match="negative eigenvalue"):
+        evolve_master(gen, np.diag([1.2, -0.2, -0.2, 0.2, -0.2, 0.2, 0.2, -0.2]).reshape(
+            (2,) * 6), 0.01)
+
+
 def test_evolve_semigroup_property(tilted_spec, rng):
     gen = KacGenerator(tilted_spec, 3)
     rho = random_state(rng, 8)

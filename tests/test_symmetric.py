@@ -3,7 +3,10 @@
 Each spec's sector must have C(N + d^2 - 1, N) coefficients, the product
 state's coefficients must expand to ``tensor_power``, and after
 ``evolve_master`` the expanded state and its one- and two-particle
-marginals must match the dense evolution and ``partial_trace``.
+marginals must match the dense evolution and ``partial_trace``.  For
+qubits the spin blocks, each repeated as often as its irreducible
+representation of the permutations, must hold the spectrum of the
+expanded state.
 """
 
 import itertools
@@ -16,9 +19,11 @@ from hypothesis import given, settings
 from qkac.collisions import CollisionSpec, exact_EA2_spec, qubit_tilted_spec, qubit_uniform_spec
 from qkac.errors import NumericalContractError
 from qkac.master import KacGenerator, evolve_master
-from qkac.operators import partial_trace, random_density, tensor, tensor_power
+from qkac.operators import (_negative_eigenvalue, partial_trace, random_density, tensor,
+                            tensor_power)
 from qkac.spectra import SingleParticleModel
-from qkac.symmetric import SymmetricGenerator, _add_tables
+from qkac.symmetric import (SymmetricGenerator, _add_tables, _by_largest_type,
+                            _qubit_occupations, _SpinBlocks)
 from test_random_specs import CASES, random_specs, split_spec
 
 NAMED = {
@@ -148,3 +153,97 @@ def test_sector_evolution_keeps_the_checks(tilted_spec):
         evolve_master(gen, gen.product_state(np.diag([1.5, -0.5])), 0.01)
     with pytest.raises(ValueError, match="operand shape"):
         evolve_master(gen, c[:-1], 0.1)
+
+
+QUBIT_NAMES = ["qubit_tilted", "qubit_uniform", "qubit_tilted_ppa4", "qubit_uniform_ppa4"]
+QUBIT_CASES = [(name, n) for name in QUBIT_NAMES for n in range(2, 9)]
+
+
+def assert_spin_blocks_hold_the_spectrum(spec, n):
+    """On an evolved product state and on a non-positive perturbation of it,
+    the block spectra, block k repeated C(N, k) - C(N, k - 1) times, are the
+    spectrum of the expanded state."""
+    gen = SymmetricGenerator(spec, n)
+    c = evolve_master(gen, gen.product_state(random_density(2, np.random.default_rng(n))), 0.4)
+    for state in (c, c - 0.3 * gen.product_state(np.eye(2) / 2)):
+        full = gen.expand(state)
+        want = np.linalg.eigvalsh((full + full.conj().T) / 2)
+        got = np.concatenate([np.repeat(np.linalg.eigvalsh((b + b.conj().T) / 2),
+                                        math.comb(n, k) - (math.comb(n, k - 1) if k else 0))
+                              for k, (b, _) in enumerate(gen.blocks(state))])
+        assert np.abs(np.sort(got) - want).max() < 1e-13
+
+
+@pytest.mark.parametrize("name,n", QUBIT_CASES, ids=[f"{a}-N{n}" for a, n in QUBIT_CASES])
+def test_spin_blocks_hold_the_spectrum_of_named_specs(name, n):
+    assert_spin_blocks_hold_the_spectrum(NAMED[name](), n)
+
+
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(random_specs([case for case in CASES if case[0] == (0, 1)]))
+def test_spin_blocks_hold_the_spectrum_of_random_sector_specs(case):
+    assert_spin_blocks_hold_the_spectrum(*case)
+
+
+def test_product_spin_blocks_are_the_closed_form():
+    # rho^{xN} with eigenvalues p > q has block k eigenvalues p^(N-s) q^s, s = k..N-k;
+    # in a tilted eigenbasis the det^k fold cancels; values and bounds keep the block's scale
+    u = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    p, q = 0.6, 0.4
+    flat = (u @ np.diag([p, q]) @ u.T).astype(complex).reshape(-1)
+    for n in (2, 3, 8, 100):
+        c = _by_largest_type(np.ones(1, complex), 4, n, lambda part, t: part * flat[t])
+        for k, (block, err) in enumerate(_SpinBlocks(n)(c)):
+            got = np.linalg.eigvalsh((block + block.conj().T) / 2)
+            want = [p ** (n - s) * q ** s for s in range(n - k, k - 1, -1)]
+            scale = p ** (n - k) * q ** k
+            assert np.abs(got - want).max() < 1e-14 * scale
+            assert err < 1e-12 * scale
+
+
+def test_spin_block_error_bound_covers_the_rounding_of_a_pure_state():
+    # det = 0 for a pure state, so every block past k = 0 is rounding noise alone
+    psi = np.array([0.6, 0.8j])
+    flat = np.outer(psi, psi.conj()).reshape(-1)
+    for n in (6, 40):
+        c = _by_largest_type(np.ones(1, complex), 4, n, lambda part, t: part * flat[t])
+        blocks = _SpinBlocks(n)(c)
+        noise = [np.abs(block).sum() for block, _ in blocks[1:]]
+        assert max(noise) > 0
+        assert all(size <= err for size, (_, err) in zip(noise, blocks[1:]))
+
+
+def test_qubit_occupations_are_in_the_sector_order():
+    # the spin blocks read c by this enumeration, so it must be the colex order
+    eye = np.eye(4, dtype=np.int64)
+    for m in range(9):
+        occ = _by_largest_type(np.zeros((1, 4), np.int64), 4, m, lambda part, t: part + eye[t])
+        assert np.array_equal(_qubit_occupations(m), occ.T)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_rejected_qubit_state_reports_the_expanded_eigenvalue(tilted_spec, n):
+    gen = SymmetricGenerator(tilted_spec, n)
+    c = gen.product_state(random_density(2, np.random.default_rng(3)))
+    c = (c - 0.3 * gen.product_state(np.eye(2) / 2)) / 0.7
+    want = _negative_eigenvalue(gen.expand(c), 1e-9)
+    assert want < -1e-3
+    got = min(_negative_eigenvalue(b, 1e-9, err) or 0.0 for b, err in gen.blocks(c))
+    assert got == pytest.approx(want, abs=1e-13)
+    with pytest.raises(NumericalContractError) as dense:
+        evolve_master(KacGenerator(tilted_spec, n), gen.expand(c), 1e-4)
+    with pytest.raises(NumericalContractError) as sector:
+        evolve_master(gen, c, 1e-4)
+    assert str(sector.value) == str(dense.value)
+
+
+def test_qubit_sector_evolution_never_expands(tilted_spec, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the qubit sector state was expanded")
+
+    monkeypatch.setattr(SymmetricGenerator, "expand", refuse)
+    gen = SymmetricGenerator(tilted_spec, 6)
+    c = evolve_master(gen, gen.product_state(np.diag([0.7, 0.3])), 0.5)
+    assert gen.trace(c) == pytest.approx(1.0, abs=1e-13)
+    with pytest.raises(NumericalContractError, match="negative eigenvalue"):
+        evolve_master(gen, gen.product_state(np.diag([1.5, -0.5])), 0.01)
