@@ -112,6 +112,8 @@ class ChaosExperiment:
             raise ValueError("t_grid must increase from 0")
         d = self.spec.dim
         for n in self.N_list:
+            if n < 2:
+                raise ValueError("chaos experiment needs N >= 2")
             check_size_guard(d, n, force=self.force)
 
 
@@ -147,8 +149,6 @@ def run_chaos_experiment(exp: ChaosExperiment, tail_tol: float = TAIL_TOL,
     kinetic = qkbe_integrate(exp.spec, exp.rho0, exp.t_grid, tol_psd=tol_psd)
     rows = []
     for n in exp.N_list:
-        if n < 2:
-            raise ValueError("chaos experiment needs N >= 2")
         gen = SymmetricGenerator(exp.spec, n, force=exp.force)
         state = gen.product_state(exp.rho0)
         for idx, t in enumerate(exp.t_grid):

@@ -78,7 +78,8 @@ class CollisionSpec:
     """Model, name, the channel as the nonzeros ``(rows, cols, values)`` of
     its (d^4, d^4) matrix, each once in row-major order, and, for a sampled
     spec, the nodes ``(weights, unitaries)`` of shapes (m,) and (m, d^2, d^2)
-    that it averages; ``nodes`` is None for a closed-form channel."""
+    that it averages; ``nodes`` is None for a closed-form channel.  Other
+    modules read only its cached ``moves``, ``pairing_residuals`` and ``wild_matrix``."""
 
     model: SingleParticleModel
     name: str
@@ -88,6 +89,35 @@ class CollisionSpec:
     @property
     def dim(self) -> int:
         return self.model.dim
+
+    @cached_property
+    def moves(self) -> tuple:
+        """The channel as (row digits, column digits, values): the digits
+        (a, b, c, f) of each index, its pair operator |a b><c f|, as a (4, nnz) array."""
+        d, (rows, cols, q) = self.dim, self.channel
+        return (*(np.array(np.unravel_index(x, (d,) * 4)) for x in (rows, cols)), q)
+
+    @cached_property
+    def pairing_residuals(self) -> dict:
+        """max |Q[r, c] - Q'[partner of (r, c)]| over the nonzeros, a partner not
+        held counting as 0, for ``hs_self_adjoint``: (c, r), Q' = conj(Q);
+        ``hermiticity_preserving``: each index's |a b><c f| to |c f><a b|,
+        Q' = conj(Q); ``factor_swap``: each |a b><c f| to |b a><f c|, Q' = Q.
+        Each pairing is an involution, so the nonzeros meet every mismatch."""
+        d, (rows, cols, q), (out, src, _) = self.dim, self.channel, self.moves
+        table = dict(zip(zip(rows.tolist(), cols.tolist()), q.tolist()))
+
+        def mismatch(r, c, conj=True):      # (r, c): the partners of the nonzeros
+            partner = [table.get(k, 0) for k in zip(r.tolist(), c.tolist())]
+            return max((abs(v - (w.conjugate() if conj else w))
+                        for v, w in zip(q.tolist(), partner)), default=0.0)
+
+        def moved(perm):
+            return (np.ravel_multi_index(x[perm], (d,) * 4) for x in (out, src))
+
+        return {"hs_self_adjoint": mismatch(cols, rows),
+                "hermiticity_preserving": mismatch(*moved([2, 3, 0, 1])),
+                "factor_swap": mismatch(*moved([1, 0, 3, 2]), conj=False)}
 
     @cached_property
     def wild_matrix(self) -> np.ndarray:
@@ -100,8 +130,7 @@ class CollisionSpec:
         taken once per spec.
         """
         d = self.dim
-        rows, cols, q = self.channel
-        (k, r, l, s), (i, m, j, n) = (np.unravel_index(x, (d,) * 4) for x in (rows, cols))
+        (k, r, l, s), (i, m, j, n), q = self.moves
         on = r == s
         w = np.zeros((d ** 4, d * d), dtype=complex)
         np.add.at(w, (np.ravel_multi_index((i, j, m, n), (d,) * 4)[on], (k * d + l)[on]), q[on])
@@ -292,22 +321,16 @@ def verify_spec(spec: CollisionSpec) -> SpecReport:
         if bad:
             raise ValueError(f"the closed-form channel has {bad} non-finite entries")
         n, eye = d * d, np.eye(d * d).reshape(-1)
-        table = dict(zip(zip(rows.tolist(), cols.tolist()), q.tolist()))
 
         def eye_residual(at, other):    # |vec(1) Q - vec(1)| (at = cols) or |Q vec(1) - vec(1)|
             out = np.zeros(n * n, dtype=complex)
             np.add.at(out, at, eye[other] * q)
             return float(np.abs(out - eye).max())
 
-        def mismatch(partner):          # max |Q_rc - conj(Q_partner(r,c))|, 0 where not held
-            return max((abs(v - table.get(partner(r, c), 0).conjugate())
-                        for (r, c), v in table.items()), default=0.0)
-
         residuals["trace_preserving"] = eye_residual(cols, rows)
         residuals["unital"] = eye_residual(rows, cols)
-        residuals["hermiticity_preserving"] = mismatch(
-            lambda r, c: (r % n * n + r // n, c % n * n + c // n))
-        residuals["hs_self_adjoint"] = mismatch(lambda r, c: (c, r))
+        for name in ("hermiticity_preserving", "hs_self_adjoint"):
+            residuals[name] = spec.pairing_residuals[name]
         # the Choi matrix J[(i,k),(j,l)] = image(E_ij)[k,l] is PSD iff Q is CP; an
         # index whose row and column of J are zero adds only a zero eigenvalue
         live, at = np.unique(np.r_[cols // n * n + rows // n, cols % n * n + rows % n],

@@ -64,6 +64,8 @@ class KacGenerator:
     (d,) * 2N array, ``_moves`` the channel's off-diagonal nonzeros as
     (out digits, in digits, value), and ``_slices`` the rest of Q_N as
     (out slice, in slice, value / binom(N, 2)) triples, per pair and move.
+    ``_pair_diag`` and ``_moves`` split the move table the spec decodes
+    once (``CollisionSpec.moves``), which ``_move_sides`` checks.
     """
 
     spec: CollisionSpec
@@ -81,14 +83,13 @@ class KacGenerator:
         d, n = self.spec.model.dim, self.num_particles
         check_size_guard(d, n, self.force)
         self.shape = FactorShape(n, d)
-        rows, cols, q = self.spec.channel
-        on = rows == cols
-        diag = np.zeros(d ** 4, dtype=complex)
-        diag[rows[on]] = q[on]
-        self._pair_diag = (diag if diag.imag.any() else diag.real).reshape((d,) * 4)
-        out, src = (map(tuple, np.transpose(np.unravel_index(x[~on], (d,) * 4)).tolist())
-                    for x in (rows, cols))
-        self._moves = list(zip(out, src, q[~on].tolist()))
+        out, src, q = self.spec.moves
+        on = (out == src).all(axis=0)
+        diag = np.zeros((d,) * 4, dtype=complex)
+        diag[tuple(out[:, on])] = q[on]
+        self._pair_diag = diag if diag.imag.any() else diag.real
+        self._moves = list(zip(*(map(tuple, x[:, ~on].T.tolist()) for x in (out, src)),
+                               q[~on].tolist()))
         self._diag = np.zeros((d,) * (2 * n), dtype=self._pair_diag.dtype)
         for (i, j) in self.pairs:
             self._diag += _on_pair_axes(self._pair_diag, n, i, j)
@@ -248,20 +249,21 @@ def _move_sides(gen: KacGenerator) -> dict:
     out to in digits); the weight is s / binom(N, 2).  A move that changes a
     pair energy reaches no block: past ``TOL_FIXED_EIG`` it raises a
     ValueError, and a smaller one is left out.  Then each move's reverse
-    must carry the conjugate weight, and the pair diagonal must be real, to
-    1e-8 on the blocks' scale (``NumericalContractError``).
+    must carry the conjugate weight to 1e-8 binom(N, 2), by the spec's
+    ``hs_self_adjoint`` pairing residual, and the pair diagonal must be real
+    to 1e-8 (``NumericalContractError``).
     """
     n, e, scale = gen.num_particles, gen.spec.model.energies, len(gen.pairs)
-    table = {(out, src): s for out, src, s in gen._moves}
-    herm, kept = 2 * np.abs(gen._pair_diag.imag).max(), []
-    for (out, src), s in table.items():
+    kept = []
+    for out, src, s in gen._moves:
         e_out, e_in = [(e[a] + e[b], e[c] + e[f]) for a, b, c, f in (out, src)]
         if e_out == e_in:
             kept.append((e_out, out, np.subtract(src, out), s / scale))
         elif abs(s) > TOL_FIXED_EIG:
             raise ValueError(f"spec {gen.spec.name!r} does not conserve the pair energy: it moves "
                              f"the shells {e_in} to {e_out} with weight {abs(s):.3e}")
-        herm = max(herm, abs(s - np.conj(table.get((src, out), 0))) / scale)
+    herm = max(2 * np.abs(gen._pair_diag.imag).max(),
+               gen.spec.pairing_residuals["hs_self_adjoint"] / scale)
     if herm > 1e-8:
         raise NumericalContractError(f"generator block is not Hermitian ({herm:.3e})")
     weight = gen.shape.factor_dim ** np.arange(n - 1, -1, -1)

@@ -60,10 +60,6 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def tensor_power(op: np.ndarray, n: int) -> np.ndarray:
-    return tensor(*([op] * n))
-
-
 # ---------------------------------------------------------------------------
 # predicates and validation
 # ---------------------------------------------------------------------------

@@ -74,8 +74,12 @@ class ShellStructure:
 
 def shell_structure(model: SingleParticleModel, num_factors: int,
                     force: bool = False) -> ShellStructure:
-    """The cached shell and class structure of the N-factor product basis."""
+    """The cached shell and class structure of the N-factor product basis;
+    its energies are int64 sums, so N max|e| must be below 2^63."""
     check_size_guard(model.dim, num_factors, force=force)
+    if num_factors * max(map(abs, model.energies)) >= 1 << 63:
+        raise ValueError(f"N = {num_factors} times the largest |energy| reaches 2^63, "
+                         "past the range of the int64 N-particle energies")
     return _build_shell_structure(model, num_factors)
 
 

@@ -11,8 +11,9 @@ the K = d^2 matrix-unit types E_ac (type a d + c), each n summing to N,
 so the sector has C(N + K - 1, N) dimensions, and Q_N acts on the
 coefficients c_n.  Summed over ordered pairs of factors,
 Q_N = sum_{i != j} Q_{i,j} / (N (N - 1)), which holds only if Q commutes
-with swapping its two factors.  A channel nonzero q that takes the types
-(u1, u2) of a pair to (v1, v2) then adds
+with swapping its two factors: to ``TOL_AXIOM`` in the spec's cached
+``factor_swap`` pairing residual.  A nonzero q of the spec's decoded
+``moves`` that takes the types (u1, u2) of a pair to (v1, v2) then adds
 
     n_{v1} (n_{v2} - delta_{v1 v2}) q / (N (N - 1)) c_{n - v1 - v2 + u1 + u2}
 
@@ -58,34 +59,6 @@ from .operators import FactorShape
 from .tolerances import TOL_AXIOM, check_size_guard
 
 
-def _swap_residual(spec: CollisionSpec) -> float:
-    """Largest entry of Q - S Q S, S the swap of the two factors: each channel
-    nonzero against its swapped image, a missing image counting as 0."""
-    d = spec.dim
-    rows, cols, q = spec.channel
-
-    def swap(x):
-        a, b, c, f = np.unravel_index(x, (d,) * 4)
-        return np.ravel_multi_index((b, a, f, c), (d,) * 4)
-
-    r, c = np.concatenate([rows, swap(rows)]), np.concatenate([cols, swap(cols)])
-    v = np.concatenate([q, -q])
-    order = np.lexsort((c, r))
-    r, c, v = r[order], c[order], v[order]
-    start = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])])
-    return float(np.abs(np.add.reduceat(v, start)).max(initial=0.0))
-
-
-def _qubit_occupations(m: int) -> np.ndarray:
-    """The occupations (n_00, n_01, n_10, n_11) of m qubit particles as the
-    columns of a (4, M) array, in colex order: by n_11, n_10, then n_01."""
-    n11, top = np.triu_indices(m + 1)       # top = n_11 + n_10
-    count = m + 1 - top
-    n01 = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    n10, n11 = np.repeat(top - n11, count), np.repeat(n11, count)
-    return np.stack([m - n01 - n10 - n11, n01, n10, n11])
-
-
 class _SpinBlocks:
     """The spin blocks X_k, k = 0..N//2, of a qubit sector state of N
     particles, each with a bound on its forming error.
@@ -106,7 +79,8 @@ class _SpinBlocks:
         binom = np.array([[math.comb(r, s) for s in range(n + 1)] for r in range(n + 1)], float)
         self.m = n - 2 * np.arange(n // 2 + 1)
         self.rounding = np.finfo(float).eps * (np.arange(len(self.m)) + self.m + 8)
-        _, x, y, z = _qubit_occupations(n)
+        _, x, y, z = _by_largest_type(np.zeros((1, 4), np.intp), 4, n,
+                                      lambda part, t: part + (np.arange(4) == t)).T
         self.top = np.ravel_multi_index((x, y, z), (n + 1,) * 3)
         # the occupations of N - 2k particles are the (x, y, z) of N with x + y + z <= N - 2k
         k, src = np.nonzero(np.arange(len(self.m))[:, None] <= (n - x - y - z) // 2)
@@ -171,7 +145,7 @@ class SymmetricGenerator:
             raise ValueError("need at least two particles")
         d, n = spec.dim, num_particles
         check_size_guard(d, n, force)
-        residual = _swap_residual(spec)
+        residual = spec.pairing_residuals["factor_swap"]
         if residual > TOL_AXIOM:
             raise ValueError(f"spec {spec.name!r} does not commute with the factor swap "
                              f"(residual {residual:.3e}), so its symmetric sector is not exact")
@@ -191,10 +165,9 @@ class SymmetricGenerator:
         self._diag = list(diag)
         # each channel nonzero with each occupation m of the other N - 2 factors; a
         # pair entry's digits (a, b, c, f) put E_ac on the first factor, E_bf on the second
-        rows, cols, q = spec.channel
+        out, src, q = spec.moves
         (v1, v2), (u1, u2) = ((a[:, None] * d + c[:, None], b[:, None] * d + f[:, None])
-                              for a, b, c, f in (np.unravel_index(x, (d,) * 4)
-                                                 for x in (rows, cols)))
+                              for a, b, c, f in (out, src))
         eye = np.eye(d * d, dtype=np.min_scalar_type(n))
         held = _by_largest_type(np.zeros((1, d * d), eye.dtype), d * d, n - 2,
                                 lambda part, t: part + eye[t])

@@ -1,12 +1,12 @@
 """Helpers that only the tests call, kept out of the library as oracles
-and test fixtures: predicates on matrices, dense factor permutations and
-pair embeddings, shell projectors, the identity-only spec, the qubit grid
-nodes by brute-force merging, the dense channel matrix of a spec, a channel
-matrix as a map and its full Choi matrix, the fixed space of a channel by
-one dense eigensolve, the closed-form diagonal Wild convolution, the dense
-shell blocks of Q_N with their fixed vectors by ``eigh`` and its full
-spectrum, the permutation-covariance residuals and the dissipation form of
-the linearized operator.
+and test fixtures: tensor powers, predicates on matrices, dense factor
+permutations and pair embeddings, shell projectors, the identity-only
+spec, the qubit grid nodes by brute-force merging, the dense channel
+matrix of a spec, a channel matrix as a map and its full Choi matrix, the
+fixed space of a channel by one dense eigensolve, the closed-form diagonal
+Wild convolution, the dense shell blocks of Q_N with their fixed vectors
+by ``eigh`` and its full spectrum, the permutation-covariance residuals
+and the dissipation form of the linearized operator.
 """
 
 import math
@@ -32,6 +32,10 @@ class UnsupportedOperationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # predicates, permutations, embeddings, traces and norms (operators)
 # ---------------------------------------------------------------------------
+
+def tensor_power(op: np.ndarray, n: int) -> np.ndarray:
+    return tensor(*([op] * n))
+
 
 def is_unitary(a: np.ndarray) -> bool:
     eye = np.eye(a.shape[0])

@@ -181,6 +181,12 @@ def test_chaos_grid_validation(tilted_spec):
                         np.array([0.1, 0.2]))
 
 
+def test_chaos_refuses_one_particle_at_construction(tilted_spec):
+    # before any kinetic or N-particle work is run
+    with pytest.raises(ValueError, match="needs N >= 2"):
+        ChaosExperiment(tilted_spec, qubit_state(0.5, 0.1), [1], np.array([0.0, 0.5]))
+
+
 def test_chaos_never_reaches_the_dense_kernel(tilted_spec, monkeypatch):
     # a product state stays in the symmetric sector: no d^N x d^N generator
     import qkac.chaos as chaos

@@ -22,9 +22,9 @@ from qkac import cli
 from qkac.cli import main
 from qkac.collisions import spec_by_name
 from qkac.master import KacGenerator, evolve_master
-from qkac.operators import (random_density, relative_entropy, tensor_power,
-                            trace_norm, von_neumann_entropy)
+from qkac.operators import random_density, relative_entropy, trace_norm, von_neumann_entropy
 from qkac.spectra import SingleParticleModel, commutant_projection
+from oracles import tensor_power
 from test_pair_kernel import random_family_spec
 
 
@@ -802,6 +802,23 @@ def test_chaos_passes_the_tolerances_on(tmp_path, monkeypatch):
     assert seen[0] == ("qkbe_integrate", {"tol_psd": 2e-9})
     assert seen[1:] == [("evolve_master", {"tail_tol": 1e-11, "tol_psd": 2e-9})] * 4
     assert f"psd={2e-9:.17g} tail={1e-11:.17g}" in (out / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("command, energies, n, spec", [
+    ("ergodicity", [0, 2 ** 62], 4, None),
+    ("ergodicity", [0, 2 ** 63], 2, None),
+    ("steady-states", [0, 1, 2 ** 62], 2, "exact_ea2"),
+], ids=["ergodicity_N4", "ergodicity_2_63", "steady_states_exact_ea2"])
+def test_energies_past_int64_exit_1(tmp_path, capsys, command, energies, n, spec):
+    # the N-particle energies would wrap in int64 and merge or mislabel shells
+    doc = {"command": command, "model": {"dim": len(energies), "energies": energies},
+           "params": {"N": n}}
+    if spec:
+        doc["spec"] = spec
+    code, out = run_cli(tmp_path, doc)
+    assert code == 1
+    assert "reaches 2^63" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_chaos_refuses_a_swap_asymmetric_spec(tmp_path, monkeypatch, capsys):

@@ -690,6 +690,15 @@ def test_closed_form_residuals_match_their_dense_formulas(qubit_model, rng):
         assert got.keys() == want.keys()
         assert all(abs(got[k] - want[k]) <= 1e-12 for k in got), (spec.name, got, want)
     assert min(verify_spec(specs[2]).residuals.values()) > 0.1
+    # the factor-swap residual, which only the symmetric sector reads: |S Q S - Q|
+    from test_symmetric import dephase_first_factor
+
+    for spec in [*specs, qubit_uniform_spec(), qubit_tilted_spec(4), dephase_first_factor()]:
+        s8 = dense_channel(spec).reshape((spec.dim,) * 8)
+        want = np.abs(s8.transpose(1, 0, 3, 2, 5, 4, 7, 6) - s8).max()
+        assert abs(spec.pairing_residuals["factor_swap"] - want) <= 1e-12, spec.name
+    assert specs[2].pairing_residuals["factor_swap"] > 0.1
+    assert dephase_first_factor().pairing_residuals["factor_swap"] == 1.0
 
 
 def test_cp_residual_on_the_choi_support_matches_the_full_eigensolve(qubit_model):

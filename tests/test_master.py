@@ -12,14 +12,14 @@ from qkac.master import (KacGenerator, _lanczos_fixed_vectors, _null_blocks, _sp
                          evolve_master, ln_null_basis, steady_state_classes,
                          steady_states_basis)
 from qkac.operators import (commutator, partial_trace, relative_entropy, swap_unitary,
-                            tensor_power, trace_norm)
+                            trace_norm)
 from qkac.spectra import (SingleParticleModel, commutant_projection, is_fully_ergodic,
                           shell_structure)
 from qkac.tolerances import TOL_PSD
 from conftest import random_matrix, random_state, symmetrize_state
 from oracles import (_shell_block, as_map, dense_channel, dense_block_fixed_vectors, embed_pair,
                      hermitian_function, identity_spec, permutation_covariance_check,
-                     qn_spectrum, shell_state)
+                     qn_spectrum, shell_state, tensor_power)
 
 
 def pair_sum_oracle(spec, rho, num_particles):
@@ -405,11 +405,14 @@ def test_three_level_steady_states_at_N6_match_the_class_counts():
 
 @pytest.mark.parametrize("delta,raises", [(1e-6, True), (2e-9, False)])
 def test_non_hermitian_block_raises(tilted_spec, delta, raises):
-    # one move gets a different weight from its reverse; on the blocks,
-    # which carry s / binom(N, 2), the two differ by delta
-    gen = KacGenerator(tilted_spec, 3)
-    dst, src, s = gen._moves[0]
-    gen._moves[0] = (dst, src, s + delta * len(gen.pairs))
+    # the channel gives its first move a weight off from its reverse's by
+    # delta binom(N, 2); on the N = 3 blocks, which carry s / binom(N, 2),
+    # the two differ by delta
+    rows, cols, q = tilted_spec.channel
+    first = np.flatnonzero(rows != cols)[0]
+    q = q.copy()
+    q[first] += delta * math.comb(3, 2)
+    gen = KacGenerator(CollisionSpec(tilted_spec.model, "bent", (rows, cols, q)), 3)
     if raises:
         with pytest.raises(NumericalContractError, match="not Hermitian"):
             ln_null_basis(gen)
@@ -418,11 +421,14 @@ def test_non_hermitian_block_raises(tilted_spec, delta, raises):
 
 
 def test_move_without_reverse_raises(tilted_spec):
-    gen = KacGenerator(tilted_spec, 3)
-    dst, src, _ = gen._moves[0]
-    gen._moves = [m for m in gen._moves if m[:2] != (src, dst)]
+    # the channel drops the reverse of its first move
+    rows, cols, q = tilted_spec.channel
+    first = np.flatnonzero(rows != cols)[0]
+    keep = (rows != cols[first]) | (cols != rows[first])
+    assert np.count_nonzero(~keep) == 1
+    spec = CollisionSpec(tilted_spec.model, "one_way", (rows[keep], cols[keep], q[keep]))
     with pytest.raises(NumericalContractError, match="not Hermitian"):
-        ln_null_basis(gen)
+        ln_null_basis(KacGenerator(spec, 3))
 
 
 def test_steady_states_nonergodic_mismatch_raises(qubit_model):

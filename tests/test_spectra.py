@@ -311,6 +311,21 @@ def test_huge_N_meets_the_size_guard_without_forming_d_to_the_N(call):
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize("energies, n", [
+    ((0, 2 ** 62), 4), ((0, 2 ** 63), 2), ((0, 1, 2 ** 62), 2), ((-2 ** 62, 0), 2)])
+def test_energies_past_int64_are_refused(energies, n):
+    # the N-particle energies are int64 sums: at N max|e| >= 2^63 they would wrap
+    with pytest.raises(ValueError, match=r"reaches 2\^63"):
+        shell_structure(SingleParticleModel(energies), n)
+
+
+def test_energies_just_inside_int64_are_exact():
+    top = 2 ** 62 - 1
+    st = shell_structure(SingleParticleModel((0, top)), 2)
+    assert [(E, len(idx)) for E, idx in st.shells] == [(0, 1), (top, 2), (2 * top, 1)]
+    assert all(type(E) is int for E, _ in st.shells)
+
+
 def test_derivation_check_meets_the_size_guard(tilted_spec):
     # the operand shapes bound N here: X on 58 qubits, as a broadcast view
     x = np.broadcast_to(np.complex128(0), (2 ** 58,))

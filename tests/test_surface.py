@@ -1,7 +1,8 @@
 """The public surface that code outside the library reads: every function
 the benchmark traces and every name the acceptance suite imports resolves,
-the helpers only tests call live in ``oracles``, not in ``qkac``, and the
-library's qubit grid nodes are those of the brute-force oracle there."""
+the helpers only tests call live in ``oracles``, not in ``qkac``, only
+``collisions`` reads a spec's channel, and the library's qubit grid nodes
+are those of the brute-force oracle there."""
 
 import ast
 import dataclasses
@@ -25,7 +26,7 @@ MOVED_TO_ORACLES = (
     "identity_spec", "wild_diagonal", "is_steady", "TOL_STEADY",
     "qn_spectrum", "permutation_covariance_check",
     "dirichlet_form", "UnsupportedOperationError", "merged_qubit_grid_nodes",
-    "fixed_space_of_Q", "_shell_block", "dense_channel",
+    "fixed_space_of_Q", "_shell_block", "dense_channel", "tensor_power",
 )
 
 
@@ -75,6 +76,15 @@ def test_a_spec_holds_the_channel_matrix_and_node_arrays():
     # the channel is held as its nonzeros (rows, cols, values), not as a matrix
     rows, cols, values = qkac.qubit_tilted_spec().channel
     assert rows.ndim == cols.ndim == values.ndim == 1 and len(rows) == len(cols) == len(values)
+
+
+def test_only_the_spec_reads_its_channel():
+    # every other module reads the spec's decoded ``moves`` and its cached
+    # pairing residuals, so the channel is decoded and checked once per spec
+    readers = sorted(path.name for path in (ROOT / "src" / "qkac").glob("*.py")
+                     if any(isinstance(node, ast.Attribute) and node.attr == "channel"
+                            for node in ast.walk(ast.parse(path.read_text()))))
+    assert readers == ["collisions.py"]
 
 
 @pytest.mark.parametrize("tilted", [False, True], ids=["uniform", "tilted"])

@@ -19,11 +19,10 @@ from hypothesis import given, settings
 from qkac.collisions import CollisionSpec, exact_EA2_spec, qubit_tilted_spec, qubit_uniform_spec
 from qkac.errors import NumericalContractError
 from qkac.master import KacGenerator, evolve_master
-from qkac.operators import (_negative_eigenvalue, partial_trace, random_density, tensor,
-                            tensor_power)
+from qkac.operators import _negative_eigenvalue, partial_trace, random_density, tensor
 from qkac.spectra import SingleParticleModel
-from qkac.symmetric import (SymmetricGenerator, _add_tables, _by_largest_type,
-                            _qubit_occupations, _SpinBlocks)
+from qkac.symmetric import SymmetricGenerator, _add_tables, _by_largest_type, _SpinBlocks
+from oracles import tensor_power
 from test_random_specs import CASES, random_specs, split_spec
 
 NAMED = {
@@ -211,14 +210,6 @@ def test_spin_block_error_bound_covers_the_rounding_of_a_pure_state():
         noise = [np.abs(block).sum() for block, _ in blocks[1:]]
         assert max(noise) > 0
         assert all(size <= err for size, (_, err) in zip(noise, blocks[1:]))
-
-
-def test_qubit_occupations_are_in_the_sector_order():
-    # the spin blocks read c by this enumeration, so it must be the colex order
-    eye = np.eye(4, dtype=np.int64)
-    for m in range(9):
-        occ = _by_largest_type(np.zeros((1, 4), np.int64), 4, m, lambda part, t: part + eye[t])
-        assert np.array_equal(_qubit_occupations(m), occ.T)
 
 
 @pytest.mark.parametrize("n", [3, 6])
