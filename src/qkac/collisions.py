@@ -100,11 +100,15 @@ class CollisionSpec:
     @cached_property
     def pairing_residuals(self) -> dict:
         """max |Q[r, c] - Q'[partner of (r, c)]| over the nonzeros, a partner not
-        held counting as 0, for ``hs_self_adjoint``: (c, r), Q' = conj(Q);
-        ``hermiticity_preserving``: each index's |a b><c f| to |c f><a b|,
+        held counting as 0, for ``hermiticity_preserving``: each index's
+        |a b><c f| to |c f><a b|, Q' = conj(Q); ``hs_self_adjoint``: (c, r),
         Q' = conj(Q); ``factor_swap``: each |a b><c f| to |b a><f c|, Q' = Q.
-        Each pairing is an involution, so the nonzeros meet every mismatch."""
+        Each pairing is an involution, so the nonzeros meet every mismatch.
+        And ``pair_energy``: the largest |Q| of a nonzero that moves
+        |a b><c f| to an operator of another row or column pair energy
+        e_a + e_b or e_c + e_f, summed exactly as integers."""
         d, (rows, cols, q), (out, src, _) = self.dim, self.channel, self.moves
+        e = np.array(self.model.energies, dtype=object)
         table = dict(zip(zip(rows.tolist(), cols.tolist()), q.tolist()))
 
         def mismatch(r, c, conj=True):      # (r, c): the partners of the nonzeros
@@ -115,9 +119,11 @@ class CollisionSpec:
         def moved(perm):
             return (np.ravel_multi_index(x[perm], (d,) * 4) for x in (out, src))
 
-        return {"hs_self_adjoint": mismatch(cols, rows),
-                "hermiticity_preserving": mismatch(*moved([2, 3, 0, 1])),
-                "factor_swap": mismatch(*moved([1, 0, 3, 2]), conj=False)}
+        shifted = (e[out[::2]] + e[out[1::2]] != e[src[::2]] + e[src[1::2]]).any(axis=0)
+        return {"hermiticity_preserving": mismatch(*moved([2, 3, 0, 1])),
+                "hs_self_adjoint": mismatch(cols, rows),
+                "factor_swap": mismatch(*moved([1, 0, 3, 2]), conj=False),
+                "pair_energy": float(np.abs(q[shifted]).max(initial=0.0))}
 
     @cached_property
     def wild_matrix(self) -> np.ndarray:
@@ -284,7 +290,8 @@ def verify_spec(spec: CollisionSpec) -> SpecReport:
     identity membership, adjoint and swap closure as weighted sets).
     Closed-form channels are checked as maps: trace preserving, unital,
     Hermiticity preserving, self-adjoint for the Hilbert-Schmidt pairing,
-    and completely positive via the Choi matrix on its support.  A
+    symmetric under the factor swap, conserving the pair energy, and
+    completely positive via the Choi matrix on its support.  A
     non-finite node or channel entry, which no residual can measure,
     raises ValueError.
     """
@@ -329,8 +336,7 @@ def verify_spec(spec: CollisionSpec) -> SpecReport:
 
         residuals["trace_preserving"] = eye_residual(cols, rows)
         residuals["unital"] = eye_residual(rows, cols)
-        for name in ("hermiticity_preserving", "hs_self_adjoint"):
-            residuals[name] = spec.pairing_residuals[name]
+        residuals.update(spec.pairing_residuals)
         # the Choi matrix J[(i,k),(j,l)] = image(E_ij)[k,l] is PSD iff Q is CP; an
         # index whose row and column of J are zero adds only a zero eigenvalue
         live, at = np.unique(np.r_[cols // n * n + rows // n, cols % n * n + rows % n],

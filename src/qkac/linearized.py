@@ -28,7 +28,9 @@ takes place).  K is BKM self-adjoint and negative semidefinite, its
 kernel is the span of the collision invariants, and the spectral gap is
 the smallest decay rate orthogonal to that kernel.  In the eigenbasis of
 rho_inf the matrix units scaled by 1 / sqrt(L_ij) are BKM-orthonormal, so
-there -K is a Hermitian matrix whose eigenvalues are the decay rates.
+there -K is a Hermitian positive semidefinite matrix whose eigenvalues
+are the decay rates: the first k are the zeros of the k invariants, and
+the gap is the next one.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .boltzmann import collision_invariants_basis, wild
+from .boltzmann import classify_steady_states, wild
 from .collisions import CollisionSpec
 from .master import KacGenerator, apply_QN
 from .operators import tensor
@@ -177,11 +179,15 @@ def spectral_gap(spec: CollisionSpec, geo: BKMGeometry):
     BKM-orthonormal scaled matrix units is the Hermitian d^2 x d^2 matrix
     M = -diag(sqrt L) U^* K U diag(sqrt L)^{-1}.  K preserves Hermiticity,
     so the eigenvalues of M are exactly the Hermitian-sector decay rates.
-    Returns (gap, kernel_dim): kernel_dim counts the near-zero eigenvalues
-    of M, and gap is the smallest eigenvalue of M on the orthogonal
-    complement of the scaled coordinates of the collision invariants,
-    spanned by right singular vectors of those coordinates; the gap does
-    not depend on which orthonormal basis of the complement is taken.
+    M is positive semidefinite with the k collision invariants in its
+    kernel (module docstring), so by Courant-Fischer its smallest
+    eigenvalue on their orthogonal complement is its (k+1)-th eigenvalue,
+    however large the kernel.  Returns (gap, kernel_dim): gap is that
+    eigenvalue, k the dimension of the model's steady-state family, and
+    kernel_dim counts the near-zero eigenvalues of M.  Those facts rest on
+    the axioms that ``verify_spec`` checks; for a hand-built spec outside
+    them the number may differ from the minimum on the complement.  Every
+    spec the CLI names obeys them.
     """
     u = np.kron(geo.eigvecs, geo.eigvecs.conj())
     scale = np.sqrt(geo.multipliers).ravel()
@@ -189,15 +195,6 @@ def spectral_gap(spec: CollisionSpec, geo: BKMGeometry):
     resid = np.abs(m - m.conj().T).max()
     if resid > 1e-9:
         raise ValueError(f"the linearized operator is not BKM self-adjoint ({resid:.3e})")
-    m = (m + m.conj().T) / 2
-    kernel_dim = int((np.abs(np.linalg.eigvalsh(m)) < _GAP_KERNEL_TOL).sum())
-    invariants = np.stack(collision_invariants_basis(spec.model))
-    # row a is diag(sqrt L) U^* vec(invariant a); the complement is the null
-    # space of the conjugate rows: the right singular vectors past their rank,
-    # counted as scipy.linalg.null_space counts it
-    coords = scale * (invariants.reshape(len(invariants), -1) @ u.conj())
-    _, s, vh = np.linalg.svd(coords.conj())
-    rank = int((s > s.max() * np.finfo(float).eps * max(coords.shape)).sum())
-    comp = vh[rank:].conj().T
-    gap = float(np.linalg.eigvalsh(comp.conj().T @ m @ comp).min())
-    return gap, kernel_dim
+    w = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    k = classify_steady_states(spec.model).dimension
+    return float(w[k]), int((np.abs(w) < _GAP_KERNEL_TOL).sum())

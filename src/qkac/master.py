@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,10 +54,10 @@ MAX_JUMP_RATE = 1000.0
 # temporaries take 32 bytes a triple, so a pass holds at most 32 MB of them.
 MATVEC_CHUNK = 1 << 20
 
-@dataclass
 class KacGenerator:
     """Pair-averaged collision generator on N particles.
 
+    ``pairs`` lists the pairs of factors (i, j) with i < j,
     ``_pair_diag`` is the channel diagonal on its (d,) * 4 pair axes,
     ``_diag`` its average over the pairs' axes (i, j, N+i, N+j) as one
     (d,) * 2N array, ``_moves`` the channel's off-diagonal nonzeros as
@@ -68,22 +67,15 @@ class KacGenerator:
     once (``CollisionSpec.moves``), which ``_move_sides`` checks.
     """
 
-    spec: CollisionSpec
-    num_particles: int
-    force: bool = False
-    shape: FactorShape = field(init=False)
-    _pair_diag: np.ndarray = field(init=False, repr=False)
-    _diag: np.ndarray = field(init=False, repr=False)
-    _moves: list = field(init=False, repr=False)
-    _slices: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.num_particles < 2:
+    def __init__(self, spec: CollisionSpec, num_particles: int, force: bool = False):
+        if num_particles < 2:
             raise ValueError("need at least two particles")
-        d, n = self.spec.model.dim, self.num_particles
-        check_size_guard(d, n, self.force)
+        d, n = spec.model.dim, num_particles
+        check_size_guard(d, n, force)
+        self.spec, self.num_particles, self.force = spec, num_particles, force
         self.shape = FactorShape(n, d)
-        out, src, q = self.spec.moves
+        self.pairs = list(itertools.combinations(range(n), 2))
+        out, src, q = spec.moves
         on = (out == src).all(axis=0)
         diag = np.zeros((d,) * 4, dtype=complex)
         diag[tuple(out[:, on])] = q[on]
@@ -96,11 +88,6 @@ class KacGenerator:
         self._diag /= len(self.pairs)
         self._slices = [(dst, src, s / len(self.pairs)) for (i, j) in self.pairs
                         for dst, src, s in _pair_slices(self, i, j)]
-
-    @property
-    def pairs(self):
-        n = self.num_particles
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     # the state hooks of ``evolve_master``, shared with ``SymmetricGenerator``
     def jump(self, rho: np.ndarray) -> np.ndarray:
@@ -247,21 +234,22 @@ def _move_sides(gen: KacGenerator) -> dict:
 
     Each side is (the pair's factors, its out digits, flat-index shift from
     out to in digits); the weight is s / binom(N, 2).  A move that changes a
-    pair energy reaches no block: past ``TOL_FIXED_EIG`` it raises a
-    ValueError, and a smaller one is left out.  Then each move's reverse
-    must carry the conjugate weight to 1e-8 binom(N, 2), by the spec's
-    ``hs_self_adjoint`` pairing residual, and the pair diagonal must be real
-    to 1e-8 (``NumericalContractError``).
+    pair energy reaches no block: when the spec's ``pair_energy`` residual
+    is past ``TOL_FIXED_EIG`` a ValueError is raised, and a smaller move is
+    left out.  Then each move's reverse must carry the conjugate weight to
+    1e-8 binom(N, 2), by the spec's ``hs_self_adjoint`` pairing residual,
+    and the pair diagonal must be real to 1e-8 (``NumericalContractError``).
     """
     n, e, scale = gen.num_particles, gen.spec.model.energies, len(gen.pairs)
+    moved = gen.spec.pairing_residuals["pair_energy"]
+    if moved > TOL_FIXED_EIG:
+        raise ValueError(f"spec {gen.spec.name!r} does not conserve the pair energy: it moves "
+                         f"operators between pair energies with weight up to {moved:.3e}")
     kept = []
     for out, src, s in gen._moves:
         e_out, e_in = [(e[a] + e[b], e[c] + e[f]) for a, b, c, f in (out, src)]
         if e_out == e_in:
             kept.append((e_out, out, np.subtract(src, out), s / scale))
-        elif abs(s) > TOL_FIXED_EIG:
-            raise ValueError(f"spec {gen.spec.name!r} does not conserve the pair energy: it moves "
-                             f"the shells {e_in} to {e_out} with weight {abs(s):.3e}")
     herm = max(2 * np.abs(gen._pair_diag.imag).max(),
                gen.spec.pairing_residuals["hs_self_adjoint"] / scale)
     if herm > 1e-8:

@@ -5,17 +5,18 @@ spec, the qubit grid nodes by brute-force merging, the dense channel
 matrix of a spec, a channel matrix as a map and its full Choi matrix, the
 fixed space of a channel by one dense eigensolve, the closed-form diagonal
 Wild convolution, the dense shell blocks of Q_N with their fixed vectors
-by ``eigh`` and its full spectrum, the permutation-covariance residuals
-and the dissipation form of the linearized operator.
+by ``eigh`` and its full spectrum, the permutation-covariance residuals,
+and the dissipation form and complement-projected spectral gap of the
+linearized operator.
 """
 
 import math
 
 import numpy as np
 
-from qkac.boltzmann import wild
+from qkac.boltzmann import collision_invariants_basis, wild
 from qkac.collisions import CollisionSpec, superoperator_from_nodes
-from qkac.linearized import BKMGeometry, multiply_super
+from qkac.linearized import BKMGeometry, build_K, multiply_super
 from qkac.master import KacGenerator, apply_pair_channel, apply_QN
 from qkac.operators import (FactorShape, _invert, _require_hermitian,
                             _validate_permutation, is_hermitian, permute_factors, tensor)
@@ -363,7 +364,7 @@ def permutation_covariance_check(gen: KacGenerator, rho: np.ndarray, pi,
 
 
 # ---------------------------------------------------------------------------
-# dissipation form of the linearized operator (linearized)
+# dissipation form and spectral gap of the linearized operator (linearized)
 # ---------------------------------------------------------------------------
 
 def dirichlet_form(spec: CollisionSpec, geo: BKMGeometry, a: np.ndarray,
@@ -394,3 +395,23 @@ def dirichlet_form(spec: CollisionSpec, geo: BKMGeometry, a: np.ndarray,
         db = bsharp - u @ bsharp @ u.conj().T
         total += w * np.trace(db.conj().T @ multiply_super(pair_geo, da))
     return complex(-0.5 * total)
+
+
+def complement_gap(spec: CollisionSpec, geo: BKMGeometry) -> float:
+    """The smallest eigenvalue of the matrix M of ``spectral_gap`` on the
+    orthogonal complement of the scaled coordinates of the collision
+    invariants, spanned by right singular vectors of those coordinates; it
+    does not depend on which orthonormal basis of the complement is taken."""
+    u = np.kron(geo.eigvecs, geo.eigvecs.conj())
+    scale = np.sqrt(geo.multipliers).ravel()
+    m = -scale[:, None] * (u.conj().T @ build_K(spec, geo) @ u) / scale
+    m = (m + m.conj().T) / 2
+    invariants = np.stack(collision_invariants_basis(spec.model))
+    # row a is diag(sqrt L) U^* vec(invariant a); the complement is the null
+    # space of the conjugate rows: the right singular vectors past their rank,
+    # counted as scipy.linalg.null_space counts it
+    coords = scale * (invariants.reshape(len(invariants), -1) @ u.conj())
+    _, s, vh = np.linalg.svd(coords.conj())
+    rank = int((s > s.max() * np.finfo(float).eps * max(coords.shape)).sum())
+    comp = vh[rank:].conj().T
+    return float(np.linalg.eigvalsh(comp.conj().T @ m @ comp).min())

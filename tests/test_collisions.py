@@ -129,12 +129,18 @@ def test_tilted_channel_powers_converge(tilted_spec, uniform_spec):
 
 
 def test_verify_passes_builtin_specs(uniform_spec, tilted_spec,
-                                     uniform_sampled16, tilted_sampled16,
-                                     ea2_three_level):
-    for spec in (uniform_spec, tilted_spec, uniform_sampled16,
-                 tilted_sampled16, ea2_three_level):
+                                     uniform_sampled16, tilted_sampled16):
+    # spectral_gap reads the gap off the eigenvalues by the axioms, the factor
+    # swap and the pair energy included, so every built-in spec passes them all
+    specs = [uniform_spec, tilted_spec, uniform_sampled16, tilted_sampled16,
+             qubit_uniform_spec(4), qubit_tilted_spec(4),
+             *(exact_EA2_spec(SingleParticleModel(e))
+               for e in [(0, 1, 2), (0, 1, 4, 5), (0, 1, 1, 2), (0, 1, 3, 7, 12, 20, 30, 44)])]
+    for spec in specs:
         report = verify_spec(spec)
         assert report.passes, (spec.name, report.violations)
+        if spec.nodes is None:
+            assert {"factor_swap", "pair_energy"} <= report.residuals.keys()
 
 
 def test_verify_flags_missing_identity(tilted_sampled16):
@@ -665,40 +671,66 @@ def transpose_map(n):
     return q
 
 
+def depolarizing(model):
+    """Q(X) = Tr(X) 1 / d^2 on the pair: CP, unital and HS self-adjoint, but
+    it moves every operator to the identity, across the pair energies."""
+    n = model.dim ** 2
+    diag = np.arange(n) * (n + 1)
+    return CollisionSpec(model, "depolarizing", (np.repeat(diag, n), np.tile(diag, n),
+                                                 np.full(n * n, 1.0 / n, dtype=complex)))
+
+
 def test_closed_form_residuals_match_their_dense_formulas(qubit_model, rng):
-    # verify_spec reads only the nonzeros; the five residuals by their dense
+    # verify_spec reads only the nonzeros; the seven residuals by their dense
     # formulas on the whole matrix, for maps that break each axiom: a random
-    # complex matrix breaks all five, the transpose only complete positivity,
-    # the population swap none
+    # complex matrix breaks all seven, the transpose complete positivity and
+    # the pair energy, the population swap and the depolarizing channel only
+    # the pair energy, the first-factor dephasing only the factor swap; the
+    # maps |00><00| -> |00><11| and -> |11><00| move the column and the row
+    # pair energy alone, and break the first four rows too (the second, CP)
+    from test_symmetric import dephase_first_factor
+
     swap = np.zeros((16, 16), dtype=complex)
     swap[0, 15] = swap[15, 0] = 1.0
     swap[np.ix_([5, 10], [5, 10])] = 0.5
+    column_move, row_move = np.zeros((2, 16, 16), dtype=complex)
+    column_move[3, 0] = row_move[12, 0] = 1.0
     specs = [qubit_tilted_spec(), exact_EA2_spec(SingleParticleModel((0, 1, 2))),
              *(CollisionSpec(qubit_model, "map", nonzeros(q))
-               for q in (random_matrix(rng, 16), transpose_map(4), swap))]
+               for q in (random_matrix(rng, 16), transpose_map(4), swap)),
+             qubit_uniform_spec(), qubit_tilted_spec(4), dephase_first_factor(),
+             depolarizing(qubit_model), depolarizing(SingleParticleModel((0, 1, 2))),
+             *(CollisionSpec(qubit_model, "map", nonzeros(q)) for q in (column_move, row_move))]
     for spec in specs:
         q = dense_channel(spec)
         n = spec.dim ** 2
         eye = np.eye(n).reshape(-1)
         s4 = q.reshape(n, n, n, n)
+        s8 = q.reshape((spec.dim,) * 8)
+        e2 = np.add.outer(*[np.array(spec.model.energies)] * 2).reshape(-1)
+        moved = (e2[:, None, None, None] != e2[:, None]) | (e2[:, None, None] != e2)
         want = {"trace_preserving": np.abs(eye @ q - eye).max(),
                 "unital": np.abs(q @ eye - eye).max(),
                 "hermiticity_preserving": np.abs(s4 - s4.transpose(1, 0, 3, 2).conj()).max(),
                 "hs_self_adjoint": np.abs(q - q.conj().T).max(),
+                "factor_swap": np.abs(s8.transpose(1, 0, 3, 2, 5, 4, 7, 6) - s8).max(),
+                "pair_energy": np.abs(s4[moved]).max(initial=0.0),
                 "completely_positive": max(0.0, -np.linalg.eigvalsh(choi(q)).min())}
-        got = verify_spec(spec).residuals
-        assert got.keys() == want.keys()
+        got = spec.pairing_residuals
+        if spec.nodes is None:      # verify_spec checks a sampled spec's nodes instead
+            got = verify_spec(spec).residuals
+            assert got.keys() == want.keys()
         assert all(abs(got[k] - want[k]) <= 1e-12 for k in got), (spec.name, got, want)
     assert min(verify_spec(specs[2]).residuals.values()) > 0.1
-    # the factor-swap residual, which only the symmetric sector reads: |S Q S - Q|
-    from test_symmetric import dephase_first_factor
-
-    for spec in [*specs, qubit_uniform_spec(), qubit_tilted_spec(4), dephase_first_factor()]:
-        s8 = dense_channel(spec).reshape((spec.dim,) * 8)
-        want = np.abs(s8.transpose(1, 0, 3, 2, 5, 4, 7, 6) - s8).max()
-        assert abs(spec.pairing_residuals["factor_swap"] - want) <= 1e-12, spec.name
-    assert specs[2].pairing_residuals["factor_swap"] > 0.1
-    assert dephase_first_factor().pairing_residuals["factor_swap"] == 1.0
+    broken = [[v.split(":")[0] for v in verify_spec(spec).violations] for spec in specs[3:]]
+    assert broken == [["pair_energy", "completely_positive"], ["pair_energy"], [], [],
+                      ["factor_swap"], ["pair_energy"], ["pair_energy"],
+                      ["trace_preserving", "unital", "hermiticity_preserving",
+                       "hs_self_adjoint", "pair_energy"],
+                      ["trace_preserving", "unital", "hermiticity_preserving",
+                       "hs_self_adjoint", "pair_energy", "completely_positive"]]
+    assert verify_spec(dephase_first_factor()).residuals["factor_swap"] == 1.0
+    assert verify_spec(depolarizing(qubit_model)).residuals["pair_energy"] == 0.25
 
 
 def test_cp_residual_on_the_choi_support_matches_the_full_eigensolve(qubit_model):
@@ -715,7 +747,8 @@ def test_cp_residual_on_the_choi_support_matches_the_full_eigensolve(qubit_model
         assert abs(got - want) <= 1e-15, spec.name
     transpose = verify_spec(specs[2])
     assert transpose.residuals["completely_positive"] == pytest.approx(1.0, abs=1e-15)
-    assert [v.split(":")[0] for v in transpose.violations] == ["completely_positive"]
+    assert [v.split(":")[0] for v in transpose.violations] == ["pair_energy",
+                                                               "completely_positive"]
 
 
 def assert_node_arrays(nodes, d2):

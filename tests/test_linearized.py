@@ -4,16 +4,18 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkac import linearized
 from qkac.boltzmann import (classify_steady_states, collision_invariants_basis,
                             gibbs, wild)
-from qkac.collisions import exact_EA2_spec, qubit_tilted_spec, qubit_uniform_spec
+from qkac.collisions import exact_EA2_spec, qubit_tilted_spec, qubit_uniform_spec, spec_by_name
 from qkac.linearized import (BKMGeometry, bkm_inner, build_K, divide_super,
                              multiply_super, spectral_gap)
 from qkac.spectra import SingleParticleModel
 from conftest import random_matrix, random_state
-from oracles import UnsupportedOperationError, as_map, dirichlet_form
+from oracles import UnsupportedOperationError, as_map, complement_gap, dirichlet_form
 
 
 def hermitian(rng, dim):
@@ -337,3 +339,32 @@ def test_spectral_gap_matches_entrywise_reference(energies, beta):
     want_gap, want_dim = reference_spectral_gap(spec, geo)
     assert kernel_dim == want_dim
     assert abs(gap - want_gap) < 1e-12
+
+
+D8 = (0, 1, 3, 7, 12, 20, 30, 44)
+
+
+def assert_gap_is_the_complement_minimum(spec, geo):
+    gap, kernel_dim = spectral_gap(spec, geo)
+    assert abs(gap - complement_gap(spec, geo)) <= 1e-12
+    assert kernel_dim == classify_steady_states(spec.model).dimension
+
+
+# at beta 0.7 the d = 8 Gibbs state has a level below TOL_PSD, so it stops at 0.3
+@pytest.mark.parametrize("name,energies,beta", [
+    *((name, energies, beta) for name, energies in
+      [("qubit_tilted", (0, 1)), ("qubit_uniform", (0, 1)), ("exact_ea2", (0, 1, 2)),
+       ("exact_ea2", (0, 1, 4, 5)), ("exact_ea2", (0, 1, 1, 2)), ("exact_ea2", (0, 0, 1))]
+      for beta in (0.0, 0.3, 0.7, 2.0)),
+    ("exact_ea2", D8, 0.0), ("exact_ea2", D8, 0.3)])
+def test_gap_is_the_eigenvalue_past_the_invariants(name, energies, beta):
+    model = SingleParticleModel(energies)
+    spec = spec_by_name(name, model)
+    assert_gap_is_the_complement_minimum(spec, BKMGeometry(gibbs(model, beta)))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.sampled_from(["qubit_tilted", "qubit_uniform"]), st.floats(1e-3, 1 - 1e-3))
+def test_gap_is_the_eigenvalue_past_the_invariants_on_diag_references(name, a):
+    spec = spec_by_name(name, SingleParticleModel((0, 1)))
+    assert_gap_is_the_complement_minimum(spec, BKMGeometry(np.diag([a, 1 - a]).astype(complex)))

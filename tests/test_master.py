@@ -555,3 +555,10 @@ def test_marginal_flow_consistency(tilted_spec, rng):
     fd = (partial_trace(evolved, gen.shape, keep=1)
           - partial_trace(rho, gen.shape, keep=1)) / delta
     assert np.abs(fd - want).max() < 1e-4
+
+
+def test_generators_compare_without_reading_their_arrays(tilted_spec):
+    # a dataclass __eq__ compared the ndarray fields and raised ValueError
+    a, b = KacGenerator(tilted_spec, 3), KacGenerator(tilted_spec, 3)
+    assert a == a and a != b
+    assert a.pairs == [(0, 1), (0, 2), (1, 2)]

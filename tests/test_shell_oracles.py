@@ -104,15 +104,16 @@ def test_is_ergodic_matches_dense_shell_projectors_d8():
 def test_is_ergodic_refuses_a_channel_that_moves_pair_energy():
     # swaps the populations of the shells E=0 and E=2 and averages E=1: CP,
     # unital and HS self-adjoint, but its fixed vector |00><00| + |11><11|
-    # spans two shell blocks, which the block scan cannot see
+    # spans two shell blocks, which the block scan cannot see; verify_spec
+    # and the generator read the same pair-energy residual
     model = SingleParticleModel((0, 1))
     mat = np.zeros((16, 16), dtype=complex)
     mat[0, 15] = mat[15, 0] = 1.0       # |00><00| and |11><11| exchanged
     mat[np.ix_([5, 10], [5, 10])] = 0.5
     spec = CollisionSpec(model, "population_swap", nonzeros(mat))
-    assert verify_spec(spec).passes
+    assert verify_spec(spec).violations == ["pair_energy: residual 1.000e+00"]
     assert not dense_is_ergodic(spec)
-    with pytest.raises(ValueError, match="does not conserve the pair energy"):
+    with pytest.raises(ValueError, match=r"does not conserve the pair energy: .* 1\.000e\+00"):
         is_ergodic(spec)
     # ln_null_basis and steady_states_basis ask is_ergodic first
     with pytest.raises(ValueError, match="does not conserve the pair energy"):

@@ -26,7 +26,7 @@ MOVED_TO_ORACLES = (
     "identity_spec", "wild_diagonal", "is_steady", "TOL_STEADY",
     "qn_spectrum", "permutation_covariance_check",
     "dirichlet_form", "UnsupportedOperationError", "merged_qubit_grid_nodes",
-    "fixed_space_of_Q", "_shell_block", "dense_channel", "tensor_power",
+    "fixed_space_of_Q", "_shell_block", "dense_channel", "tensor_power", "complement_gap",
 )
 
 
