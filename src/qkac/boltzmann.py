@@ -79,15 +79,16 @@ def wild_sum_plan(t_grid) -> tuple[np.ndarray, np.ndarray]:
     """The substeps of each interval of ``t_grid`` and the Wild-sum terms
     of each of its substeps, as float arrays.
 
-    ``t_grid`` must increase from 0.  Substeps are at most 0.25 long and
-    land on every grid time; a substep of length h keeps the
+    ``t_grid`` must be finite and increase from 0.  Substeps are at most
+    0.25 long and land on every grid time; a substep of length h keeps the
     M = ceil(ln eps / ln tau) terms, tau = 1 - e^{-2h}, whose tail mass
     tau^M is below machine epsilon, and forms the M - 1 terms past the
     first.  Nothing is formed per substep, so any span is planned at once.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must increase from 0")
+    if (t_grid.ndim != 1 or t_grid[0] != 0.0 or not np.isfinite(t_grid).all()
+            or np.any(np.diff(t_grid) <= 0)):
+        raise ValueError("t_grid must be finite and increase from 0")
     gaps = np.diff(t_grid)
     if gaps.max(initial=0.0) > np.finfo(float).max / 4:
         raise ValueError("t_grid has an interval too long to count its substeps")

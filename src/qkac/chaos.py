@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boltzmann import qkbe_integrate
+from .boltzmann import qkbe_integrate, wild_sum_plan
 from .collisions import CollisionSpec
 from .master import KacGenerator, apply_pair_channel, apply_QN, evolve_master
 from .operators import FactorShape, permute_factors, tensor, trace_norm, von_neumann_entropy
@@ -108,8 +108,7 @@ class ChaosExperiment:
 
     def __post_init__(self):
         self.t_grid = np.asarray(self.t_grid, dtype=float)
-        if self.t_grid[0] != 0.0 or np.any(np.diff(self.t_grid) <= 0):
-            raise ValueError("t_grid must increase from 0")
+        wild_sum_plan(self.t_grid)
         d = self.spec.dim
         for n in self.N_list:
             if n < 2:

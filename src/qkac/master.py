@@ -13,17 +13,20 @@ truncated when the Poisson tail drops below ``tail_tol``.  Q_N is a
 Hilbert-Schmidt self-adjoint contraction, so the series is numerically
 stable and never materializes the full superoperator.
 
-The pair channel is sparse, and most of its nonzeros lie on its diagonal,
+Q_N is applied by two kernels.  On a d^N x d^N operator (``_apply``) the
+pair channel is sparse, and most of its nonzeros lie on its diagonal,
 which only rescales entries of the operand.  Summed over the pairs, that
 diagonal becomes one (d,) * 2N array D; the rest of Q_N is one table of
 (out slice, in slice, value) triples on the (d,) * 2N view, one per pair
 of factors and off-diagonal nonzero.  Q_N rho is D * rho plus each scaled
-in slice added into its out slice.
+in slice added into its out slice.  On a shell block and on the symmetric
+sector (``qkac.symmetric``) Q_N is (row, column, value) triples, applied
+by one gather and sum (``_triples_apply``).
 
 The null space of L_N is found one energy-shell block at a time.  Each
-block is read off the channel's moves on each pair as (row, column, value)
-triples, and a fully reorthogonalized Lanczos run with deflation certifies
-its eigenvalue-1 vectors (``_lanczos_fixed_vectors``); no block is formed
+block is read off the channel's moves on each pair as such triples, and a
+fully reorthogonalized Lanczos run with deflation certifies its
+eigenvalue-1 vectors (``_lanczos_fixed_vectors``); no block is formed
 densely, so memory grows with the nonzeros of the largest block.
 """
 
@@ -94,10 +97,10 @@ class KacGenerator:
         return apply_QN(self, rho)
 
     def trace(self, rho: np.ndarray) -> float:
-        return float(np.trace(rho.reshape(self.shape.dim, -1)).real)
+        return float(np.trace(rho).real)
 
     def blocks(self, rho: np.ndarray) -> list:
-        return [(rho.reshape(self.shape.dim, -1), 0.0)]
+        return [(rho, 0.0)]
 
 
 def _on_pair_axes(a4: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
@@ -127,26 +130,28 @@ def _pair_slices(gen: KacGenerator, i: int, j: int) -> list:
 def _apply(gen: KacGenerator, rho, diag: np.ndarray, slices: list) -> np.ndarray:
     """``diag`` times ``rho`` plus, for each (out slice, in slice, value)
     triple of ``slices``, the scaled in slice of ``rho`` added into the out
-    slice; ``rho`` is a d^N x d^N matrix or its (d,) * 2N tensor view, and
-    the image has the same shape."""
-    d, n = gen.shape.factor_dim, gen.shape.num_factors
+    slice, both on the (d,) * 2N view of the d^N x d^N matrix ``rho``."""
+    d, n, dim = gen.shape.factor_dim, gen.shape.num_factors, gen.shape.dim
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape not in ((gen.shape.dim,) * 2, (d,) * (2 * n)):
-        raise ValueError(f"operand shape {rho.shape} does not match dimension "
-                         f"{gen.shape.dim} or its tensor shape {(d,) * (2 * n)}")
+    if rho.shape != (dim, dim):
+        raise ValueError(f"operand shape {rho.shape} does not match dimension {dim}")
     x = rho.reshape((d,) * (2 * n))
     out = diag * x
     for dst, src, s in slices:
         out[dst] += s * x[src]
-    return out.reshape(rho.shape)
+    return out.reshape(dim, dim)
+
+
+def _triples_apply(i, j, val, x: np.ndarray, n: int) -> np.ndarray:
+    """The length-n image of ``x`` under the sparse matrix given as
+    (row ``i``, column ``j``, value ``val``) triples, repeated positions
+    summed."""
+    w = val * x[j]
+    return np.bincount(i, w.real, n) + 1j * np.bincount(i, w.imag, n)
 
 
 def apply_pair_channel(gen: KacGenerator, rho: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Pair channel Q_{i,j} on factors (i, j) of an N-factor operator.
-
-    ``rho`` is a d^N x d^N matrix or its (d,) * 2N tensor view; the image
-    has the same shape.
-    """
+    """Pair channel Q_{i,j} on factors (i, j) of a d^N x d^N operator."""
     n = gen.num_particles
     if not (0 <= i < n and 0 <= j < n and i != j):
         raise ValueError(f"pair ({i}, {j}) is not two distinct factors of N={n}")
@@ -154,7 +159,7 @@ def apply_pair_channel(gen: KacGenerator, rho: np.ndarray, i: int, j: int) -> np
 
 
 def apply_QN(gen: KacGenerator, rho: np.ndarray) -> np.ndarray:
-    """Uniform average of the pair channels, on a matrix or its tensor view."""
+    """Uniform average of the pair channels on a d^N x d^N operator."""
     return _apply(gen, rho, gen._diag, gen._slices)
 
 
@@ -168,9 +173,9 @@ def evolve_master(gen, rho0: np.ndarray, t: float,
                   tail_tol: float = TAIL_TOL, tol_psd: float = TOL_PSD) -> np.ndarray:
     """Evolve a state for time t with the truncated jump series.
 
-    ``gen`` is a ``KacGenerator``, on a d^N x d^N matrix or its tensor
-    view, or a ``SymmetricGenerator``, on the coefficients of a
-    permutation-invariant state; the output has the input's form.  A time
+    ``gen`` is a ``KacGenerator``, on a d^N x d^N matrix, or a
+    ``SymmetricGenerator``, on the coefficients of a permutation-invariant
+    state; the output has the input's form.  ``t`` must be finite.  A time
     whose rate N t exceeds ``MAX_JUMP_RATE`` is split into equal pieces,
     each summed by its own series.  The output trace is renormalized to
     one (the drift, bounded by the Poisson tail of each piece, is logged)
@@ -183,8 +188,8 @@ def evolve_master(gen, rho0: np.ndarray, t: float,
     its smallest eigenvalue is at least -tol_psd; only when one fails is
     that block diagonalized, and the most negative eigenvalue is reported.
     """
-    if t < 0:
-        raise ValueError("time must be non-negative")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be non-negative and finite, not {t}")
     if not tail_tol >= 0:
         raise ValueError("tail tolerance must be non-negative")
     rho0 = np.asarray(rho0, dtype=complex)
@@ -353,13 +358,11 @@ def _lanczos_fixed_vectors(diag, i, j, val, tol, limit=None):
     n = diag.size
 
     def apply(x):
-        re, im = np.zeros(n), np.zeros(n)
+        out = np.zeros(n, complex)
         for at in range(0, len(val), MATVEC_CHUNK):
             part = slice(at, at + MATVEC_CHUNK)
-            w = val[part] * x[j[part]]
-            re += np.bincount(i[part], w.real, n)
-            im += np.bincount(i[part], w.imag, n)
-        return diag * x + re + 1j * im
+            out += _triples_apply(i[part], j[part], val[part], x, n)
+        return diag * x + out
 
     def grown(space, k):
         """``space``, doubled (up to n rows) if it has no row k."""

@@ -140,21 +140,12 @@ def _validate_permutation(pi, n: int) -> list:
     return pi
 
 
-def _invert(pi: list) -> list:
-    inv = [0] * len(pi)
-    for k, v in enumerate(pi):
-        inv[v] = k
-    return inv
-
-
 def permute_factors(a: np.ndarray, pi, shape: FactorShape) -> np.ndarray:
     """Conjugation U_pi a U_pi^* computed by axis transposition (no matmul)."""
     n, d = shape.num_factors, shape.factor_dim
-    pi = _validate_permutation(pi, n)
-    inv = _invert(pi)
+    inv = np.argsort(_validate_permutation(pi, n))
     t = np.asarray(a, dtype=complex).reshape((d,) * (2 * n))
-    axes = inv + [n + k for k in inv]
-    return t.transpose(axes).reshape(shape.dim, shape.dim)
+    return t.transpose(np.r_[inv, n + inv]).reshape(shape.dim, shape.dim)
 
 
 def swap_unitary(d: int) -> np.ndarray:

@@ -17,7 +17,9 @@ with swapping its two factors: to ``TOL_AXIOM`` in the spec's cached
 
     n_{v1} (n_{v2} - delta_{v1 v2}) q / (N (N - 1)) c_{n - v1 - v2 + u1 + u2}
 
-to c_n, one term for each occupation of the other N - 2 factors.  The
+to c_n, one term for each occupation of the other N - 2 factors.  These
+terms are (row, column, value) triples, applied by the gather and sum
+that also applies the shell blocks (``qkac.master._triples_apply``).  The
 product state rho^{xN} has c_n = prod_t rho[t]^{n_t}.  S_n has trace equal
 to its number of terms, the multinomial N! / prod_t n_t!, when every type
 it holds is diagonal (a = c), and 0 otherwise; the one- and two-particle
@@ -55,6 +57,7 @@ from collections import deque
 import numpy as np
 
 from .collisions import CollisionSpec
+from .master import _triples_apply
 from .operators import FactorShape
 from .tolerances import TOL_AXIOM, check_size_guard
 
@@ -179,10 +182,12 @@ class SymmetricGenerator:
         self._vals = (weight * (q[:, None] / (n * (n - 1)))).ravel()
 
     def product_state(self, rho: np.ndarray) -> np.ndarray:
-        """The coefficients of rho^{xN}: prod_t rho[t]^{n_t}."""
-        flat = np.asarray(rho, dtype=complex).reshape(-1)
-        return _by_largest_type(np.ones(1, dtype=complex), len(flat), self.num_particles,
-                                lambda part, t: part * flat[t])
+        """The coefficients of rho^{xN}, rho a d x d matrix: prod_t rho[t]^{n_t}."""
+        rho, shape = np.asarray(rho, dtype=complex), (self.spec.dim,) * 2
+        if rho.shape != shape:
+            raise ValueError(f"one-particle state has shape {rho.shape}, not {shape}")
+        return _by_largest_type(np.ones(1, dtype=complex), rho.size, self.num_particles,
+                                lambda part, t: part * rho.flat[t])
 
     def _check(self, c) -> np.ndarray:
         c = np.asarray(c, dtype=complex)
@@ -192,9 +197,7 @@ class SymmetricGenerator:
 
     def jump(self, c: np.ndarray) -> np.ndarray:
         """Q_N on the coefficients."""
-        w = self._vals * self._check(c)[self._cols]
-        return (np.bincount(self._rows, w.real, self.size)
-                + 1j * np.bincount(self._rows, w.imag, self.size))
+        return _triples_apply(self._rows, self._cols, self._vals, self._check(c), self.size)
 
     def trace(self, c: np.ndarray) -> float:
         ranks, weights = self._diag[2]

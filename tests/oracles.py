@@ -4,8 +4,9 @@ permutations and pair embeddings, shell projectors, the identity-only
 spec, the qubit grid nodes by brute-force merging, the dense channel
 matrix of a spec, a channel matrix as a map and its full Choi matrix, the
 fixed space of a channel by one dense eigensolve, the closed-form diagonal
-Wild convolution, the dense shell blocks of Q_N with their fixed vectors
-by ``eigh`` and its full spectrum, the permutation-covariance residuals,
+Wild convolution, the pair channels and Q_N by tensor contraction with the
+dense channel, the dense shell blocks of Q_N with their fixed vectors by
+``eigh`` and its full spectrum, the permutation-covariance residuals,
 and the dissipation form and complement-projected spectral gap of the
 linearized operator.
 """
@@ -18,7 +19,7 @@ from qkac.boltzmann import collision_invariants_basis, wild
 from qkac.collisions import CollisionSpec, superoperator_from_nodes
 from qkac.linearized import BKMGeometry, build_K, multiply_super
 from qkac.master import KacGenerator, apply_pair_channel, apply_QN
-from qkac.operators import (FactorShape, _invert, _require_hermitian,
+from qkac.operators import (FactorShape, _require_hermitian,
                             _validate_permutation, is_hermitian, permute_factors, tensor)
 from qkac.spectra import SingleParticleModel, shell_structure
 from qkac.tolerances import TOL_FIXED_EIG, TOL_HERM, TOL_PSD
@@ -52,8 +53,7 @@ def is_positive_semidefinite(a: np.ndarray) -> bool:
 def permutation_unitary(pi, shape: FactorShape) -> np.ndarray:
     """Unitary permuting tensor factors; slot pi(m) receives factor m."""
     n, d = shape.num_factors, shape.factor_dim
-    pi = _validate_permutation(pi, n)
-    inv = _invert(pi)
+    inv = np.argsort(_validate_permutation(pi, n))
     dim = shape.dim
     digits = np.empty((dim, n), dtype=np.int64)
     idx = np.arange(dim)
@@ -301,24 +301,41 @@ def is_steady(spec: CollisionSpec, rho: np.ndarray,
 # spectrum and permutation covariance of Q_N (master)
 # ---------------------------------------------------------------------------
 
-def _shell_block(gen: KacGenerator, rows, cols) -> np.ndarray:
-    """Dense matrix of Q_N on the operators supported on rows x cols, read
-    off ``_diag`` and ``_slices`` and ordered row-major over the block.
+def _tensordot_pair(q: np.ndarray, rho: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
+    """The (d^4, d^4) channel matrix ``q`` on factors (i, j) of a d^N x d^N
+    operator, or of each of a stack of them: the dense (d,) * 8 channel is
+    contracted with the operand's axes (i, j, N+i, N+j), and the image axes
+    are moved back."""
+    d = math.isqrt(math.isqrt(len(q)))
+    rho = np.asarray(rho, dtype=complex)
+    axes = [1 + i, 1 + j, 1 + n + i, 1 + n + j]
+    y = np.tensordot(q.reshape((d,) * 8), rho.reshape((-1,) + (d,) * (2 * n)),
+                     axes=([4, 5, 6, 7], axes))
+    return np.moveaxis(y, [0, 1, 2, 3], axes).reshape(rho.shape)
 
-    Each triple of ``_slices`` moves the entries of its in slice one to one
-    onto its out slice; the moves with both ends in the block add into it.
-    """
+
+def tensordot_pair_channel(spec: CollisionSpec, rho: np.ndarray, n: int, i: int,
+                           j: int) -> np.ndarray:
+    """Q_{i,j} by contraction with ``dense_channel(spec)``."""
+    return _tensordot_pair(dense_channel(spec), rho, n, i, j)
+
+
+def tensordot_QN(spec: CollisionSpec, rho: np.ndarray, n: int) -> np.ndarray:
+    """Q_N, the average of the pair channels over i < j, by contraction."""
+    q = dense_channel(spec)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return sum(_tensordot_pair(q, rho, n, i, j) for i, j in pairs) / len(pairs)
+
+
+def _shell_block(gen: KacGenerator, rows, cols) -> np.ndarray:
+    """Dense matrix of Q_N on the operators supported on rows x cols,
+    ordered row-major over the block: ``tensordot_QN`` on every matrix unit
+    of the block at once, each image read on the block."""
     dim, size = gen.shape.dim, len(rows) * len(cols)
-    block = np.zeros((size, size), dtype=complex)
-    block.flat[::size + 1] = gen._diag.reshape(dim, dim)[np.ix_(rows, cols)].ravel()
-    where = np.full((dim, dim), -1)     # block position of each entry, or -1
-    where[np.ix_(rows, cols)] = np.arange(size).reshape(len(rows), len(cols))
-    where = where.reshape(gen._diag.shape)
-    for dst, src, s in gen._slices:
-        i, j = where[dst].ravel(), where[src].ravel()
-        keep = (i >= 0) & (j >= 0)
-        block[i[keep], j[keep]] += s
-    return block
+    units = np.zeros((size, dim, dim), dtype=complex)
+    units[np.arange(size), np.repeat(rows, len(cols)), np.tile(cols, len(rows))] = 1.0
+    images = tensordot_QN(gen.spec, units, gen.num_particles)
+    return images[:, rows][:, :, cols].reshape(size, size).T
 
 
 def dense_block_fixed_vectors(gen: KacGenerator, rows, cols, tol=TOL_FIXED_EIG) -> np.ndarray:

@@ -277,6 +277,10 @@ def test_wild_sum_plan():
     for bad in ([0.5, 1.0], [0.0, 0.0], [[0.0, 1.0]]):
         with pytest.raises(ValueError, match="increase from 0"):
             wild_sum_plan(bad)
+    # a NaN compares false with everything, so no difference test catches it
+    for bad in ([0.0, np.nan], [0.0, 1.0, np.nan], [np.nan, 1.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="finite and increase from 0"):
+            wild_sum_plan(bad)
 
 
 def test_integrator_forms_the_planned_wild_sum_terms(monkeypatch, tilted_spec):

@@ -179,6 +179,11 @@ def test_chaos_grid_validation(tilted_spec):
     with pytest.raises(ValueError):
         ChaosExperiment(tilted_spec, qubit_state(0.5, 0.1), [2],
                         np.array([0.1, 0.2]))
+    # the grid is checked by the kinetic solver's own rule, which refuses
+    # non-finite times before any N-particle work
+    for bad in ([0.0, np.nan], [0.0, 1.0, np.nan], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="finite and increase from 0"):
+            ChaosExperiment(tilted_spec, qubit_state(0.5, 0.1), [2], bad)
 
 
 def test_chaos_refuses_one_particle_at_construction(tilted_spec):

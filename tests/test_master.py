@@ -87,7 +87,8 @@ def test_apply_pair_channel_rejects_bad_pairs(tilted_spec, rng):
 
 def test_kernel_rejects_mismatched_operands(tilted_spec, rng):
     gen = KacGenerator(tilted_spec, 3)
-    for bad in (random_matrix(rng, 4), np.zeros((2,) * 4), np.zeros((8, 4))):
+    # the (d,) * 2N tensor view is not an operand either
+    for bad in (random_matrix(rng, 4), np.zeros((2,) * 4), np.zeros((8, 4)), np.zeros((2,) * 6)):
         with pytest.raises(ValueError, match="does not match dimension 8"):
             apply_QN(gen, bad)
         with pytest.raises(ValueError, match="does not match dimension 8"):
@@ -167,21 +168,20 @@ def test_evolve_rejects_negative_time(tilted_spec, rng):
     gen = KacGenerator(tilted_spec, 2)
     with pytest.raises(ValueError):
         evolve_master(gen, random_state(rng, 4), -0.1)
+    # a non-finite time would reach the piece count, math.ceil(N t / rate)
+    for bad in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            evolve_master(gen, random_state(rng, 4), bad)
     # a negative tail tolerance would never end the jump series
     with pytest.raises(ValueError, match="tail tolerance must be non-negative"):
         evolve_master(gen, random_state(rng, 4), 0.1, tail_tol=-1e-12)
 
 
-def test_evolve_takes_the_tensor_view(tilted_spec, rng):
-    # the trace and the certificate read the view as its d^N x d^N matrix
+def test_evolve_refuses_the_tensor_view(tilted_spec, rng):
+    # the full-space generator takes only the d^N x d^N matrix
     gen = KacGenerator(tilted_spec, 3)
-    rho = random_state(rng, 8)
-    out = evolve_master(gen, rho.reshape((2,) * 6), 0.5)
-    assert out.shape == (2,) * 6
-    assert np.array_equal(out.reshape(8, 8), evolve_master(gen, rho, 0.5))
-    with pytest.raises(NumericalContractError, match="negative eigenvalue"):
-        evolve_master(gen, np.diag([1.2, -0.2, -0.2, 0.2, -0.2, 0.2, 0.2, -0.2]).reshape(
-            (2,) * 6), 0.01)
+    with pytest.raises(ValueError, match="does not match dimension 8"):
+        evolve_master(gen, random_state(rng, 8).reshape((2,) * 6), 0.5)
 
 
 def test_evolve_semigroup_property(tilted_spec, rng):
@@ -337,6 +337,26 @@ def test_lanczos_fixed_spaces_match_dense_eigh(spec_name, energies, n, all_block
     if spec_name == "identity":
         # Q_N = 1: every run finds one vector, deflates it and restarts
         assert total == len(energies) ** (2 * n)
+
+
+@pytest.mark.parametrize("spec_name,energies,n", [
+    ("qubit_tilted", (0, 1), 6), ("exact_ea2", (0, 1, 2), 4), ("exact_ea2", (0, 0, 1), 3),
+])
+def test_lanczos_matvec_sums_across_chunks(spec_name, energies, n, monkeypatch):
+    # every test block has far fewer triples than one matvec pass gathers,
+    # so a tiny pass size makes the chunk loop sum each matvec in pieces
+    import qkac.master as master
+
+    gen = KacGenerator(make_spec(spec_name, energies), n)
+    blocks = [block for *_, block in _sparse_blocks(gen, diagonal_only=True)]
+    whole = [_lanczos_fixed_vectors(*block, 1e-8) for block in blocks]
+    monkeypatch.setattr(master, "MATVEC_CHUNK", 7)
+    assert max(len(val) for *_, val in blocks) > 10 * master.MATVEC_CHUNK
+    for block, (vecs, theta) in zip(blocks, whole):
+        got, got_theta = _lanczos_fixed_vectors(*block, 1e-8)
+        assert len(got) == len(vecs) and len(got_theta) == len(theta)
+        assert np.abs(got.T @ got.conj() - vecs.T @ vecs.conj()).max(initial=0.0) < 1e-12
+        assert np.abs(got_theta - theta).max(initial=0.0) < 1e-12
 
 
 def test_ritz_values_are_the_bernoulli_laplace_spectrum_at_N8(tilted_spec):

@@ -1,9 +1,10 @@
 """The sparse pair-channel kernel against the dense tensor-contraction formula.
 
 ``apply_QN`` and ``apply_pair_channel`` apply the channel as a diagonal
-product plus strided slices, one per off-diagonal nonzero.  The oracle
-here contracts the dense (d,) * 8 channel with the operand's axes
-(i, j, N+i, N+j) and moves the image axes back, one pair at a time.
+product plus strided slices, one per off-diagonal nonzero.  The oracles
+``tensordot_QN`` and ``tensordot_pair_channel`` contract the dense
+(d,) * 8 channel with the operand's axes (i, j, N+i, N+j) and move the
+image axes back, one pair at a time.
 """
 
 import functools
@@ -17,26 +18,12 @@ from qkac.collisions import (CollisionSpec, exact_EA2_spec, qubit_tilted_spec,
 from qkac.master import KacGenerator, apply_pair_channel, apply_QN
 from qkac.spectra import SingleParticleModel, shell_structure
 from conftest import random_matrix, random_unitary
-from oracles import dense_channel
+from oracles import tensordot_pair_channel, tensordot_QN
 
 MODELS = {2: [(0, 1)], 3: [(0, 1, 2)], 4: [(0, 1, 4, 5), (0, 1, 2, 3)]}
 NAMED = {"uniform": qubit_uniform_spec, "tilted": qubit_tilted_spec,
          "tilted_sampled4": lambda: qubit_tilted_spec(points_per_angle=4)}
 MAX_DIM = 256       # largest d^N drawn: the dense oracle is slow past it
-
-
-def tensordot_pair_channel(spec, rho, n, i, j):
-    d = spec.dim
-    rho = np.asarray(rho, dtype=complex)
-    axes = [i, j, n + i, n + j]
-    y = np.tensordot(dense_channel(spec).reshape((d,) * 8), rho.reshape((d,) * (2 * n)),
-                     axes=([4, 5, 6, 7], axes))
-    return np.moveaxis(y, [0, 1, 2, 3], axes).reshape(rho.shape)
-
-
-def tensordot_QN(spec, rho, n):
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return sum(tensordot_pair_channel(spec, rho, n, i, j) for i, j in pairs) / len(pairs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -88,15 +75,10 @@ def test_sparse_kernel_matches_tensordot_oracle(case):
     gen = KacGenerator(spec, n)
     dim = spec.dim ** n
     a = random_matrix(np.random.default_rng(seed), dim)
-    tensor_shape = (spec.dim,) * (2 * n)
-    want_qn = tensordot_QN(spec, a, n)
-    want_pair = tensordot_pair_channel(spec, a, n, i, j)
-    for operand in (a, a.reshape(tensor_shape)):
-        got_qn = apply_QN(gen, operand)
-        got_pair = apply_pair_channel(gen, operand, i, j)
-        assert got_qn.shape == got_pair.shape == operand.shape
-        assert np.abs(got_qn.reshape(dim, dim) - want_qn).max() <= 1e-12
-        assert np.abs(got_pair.reshape(dim, dim) - want_pair).max() <= 1e-12
+    got_qn, got_pair = apply_QN(gen, a), apply_pair_channel(gen, a, i, j)
+    assert got_qn.shape == got_pair.shape == (dim, dim)
+    assert np.abs(got_qn - tensordot_QN(spec, a, n)).max() <= 1e-12
+    assert np.abs(got_pair - tensordot_pair_channel(spec, a, n, i, j)).max() <= 1e-12
 
 
 def test_two_particle_kernel_reproduces_every_channel_entry():

@@ -154,6 +154,14 @@ def test_sector_evolution_keeps_the_checks(tilted_spec):
         evolve_master(gen, c[:-1], 0.1)
 
 
+def test_product_state_takes_a_one_particle_matrix(tilted_spec):
+    gen = SymmetricGenerator(tilted_spec, 3)
+    assert gen.product_state(np.eye(2) / 2).shape == (gen.size,) == (20,)
+    for bad in (np.eye(3) / 3, np.full(4, 0.25), np.eye(4) / 4):
+        with pytest.raises(ValueError, match=r"not \(2, 2\)"):
+            gen.product_state(bad)
+
+
 QUBIT_NAMES = ["qubit_tilted", "qubit_uniform", "qubit_tilted_ppa4", "qubit_uniform_ppa4"]
 QUBIT_CASES = [(name, n) for name in QUBIT_NAMES for n in range(2, 9)]
 
