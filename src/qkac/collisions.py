@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .operators import swap_unitary, tensor
-from .spectra import SingleParticleModel, shell_structure
+from .spectra import SingleParticleModel
 from .tolerances import TOL_AXIOM
 
 
@@ -467,11 +467,15 @@ def exact_EA2_spec(model: SingleParticleModel) -> CollisionSpec:
     shells.  It is the idempotent limit of every ergodic family on this
     model; no finite node family is attached.
     """
-    d = model.dim
+    d, e = model.dim, model.energies
+    # the flat pair indices a d + b by exact pair energy e_a + e_b, each ascending
+    shells = {}
+    for a, b in np.ndindex(d, d):
+        shells.setdefault(e[a] + e[b], []).append(a * d + b)
     # per shell, every pair of vec positions of its diagonal units |i><i|
     blocks = [(np.repeat(pos, pos.size), np.tile(pos, pos.size),
                np.full(pos.size ** 2, 1.0 / pos.size, dtype=complex))
-              for pos in (idx * (d * d + 1) for _, idx in shell_structure(model, 2).shells)]
+              for pos in (np.array(shells[E]) * (d * d + 1) for E in sorted(shells))]
     return CollisionSpec(model, "exact_ea2", _channel(*map(np.concatenate, zip(*blocks))))
 
 

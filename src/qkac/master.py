@@ -16,12 +16,13 @@ stable and never materializes the full superoperator.
 Q_N is applied by two kernels.  On a d^N x d^N operator (``_apply``) the
 pair channel is sparse, and most of its nonzeros lie on its diagonal,
 which only rescales entries of the operand.  Summed over the pairs, that
-diagonal becomes one (d,) * 2N array D; the rest of Q_N is one table of
-(out slice, in slice, value) triples on the (d,) * 2N view, one per pair
-of factors and off-diagonal nonzero.  Q_N rho is D * rho plus each scaled
-in slice added into its out slice.  On a shell block and on the symmetric
-sector (``qkac.symmetric``) Q_N is (row, column, value) triples, applied
-by one gather and sum (``_triples_apply``).
+diagonal becomes one (d,) * 2N array D, built on the first ``apply_QN``.
+Q_N rho is D * rho plus each off-diagonal nonzero (a move) placed on each
+pair of factors: its scaled in slice of the (d,) * 2N view is added into
+its out slice.  On a shell block and on the symmetric sector
+(``qkac.symmetric``) Q_N is (row, column, value) triples, applied by one
+gather and sum (``_triples_apply``); a block gathers its diagonal from
+the pair diagonal, so D is never formed there.
 
 The null space of L_N is found one energy-shell block at a time.  Each
 block is read off the channel's moves on each pair as such triples, and a
@@ -32,6 +33,7 @@ densely, so memory grows with the nonzeros of the largest block.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -61,13 +63,12 @@ class KacGenerator:
     """Pair-averaged collision generator on N particles.
 
     ``pairs`` lists the pairs of factors (i, j) with i < j,
-    ``_pair_diag`` is the channel diagonal on its (d,) * 4 pair axes,
-    ``_diag`` its average over the pairs' axes (i, j, N+i, N+j) as one
-    (d,) * 2N array, ``_moves`` the channel's off-diagonal nonzeros as
-    (out digits, in digits, value), and ``_slices`` the rest of Q_N as
-    (out slice, in slice, value / binom(N, 2)) triples, per pair and move.
-    ``_pair_diag`` and ``_moves`` split the move table the spec decodes
-    once (``CollisionSpec.moves``), which ``_move_sides`` checks.
+    ``_pair_diag`` is the channel diagonal on its (d,) * 4 pair axes and
+    ``_moves`` the channel's off-diagonal nonzeros as (out digits, in
+    digits, value): the move table the spec decodes once
+    (``CollisionSpec.moves``), split, which ``_move_sides`` checks.
+    ``_diag``, the average of ``_pair_diag`` over the pairs' axes (i, j,
+    N+i, N+j) as one (d,) * 2N array, is built on the first ``apply_QN``.
     """
 
     def __init__(self, spec: CollisionSpec, num_particles: int, force: bool = False):
@@ -75,8 +76,7 @@ class KacGenerator:
             raise ValueError("need at least two particles")
         d, n = spec.model.dim, num_particles
         check_size_guard(d, n, force)
-        self.spec, self.num_particles, self.force = spec, num_particles, force
-        self.shape = FactorShape(n, d)
+        self.spec, self.num_particles, self.force, self.shape = spec, n, force, FactorShape(n, d)
         self.pairs = list(itertools.combinations(range(n), 2))
         out, src, q = spec.moves
         on = (out == src).all(axis=0)
@@ -85,14 +85,21 @@ class KacGenerator:
         self._pair_diag = diag if diag.imag.any() else diag.real
         self._moves = list(zip(*(map(tuple, x[:, ~on].T.tolist()) for x in (out, src)),
                                q[~on].tolist()))
-        self._diag = np.zeros((d,) * (2 * n), dtype=self._pair_diag.dtype)
+
+    @functools.cached_property
+    def _diag(self) -> np.ndarray:
+        diag = np.zeros((self.shape.factor_dim,) * (2 * self.num_particles), self._pair_diag.dtype)
         for (i, j) in self.pairs:
-            self._diag += _on_pair_axes(self._pair_diag, n, i, j)
-        self._diag /= len(self.pairs)
-        self._slices = [(dst, src, s / len(self.pairs)) for (i, j) in self.pairs
-                        for dst, src, s in _pair_slices(self, i, j)]
+            diag += _on_pair_axes(self._pair_diag, self.num_particles, i, j)
+        return np.divide(diag, len(self.pairs), out=diag)
 
     # the state hooks of ``evolve_master``, shared with ``SymmetricGenerator``
+    def _check(self, rho) -> np.ndarray:
+        rho, dim = np.asarray(rho, dtype=complex), self.shape.dim
+        if rho.shape != (dim, dim):
+            raise ValueError(f"operand shape {rho.shape} does not match dimension {dim}")
+        return rho
+
     def jump(self, rho: np.ndarray) -> np.ndarray:
         return apply_QN(self, rho)
 
@@ -113,32 +120,21 @@ def _on_pair_axes(a4: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
     return a4.transpose(np.argsort(axes)).reshape(shape)
 
 
-def _pair_slices(gen: KacGenerator, i: int, j: int) -> list:
-    """The off-diagonal part of Q_{i,j}, for an ordered pair of factors, as
-    (out slice, in slice, value) triples on the (d,) * 2N view: each move
-    fixes axes (i, j, N+i, N+j) to its out digits in the first slice and to
-    its in digits in the second."""
-    n = gen.num_particles
-
-    def fix(digits):
-        at = dict(zip((i, j, n + i, n + j), digits))
-        return tuple(at.get(ax, slice(None)) for ax in range(2 * n))
-
-    return [(fix(o), fix(a), s) for o, a, s in gen._moves]
-
-
-def _apply(gen: KacGenerator, rho, diag: np.ndarray, slices: list) -> np.ndarray:
-    """``diag`` times ``rho`` plus, for each (out slice, in slice, value)
-    triple of ``slices``, the scaled in slice of ``rho`` added into the out
-    slice, both on the (d,) * 2N view of the d^N x d^N matrix ``rho``."""
+def _apply(gen: KacGenerator, rho, diag: np.ndarray, pairs: list, count: int) -> np.ndarray:
+    """``diag`` times ``rho`` plus each move of ``gen._moves`` placed on each
+    pair of factors (i, j) of ``pairs``, on the (d,) * 2N view of the d^N x
+    d^N matrix ``rho``: the slice with axes (i, j, N+i, N+j) fixed to its
+    in digits, scaled by its value / ``count``, is added into the slice
+    with those axes fixed to its out digits."""
     d, n, dim = gen.shape.factor_dim, gen.shape.num_factors, gen.shape.dim
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim, dim):
-        raise ValueError(f"operand shape {rho.shape} does not match dimension {dim}")
-    x = rho.reshape((d,) * (2 * n))
+    x = gen._check(rho).reshape((d,) * (2 * n))
     out = diag * x
-    for dst, src, s in slices:
-        out[dst] += s * x[src]
+    for i, j in pairs:
+        for dst, src, s in gen._moves:
+            at, of = [slice(None)] * (2 * n), [slice(None)] * (2 * n)
+            for ax, a, b in zip((i, j, n + i, n + j), dst, src):
+                at[ax], of[ax] = a, b
+            out[tuple(at)] += s / count * x[tuple(of)]
     return out.reshape(dim, dim)
 
 
@@ -155,12 +151,12 @@ def apply_pair_channel(gen: KacGenerator, rho: np.ndarray, i: int, j: int) -> np
     n = gen.num_particles
     if not (0 <= i < n and 0 <= j < n and i != j):
         raise ValueError(f"pair ({i}, {j}) is not two distinct factors of N={n}")
-    return _apply(gen, rho, _on_pair_axes(gen._pair_diag, n, i, j), _pair_slices(gen, i, j))
+    return _apply(gen, rho, _on_pair_axes(gen._pair_diag, n, i, j), [(i, j)], 1)
 
 
 def apply_QN(gen: KacGenerator, rho: np.ndarray) -> np.ndarray:
     """Uniform average of the pair channels on a d^N x d^N operator."""
-    return _apply(gen, rho, gen._diag, gen._slices)
+    return _apply(gen, rho, gen._diag, gen.pairs, len(gen.pairs))
 
 
 def apply_LN(gen: KacGenerator, x: np.ndarray) -> np.ndarray:
@@ -192,7 +188,7 @@ def evolve_master(gen, rho0: np.ndarray, t: float,
         raise ValueError(f"time must be non-negative and finite, not {t}")
     if not tail_tol >= 0:
         raise ValueError("tail tolerance must be non-negative")
-    rho0 = np.asarray(rho0, dtype=complex)
+    rho0 = gen._check(rho0)
     if t == 0:
         return rho0.copy()
     pieces = math.ceil(gen.num_particles * t / MAX_JUMP_RATE)
@@ -291,10 +287,13 @@ def _sparse_block(gen: KacGenerator, triples: list, within, rows, cols):
     which the Lanczos matvec sums.  The triples are written into arrays of
     their final size, so they are held once while the block is built.
     """
-    dim, nc = gen.shape.dim, len(cols)
-    diag = gen._diag.reshape(dim, dim)[np.ix_(rows, cols)].ravel()
+    d, nc = gen.shape.factor_dim, len(cols)
     digits = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).digits
     rd, cd = digits[rows], digits[cols]
+    pair_diag = gen._pair_diag.reshape(d * d, d * d)
+    diag = np.zeros((len(rows), nc), dtype=pair_diag.dtype)
+    for i, j in gen.pairs:
+        diag += pair_diag[np.ix_(rd[:, i] * d + rd[:, j], cd[:, i] * d + cd[:, j])]
     sides = [(_side_positions(rd, rows, within, *row_side),
               _side_positions(cd, cols, within, *col_side), s)
              for row_side, col_side, s in triples]
@@ -307,7 +306,7 @@ def _sparse_block(gen: KacGenerator, triples: list, within, rows, cols):
         np.add.outer(r_in * nc, c_in, out=j[at:end].reshape(len(r_in), len(c_in)))
         val[at:end] = s
         at = end
-    return diag.astype(complex), i, j, val
+    return (diag.ravel() / len(gen.pairs)).astype(complex), i, j, val
 
 
 def _lanczos_fixed_vectors(diag, i, j, val, tol, limit=None):

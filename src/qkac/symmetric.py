@@ -17,9 +17,10 @@ with swapping its two factors: to ``TOL_AXIOM`` in the spec's cached
 
     n_{v1} (n_{v2} - delta_{v1 v2}) q / (N (N - 1)) c_{n - v1 - v2 + u1 + u2}
 
-to c_n, one term for each occupation of the other N - 2 factors.  These
-terms are (row, column, value) triples, applied by the gather and sum
-that also applies the shell blocks (``qkac.master._triples_apply``).  The
+to c_n, one term for each occupation of the other N - 2 factors.  The
+terms that meet on one (row, column) are summed once, when Q_N is built,
+into (row, column, value) triples, applied by the gather and sum that
+also applies the shell blocks (``qkac.master._triples_apply``).  The
 product state rho^{xN} has c_n = prod_t rho[t]^{n_t}.  S_n has trace equal
 to its number of terms, the multinomial N! / prod_t n_t!, when every type
 it holds is diagonal (a = c), and 0 otherwise; the one- and two-particle
@@ -52,6 +53,7 @@ and the spectrum of X is the union of those of the X_k
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 
 import numpy as np
@@ -135,12 +137,14 @@ class SymmetricGenerator:
     """Q_N on the coefficients c_n of the permutation-invariant operators.
 
     ``_rows``, ``_cols`` and ``_vals`` hold Q_N as (row, column, value)
-    triples, ``_into`` and ``_last`` the rank tables of ``_add_tables`` for
-    N - 1 and N particles, and ``_diag[k]`` the ranks and multinomial
-    weights of the diagonal occupations of N - 2 + k particles, k = 0, 1, 2,
-    and ``_spin`` the spin blocks of a qubit state (None for d > 2).
+    triples, one per entry, ``_into`` and ``_last`` the rank tables of
+    ``_add_tables`` for N - 1 and N particles, and ``_diag[k]`` the ranks
+    and multinomial weights of the diagonal occupations of N - 2 + k
+    particles, k = 0, 1, 2, and ``_spin`` the spin blocks of a qubit
+    state (None for d > 2).
     Building it raises a ValueError when Q does not commute with the swap
-    of its two factors within ``TOL_AXIOM``.
+    of its two factors within ``TOL_AXIOM``, and past N = 1029, where the
+    weight C(N, N // 2) overflows a float.
     """
 
     def __init__(self, spec: CollisionSpec, num_particles: int, force: bool = False):
@@ -148,6 +152,9 @@ class SymmetricGenerator:
             raise ValueError("need at least two particles")
         d, n = spec.dim, num_particles
         check_size_guard(d, n, force)
+        if math.comb(n, n // 2) > sys.float_info.max:
+            raise ValueError(f"N = {n} is past 1029: the sector's weights, up to "
+                             f"C(N, N // 2), overflow a float")
         residual = spec.pairing_residuals["factor_swap"]
         if residual > TOL_AXIOM:
             raise ValueError(f"spec {spec.name!r} does not commute with the factor swap "
@@ -175,11 +182,16 @@ class SymmetricGenerator:
         held = _by_largest_type(np.zeros((1, d * d), eye.dtype), d * d, n - 2,
                                 lambda part, t: part + eye[t])
         rest = np.arange(len(held))
+        # each term's (row, column); the terms that meet on one are summed once, here
+        at, inverse = np.unique((self._last[self._into[rest, v1], v2] * self.size
+                                 + self._last[self._into[rest, u1], u2]).ravel(),
+                                return_inverse=True)
+        self._rows, self._cols = np.divmod(at, self.size)
         # n_{v1} (n_{v2} - delta_{v1 v2}) at n = m + v1 + v2
-        weight = (held[rest, v1] + 1.0 + (v1 == v2)) * (held[rest, v2] + 1.0)
-        self._rows = self._last[self._into[rest, v1], v2].ravel()
-        self._cols = self._last[self._into[rest, u1], u2].ravel()
-        self._vals = (weight * (q[:, None] / (n * (n - 1)))).ravel()
+        vals = ((held[rest, v1] + 1.0 + (v1 == v2)) * (held[rest, v2] + 1.0)
+                * (q[:, None] / (n * (n - 1)))).ravel()
+        self._vals = (np.bincount(inverse, vals.real, len(at))
+                      + 1j * np.bincount(inverse, vals.imag, len(at)))
 
     def product_state(self, rho: np.ndarray) -> np.ndarray:
         """The coefficients of rho^{xN}, rho a d x d matrix: prod_t rho[t]^{n_t}."""

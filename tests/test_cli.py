@@ -835,6 +835,18 @@ def test_chaos_refuses_a_swap_asymmetric_spec(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_chaos_past_the_float_weights_exits_1(tmp_path, capsys):
+    # C(1040, 520) > 1.8e308: the sector's weights would overflow a float
+    code, out = run_cli(tmp_path, {
+        "command": "chaos", "model": QUBIT, "spec": "qubit_tilted",
+        "params": {"N_list": [1040], "t_max": 1.0, "steps": 1,
+                   "initial": {"kind": "maximally_mixed"}}}, extra=("--force",))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: N = 1040 is past 1029") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_chaos_at_n_10_runs_within_its_budget(tmp_path):
     # the symmetric sector holds 286 coefficients at N = 10, where the dense
     # path held 1024 x 1024 matrices and took seconds for the evolution alone

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from qkac.collisions import (_PAIR_BLOCK, CollisionSpec, _closure_residual,
                              verify_spec)
 from qkac.master import KacGenerator, is_ergodic
 from qkac.operators import reorder_pair_basis, swap_unitary, tensor
-from qkac.spectra import SingleParticleModel, shell_decomposition
+from qkac.spectra import SingleParticleModel, shell_decomposition, shell_structure
 from conftest import random_matrix, random_state, random_unitary
 from oracles import (as_map, choi, dense_channel, fixed_space_of_Q, hs_norm, identity_spec,
                      nonzeros, shell_projector, shell_state)
@@ -497,6 +498,28 @@ def test_exact_ea2_matches_projector_definition(energies):
                         shell_projector(model, 2, E).reshape(-1))
                for E, idx in shell_decomposition(model, 2))
     assert np.array_equal(dense_channel(exact_EA2_spec(model)), want)
+
+
+@pytest.mark.parametrize("energies", [(0, 1), (0, 1, 2), (0, 1, 4, 5), (0, 1, 1, 2),
+                                      (0, 1, 3, 7, 12, 20, 30, 44), (1, 10, 100)])
+def test_exact_ea2_groups_pair_energies_as_the_pair_shells_do(energies):
+    # the channel arrays, bit for bit, as built from the N = 2 shell structure
+    model, d = SingleParticleModel(energies), len(energies)
+    blocks = [(np.repeat(pos, pos.size), np.tile(pos, pos.size),
+               np.full(pos.size ** 2, 1.0 / pos.size, dtype=complex))
+              for pos in (idx * (d * d + 1) for _, idx in shell_structure(model, 2).shells)]
+    want = collisions._channel(*map(np.concatenate, zip(*blocks)))
+    got = exact_EA2_spec(model).channel
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+
+
+def test_exact_ea2_builds_past_the_size_guard_without_the_class_search():
+    # 65 levels: 65^2 pair indices pass the guard of the N-particle structure
+    start = time.perf_counter()
+    spec = exact_EA2_spec(SingleParticleModel(tuple(range(65))))
+    assert time.perf_counter() - start < 1
+    # the pair shells E = 0..128 hold 1, 2, .., 65, .., 1 indices
+    assert spec.channel[0].size == 2 * sum(k * k for k in range(1, 65)) + 65 ** 2 == 183_105
 
 
 def test_exact_ea2_maps_product_units_to_shell_states(ea2_three_level):

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from qkac import master
 from qkac.collisions import (CollisionSpec, exact_EA2_spec, qubit_tilted_spec,
                              qubit_uniform_spec, spec_by_name, superoperator_from_nodes)
 from qkac.errors import NumericalContractError
@@ -177,6 +178,14 @@ def test_evolve_rejects_negative_time(tilted_spec, rng):
         evolve_master(gen, random_state(rng, 4), 0.1, tail_tol=-1e-12)
 
 
+def test_evolve_checks_the_operand_at_time_zero(tilted_spec, rng):
+    # at t = 0 the series is not summed, so no jump checks the operand
+    gen = KacGenerator(tilted_spec, 3)
+    for t in (0.0, 0.1):
+        with pytest.raises(ValueError, match="does not match dimension 8"):
+            evolve_master(gen, random_state(rng, 3), t)
+
+
 def test_evolve_refuses_the_tensor_view(tilted_spec, rng):
     # the full-space generator takes only the d^N x d^N matrix
     gen = KacGenerator(tilted_spec, 3)
@@ -313,6 +322,33 @@ def test_sparse_block_matches_dense_block(spec_name, energies, n):
     for _, rows, _, cols, (diag, i, j, val) in blocks:
         want = _shell_block(gen, rows, cols)
         assert np.abs(dense_from_triples(diag, i, j, val) - want).max() < 1e-15
+    # the block diagonals, gathered from the pair diagonal, are the full one's
+    assert "_diag" not in vars(gen)
+    full = gen._diag.reshape(gen.shape.dim, -1)
+    for _, rows, _, cols, (diag, *_) in blocks:
+        assert np.array_equal(diag, full[np.ix_(rows, cols)].ravel().astype(complex))
+
+
+@pytest.mark.parametrize("spec_name,energies,n", [
+    ("qubit_tilted", (0, 1), 6), ("exact_ea2", (0, 1, 2), 4),
+])
+def test_only_apply_qn_builds_the_full_diagonal(spec_name, energies, n, monkeypatch, rng):
+    made = []
+
+    class Recorded(KacGenerator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    # is_ergodic, which steady_state_classes calls, builds its own generator
+    monkeypatch.setattr(master, "KacGenerator", Recorded)
+    gen = Recorded(make_spec(spec_name, energies), n)
+    steady_state_classes(gen)
+    rho = random_state(rng, gen.shape.dim)
+    apply_pair_channel(gen, rho, 0, n - 1)
+    assert len(made) == 2 and not any("_diag" in vars(g) for g in made)
+    apply_QN(gen, rho)
+    assert "_diag" in vars(gen)
 
 
 @pytest.mark.parametrize("spec_name,energies,n,all_blocks", [

@@ -11,6 +11,7 @@ expanded state.
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 
 from qkac.collisions import CollisionSpec, exact_EA2_spec, qubit_tilted_spec, qubit_uniform_spec
 from qkac.errors import NumericalContractError
-from qkac.master import KacGenerator, evolve_master
+from qkac.master import KacGenerator, apply_QN, evolve_master
 from qkac.operators import _negative_eigenvalue, partial_trace, random_density, tensor
 from qkac.spectra import SingleParticleModel
 from qkac.symmetric import SymmetricGenerator, _add_tables, _by_largest_type, _SpinBlocks
@@ -160,6 +161,39 @@ def test_product_state_takes_a_one_particle_matrix(tilted_spec):
     for bad in (np.eye(3) / 3, np.full(4, 0.25), np.eye(4) / 4):
         with pytest.raises(ValueError, match=r"not \(2, 2\)"):
             gen.product_state(bad)
+
+
+def test_sector_evolution_checks_the_operand_at_time_zero(tilted_spec):
+    # at t = 0 the series is not summed, so no jump checks the operand
+    gen = SymmetricGenerator(tilted_spec, 3)
+    for t in (0.0, 0.1):
+        with pytest.raises(ValueError, match=r"is not the sector's \(20,\)"):
+            evolve_master(gen, np.ones(7), t)
+
+
+def test_sector_refuses_weights_past_the_float_range(tilted_spec):
+    # the trace weight C(N, N // 2) of the occupation (N // 2, 0, 0, N - N // 2)
+    assert math.comb(1029, 514) <= sys.float_info.max < math.comb(1030, 515)
+    for n in (1030, 1040):
+        with pytest.raises(ValueError, match=f"N = {n} is past 1029"):
+            SymmetricGenerator(tilted_spec, n, force=True)
+
+
+@pytest.mark.parametrize("name,n", [("qubit_tilted", 6), ("qubit_uniform", 6),
+                                    ("qubit_tilted", 40), ("qubit_uniform", 40),
+                                    ("ea2_012", 4), ("ea2_0134", 3)])
+def test_sector_triples_hold_each_entry_once(name, n):
+    spec = NAMED[name]()
+    gen = SymmetricGenerator(spec, n, force=True)
+    key = gen._rows * gen.size + gen._cols
+    assert np.array_equal(np.unique(key), key)
+    if spec.dim == 2:   # both qubit channels keep every occupation
+        assert np.array_equal(gen._rows, gen._cols)
+    if spec.dim ** n <= 81:
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal(gen.size) + 1j * rng.standard_normal(gen.size)
+        want = apply_QN(KacGenerator(spec, n), gen.expand(c))
+        assert np.abs(gen.expand(gen.jump(c)) - want).max() < 1e-15
 
 
 QUBIT_NAMES = ["qubit_tilted", "qubit_uniform", "qubit_tilted_ppa4", "qubit_uniform_ppa4"]
