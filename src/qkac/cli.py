@@ -196,7 +196,7 @@ def _size(value, what: str, model: SingleParticleModel, force: bool, minimum: in
     return n
 
 
-def _read_params(cfg: RunConfig, rng: np.random.Generator) -> dict:
+def _read_params(cfg: RunConfig) -> dict:
     """Every param the command reads, checked before any work is done: the
     sizes, the time grid, the invariants, the reference states, the initial
     state and last the spec, which every command reading
@@ -289,7 +289,7 @@ def _read_params(cfg: RunConfig, rng: np.random.Generator) -> dict:
             beta = _number(init.get("beta", 0.0), "params.initial.beta")
             out["rho0"] = gibbs(model, float(beta))
         elif kind == "random":
-            out["rho0"] = random_density(dim, rng)
+            out["rho0"] = random_density(dim, np.random.default_rng(cfg.seed))
         else:
             raise ConfigError(f"unknown initial-state kind '{kind}'")
     if "points_per_angle" in names:
@@ -454,7 +454,7 @@ def _out_of_memory(cfg: RunConfig) -> str:
 
 
 def run(cfg: RunConfig) -> int:
-    params = _read_params(cfg, np.random.default_rng(cfg.seed))
+    params = _read_params(cfg)
     header, rows = _COMMANDS[cfg.command][0](cfg, params)
     os.makedirs(cfg.output_dir, exist_ok=True)
     _write_atomic(os.path.join(cfg.output_dir, f"{cfg.command}.csv"),

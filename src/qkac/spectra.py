@@ -10,11 +10,18 @@ Classification runs over occupancy vectors rather than raw multi-indices:
 permuting a multi-index is itself a chain of allowed pair moves, so each
 class is a union of permutation orbits and the quotient state space is
 the (much smaller) set of occupancy vectors.
+
+Occupations of k particles are ranked in colex order: those with largest
+type t follow the C(t + k - 1, k) with smaller largest types.  A flat
+index's occupation is ranked by adding its factors one at a time through
+``_add_tables``, and the classes are closed over those ranks; the
+symmetric sector ranks its occupations by the same tables.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +68,8 @@ class ShellStructure:
     shell and then by smallest flat index; ``class_energies[c]`` is the
     energy of class c; ``occupancies`` holds the distinct occupancy vectors
     in lexicographic order and ``occupancy_of[k]`` the row of index k among
-    them.  The arrays are read-only because they are shared.
+    them, the colex rank of its occupation mapped to that row.  The arrays
+    are read-only because they are shared.
     """
 
     digits: np.ndarray
@@ -88,29 +96,63 @@ def _build_shell_structure(model: SingleParticleModel,
                            num_factors: int) -> ShellStructure:
     d = model.dim
     digits = np.indices((d,) * num_factors).reshape(num_factors, -1).T
-    energy = np.asarray(model.energies)[digits].sum(axis=1)
-    occs, occ_of = np.unique((digits[:, :, None] == np.arange(d)).sum(axis=1),
-                             axis=0, return_inverse=True)
-    occ_of = occ_of.ravel()
-    # pair moves keep the energy, so one closure over all occupancy
-    # vectors yields the classes of every shell at once
-    moves = _occupancy_classes(model, [tuple(m) for m in occs.tolist()])
-    _, first, raw = np.unique(moves[occ_of], return_index=True, return_inverse=True)
+    # the colex rank of each index's occupation, its factors added one at a time
+    tables = [np.zeros((0, d), np.intp), *_add_tables(d, num_factors)]
+    colex = np.zeros(len(digits), np.intp)
+    for table, column in zip(tables[1:], digits.T):
+        colex = table[colex, column]
+    occs = _by_largest_type(np.zeros((1, d), np.intp), d, num_factors,
+                            lambda part, t: part + (np.arange(d) == t))
+    energy = (occs @ np.asarray(model.energies))[colex]
+    lex = np.lexsort(occs.T[::-1])
+    # pair moves keep the energy, so one closure over all occupancy vectors yields
+    # the classes of every shell; at N = 1 the empty table leaves no moves
+    moves = _occupancy_classes(model, *tables[-2:])
+    _, first, raw = np.unique(moves[colex], return_index=True, return_inverse=True)
     # number the classes by energy, then by smallest flat index
     order = np.lexsort((first, energy[first]))
-    rank = np.argsort(order)
     by_energy = np.argsort(energy, kind="stable")
     es, starts = np.unique(energy[by_energy], return_index=True)
     st = ShellStructure(digits=digits,
                         shells=tuple(zip(es.tolist(), np.split(by_energy, starts[1:]))),
-                        labels=rank[raw],
+                        labels=np.argsort(order)[raw],
                         class_energies=energy[first[order]],
-                        occupancies=occs,
-                        occupancy_of=occ_of)
+                        occupancies=occs[lex],
+                        occupancy_of=np.argsort(lex)[colex])
     for a in (st.digits, st.labels, st.class_energies, st.occupancies, st.occupancy_of,
               *(idx for _, idx in st.shells)):
         a.flags.writeable = False
     return st
+
+
+def _add_tables(num_types: int, n: int):
+    """Yield, for k = 1..n, the table whose entry [r, t] is the rank among
+    the occupations of k particles of the occupation of rank r among k - 1
+    particles with one particle of type t added."""
+    types = np.arange(num_types)
+    table = types[None, :]
+    yield table
+    for k in range(2, n + 1):
+        # the occupations of k - 1 particles: the first of each largest type, and their count
+        first = np.array([math.comb(t + k - 2, k - 1) for t in range(num_types + 1)])
+        rank = np.arange(first[-1])
+        top = np.searchsorted(first, rank, side="right") - 1
+        offset = np.array([math.comb(t + k - 1, k) for t in types])
+        table = np.where(types >= top[:, None], offset + rank[:, None],
+                         offset[top, None] + table[(rank - first[top])[:, None], types])
+        yield table
+
+
+def _by_largest_type(start: np.ndarray, num_types: int, k: int, add) -> np.ndarray:
+    """Values on the occupations of k particles, by rank, from ``start`` on
+    the empty occupation: those of j particles with largest type t are the
+    occupations of j - 1 particles of rank below C(t + j - 1, j - 1), their
+    values passed through ``add(values, t)``."""
+    values = start
+    for j in range(1, k + 1):
+        values = np.concatenate([add(values[:math.comb(t + j - 1, j - 1)], t)
+                                 for t in range(num_types)])
+    return values
 
 
 def _multi_indices(st: ShellStructure, idx) -> list:
@@ -164,30 +206,20 @@ def _pair_move_groups(energies) -> dict:
     return groups
 
 
-def _occupancy_classes(model: SingleParticleModel, occupancies) -> np.ndarray:
-    """Class label of each occupancy vector under energy-conserving pair
-    moves; ``occupancies`` must hold every vector a move can reach."""
-    pos = {m: k for k, m in enumerate(occupancies)}
-    groups = _pair_move_groups(model.energies).values()
-    edges = []
-    for m in occupancies:
-        for pairs in groups:
-            for (i, j) in pairs:
-                rest = list(m)
-                rest[i] -= 1
-                rest[j] -= 1
-                if min(rest) < 0:
-                    continue
-                for (k, l) in pairs:
-                    if (k, l) != (i, j):
-                        mm = rest.copy()
-                        mm[k] += 1
-                        mm[l] += 1
-                        edges.append((pos[m], pos[tuple(mm)]))
-    # every move can be undone, so the edges are symmetric; propagate the
+def _occupancy_classes(model: SingleParticleModel, into: np.ndarray,
+                       last: np.ndarray) -> np.ndarray:
+    """Class label of each occupation of N particles, by colex rank, under
+    energy-conserving pair moves; ``into`` and ``last`` are the rank tables
+    of ``_add_tables`` for N - 1 and N particles."""
+    # each group's first pair joins its others; m + e_i + e_j has rank last[into[m, i], j]
+    pairs = [(g[0], p) for g in _pair_move_groups(model.energies).values() for p in g[1:]]
+    (i, j), (k, l) = np.array(pairs, np.intp).reshape(-1, 2, 2).transpose(1, 2, 0)
+    rest = np.arange(len(into))[:, None]
+    a, b = last[into[rest, i], j].ravel(), last[into[rest, k], l].ravel()
+    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+    # every move can be undone, so the edges go both ways; propagate the
     # smallest label along them, with pointer jumping, until it settles
-    src, dst = np.array(edges, dtype=int).reshape(-1, 2).T
-    label = np.arange(len(occupancies))
+    label = np.arange(last.max() + 1)
     while True:
         new = label.copy()
         np.minimum.at(new, src, label[dst])

@@ -27,12 +27,8 @@ it holds is diagonal (a = c), and 0 otherwise; the one- and two-particle
 marginals read the coefficients of m + u and m + u1 + u2 against the
 diagonal occupations m of N - 1 and N - 2 particles in the same way.
 
-The occupations of k particles are ranked in colex order: those whose
-largest type is t follow the C(t + k - 1, k) with smaller largest types,
-in the order of their other k - 1 types.  One table per k gives the rank
-of an occupation of k - 1 particles with one particle added; it is built
-from the table for k - 1, and every rank stays below the sector size, so
-no rank overflows.
+The occupations are ranked in colex order by the rank tables of
+``qkac.spectra``.
 
 For qubits the state is certified without forming it.  With x_t = A[a, c]
 for t = 2a + c, S_n = [x^n] A^{xN}, and by Schur-Weyl duality A^{xN} acts
@@ -61,6 +57,7 @@ import numpy as np
 from .collisions import CollisionSpec
 from .master import _triples_apply
 from .operators import FactorShape
+from .spectra import _add_tables, _by_largest_type
 from .tolerances import TOL_AXIOM, check_size_guard
 
 
@@ -113,24 +110,6 @@ class _SpinBlocks:
         err = self.rounding * np.add.reduceat(w * np.concatenate(mags), self.starts)
         return [(flat[end - (m + 1) ** 2:end].reshape(m + 1, m + 1), e)
                 for m, end, e in zip(self.m, self.ends, err)]
-
-
-def _add_tables(num_types: int, n: int):
-    """Yield, for k = 1..n, the table whose entry [r, t] is the rank among
-    the occupations of k particles of the occupation of rank r among k - 1
-    particles with one particle of type t added."""
-    types = np.arange(num_types)
-    table = types[None, :]
-    yield table
-    for k in range(2, n + 1):
-        # the occupations of k - 1 particles: the first of each largest type, and their count
-        first = np.array([math.comb(t + k - 2, k - 1) for t in range(num_types + 1)])
-        rank = np.arange(first[-1])
-        top = np.searchsorted(first, rank, side="right") - 1
-        offset = np.array([math.comb(t + k - 1, k) for t in types])
-        table = np.where(types >= top[:, None], offset + rank[:, None],
-                         offset[top, None] + table[(rank - first[top])[:, None], types])
-        yield table
 
 
 class SymmetricGenerator:
@@ -255,14 +234,3 @@ class SymmetricGenerator:
                 out[:, a, :, b] = c[self._last[rank, a * d + b]]
         return out.reshape(self.shape.dim, self.shape.dim)
 
-
-def _by_largest_type(start: np.ndarray, num_types: int, k: int, add) -> np.ndarray:
-    """Values on the occupations of k particles, by rank, from ``start`` on
-    the empty occupation: those of j particles with largest type t are the
-    occupations of j - 1 particles of rank below C(t + j - 1, j - 1), their
-    values passed through ``add(values, t)``."""
-    values = start
-    for j in range(1, k + 1):
-        values = np.concatenate([add(values[:math.comb(t + j - 1, j - 1)], t)
-                                 for t in range(num_types)])
-    return values

@@ -1,14 +1,14 @@
 """Helpers that only the tests call, kept out of the library as oracles
 and test fixtures: tensor powers, predicates on matrices, dense factor
-permutations and pair embeddings, shell projectors, the identity-only
-spec, the qubit grid nodes by brute-force merging, the dense channel
-matrix of a spec, a channel matrix as a map and its full Choi matrix, the
-fixed space of a channel by one dense eigensolve, the closed-form diagonal
-Wild convolution, the pair channels and Q_N by tensor contraction with the
-dense channel, the dense shell blocks of Q_N with their fixed vectors by
-``eigh`` and its full spectrum, the permutation-covariance residuals,
-and the dissipation form and complement-projected spectral gap of the
-linearized operator.
+permutations and pair embeddings, the shell structure built row by row,
+shell projectors, the identity-only spec, the qubit grid nodes by
+brute-force merging, the dense channel matrix of a spec, a channel
+matrix as a map and its full Choi matrix, the fixed space of a channel
+by one dense eigensolve, the closed-form diagonal Wild convolution, the
+pair channels and Q_N by tensor contraction with the dense channel, the
+dense shell blocks of Q_N with their fixed vectors by ``eigh`` and its
+full spectrum, the permutation-covariance residuals, and the dissipation
+form and complement-projected spectral gap of the linearized operator.
 """
 
 import math
@@ -21,7 +21,7 @@ from qkac.linearized import BKMGeometry, build_K, multiply_super
 from qkac.master import KacGenerator, apply_pair_channel, apply_QN
 from qkac.operators import (FactorShape, _require_hermitian,
                             _validate_permutation, is_hermitian, permute_factors, tensor)
-from qkac.spectra import SingleParticleModel, shell_structure
+from qkac.spectra import ShellStructure, SingleParticleModel, _pair_move_groups, shell_structure
 from qkac.tolerances import TOL_FIXED_EIG, TOL_HERM, TOL_PSD
 
 TOL_STEADY = 1e-10      # residual for steady-state checks
@@ -125,6 +125,54 @@ def occupancy(alpha, d: int) -> tuple:
     for a in alpha:
         m[a] += 1
     return tuple(m)
+
+
+def row_shell_structure(model: SingleParticleModel, num_factors: int) -> ShellStructure:
+    """The shell structure built row by row: the distinct count rows of the
+    flat indices by ``np.unique``, and the pair-move classes by a loop over
+    every occupancy vector and every pair of each pair-energy group."""
+    d = model.dim
+    digits = np.indices((d,) * num_factors).reshape(num_factors, -1).T
+    energy = np.asarray(model.energies)[digits].sum(axis=1)
+    occs, occ_of = np.unique((digits[:, :, None] == np.arange(d)).sum(axis=1),
+                             axis=0, return_inverse=True)
+    occ_of = occ_of.ravel()
+    occupancies = [tuple(m) for m in occs.tolist()]
+    pos = {m: k for k, m in enumerate(occupancies)}
+    edges = []
+    for m in occupancies:
+        for pairs in _pair_move_groups(model.energies).values():
+            for (i, j) in pairs:
+                rest = list(m)
+                rest[i] -= 1
+                rest[j] -= 1
+                if min(rest) < 0:
+                    continue
+                for (k, l) in pairs:
+                    if (k, l) != (i, j):
+                        mm = rest.copy()
+                        mm[k] += 1
+                        mm[l] += 1
+                        edges.append((pos[m], pos[tuple(mm)]))
+    src, dst = np.array(edges, dtype=int).reshape(-1, 2).T
+    moves = np.arange(len(occupancies))
+    while True:
+        new = moves.copy()
+        np.minimum.at(new, src, moves[dst])
+        new = new[new]
+        if np.array_equal(new, moves):
+            break
+        moves = new
+    _, first, raw = np.unique(moves[occ_of], return_index=True, return_inverse=True)
+    order = np.lexsort((first, energy[first]))
+    by_energy = np.argsort(energy, kind="stable")
+    es, starts = np.unique(energy[by_energy], return_index=True)
+    return ShellStructure(digits=digits,
+                          shells=tuple(zip(es.tolist(), np.split(by_energy, starts[1:]))),
+                          labels=np.argsort(order)[raw],
+                          class_energies=energy[first[order]],
+                          occupancies=occs,
+                          occupancy_of=occ_of)
 
 
 def shell_projector(model: SingleParticleModel, num_factors: int, E: int,

@@ -483,23 +483,42 @@ SMALL_RUNS = {
 }
 
 
-def test_cli_runs_every_command_without_scipy(tmp_path):
-    # numpy is the only runtime dependency: no command loads any part of scipy
-    assert sorted(SMALL_RUNS) == sorted(cli.COMMANDS)
+def run_fresh(tmp_path, runs: dict, check: str):
+    """Run each of ``runs`` (command -> config fields) through ``cli.run`` in
+    one fresh interpreter, then run the statement ``check`` there."""
     paths = [str(write_config(tmp_path, {"command": command, "model": QUBIT,
                                          "output_dir": str(tmp_path / command), **doc},
                               f"{command}.json"))
-             for command, doc in SMALL_RUNS.items()]
+             for command, doc in runs.items()]
     code = ("import sys\n"
             "import qkac.cli as cli\n"
             "for path in sys.argv[1:]:\n"
             "    assert cli.run(cli.load_config(path, None, False, {})) == 0, path\n"
-            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
-            "assert not loaded, loaded\n")
+            + check + "\n")
     src = str(Path(qkac.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code, *paths], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+def test_cli_runs_every_command_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: no command loads any part of scipy
+    assert sorted(SMALL_RUNS) == sorted(cli.COMMANDS)
+    run_fresh(tmp_path, SMALL_RUNS,
+              "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+              "assert not loaded, loaded")
     for command in cli.COMMANDS:
+        assert len(read_csv(tmp_path / command / f"{command}.csv")) > 1
+
+
+def test_commands_that_draw_nothing_never_load_numpy_random(tmp_path):
+    # the generator is built only where a random initial state is drawn, so
+    # these commands skip importing numpy.random, about 10 ms
+    chaos = copy.deepcopy(SMALL_RUNS["chaos"])
+    chaos["params"]["initial"] = {"kind": "matrix", "state": [[0.75, 0], [0, 0.25]]}
+    run_fresh(tmp_path, {"chaos": chaos, "ergodicity": SMALL_RUNS["ergodicity"],
+                         "gap": SMALL_RUNS["gap"]},
+              "assert 'numpy.random' not in sys.modules")
+    for command in ("chaos", "ergodicity", "gap"):
         assert len(read_csv(tmp_path / command / f"{command}.csv")) > 1
 
 

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkac.chaos import ChaosExperiment, derivation_check
@@ -11,12 +11,13 @@ from qkac.cli import _size
 from qkac.collisions import exact_EA2_spec
 from qkac.master import KacGenerator
 from qkac.operators import FactorShape
-from qkac.spectra import (SingleParticleModel, classify_shell, class_projections,
-                          commutant_projection, is_fully_ergodic,
+from qkac.spectra import (SingleParticleModel, _add_tables, _by_largest_type, classify_shell,
+                          class_projections, commutant_projection, is_fully_ergodic,
                           shell_decomposition, shell_structure)
 from qkac.symmetric import SymmetricGenerator
 from conftest import random_matrix, random_state
-from oracles import accidental_relations, occupancy, shell_projector, shell_state
+from oracles import (accidental_relations, occupancy, row_shell_structure, shell_projector,
+                     shell_state)
 
 
 def bfs_class_counts(energies, num_particles):
@@ -151,6 +152,44 @@ def test_classify_matches_bruteforce_bfs(energies, N):
        N=st.integers(1, 4))
 def test_classify_matches_bruteforce_bfs_random_spectra(energies, N):
     test_classify_matches_bruteforce_bfs(tuple(energies), N)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(energies=st.lists(st.integers(0, 12), min_size=2, max_size=5).map(sorted),
+       N=st.integers(1, 6))
+@example(energies=list(range(12)), N=3)
+@example(energies=[0, 0, 1, 2, 2, 3, 5, 6, 6, 8, 11, 12], N=3)
+def test_shell_structure_matches_the_row_oracle(energies, N):
+    # the colex-ranked build against np.unique over the count rows and the
+    # loop over every occupation and pair: every field equal, dtypes included
+    model = SingleParticleModel(tuple(energies))
+    got, want = shell_structure(model, N, force=True), row_shell_structure(model, N)
+    for name in ("digits", "labels", "class_energies", "occupancies", "occupancy_of"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert [E for E, _ in got.shells] == [E for E, _ in want.shells]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got.shells, want.shells))
+    # each index's row holds its level counts, in distinct rows sorted lexicographically
+    counts = [occupancy(alpha, model.dim) for alpha in got.digits.tolist()]
+    assert list(map(tuple, got.occupancies[got.occupancy_of].tolist())) == counts
+    rows = list(map(tuple, got.occupancies.tolist()))
+    assert rows == sorted(set(rows))
+
+
+def test_rank_tables_rank_each_occupation_where_it_is_listed():
+    # folding an occupation's types through the tables, in ascending or in
+    # descending order, gives the rank at which _by_largest_type lists it
+    for num_types in range(1, 17):
+        tables, eye = list(_add_tables(num_types, 6)), np.eye(num_types, dtype=np.intp)
+        for k in range(1, 7):
+            occs = _by_largest_type(np.zeros((1, num_types), np.intp), num_types, k,
+                                    lambda part, t: part + eye[t])
+            types = np.repeat(np.tile(np.arange(num_types), len(occs)), occs.ravel())
+            for order in (types.reshape(-1, k), types.reshape(-1, k)[:, ::-1]):
+                rank = np.zeros(len(occs), np.intp)
+                for table, column in zip(tables, order.T):
+                    rank = table[rank, column]
+                assert np.array_equal(rank, np.arange(len(occs))), (num_types, k)
 
 
 def test_classes_cover_shell_disjointly():

@@ -1,8 +1,9 @@
 """The public surface that code outside the library reads: every function
 the benchmark traces and every name the acceptance suite imports resolves,
 the helpers only tests call live in ``oracles``, not in ``qkac``, only
-``collisions`` reads a spec's channel, and the library's qubit grid nodes
-are those of the brute-force oracle there."""
+``collisions`` reads a spec's channel, only ``spectra`` defines the
+occupation rank tables, and the library's qubit grid nodes are those of
+the brute-force oracle there."""
 
 import ast
 import dataclasses
@@ -85,6 +86,15 @@ def test_only_the_spec_reads_its_channel():
                      if any(isinstance(node, ast.Attribute) and node.attr == "channel"
                             for node in ast.walk(ast.parse(path.read_text()))))
     assert readers == ["collisions.py"]
+
+
+def test_occupations_are_ranked_by_one_set_of_tables():
+    # the shell structure and the symmetric sector share the colex rank tables
+    defined = sorted((path.name, node.name) for path in (ROOT / "src" / "qkac").glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name in ("_add_tables", "_by_largest_type"))
+    assert defined == [("spectra.py", "_add_tables"), ("spectra.py", "_by_largest_type")]
 
 
 @pytest.mark.parametrize("tilted", [False, True], ids=["uniform", "tilted"])

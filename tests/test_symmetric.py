@@ -21,8 +21,8 @@ from qkac.collisions import CollisionSpec, exact_EA2_spec, qubit_tilted_spec, qu
 from qkac.errors import NumericalContractError
 from qkac.master import KacGenerator, apply_QN, evolve_master
 from qkac.operators import _negative_eigenvalue, partial_trace, random_density, tensor
-from qkac.spectra import SingleParticleModel
-from qkac.symmetric import SymmetricGenerator, _add_tables, _by_largest_type, _SpinBlocks
+from qkac.spectra import SingleParticleModel, _add_tables, _by_largest_type
+from qkac.symmetric import SymmetricGenerator, _SpinBlocks
 from oracles import tensor_power
 from test_random_specs import CASES, random_specs, split_spec
 
