@@ -37,8 +37,7 @@ from .linearized import BKMGeometry, spectral_gap
 from .master import KacGenerator, evolve_master, steady_state_classes
 from .operators import (entropy_and_relative_entropy, random_density, trace_norm,
                         validate_density_matrix, von_neumann_entropy)
-from .spectra import (SingleParticleModel, commutant_projection,
-                      is_fully_ergodic, shell_structure)
+from .spectra import SingleParticleModel, commutant_projection, shell_structure
 from .tolerances import NAMED_TOLERANCES, TOL_AXIOM, check_size_guard
 
 MAX_STEPS = 100_000
@@ -317,10 +316,12 @@ def _cmd_verify_spec(cfg: RunConfig, p: dict):
 
 
 def _cmd_ergodicity(cfg: RunConfig, p: dict):
-    shells = shell_structure(cfg.model, p["N"], force=cfg.force).shells
-    _, counts = is_fully_ergodic(cfg.model, p["N"], force=cfg.force)
-    rows = [(E, len(idx), counts[E]) for E, idx in shells]
-    return ["E", "dim_KE", "class_count"], rows
+    # read off the occupations: the class ranks are exact, past int64 from 3**40 on
+    st = shell_structure(cfg.model, p["N"], force=cfg.force)
+    es, first, counts = np.unique(st.class_energies, return_index=True, return_counts=True)
+    ranks = st.class_ranks()
+    return ["E", "dim_KE", "class_count"], [(E, sum(ranks[i:i + c]), c) for E, i, c in
+                                            zip(es.tolist(), first.tolist(), counts.tolist())]
 
 
 def _cmd_evolve_master(cfg: RunConfig, p: dict):

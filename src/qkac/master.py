@@ -44,7 +44,7 @@ from .collisions import CollisionSpec
 from .errors import NumericalContractError
 from .operators import (FactorShape, _negative_eigenvalue, entropy_and_relative_entropy,
                         is_hermitian)
-from .spectra import class_projections, commutant_projection, shell_structure
+from .spectra import _digits, class_projections, commutant_projection, shell_structure
 from .tolerances import TAIL_TOL, TOL_FIXED_EIG, TOL_PSD, check_size_guard
 
 log = logging.getLogger(__name__)
@@ -288,8 +288,7 @@ def _sparse_block(gen: KacGenerator, triples: list, within, rows, cols):
     their final size, so they are held once while the block is built.
     """
     d, nc = gen.shape.factor_dim, len(cols)
-    digits = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).digits
-    rd, cd = digits[rows], digits[cols]
+    rd, cd = _digits(rows, d, gen.num_particles), _digits(cols, d, gen.num_particles)
     pair_diag = gen._pair_diag.reshape(d * d, d * d)
     diag = np.zeros((len(rows), nc), dtype=pair_diag.dtype)
     for i, j in gen.pairs:
@@ -476,7 +475,7 @@ def is_ergodic(spec: CollisionSpec) -> bool:
     gen = KacGenerator(spec, 2, force=True)
     fixed = [(er == ec, f.reshape(len(rows), -1)) for er, rows, ec, _, vecs, _ in
              _null_blocks(gen, TOL_FIXED_EIG, diagonal_only=False) for f in vecs]
-    if len(fixed) != len(shell_structure(spec.model, 2, force=True).shells):
+    if len(fixed) != len(set(shell_structure(spec.model, 2, force=True).energies.tolist())):
         return False
     # at N = 2 each shell is one class, so the pair energy algebra holds the
     # multiples of each shell's identity, which lie in its diagonal block
@@ -513,13 +512,13 @@ def steady_state_classes(gen: KacGenerator, tol: float = TOL_FIXED_EIG) -> list:
     pass the class count if they do.  No d^N x d^N matrix is formed.
     """
     st = shell_structure(gen.spec.model, gen.num_particles, force=gen.force)
-    ranks = np.bincount(st.labels)
+    ranks = st.class_ranks()
     null_dim = sum(len(vecs) for *_, vecs, _ in _null_blocks(
         gen, tol, diagonal_only=is_ergodic(gen.spec), limit=len(ranks)))
     if null_dim != len(ranks):
         found = "passes" if null_dim > len(ranks) else f"{null_dim} does not match"
         raise NumericalContractError(f"null-space dimension {found} the class count {len(ranks)}")
-    return list(zip(st.class_energies.tolist(), ranks.tolist()))
+    return list(zip(st.class_energies.tolist(), ranks))
 
 
 def steady_states_basis(gen: KacGenerator, tol: float = TOL_FIXED_EIG) -> list:

@@ -1,41 +1,34 @@
 """Single-particle spectral model, N-particle energy shells, and the
-collision-move equivalence classes that label the minimal projections of
-the fixed-point algebra.
+pair-move classes that label the minimal projections of the fixed-point
+algebra.
 
-Energies are exact integers so shell membership and the pair-move
-condition e_i + e_j = e_k + e_l are decided exactly; rational spectra
-must be pre-scaled by the caller.
-
-Classification runs over occupancy vectors rather than raw multi-indices:
-permuting a multi-index is itself a chain of allowed pair moves, so each
-class is a union of permutation orbits and the quotient state space is
-the (much smaller) set of occupancy vectors.
-
-Occupations of k particles are ranked in colex order: those with largest
-type t follow the C(t + k - 1, k) with smaller largest types.  A flat
-index's occupation is ranked by adding its factors one at a time through
-``_add_tables``, and the classes are closed over those ranks; the
-symmetric sector ranks its occupations by the same tables.
+Energies are exact integers, so shells and the pair-move condition
+e_i + e_j = e_k + e_l are decided exactly; rational spectra must be
+pre-scaled by the caller.  Permuting a multi-index is a chain of pair
+moves, so shells and classes are decided on the C(N + d - 1, N)
+occupancy vectors alone, and only callers that hold a d^N operand derive
+the flat view.  Occupations of k particles are ranked in colex order by
+``_add_tables``, which the symmetric sector shares: those with largest
+type t follow the C(t + k - 1, k) with smaller largest types.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tolerances import check_size_guard
+from .tolerances import OCCUPATION_GUARD, check_size_guard
 
 
 @dataclass(frozen=True)
 class SingleParticleModel:
-    """Diagonal single-particle Hamiltonian with integer energy levels.
-
-    The standard basis is the eigenbasis; level j has energy
-    ``energies[j]``.  Energies must be sorted ascending.
-    """
+    """Diagonal single-particle Hamiltonian with integer energy levels, sorted
+    ascending: level j of the standard basis has energy ``energies[j]``."""
 
     energies: tuple
 
@@ -59,32 +52,61 @@ class SingleParticleModel:
 
 @dataclass(frozen=True)
 class ShellStructure:
-    """The product basis of N factors, partitioned into energy shells and
-    pair-move classes.
-
-    ``digits[k]`` is the multi-index of flat basis index k (first factor
-    most significant); ``shells`` lists (E, ascending flat indices) sorted
-    by E; ``labels[k]`` is the class of index k, with classes numbered by
-    shell and then by smallest flat index; ``class_energies[c]`` is the
-    energy of class c; ``occupancies`` holds the distinct occupancy vectors
-    in lexicographic order and ``occupancy_of[k]`` the row of index k among
-    them, the colex rank of its occupation mapped to that row.  The arrays
-    are read-only because they are shared.
+    """The occupancy vectors of N particles in lexicographic order, with the
+    energy, pair-move class and count N!/prod n_t! of multi-indices of each.
+    Classes are numbered by energy, then by smallest flat index.  The flat
+    view, ``shells`` as (E, ascending flat indices) sorted by E and
+    ``labels[k]`` the class of flat index k, is derived on first use and
+    cached.  The arrays are read-only because they are shared.
     """
 
-    digits: np.ndarray
-    shells: tuple
-    labels: np.ndarray
-    class_energies: np.ndarray
     occupancies: np.ndarray
-    occupancy_of: np.ndarray
+    energies: np.ndarray
+    classes: np.ndarray
+    multinomials: np.ndarray
+
+    @property
+    def class_energies(self) -> np.ndarray:
+        return self.energies[np.unique(self.classes, return_index=True)[1]]
+
+    def class_ranks(self) -> list:
+        """The number of flat indices in each class, as exact integers."""
+        ranks = np.zeros(self.classes.max() + 1, dtype=object)
+        np.add.at(ranks, self.classes, self.multinomials)
+        return ranks.tolist()
+
+    @functools.cached_property
+    def _flat(self) -> tuple:
+        # colex ranks by the tables: of each flat index by factor, of each row by type
+        (m, d), n = self.occupancies.shape, int(self.occupancies[0].sum())
+        types = np.repeat(np.tile(np.arange(d), m), self.occupancies.ravel()).reshape(m, n)
+        flat, colex = np.zeros(1, np.intp), np.zeros(m, np.intp)
+        for table, column in zip(_add_tables(d, n), types.T):
+            flat, colex = table[flat[:, None], np.arange(d)].ravel(), table[colex, column]
+        row = np.argsort(colex)[flat]
+        es, shell = np.unique(self.energies, return_inverse=True)
+        shell, labels = shell[row], self.classes[row]
+        by_energy = np.argsort(shell, kind="stable")
+        labels.flags.writeable = by_energy.flags.writeable = False
+        starts = np.cumsum(np.bincount(shell))[:-1]
+        return tuple(zip(es.tolist(), np.split(by_energy, starts))), labels
+
+    shells = property(lambda self: self._flat[0])
+    labels = property(lambda self: self._flat[1])
 
 
 def shell_structure(model: SingleParticleModel, num_factors: int,
                     force: bool = False) -> ShellStructure:
-    """The cached shell and class structure of the N-factor product basis;
-    its energies are int64 sums, so N max|e| must be below 2^63."""
+    """The cached shell structure of N particles.  Unforced, d^N must pass
+    the size guard; forced, the C(N + d - 1, N) occupations times N + d
+    (the d C(N + d, N) rank-table entries the build fills) must not pass
+    ``OCCUPATION_GUARD``.  The energies are int64 sums, so N max|e| < 2^63."""
     check_size_guard(model.dim, num_factors, force=force)
+    occupations = math.comb(num_factors + model.dim - 1, num_factors)
+    if occupations * (num_factors + model.dim) > OCCUPATION_GUARD:
+        raise ValueError(f"N = {num_factors} on {model.dim} levels gives C(N+d-1, N) = "
+                         f"{occupations} occupations, past the {OCCUPATION_GUARD} / (N + d) "
+                         "that a shell structure is built for in memory")
     if num_factors * max(map(abs, model.energies)) >= 1 << 63:
         raise ValueError(f"N = {num_factors} times the largest |energy| reaches 2^63, "
                          "past the range of the int64 N-particle energies")
@@ -92,35 +114,25 @@ def shell_structure(model: SingleParticleModel, num_factors: int,
 
 
 @functools.lru_cache(maxsize=16)
-def _build_shell_structure(model: SingleParticleModel,
-                           num_factors: int) -> ShellStructure:
+def _build_shell_structure(model: SingleParticleModel, n: int) -> ShellStructure:
     d = model.dim
-    digits = np.indices((d,) * num_factors).reshape(num_factors, -1).T
-    # the colex rank of each index's occupation, its factors added one at a time
-    tables = [np.zeros((0, d), np.intp), *_add_tables(d, num_factors)]
-    colex = np.zeros(len(digits), np.intp)
-    for table, column in zip(tables[1:], digits.T):
-        colex = table[colex, column]
-    occs = _by_largest_type(np.zeros((1, d), np.intp), d, num_factors,
+    occs = _by_largest_type(np.zeros((1, d), np.intp), d, n,
                             lambda part, t: part + (np.arange(d) == t))
-    energy = (occs @ np.asarray(model.energies))[colex]
     lex = np.lexsort(occs.T[::-1])
+    occs, energy = occs[lex], (occs @ np.asarray(model.energies))[lex]
     # pair moves keep the energy, so one closure over all occupancy vectors yields
     # the classes of every shell; at N = 1 the empty table leaves no moves
-    moves = _occupancy_classes(model, *tables[-2:])
-    _, first, raw = np.unique(moves[colex], return_index=True, return_inverse=True)
-    # number the classes by energy, then by smallest flat index
-    order = np.lexsort((first, energy[first]))
-    by_energy = np.argsort(energy, kind="stable")
-    es, starts = np.unique(energy[by_energy], return_index=True)
-    st = ShellStructure(digits=digits,
-                        shells=tuple(zip(es.tolist(), np.split(by_energy, starts[1:]))),
-                        labels=np.argsort(order)[raw],
-                        class_energies=energy[first[order]],
-                        occupancies=occs[lex],
-                        occupancy_of=np.argsort(lex)[colex])
-    for a in (st.digits, st.labels, st.class_energies, st.occupancies, st.occupancy_of,
-              *(idx for _, idx in st.shells)):
+    tables = collections.deque([np.zeros((0, d), np.intp)], maxlen=2)
+    tables.extend(_add_tables(d, n))
+    # an occupation's smallest flat index lists its types in ascending order,
+    # so of a class's occupations the last in lexicographic order has the smallest
+    _, last, raw = np.unique(_occupancy_classes(model, *tables)[lex[::-1]],
+                             return_index=True, return_inverse=True)
+    last, raw = len(raw) - 1 - last, raw[::-1]
+    factorial = np.cumprod(np.maximum(np.arange(n + 1, dtype=object), 1))
+    st = ShellStructure(occs, energy, np.argsort(np.lexsort((-last, energy[last])))[raw],
+                        factorial[n] // factorial[occs].prod(axis=1))
+    for a in (st.occupancies, st.energies, st.classes, st.multinomials):
         a.flags.writeable = False
     return st
 
@@ -155,19 +167,21 @@ def _by_largest_type(start: np.ndarray, num_types: int, k: int, add) -> np.ndarr
     return values
 
 
-def _multi_indices(st: ShellStructure, idx) -> list:
-    return [tuple(a) for a in st.digits[idx].tolist()]
+def _digits(idx, d: int, n: int) -> np.ndarray:
+    """The multi-index of each flat index, first factor most significant."""
+    return np.asarray(idx)[:, None] // d ** np.arange(n - 1, -1, -1) % d
+
+
+def _multi_indices(idx, d: int, n: int) -> list:
+    return [tuple(a) for a in _digits(idx, d, n).tolist()]
 
 
 def shell_decomposition(model: SingleParticleModel, num_factors: int,
                         force: bool = False) -> list:
-    """Partition the product basis by total energy.
-
-    Returns a list of (E, multi-index list) sorted by E; the lists order
-    multi-indices lexicographically, matching the flat basis index.
-    """
+    """(E, multi-indices) of each shell, sorted by E; the multi-indices are in
+    lexicographic order, the order of the flat basis index."""
     st = shell_structure(model, num_factors, force=force)
-    return [(E, _multi_indices(st, idx)) for E, idx in st.shells]
+    return [(E, _multi_indices(idx, model.dim, num_factors)) for E, idx in st.shells]
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +190,9 @@ def shell_decomposition(model: SingleParticleModel, num_factors: int,
 
 @dataclass
 class EnergyShellPartition:
-    """Equivalence classes of one energy shell.
-
-    ``classes[c]`` lists the multi-indices of class c; ``class_occupancies[c]``
-    is the set of occupancy vectors those multi-indices realize.
-    """
+    """Equivalence classes of one energy shell: ``classes[c]`` lists the
+    multi-indices of class c, ``class_occupancies[c]`` the set of occupancy
+    vectors those multi-indices realize."""
 
     E: int
     multi_indices: list
@@ -199,10 +211,8 @@ class EnergyShellPartition:
 def _pair_move_groups(energies) -> dict:
     """Unordered index pairs of ``energies`` grouped by energy sum."""
     groups = {}
-    d = len(energies)
-    for i in range(d):
-        for j in range(i, d):
-            groups.setdefault(energies[i] + energies[j], []).append((i, j))
+    for i, j in itertools.combinations_with_replacement(range(len(energies)), 2):
+        groups.setdefault(energies[i] + energies[j], []).append((i, j))
     return groups
 
 
@@ -212,17 +222,16 @@ def _occupancy_classes(model: SingleParticleModel, into: np.ndarray,
     energy-conserving pair moves; ``into`` and ``last`` are the rank tables
     of ``_add_tables`` for N - 1 and N particles."""
     # each group's first pair joins its others; m + e_i + e_j has rank last[into[m, i], j]
-    pairs = [(g[0], p) for g in _pair_move_groups(model.energies).values() for p in g[1:]]
-    (i, j), (k, l) = np.array(pairs, np.intp).reshape(-1, 2, 2).transpose(1, 2, 0)
-    rest = np.arange(len(into))[:, None]
-    a, b = last[into[rest, i], j].ravel(), last[into[rest, k], l].ravel()
-    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
-    # every move can be undone, so the edges go both ways; propagate the
-    # smallest label along them, with pointer jumping, until it settles
+    pairs = [(*g[0], *p) for g in _pair_move_groups(model.energies).values() for p in g[1:]]
+    # every move can be undone, so the edges, gathered one pair at a time, go both
+    # ways; propagate the smallest label along them, with pointer jumping, until it settles
     label = np.arange(last.max() + 1)
     while True:
         new = label.copy()
-        np.minimum.at(new, src, label[dst])
+        for i, j, k, l in pairs:
+            a, b = last[into[:, i], j], last[into[:, k], l]
+            np.minimum.at(new, a, label[b])
+            np.minimum.at(new, b, label[a])
         new = new[new]
         if np.array_equal(new, label):
             return label
@@ -231,25 +240,20 @@ def _occupancy_classes(model: SingleParticleModel, into: np.ndarray,
 
 def classify_shell(model: SingleParticleModel, num_factors: int, E: int,
                    force: bool = False) -> EnergyShellPartition:
-    """Split the shell at energy E into pair-move equivalence classes.
-
-    Two multi-indices are equivalent iff connected by a chain of moves that
+    """Split the shell at energy E into pair-move equivalence classes: two
+    multi-indices are equivalent iff connected by a chain of moves that
     replace the levels at two positions by levels with the same energy sum,
-    leaving all other positions fixed.
-    """
+    leaving all other positions fixed."""
     st = shell_structure(model, num_factors, force=force)
     idx = dict(st.shells).get(E)
     if idx is None:
         raise ValueError(f"E={E} is not an N-particle energy of this model")
-    labels = st.labels[idx]
-    blocks = [idx[labels == c] for c in np.unique(labels)]
+    # every occupation of a class is realized by its multi-indices
+    labels, shape = st.labels[idx], (model.dim, num_factors)
     return EnergyShellPartition(
-        E=E,
-        multi_indices=_multi_indices(st, idx),
-        classes=[_multi_indices(st, block) for block in blocks],
-        class_occupancies=[set(map(tuple, st.occupancies[st.occupancy_of[block]].tolist()))
-                           for block in blocks],
-    )
+        E, _multi_indices(idx, *shape),
+        [_multi_indices(idx[labels == c], *shape) for c in np.unique(labels)],
+        [set(map(tuple, st.occupancies[st.classes == c].tolist())) for c in np.unique(labels)])
 
 
 def is_fully_ergodic(model: SingleParticleModel, num_factors: int,
@@ -263,16 +267,11 @@ def is_fully_ergodic(model: SingleParticleModel, num_factors: int,
 
 def class_projections(model: SingleParticleModel, num_factors: int,
                       force: bool = False) -> list:
-    """Minimal projections, one per class, over all shells.
-
-    Returns a list of (E, projection matrix, rank) sorted by shell and class.
-    """
+    """(E, projection matrix, rank) of each minimal class projection, sorted
+    by shell and class."""
     st = shell_structure(model, num_factors, force=force)
-    out = []
-    for c, E in enumerate(st.class_energies.tolist()):
-        member = st.labels == c
-        out.append((E, np.diag(member.astype(complex)), int(member.sum())))
-    return out
+    return [(E, np.diag((st.labels == c).astype(complex)), rank)
+            for c, (E, rank) in enumerate(zip(st.class_energies.tolist(), st.class_ranks()))]
 
 
 def commutant_projection(model: SingleParticleModel, num_factors: int,

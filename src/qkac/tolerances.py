@@ -14,6 +14,7 @@ TAIL_TOL = 1e-12        # Poisson tail cutoff in the jump-series evolver
 TOL_AXIOM = 1e-9        # residual of a collision-spec axiom, node files included
 
 SIZE_GUARD = 4096       # largest allowed total Hilbert dimension d**N
+OCCUPATION_GUARD = 100_000_000  # most C(N+d-1, N) (N + d) of a forced shell structure
 
 NAMED_TOLERANCES = {
     "psd": TOL_PSD,

@@ -12,6 +12,7 @@ form and complement-projected spectral gap of the linearized operator.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from qkac.linearized import BKMGeometry, build_K, multiply_super
 from qkac.master import KacGenerator, apply_pair_channel, apply_QN
 from qkac.operators import (FactorShape, _require_hermitian,
                             _validate_permutation, is_hermitian, permute_factors, tensor)
-from qkac.spectra import ShellStructure, SingleParticleModel, _pair_move_groups, shell_structure
+from qkac.spectra import SingleParticleModel, _pair_move_groups, shell_structure
 from qkac.tolerances import TOL_FIXED_EIG, TOL_HERM, TOL_PSD
 
 TOL_STEADY = 1e-10      # residual for steady-state checks
@@ -127,10 +128,14 @@ def occupancy(alpha, d: int) -> tuple:
     return tuple(m)
 
 
-def row_shell_structure(model: SingleParticleModel, num_factors: int) -> ShellStructure:
-    """The shell structure built row by row: the distinct count rows of the
-    flat indices by ``np.unique``, and the pair-move classes by a loop over
-    every occupancy vector and every pair of each pair-energy group."""
+def row_shell_structure(model: SingleParticleModel, num_factors: int) -> SimpleNamespace:
+    """The shell structure built row by row over the flat indices: the
+    distinct count rows by ``np.unique``, and the pair-move classes by a
+    loop over every occupancy vector and every pair of each pair-energy
+    group.  Besides the library's flat view (``shells``, ``labels``,
+    ``class_energies``, ``occupancies``) it holds ``digits[k]``, the
+    multi-index of flat index k, and ``occupancy_of[k]``, its row among the
+    occupancies."""
     d = model.dim
     digits = np.indices((d,) * num_factors).reshape(num_factors, -1).T
     energy = np.asarray(model.energies)[digits].sum(axis=1)
@@ -167,12 +172,12 @@ def row_shell_structure(model: SingleParticleModel, num_factors: int) -> ShellSt
     order = np.lexsort((first, energy[first]))
     by_energy = np.argsort(energy, kind="stable")
     es, starts = np.unique(energy[by_energy], return_index=True)
-    return ShellStructure(digits=digits,
-                          shells=tuple(zip(es.tolist(), np.split(by_energy, starts[1:]))),
-                          labels=np.argsort(order)[raw],
-                          class_energies=energy[first[order]],
-                          occupancies=occs,
-                          occupancy_of=occ_of)
+    return SimpleNamespace(digits=digits,
+                           shells=tuple(zip(es.tolist(), np.split(by_energy, starts[1:]))),
+                           labels=np.argsort(order)[raw],
+                           class_energies=energy[first[order]],
+                           occupancies=occs,
+                           occupancy_of=occ_of)
 
 
 def shell_projector(model: SingleParticleModel, num_factors: int, E: int,
@@ -333,7 +338,7 @@ def wild_diagonal(model: SingleParticleModel, a: np.ndarray,
     coeff = np.outer(np.diagonal(a), np.diagonal(b)).ravel()
     out = np.zeros(model.dim, dtype=complex)
     for _, idx in st.shells:
-        share = np.bincount(st.digits[idx, 0], minlength=model.dim) / len(idx)
+        share = np.bincount(idx // model.dim, minlength=model.dim) / len(idx)
         out += coeff[idx].sum() * share
     return np.diag(out)
 

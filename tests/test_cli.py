@@ -280,8 +280,9 @@ def test_huge_N_fails_the_size_guard_without_forming_d_to_the_N(tmp_path, comman
 
 
 def test_forced_huge_N_out_of_memory_exits_1_without_traceback(tmp_path):
-    # forcing past the size guard makes the run form d**N-sized arrays; under
-    # a 1 GB address-space limit that ends in a MemoryError, reported as exit 1
+    # forced past the size guard, the 10**8 + 1 qubit occupations exceed the
+    # memory bound of the shell structure; under a 1 GB address-space limit
+    # the run exits 1 at once, with no traceback
     import resource
 
     cfg = write_config(tmp_path, {
@@ -566,6 +567,37 @@ def test_ergodicity_command_matches_library(tmp_path):
     assert {E for E, c in counts.items() if c == 2} == {4, 8, 12, 16}
     dims = {int(r[0]): int(r[1]) for r in rows[1:]}
     assert sum(dims.values()) == 4 ** 4
+
+
+@pytest.mark.parametrize("energies, n, shells, split, most, seconds", [
+    ([0, 1, 2], 100, 201, 0, 1, 2.0),
+    ([0, 1, 4, 5], 60, 301, 293, 16, 5.0),
+], ids=["qutrit_N100", "d4_N60"])
+def test_forced_ergodicity_runs_on_occupations_past_the_guard(tmp_path, energies, n, shells,
+                                                              split, most, seconds):
+    # 3**100 and 4**60 flat indices: only the C(N+d-1, N) occupations are formed,
+    # and dim_KE is written as an exact integer (3**40 already overflows int64)
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, {"command": "ergodicity",
+                                   "model": {"dim": len(energies), "energies": energies},
+                                   "params": {"N": n}}, extra=("--force",))
+    assert time.perf_counter() - start < seconds
+    assert code == 0
+    rows = read_csv(out / "ergodicity.csv")[1:]
+    counts = [int(r[2]) for r in rows]
+    assert len(rows) == shells and sum(c > 1 for c in counts) == split and max(counts) == most
+    assert sum(int(r[1]) for r in rows) == len(energies) ** n
+
+
+def test_forced_occupations_past_the_bound_exit_1_at_once(tmp_path, capsys):
+    # 8 levels at N = 30 have C(37, 30) = 10,295,472 occupations
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, {"command": "ergodicity",
+                                   "model": {"dim": 8, "energies": list(range(8))},
+                                   "params": {"N": 30}}, extra=("--force",))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out.exists()
+    assert "C(N+d-1, N) = 10295472 occupations" in capsys.readouterr().err
 
 
 def test_evolve_qkbe_offdiagonal_column(tmp_path):

@@ -1,5 +1,7 @@
 import itertools
+import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,14 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkac.chaos import ChaosExperiment, derivation_check
-from qkac.cli import _size
+from qkac.cli import _cmd_ergodicity, _size
 from qkac.collisions import exact_EA2_spec
 from qkac.master import KacGenerator
 from qkac.operators import FactorShape
-from qkac.spectra import (SingleParticleModel, _add_tables, _by_largest_type, classify_shell,
-                          class_projections, commutant_projection, is_fully_ergodic,
-                          shell_decomposition, shell_structure)
+from qkac import spectra
+from qkac.spectra import (SingleParticleModel, _add_tables, _by_largest_type, _digits,
+                          classify_shell, class_projections, commutant_projection,
+                          is_fully_ergodic, shell_decomposition, shell_structure)
 from qkac.symmetric import SymmetricGenerator
+from qkac.tolerances import OCCUPATION_GUARD
 from conftest import random_matrix, random_state
 from oracles import (accidental_relations, occupancy, row_shell_structure, shell_projector,
                      shell_state)
@@ -160,20 +164,46 @@ def test_classify_matches_bruteforce_bfs_random_spectra(energies, N):
 @example(energies=list(range(12)), N=3)
 @example(energies=[0, 0, 1, 2, 2, 3, 5, 6, 6, 8, 11, 12], N=3)
 def test_shell_structure_matches_the_row_oracle(energies, N):
-    # the colex-ranked build against np.unique over the count rows and the
-    # loop over every occupation and pair: every field equal, dtypes included
+    # the occupation table and its derived flat view against np.unique over
+    # the count rows and the loop over every occupation and pair: every
+    # array equal, dtypes included
     model = SingleParticleModel(tuple(energies))
     got, want = shell_structure(model, N, force=True), row_shell_structure(model, N)
-    for name in ("digits", "labels", "class_energies", "occupancies", "occupancy_of"):
+    for name in ("labels", "class_energies", "occupancies"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert [E for E, _ in got.shells] == [E for E, _ in want.shells]
-    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got.shells, want.shells))
-    # each index's row holds its level counts, in distinct rows sorted lexicographically
-    counts = [occupancy(alpha, model.dim) for alpha in got.digits.tolist()]
-    assert list(map(tuple, got.occupancies[got.occupancy_of].tolist())) == counts
+    assert all(a.dtype == b.dtype and np.array_equal(a, b)
+               for (_, a), (_, b) in zip(got.shells, want.shells))
+    # each derived shell's indices unravel to the oracle's multi-indices
+    for _, idx in got.shells:
+        digits = _digits(idx, model.dim, N)
+        assert digits.dtype == want.digits.dtype and np.array_equal(digits, want.digits[idx])
+    # each row's energy, class and multinomial are those of the indices it counts
+    row = want.occupancy_of
+    assert np.array_equal(got.energies[row], np.asarray(energies)[want.digits].sum(axis=1))
+    assert np.array_equal(got.classes[row], want.labels)
+    assert got.multinomials.tolist() == np.bincount(row).tolist()
+    assert got.class_ranks() == np.bincount(want.labels).tolist()
     rows = list(map(tuple, got.occupancies.tolist()))
     assert rows == sorted(set(rows))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(energies=st.lists(st.integers(0, 6), min_size=2, max_size=5).map(sorted),
+       N=st.integers(1, 5))
+@example(energies=[0, 1, 1, 2], N=5)
+@example(energies=[0, 0, 3], N=4)
+def test_occupation_rows_match_the_row_oracle(energies, N):
+    # the ergodicity rows and the class ranks read off the occupations alone,
+    # repeated levels included, against the shells of the flat indices
+    model = SingleParticleModel(tuple(energies))
+    want = row_shell_structure(model, N)
+    _, rows = _cmd_ergodicity(SimpleNamespace(model=model, force=True), {"N": N})
+    assert rows == [(E, len(idx), len(np.unique(want.labels[idx]))) for E, idx in want.shells]
+    assert sum(dim for _, dim, _ in rows) == model.dim ** N
+    assert shell_structure(model, N, force=True).class_ranks() == \
+        np.bincount(want.labels).tolist()
 
 
 def test_rank_tables_rank_each_occupation_where_it_is_listed():
@@ -326,6 +356,47 @@ def test_size_guard():
     # a structure cached by the forced call must not bypass the guard
     with pytest.raises(ValueError):
         shell_decomposition(model, 7)
+
+
+def test_forced_ergodicity_never_forms_d_to_the_N():
+    # 3**12 = 531,441 flat indices: the occupation table has 91 rows, and the
+    # flat view is derived only by the callers that hold a d^N operand
+    import tracemalloc
+
+    spectra._build_shell_structure.cache_clear()
+    tracemalloc.start()
+    try:
+        assert is_fully_ergodic(QUTRIT, 12, force=True)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    held = vars(shell_structure(QUTRIT, 12, force=True))
+    assert "_flat" not in held
+    assert all(a.size < 3 ** 12 for a in held.values() if isinstance(a, np.ndarray))
+
+
+@pytest.mark.parametrize("energies, n", [((0, 1, 2, 3, 4, 5, 6, 7), 30), ((0, 1), 10 ** 6),
+                                         ((0, 1, 2), 10 ** 60)],
+                         ids=["d8_N30", "qubit_N1e6", "qutrit_N1e60"])
+def test_forced_occupations_past_the_bound_are_refused_at_once(energies, n):
+    # qubits at N = 10**6 have few occupations, but each multinomial has N bits
+    model, start = SingleParticleModel(energies), time.perf_counter()
+    occupations = math.comb(n + model.dim - 1, n)
+    assert occupations * (n + model.dim) > OCCUPATION_GUARD
+    with pytest.raises(ValueError, match=f"gives C\\(N\\+d-1, N\\) = {occupations} occupations"):
+        shell_structure(model, n, force=True)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_the_occupation_bound_admits_four_levels_at_N150(monkeypatch):
+    # 585,276 occupations, the size the t = infinity chaos error needs; the
+    # build itself takes seconds, so only the guard is run here
+    monkeypatch.setattr(spectra, "_build_shell_structure", lambda *args: args)
+    model = SingleParticleModel((0, 1, 2, 3))
+    assert shell_structure(model, 150, force=True) == (model, 150)
+    with pytest.raises(ValueError, match="C\\(N\\+d-1, N\\) = 644956 occupations"):
+        shell_structure(model, 155, force=True)
 
 
 HUGE_N = 10 ** 7
