@@ -19,10 +19,10 @@ which only rescales entries of the operand.  Summed over the pairs, that
 diagonal becomes one (d,) * 2N array D, built on the first ``apply_QN``.
 Q_N rho is D * rho plus each off-diagonal nonzero (a move) placed on each
 pair of factors: its scaled in slice of the (d,) * 2N view is added into
-its out slice.  On a shell block and on the symmetric sector
-(``qkac.symmetric``) Q_N is (row, column, value) triples, applied by one
-gather and sum (``_triples_apply``); a block gathers its diagonal from
-the pair diagonal, so D is never formed there.
+its out slice.  A shell block and the symmetric sector (``qkac.symmetric``)
+hold Q_N as its diagonal and (row, column, value) triples, applied by one
+chunked gather and sum (``_triples_apply``); a block gathers its diagonal
+from the pair diagonal, so D is never formed there.
 
 The null space of L_N is found one energy-shell block at a time.  Each
 block is read off the channel's moves on each pair as such triples, and a
@@ -55,7 +55,7 @@ log = logging.getLogger(__name__)
 # semigroup law composes exactly.
 MAX_JUMP_RATE = 1000.0
 
-# Block triples gathered and summed per pass of the Lanczos matvec: its
+# Triples gathered and summed per pass of ``_triples_apply``: its
 # temporaries take 32 bytes a triple, so a pass holds at most 32 MB of them.
 MATVEC_CHUNK = 1 << 20
 
@@ -138,12 +138,16 @@ def _apply(gen: KacGenerator, rho, diag: np.ndarray, pairs: list, count: int) ->
     return out.reshape(dim, dim)
 
 
-def _triples_apply(i, j, val, x: np.ndarray, n: int) -> np.ndarray:
-    """The length-n image of ``x`` under the sparse matrix given as
+def _triples_apply(diag, i, j, val, x: np.ndarray) -> np.ndarray:
+    """The image of ``x`` under the sparse matrix with diagonal ``diag`` and
     (row ``i``, column ``j``, value ``val``) triples, repeated positions
-    summed."""
-    w = val * x[j]
-    return np.bincount(i, w.real, n) + 1j * np.bincount(i, w.imag, n)
+    summed, ``MATVEC_CHUNK`` triples a pass."""
+    out = diag * x
+    for at in range(0, len(val), MATVEC_CHUNK):
+        part = slice(at, at + MATVEC_CHUNK)
+        w = val[part] * x[j[part]]
+        out += np.bincount(i[part], w.real, x.size) + 1j * np.bincount(i[part], w.imag, x.size)
+    return out
 
 
 def apply_pair_channel(gen: KacGenerator, rho: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -233,15 +237,15 @@ def _move_sides(gen: KacGenerator) -> dict:
     """Each move of ``_moves`` on each pair of factors as a row side and a
     column side, grouped by the (row, column) pair energies it keeps.
 
-    Each side is (the pair's factors, its out digits, flat-index shift from
-    out to in digits); the weight is s / binom(N, 2).  A move that changes a
+    Each side is (the pair's factors, its out digits, its in digits); the
+    weight is s / binom(N, 2).  A move that changes a
     pair energy reaches no block: when the spec's ``pair_energy`` residual
     is past ``TOL_FIXED_EIG`` a ValueError is raised, and a smaller move is
     left out.  Then each move's reverse must carry the conjugate weight to
     1e-8 binom(N, 2), by the spec's ``hs_self_adjoint`` pairing residual,
     and the pair diagonal must be real to 1e-8 (``NumericalContractError``).
     """
-    n, e, scale = gen.num_particles, gen.spec.model.energies, len(gen.pairs)
+    e, scale = gen.spec.model.energies, len(gen.pairs)
     moved = gen.spec.pairing_residuals["pair_energy"]
     if moved > TOL_FIXED_EIG:
         raise ValueError(f"spec {gen.spec.name!r} does not conserve the pair energy: it moves "
@@ -250,42 +254,41 @@ def _move_sides(gen: KacGenerator) -> dict:
     for out, src, s in gen._moves:
         e_out, e_in = [(e[a] + e[b], e[c] + e[f]) for a, b, c, f in (out, src)]
         if e_out == e_in:
-            kept.append((e_out, out, np.subtract(src, out), s / scale))
+            kept.append((e_out, out, src, s / scale))
     herm = max(2 * np.abs(gen._pair_diag.imag).max(),
                gen.spec.pairing_residuals["hs_self_adjoint"] / scale)
     if herm > 1e-8:
         raise NumericalContractError(f"generator block is not Hermitian ({herm:.3e})")
-    weight = gen.shape.factor_dim ** np.arange(n - 1, -1, -1)
     groups = {}
-    for i, j in gen.pairs:
-        w = weight[[i, j]]
-        for shells, out, delta, s in kept:
+    for pair in gen.pairs:
+        for shells, out, src, s in kept:
             groups.setdefault(shells, []).append(
-                (((i, j), out[:2], delta[:2] @ w), ((i, j), out[2:], delta[2:] @ w), s))
+                ((pair, out[:2], src[:2]), (pair, out[2:], src[2:]), s))
     return groups
 
 
-def _side_positions(digits, idx, within, factors, out, shift):
-    """Positions in their shell of the indices ``idx`` (digit rows
-    ``digits``) whose digits at ``factors`` are ``out``, and of the indices
-    they are read from."""
-    hit = np.ones(len(idx), dtype=bool)
-    for f, a in zip(factors, out):
-        hit &= digits[:, f] == a
-    return np.flatnonzero(hit), within[idx[hit] + shift]
+def _side_positions(digits, factors, out, src):
+    """Positions in a shell (digit rows ``digits`` of its ascending flat
+    indices) of the indices whose digits at the pair ``factors`` are
+    ``out``, and of those they are read from, whose digits there are
+    ``src``.  The move keeps the shell and the other digits and shifts the
+    flat index by a constant, so the k-th of the one is read from the k-th
+    of the other."""
+    col = digits[:, factors[0]], digits[:, factors[1]]
+    return [((col[0] == a) & (col[1] == b)).nonzero()[0] for a, b in (out, src)]
 
 
-def _sparse_block(gen: KacGenerator, triples: list, within, rows, cols):
+def _sparse_block(gen: KacGenerator, triples: list, rows, cols):
     """Q_N on the operators supported on rows x cols, ordered row-major over
     the block, as its diagonal and (row, column, value) triples.
 
-    ``triples`` are the sides of the moves that reach the block, ``within``
-    the position of each index in its shell.  A move takes the entries of
-    its in digits one to one onto its out digits; on the block those are
-    the products of the rows and of the columns whose fixed digits match.
-    Moves on different pairs that meet on one entry give one triple each,
-    which the Lanczos matvec sums.  The triples are written into arrays of
-    their final size, so they are held once while the block is built.
+    ``triples`` are the sides of the moves that reach the block.  A move
+    takes the entries of its in digits one to one onto its out digits; on
+    the block those are the products of the rows and of the columns whose
+    fixed digits match.  Moves on different pairs that meet on one entry
+    give one triple each, which ``_triples_apply`` sums.  The triples are
+    written into arrays of their final size, so they are held once while
+    the block is built.
     """
     d, nc = gen.shape.factor_dim, len(cols)
     rd, cd = _digits(rows, d, gen.num_particles), _digits(cols, d, gen.num_particles)
@@ -293,8 +296,7 @@ def _sparse_block(gen: KacGenerator, triples: list, within, rows, cols):
     diag = np.zeros((len(rows), nc), dtype=pair_diag.dtype)
     for i, j in gen.pairs:
         diag += pair_diag[np.ix_(rd[:, i] * d + rd[:, j], cd[:, i] * d + cd[:, j])]
-    sides = [(_side_positions(rd, rows, within, *row_side),
-              _side_positions(cd, cols, within, *col_side), s)
+    sides = [(_side_positions(rd, *row_side), _side_positions(cd, *col_side), s)
              for row_side, col_side, s in triples]
     total = sum(len(r_out) * len(c_out) for (r_out, _), (c_out, _), _ in sides)
     i, j, val = np.empty(total, np.intp), np.empty(total, np.intp), np.empty(total, complex)
@@ -355,13 +357,6 @@ def _lanczos_fixed_vectors(diag, i, j, val, tol, limit=None):
     """
     n = diag.size
 
-    def apply(x):
-        out = np.zeros(n, complex)
-        for at in range(0, len(val), MATVEC_CHUNK):
-            part = slice(at, at + MATVEC_CHUNK)
-            out += _triples_apply(i[part], j[part], val[part], x, n)
-        return diag * x + out
-
     def grown(space, k):
         """``space``, doubled (up to n rows) if it has no row k."""
         return space if k < len(space) else np.concatenate([space, np.empty_like(space[:n - k])])
@@ -386,7 +381,7 @@ def _lanczos_fixed_vectors(diag, i, j, val, tol, limit=None):
         t = np.zeros((32, 32))      # T of the run, grown with it
         for k in range(found, n):
             m = k - found
-            w = apply(space[k])
+            w = _triples_apply(diag, i, j, val, space[k])
             t[m, m] = np.vdot(space[k], w).real
             w -= t[m, m] * space[k]
             if m:
@@ -414,7 +409,7 @@ def _lanczos_fixed_vectors(diag, i, j, val, tol, limit=None):
                     f"a Ritz value of a shell block cannot be told from 1 (beta {beta[-1]:.3e})")
             return space[:found].copy(), theta
         ritz = s[:, near].T @ space[found:found + len(beta)]
-        res = max(np.linalg.norm(apply(v) - v) for v in ritz)
+        res = max(np.linalg.norm(_triples_apply(diag, i, j, val, v) - v) for v in ritz)
         if res > tol:
             raise NumericalContractError(
                 f"a Ritz vector at eigenvalue 1 has residual {res:.3e}, past {tol:.3e}")
@@ -437,14 +432,11 @@ def _sparse_blocks(gen: KacGenerator, diagonal_only: bool):
     for _ in range(gen.num_particles - 2):
         reach = {r + e for r in reach for e in gen.spec.model.energies}
     shells = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).shells
-    within = np.zeros(gen.shape.dim, dtype=np.intp)
-    for _, rows in shells:
-        within[rows] = np.arange(len(rows))
     for (er, rows), (ec, cols) in itertools.product(shells, shells):
         if er == ec or not diagonal_only:
             triples = [t for (pr, pc), ts in groups.items()
                        if er - pr in reach and ec - pc in reach for t in ts]
-            yield er, rows, ec, cols, _sparse_block(gen, triples, within, rows, cols)
+            yield er, rows, ec, cols, _sparse_block(gen, triples, rows, cols)
 
 
 def _null_blocks(gen: KacGenerator, tol: float, diagonal_only: bool, limit=None):

@@ -250,10 +250,11 @@ def classify_shell(model: SingleParticleModel, num_factors: int, E: int,
         raise ValueError(f"E={E} is not an N-particle energy of this model")
     # every occupation of a class is realized by its multi-indices
     labels, shape = st.labels[idx], (model.dim, num_factors)
+    found = np.flatnonzero(st.class_energies == E)     # classes are numbered by energy
     return EnergyShellPartition(
         E, _multi_indices(idx, *shape),
-        [_multi_indices(idx[labels == c], *shape) for c in np.unique(labels)],
-        [set(map(tuple, st.occupancies[st.classes == c].tolist())) for c in np.unique(labels)])
+        [_multi_indices(idx[labels == c], *shape) for c in found],
+        [set(map(tuple, st.occupancies[st.classes == c].tolist())) for c in found])
 
 
 def is_fully_ergodic(model: SingleParticleModel, num_factors: int,

@@ -17,18 +17,18 @@ with swapping its two factors: to ``TOL_AXIOM`` in the spec's cached
 
     n_{v1} (n_{v2} - delta_{v1 v2}) q / (N (N - 1)) c_{n - v1 - v2 + u1 + u2}
 
-to c_n, one term for each occupation of the other N - 2 factors.  The
-terms that meet on one (row, column) are summed once, when Q_N is built,
-into (row, column, value) triples, applied by the gather and sum that
-also applies the shell blocks (``qkac.master._triples_apply``).  The
-product state rho^{xN} has c_n = prod_t rho[t]^{n_t}.  S_n has trace equal
-to its number of terms, the multinomial N! / prod_t n_t!, when every type
-it holds is diagonal (a = c), and 0 otherwise; the one- and two-particle
-marginals read the coefficients of m + u and m + u1 + u2 against the
-diagonal occupations m of N - 1 and N - 2 particles in the same way.
-
-The occupations are ranked in colex order by the rank tables of
-``qkac.spectra``.
+to c_n, one term for each occupation of the other N - 2 factors, the
+occupations ranked in colex order by the rank tables of ``qkac.spectra``.
+When (v1, v2) is (u1, u2) in some order, as for every qubit nonzero, the
+terms land on the diagonal, summed into one vector; the other terms that
+meet on one (row, column) are summed once, by a sort, into triples.  Q_N
+is held and applied as a shell block is (``qkac.master._triples_apply``).
+The product state rho^{xN} has c_n = prod_t rho[t]^{n_t}.  S_n has trace
+equal to its number of terms, the multinomial N! / prod_t n_t!, when
+every type it holds is diagonal (a = c), and 0 otherwise; the one- and
+two-particle marginals read the coefficients of m + u and m + u1 + u2
+against the diagonal occupations m of N - 1 and N - 2 particles in the
+same way.
 
 For qubits the state is certified without forming it.  With x_t = A[a, c]
 for t = 2a + c, S_n = [x^n] A^{xN}, and by Schur-Weyl duality A^{xN} acts
@@ -115,8 +115,8 @@ class _SpinBlocks:
 class SymmetricGenerator:
     """Q_N on the coefficients c_n of the permutation-invariant operators.
 
-    ``_rows``, ``_cols`` and ``_vals`` hold Q_N as (row, column, value)
-    triples, one per entry, ``_into`` and ``_last`` the rank tables of
+    ``_qn`` holds Q_N as (diagonal, rows, columns, values), each
+    off-diagonal entry once, ``_into`` and ``_last`` the rank tables of
     ``_add_tables`` for N - 1 and N particles, and ``_diag[k]`` the ranks
     and multinomial weights of the diagonal occupations of N - 2 + k
     particles, k = 0, 1, 2, and ``_spin`` the spin blocks of a qubit
@@ -160,17 +160,24 @@ class SymmetricGenerator:
         eye = np.eye(d * d, dtype=np.min_scalar_type(n))
         held = _by_largest_type(np.zeros((1, d * d), eye.dtype), d * d, n - 2,
                                 lambda part, t: part + eye[t])
-        rest = np.arange(len(held))
-        # each term's (row, column); the terms that meet on one are summed once, here
-        at, inverse = np.unique((self._last[self._into[rest, v1], v2] * self.size
-                                 + self._last[self._into[rest, u1], u2]).ravel(),
-                                return_inverse=True)
-        self._rows, self._cols = np.divmod(at, self.size)
-        # n_{v1} (n_{v2} - delta_{v1 v2}) at n = m + v1 + v2
-        vals = ((held[rest, v1] + 1.0 + (v1 == v2)) * (held[rest, v2] + 1.0)
-                * (q[:, None] / (n * (n - 1)))).ravel()
-        self._vals = (np.bincount(inverse, vals.real, len(at))
-                      + 1j * np.bincount(inverse, vals.imag, len(at)))
+        rest, q = np.arange(len(held)), q[:, None] / (n * (n - 1))
+
+        def terms(k):   # the row n = m + v1 + v2 of each term of the nonzeros k, and its value
+            a, b = v1[k], v2[k]
+            return (self._last[self._into[rest, a], b].ravel(),
+                    ((held[rest, a] + 1.0 + (a == b)) * (held[rest, b] + 1.0) * q[k]).ravel())
+
+        def summed(at, vals, size):
+            return np.bincount(at, vals.real, size) + 1j * np.bincount(at, vals.imag, size)
+
+        # a nonzero that keeps its pair's types, in either order, keeps every occupation
+        keep = (((v1 == u1) & (v2 == u2)) | ((v1 == u2) & (v2 == u1))).ravel()
+        on = summed(*terms(keep), self.size)
+        rows, vals = terms(~keep)
+        # the other terms' (row, column); those that meet on one are summed once, here
+        cols = self._last[self._into[rest, u1[~keep]], u2[~keep]].ravel()
+        at, inverse = np.unique(rows * self.size + cols, return_inverse=True)
+        self._qn = (on, *np.divmod(at, self.size), summed(inverse, vals, len(at)))
 
     def product_state(self, rho: np.ndarray) -> np.ndarray:
         """The coefficients of rho^{xN}, rho a d x d matrix: prod_t rho[t]^{n_t}."""
@@ -188,7 +195,7 @@ class SymmetricGenerator:
 
     def jump(self, c: np.ndarray) -> np.ndarray:
         """Q_N on the coefficients."""
-        return _triples_apply(self._rows, self._cols, self._vals, self._check(c), self.size)
+        return _triples_apply(*self._qn, self._check(c))
 
     def trace(self, c: np.ndarray) -> float:
         ranks, weights = self._diag[2]

@@ -502,11 +502,13 @@ def run_fresh(tmp_path, runs: dict, check: str):
 
 
 def test_cli_runs_every_command_without_scipy(tmp_path):
-    # numpy is the only runtime dependency: no command loads any part of scipy
+    # numpy is the only runtime dependency: no command loads any part of
+    # scipy, nor numpy.ma, which a flag-less np.unique imports on first call
     assert sorted(SMALL_RUNS) == sorted(cli.COMMANDS)
     run_fresh(tmp_path, SMALL_RUNS,
               "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
-              "assert not loaded, loaded")
+              "assert not loaded, loaded\n"
+              "assert 'numpy.ma' not in sys.modules")
     for command in cli.COMMANDS:
         assert len(read_csv(tmp_path / command / f"{command}.csv")) > 1
 

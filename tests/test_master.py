@@ -16,6 +16,7 @@ from qkac.operators import (commutator, partial_trace, relative_entropy, swap_un
                             trace_norm)
 from qkac.spectra import (SingleParticleModel, commutant_projection, is_fully_ergodic,
                           shell_structure)
+from qkac.symmetric import SymmetricGenerator
 from qkac.tolerances import TOL_PSD
 from conftest import random_matrix, random_state, symmetrize_state
 from oracles import (_shell_block, as_map, dense_channel, dense_block_fixed_vectors, embed_pair,
@@ -379,20 +380,26 @@ def test_lanczos_fixed_spaces_match_dense_eigh(spec_name, energies, n, all_block
     ("qubit_tilted", (0, 1), 6), ("exact_ea2", (0, 1, 2), 4), ("exact_ea2", (0, 0, 1), 3),
 ])
 def test_lanczos_matvec_sums_across_chunks(spec_name, energies, n, monkeypatch):
-    # every test block has far fewer triples than one matvec pass gathers,
-    # so a tiny pass size makes the chunk loop sum each matvec in pieces
+    # every test block, and every test sector, has far fewer triples than
+    # one matvec pass gathers, so a tiny pass size makes the chunk loop sum
+    # each matvec in pieces; the qubit sector has no triples to chunk
     import qkac.master as master
 
     gen = KacGenerator(make_spec(spec_name, energies), n)
     blocks = [block for *_, block in _sparse_blocks(gen, diagonal_only=True)]
     whole = [_lanczos_fixed_vectors(*block, 1e-8) for block in blocks]
+    sector = SymmetricGenerator(gen.spec, n)
+    c = [1, 1j] @ np.random.default_rng(n).standard_normal((2, sector.size))
+    jump = sector.jump(c)
     monkeypatch.setattr(master, "MATVEC_CHUNK", 7)
     assert max(len(val) for *_, val in blocks) > 10 * master.MATVEC_CHUNK
+    assert len(sector._qn[3]) > 5 * master.MATVEC_CHUNK or sector.spec.dim == 2
     for block, (vecs, theta) in zip(blocks, whole):
         got, got_theta = _lanczos_fixed_vectors(*block, 1e-8)
         assert len(got) == len(vecs) and len(got_theta) == len(theta)
         assert np.abs(got.T @ got.conj() - vecs.T @ vecs.conj()).max(initial=0.0) < 1e-12
         assert np.abs(got_theta - theta).max(initial=0.0) < 1e-12
+    assert np.abs(sector.jump(c) - jump).max() < 1e-15
 
 
 def test_ritz_values_are_the_bernoulli_laplace_spectrum_at_N8(tilted_spec):

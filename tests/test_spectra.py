@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 from types import SimpleNamespace
 
@@ -258,6 +261,17 @@ def test_two_class_shell_example():
     assert part.num_classes == 2
     occs = sorted(tuple(sorted(c)) for c in part.class_occupancies)
     assert occs == [(((0, 4, 0, 0)),), (((3, 0, 1, 0)),)]
+
+
+def test_classify_shell_leaves_numpy_ma_unloaded():
+    # np.unique with no return flags imports numpy.ma on its first call in a
+    # process, about 9 ms; run in a fresh interpreter, which has not loaded it
+    code = ("import sys\n"
+            "from qkac.spectra import SingleParticleModel, classify_shell\n"
+            "assert classify_shell(SingleParticleModel((0, 1, 4, 5)), 4, 5).num_classes\n"
+            "assert 'numpy.ma' not in sys.modules")
+    src = os.path.dirname(os.path.dirname(spectra.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def test_fully_ergodic_examples():

@@ -181,14 +181,19 @@ def test_sector_refuses_weights_past_the_float_range(tilted_spec):
 
 @pytest.mark.parametrize("name,n", [("qubit_tilted", 6), ("qubit_uniform", 6),
                                     ("qubit_tilted", 40), ("qubit_uniform", 40),
+                                    ("qubit_tilted", 100), ("qubit_uniform", 100),
                                     ("ea2_012", 4), ("ea2_0134", 3)])
 def test_sector_triples_hold_each_entry_once(name, n):
+    # Q_N is held as a shell block is: the diagonal apart, each off-diagonal
+    # (row, column) once
     spec = NAMED[name]()
     gen = SymmetricGenerator(spec, n, force=True)
-    key = gen._rows * gen.size + gen._cols
-    assert np.array_equal(np.unique(key), key)
+    diag, rows, cols, vals = gen._qn
+    key = rows * gen.size + cols
+    assert np.array_equal(np.unique(key), key) and not (rows == cols).any()
+    assert diag.shape == (gen.size,) and rows.shape == cols.shape == vals.shape
     if spec.dim == 2:   # both qubit channels keep every occupation
-        assert np.array_equal(gen._rows, gen._cols)
+        assert len(rows) == 0
     if spec.dim ** n <= 81:
         rng = np.random.default_rng(n)
         c = rng.standard_normal(gen.size) + 1j * rng.standard_normal(gen.size)
