@@ -25,7 +25,8 @@ chunked gather and sum (``_triples_apply``); a block gathers its diagonal
 from the pair diagonal, so D is never formed there.
 
 The null space of L_N is found one energy-shell block at a time.  Each
-block is read off the channel's moves on each pair as such triples, and a
+block is read off the channel's moves on each pair as such triples, in
+real arithmetic when the pair diagonal and the moves are real, and a
 fully reorthogonalized Lanczos run with deflation certifies its
 eigenvalue-1 vectors (``_lanczos_fixed_vectors``); no block is formed
 densely, so memory grows with the nonzeros of the largest block.
@@ -146,7 +147,8 @@ def _triples_apply(diag, i, j, val, x: np.ndarray) -> np.ndarray:
     for at in range(0, len(val), MATVEC_CHUNK):
         part = slice(at, at + MATVEC_CHUNK)
         w = val[part] * x[j[part]]
-        out += np.bincount(i[part], w.real, x.size) + 1j * np.bincount(i[part], w.imag, x.size)
+        out += (np.bincount(i[part], w.real, x.size) + 1j * np.bincount(i[part], w.imag, x.size)
+                if np.iscomplexobj(w) else np.bincount(i[part], w, x.size))
     return out
 
 
@@ -233,81 +235,93 @@ def evolve_master(gen, rho0: np.ndarray, t: float,
 # null space of the generator, computed per invariant block
 # ---------------------------------------------------------------------------
 
-def _move_sides(gen: KacGenerator) -> dict:
-    """Each move of ``_moves`` on each pair of factors as a row side and a
-    column side, grouped by the (row, column) pair energies it keeps.
+def _move_sides(gen: KacGenerator) -> tuple:
+    """Each move of ``_moves`` on each pair of factors, pair by pair, as the
+    (row, column) pair energies it keeps, its codes and its weight.
 
-    Each side is (the pair's factors, its out digits, its in digits); the
-    weight is s / binom(N, 2).  A move that changes a
-    pair energy reaches no block: when the spec's ``pair_energy`` residual
-    is past ``TOL_FIXED_EIG`` a ValueError is raised, and a smaller move is
-    left out.  Then each move's reverse must carry the conjugate weight to
+    The codes are the row out, row in, column out and column in pair codes
+    d^2 p + d a + b, p the pair's index in ``pairs`` and (a, b) its two
+    digits; the weight is s / binom(N, 2).  A move that changes a pair energy
+    reaches no block: when the spec's ``pair_energy`` residual is past
+    ``TOL_FIXED_EIG`` a ValueError is raised, and a smaller move is left
+    out.  Then each move's reverse must carry the conjugate weight to
     1e-8 binom(N, 2), by the spec's ``hs_self_adjoint`` pairing residual,
     and the pair diagonal must be real to 1e-8 (``NumericalContractError``).
+    The weights, and so the blocks, are float64 when the pair diagonal is
+    real and every kept weight has an imaginary part of exactly zero, and
+    complex otherwise.
     """
-    e, scale = gen.spec.model.energies, len(gen.pairs)
+    e, d, scale = gen.spec.model.energies, gen.shape.factor_dim, len(gen.pairs)
     moved = gen.spec.pairing_residuals["pair_energy"]
     if moved > TOL_FIXED_EIG:
         raise ValueError(f"spec {gen.spec.name!r} does not conserve the pair energy: it moves "
                          f"operators between pair energies with weight up to {moved:.3e}")
-    kept = []
-    for out, src, s in gen._moves:
-        e_out, e_in = [(e[a] + e[b], e[c] + e[f]) for a, b, c, f in (out, src)]
-        if e_out == e_in:
-            kept.append((e_out, out, src, s / scale))
+    kept = [(e[a] + e[b], e[c] + e[f], d * a + b, d * g + h, d * c + f, d * k + m, s / scale)
+            for (a, b, c, f), (g, h, k, m), s in gen._moves
+            if (e[a] + e[b], e[c] + e[f]) == (e[g] + e[h], e[k] + e[m])]
     herm = max(2 * np.abs(gen._pair_diag.imag).max(),
                gen.spec.pairing_residuals["hs_self_adjoint"] / scale)
     if herm > 1e-8:
         raise NumericalContractError(f"generator block is not Hermitian ({herm:.3e})")
-    groups = {}
-    for pair in gen.pairs:
-        for shells, out, src, s in kept:
-            groups.setdefault(shells, []).append(
-                ((pair, out[:2], src[:2]), (pair, out[2:], src[2:]), s))
-    return groups
+    w = np.array([x[6] for x in kept], complex)
+    if np.isrealobj(gen._pair_diag) and not w.imag.any():
+        w = w.real
+    table = np.tile(np.array([x[:6] for x in kept], np.int64).reshape(-1, 6), (scale, 1))
+    pair = np.repeat(np.arange(scale) * d * d, len(kept))[:, None]
+    return table[:, :2], table[:, 2:] + pair, np.tile(w, scale)
 
 
-def _side_positions(digits, factors, out, src):
-    """Positions in a shell (digit rows ``digits`` of its ascending flat
-    indices) of the indices whose digits at the pair ``factors`` are
-    ``out``, and of those they are read from, whose digits there are
-    ``src``.  The move keeps the shell and the other digits and shifts the
-    flat index by a constant, so the k-th of the one is read from the k-th
-    of the other."""
-    col = digits[:, factors[0]], digits[:, factors[1]]
-    return [((col[0] == a) & (col[1] == b)).nonzero()[0] for a, b in (out, src)]
+def _shell_tables(gen: KacGenerator, idx) -> tuple:
+    """The tables from which every block on the shell of ascending flat
+    indices ``idx`` reads its side positions: the digit code d a + b of
+    each row at each pair of factors, one row of ``codes`` a pair; the
+    positions, stably sorted by code pair by pair and flattened; and where
+    the positions of each pair code d^2 p + d a + b start in that order,
+    the last entry past the end."""
+    d, pairs = gen.shape.factor_dim, np.array(gen.pairs).T
+    digits = _digits(idx, d, gen.num_particles)
+    codes = digits[:, pairs[0]].T * d + digits[:, pairs[1]].T
+    order = np.argsort(codes, axis=1, kind="stable")
+    keys = np.take_along_axis(codes, order, 1) + d * d * np.arange(len(codes))[:, None]
+    first = np.searchsorted(keys.ravel(), np.arange(len(codes) * d * d + 1))
+    return codes, order.ravel(), first
 
 
-def _sparse_block(gen: KacGenerator, triples: list, rows, cols):
+def _sparse_block(gen: KacGenerator, codes, w, rows: tuple, cols: tuple):
     """Q_N on the operators supported on rows x cols, ordered row-major over
-    the block, as its diagonal and (row, column, value) triples.
+    the block, as its diagonal and (row, column, value) triples, of the
+    dtype of the weights ``w``.
 
-    ``triples`` are the sides of the moves that reach the block.  A move
-    takes the entries of its in digits one to one onto its out digits; on
-    the block those are the products of the rows and of the columns whose
-    fixed digits match.  Moves on different pairs that meet on one entry
-    give one triple each, which ``_triples_apply`` sums.  The triples are
-    written into arrays of their final size, so they are held once while
-    the block is built.
+    ``codes`` and ``w`` are the sides of the moves that reach the block
+    (``_move_sides``) and ``rows`` and ``cols`` the ``_shell_tables`` of its
+    shells.  A move takes the entries of its in digits one to one onto its
+    out digits; on the block those are the products of the rows and of the
+    columns whose pair codes match.  The move keeps the other digits and
+    shifts the flat index by a constant, so the k-th position of an out
+    code pairs with the k-th of the in code.  Moves on different pairs that
+    meet on one entry give one triple each, which ``_triples_apply`` sums.
+    The triples are written into arrays of their final size,
+    ``MATVEC_CHUNK`` a pass, so no temporary grows with the block.
     """
-    d, nc = gen.shape.factor_dim, len(cols)
-    rd, cd = _digits(rows, d, gen.num_particles), _digits(cols, d, gen.num_particles)
+    (r_codes, r_order, r_first), (c_codes, c_order, c_first) = rows, cols
+    d, nc = gen.shape.factor_dim, c_codes.shape[1]
     pair_diag = gen._pair_diag.reshape(d * d, d * d)
-    diag = np.zeros((len(rows), nc), dtype=pair_diag.dtype)
-    for i, j in gen.pairs:
-        diag += pair_diag[np.ix_(rd[:, i] * d + rd[:, j], cd[:, i] * d + cd[:, j])]
-    sides = [(_side_positions(rd, *row_side), _side_positions(cd, *col_side), s)
-             for row_side, col_side, s in triples]
-    total = sum(len(r_out) * len(c_out) for (r_out, _), (c_out, _), _ in sides)
-    i, j, val = np.empty(total, np.intp), np.empty(total, np.intp), np.empty(total, complex)
-    at = 0
-    for (r_out, r_in), (c_out, c_in), s in sides:
-        end = at + len(r_out) * len(c_out)
-        np.add.outer(r_out * nc, c_out, out=i[at:end].reshape(len(r_out), len(c_out)))
-        np.add.outer(r_in * nc, c_in, out=j[at:end].reshape(len(r_in), len(c_in)))
-        val[at:end] = s
-        at = end
-    return (diag.ravel() / len(gen.pairs)).astype(complex), i, j, val
+    diag = np.zeros((r_codes.shape[1], nc), dtype=w.dtype)
+    for a, b in zip(r_codes, c_codes):
+        diag += pair_diag[np.ix_(a, b)]
+    r_out, r_in, c_out, c_in = codes.T
+    width = c_first[c_out + 1] - c_first[c_out]
+    size = (r_first[r_out + 1] - r_first[r_out]) * width
+    bounds = np.concatenate([[0], np.cumsum(size)])
+    i, j, val = np.empty(bounds[-1], np.intp), np.empty(bounds[-1], np.intp), np.repeat(w, size)
+    ends = ((i, r_first[r_out], c_first[c_out]), (j, r_first[r_in], c_first[c_in]))
+    for at in range(0, bounds[-1], MATVEC_CHUNK):
+        end = min(at + MATVEC_CHUNK, bounds[-1])
+        side = np.repeat(np.arange(len(size)), np.diff(np.clip(bounds, at, end)))
+        a, b = np.divmod(np.arange(at, end) - bounds[side], width[side])
+        for out, r, c in ends:
+            out[at:end] = r_order[r[side] + a] * nc + c_order[c[side] + b]
+    return diag.ravel() / len(gen.pairs), i, j, val
 
 
 def _lanczos_fixed_vectors(diag, i, j, val, tol, limit=None):
@@ -348,12 +362,14 @@ def _lanczos_fixed_vectors(diag, i, j, val, tol, limit=None):
     The Ritz vectors of the Ritz values within ``tol`` of 1 must have
     residual ||Q v - v|| at most ``tol``; they join the fixed vectors and
     the next run starts.  A run with no such Ritz value ends the search.
-    A random start has a component of about n**-0.5 along any fixed unit
-    vector, below sqrt(eps / n) with probability about sqrt(eps), so the
-    count holds almost surely over the start.  Given a ``limit``, the
-    search stops as soon as it holds more fixed vectors than that, with
-    no Ritz values, so a fixed space larger than the caller expects does
-    not fill memory.
+    The Krylov store takes the dtype of ``diag`` and ``val``, and a real
+    block gets a real Gaussian start, a complex one a complex start.  A
+    random start has a component of about n**-0.5 along any fixed unit
+    vector, below sqrt(eps / n) with probability about sqrt(eps) for a
+    real start and about eps for a complex one, so the count holds almost
+    surely over the start.  Given a ``limit``, the search stops as soon as
+    it holds more fixed vectors than that, with no Ritz values, so a fixed
+    space larger than the caller expects does not fill memory.
     """
     n = diag.size
 
@@ -371,10 +387,13 @@ def _lanczos_fixed_vectors(diag, i, j, val, tol, limit=None):
     floor, sharp, quiet = np.sqrt(n * eps) * g, np.sqrt(n) * eps * g, np.sqrt(eps / n)
     rng = np.random.default_rng(0)
     # the fixed vectors found so far, then the Krylov basis of the run
-    space = np.empty((min(n, 32), n), complex)
+    space = np.empty((min(n, 32), n), np.result_type(diag, val))
     found = 0
     while found < n and (limit is None or found <= limit):
-        start = project_out(rng.standard_normal(n) + 1j * rng.standard_normal(n), space[:found])
+        start = rng.standard_normal(n)
+        if np.iscomplexobj(space):
+            start = start + 1j * rng.standard_normal(n)
+        start = project_out(start, space[:found])
         space = grown(space, found)
         space[found] = start / np.linalg.norm(start)
         beta = []
@@ -424,19 +443,23 @@ def _sparse_blocks(gen: KacGenerator, diagonal_only: bool):
 
     A move reaches a block only if the rest of each shell energy, past the
     pair energy it moves, is an energy of the other N - 2 factors, so each
-    block reads only the groups of ``_move_sides`` that pass; at N = 2 that
-    is one group.
+    block reads only the sides of ``_move_sides`` that pass, each shell
+    tested once.  Each shell's ``_shell_tables`` are built once a scan.
     """
-    groups = _move_sides(gen)
+    energies, codes, w = _move_sides(gen)
     reach = {0}
     for _ in range(gen.num_particles - 2):
         reach = {r + e for r in reach for e in gen.spec.model.energies}
-    shells = shell_structure(gen.spec.model, gen.num_particles, force=gen.force).shells
-    for (er, rows), (ec, cols) in itertools.product(shells, shells):
+    # E - r is taken in Python ints, as it may pass the int64 range
+    pair_energies = set(energies.ravel().tolist())
+    shells = [(E, idx, _shell_tables(gen, idx),
+               np.isin(energies, list({E - r for r in reach} & pair_energies)))
+              for E, idx in shell_structure(gen.spec.model, gen.num_particles,
+                                            force=gen.force).shells]
+    for (er, rows, rt, rf), (ec, cols, ct, cf) in itertools.product(shells, shells):
         if er == ec or not diagonal_only:
-            triples = [t for (pr, pc), ts in groups.items()
-                       if er - pr in reach and ec - pc in reach for t in ts]
-            yield er, rows, ec, cols, _sparse_block(gen, triples, rows, cols)
+            near = rf[:, 0] & cf[:, 1]
+            yield er, rows, ec, cols, _sparse_block(gen, codes[near], w[near], rt, ct)
 
 
 def _null_blocks(gen: KacGenerator, tol: float, diagonal_only: bool, limit=None):
@@ -449,6 +472,7 @@ def _null_blocks(gen: KacGenerator, tol: float, diagonal_only: bool, limit=None)
     """
     for er, rows, ec, cols, block in _sparse_blocks(gen, diagonal_only):
         vecs, theta = _lanczos_fixed_vectors(*block, tol, limit)
+        del block       # released before the next block is built
         yield er, rows, ec, cols, vecs, theta
         if limit is not None:
             limit -= len(vecs)

@@ -4,6 +4,7 @@ import csv
 import functools
 import io
 import json
+import math
 import operator
 import os
 import subprocess
@@ -243,6 +244,29 @@ def test_steady_states_at_N9_match_the_ergodicity_counts(tmp_path):
         per_shell[row["E"]] = per_shell.get(row["E"], 0) + 1
     assert per_shell == {row["E"]: int(row["class_count"]) for row in ergodicity}
     assert [row["rank"] for row in steady] == [row["dim_KE"] for row in ergodicity]
+
+
+def test_steady_states_at_N11_assemble_blocks_in_batches(tmp_path):
+    # the largest block at N = 11 has 213,444 rows and 1,746,360 triples, so
+    # it is assembled over two MATVEC_CHUNK batches and searched in real
+    # arithmetic; the run gets a 1 GB address-space limit
+    import resource
+
+    src = str(Path(qkac.__file__).resolve().parents[1])
+    limit = 1 << 30
+    cfg = write_config(tmp_path, {
+        "command": "steady-states", "model": QUBIT, "spec": "qubit_tilted",
+        "params": {"N": 11}, "output_dir": str(tmp_path / "out")})
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qkac.cli", "--config", str(cfg)], cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - start < 20
+    header, *rows = read_csv(tmp_path / "out" / "steady-states.csv")
+    assert [[int(x) for x in row] for row in rows] == [[E, E, math.comb(11, E)] for E in range(12)]
 
 
 HUGE_N = 10_000_000_000

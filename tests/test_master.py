@@ -22,6 +22,8 @@ from conftest import random_matrix, random_state, symmetrize_state
 from oracles import (_shell_block, as_map, dense_channel, dense_block_fixed_vectors, embed_pair,
                      hermitian_function, identity_spec, permutation_covariance_check,
                      qn_spectrum, shell_state, tensor_power)
+from test_pair_kernel import random_family_spec
+from test_random_specs import closed_spec
 
 
 def pair_sum_oracle(spec, rho, num_particles):
@@ -300,6 +302,8 @@ def make_spec(name, energies):
         d = model.dim
         nodes = np.array([0.5, 0.5]), np.stack([np.eye(d * d, dtype=complex), swap_unitary(d)])
         return CollisionSpec(model, name, superoperator_from_nodes(nodes), nodes)
+    if name == "random_family":
+        return closed_spec(random_family_spec(energies, 0, 2), 0.5)
     return identity_spec(model) if name == "identity" else spec_by_name(name, model)
 
 
@@ -312,22 +316,51 @@ def dense_from_triples(diag, i, j, val):
 @pytest.mark.parametrize("spec_name,energies,n", [
     ("qubit_tilted", (0, 1), 4), ("qubit_uniform", (0, 1), 3), ("exact_ea2", (0, 1, 2), 3),
     ("exact_ea2", (0, 0, 1), 3), ("exact_ea2", (0, 1, 1, 2), 3), ("identity", (0, 1, 3), 3),
-    ("half_swap", (0, 1, 3), 3),
+    ("half_swap", (0, 1, 3), 3), ("random_family", (0, 1, 2), 3),
 ])
-def test_sparse_block_matches_dense_block(spec_name, energies, n):
+def test_sparse_block_matches_dense_block(spec_name, energies, n, monkeypatch):
     # every shell block, off-diagonal ones included; the degenerate models
-    # send moves on different pairs to one entry, which must be summed
+    # send moves on different pairs to one entry, which must be summed.  The
+    # second pass assembles every block of more than 7 triples in batches
     gen = KacGenerator(make_spec(spec_name, energies), n)
-    blocks = list(_sparse_blocks(gen, diagonal_only=False))
-    assert len(blocks) == len(shell_structure(gen.spec.model, n).shells) ** 2
-    for _, rows, _, cols, (diag, i, j, val) in blocks:
-        want = _shell_block(gen, rows, cols)
-        assert np.abs(dense_from_triples(diag, i, j, val) - want).max() < 1e-15
+    for chunk in (master.MATVEC_CHUNK, 7):
+        monkeypatch.setattr(master, "MATVEC_CHUNK", chunk)
+        blocks = list(_sparse_blocks(gen, diagonal_only=False))
+        assert len(blocks) == len(shell_structure(gen.spec.model, n).shells) ** 2
+        for _, rows, _, cols, (diag, i, j, val) in blocks:
+            want = _shell_block(gen, rows, cols)
+            assert np.abs(dense_from_triples(diag, i, j, val) - want).max() < 1e-15
+    # qubit_uniform at N = 3 has at most 6 triples a block, identity none
+    most = max(len(block[3]) for *_, block in blocks)
+    assert most > 2 * chunk or spec_name in ("identity", "qubit_uniform")
     # the block diagonals, gathered from the pair diagonal, are the full one's
     assert "_diag" not in vars(gen)
     full = gen._diag.reshape(gen.shape.dim, -1)
     for _, rows, _, cols, (diag, *_) in blocks:
         assert np.array_equal(diag, full[np.ix_(rows, cols)].ravel().astype(complex))
+
+
+@pytest.mark.parametrize("spec_name,energies,n", [
+    ("qubit_tilted", (0, 1), 6), ("exact_ea2", (0, 1, 2), 4), ("random_family", (0, 1, 2), 3),
+])
+def test_real_blocks_are_searched_in_real_arithmetic(spec_name, energies, n):
+    # the built-in specs have a real pair diagonal and real move weights, so
+    # their blocks are float64; a random unitary family's are complex.  A real
+    # block and its complex cast give one fixed space and one last run
+    gen = KacGenerator(make_spec(spec_name, energies), n)
+    blocks = [block for *_, block in _sparse_blocks(gen, diagonal_only=True)]
+    want = complex if spec_name == "random_family" else np.float64
+    assert all(diag.dtype == val.dtype == want for diag, _, _, val in blocks)
+    if want is complex:
+        return
+    for diag, i, j, val in blocks:
+        vecs, theta = _lanczos_fixed_vectors(diag, i, j, val, 1e-8)
+        got, got_theta = _lanczos_fixed_vectors(diag.astype(complex), i, j, val.astype(complex),
+                                                1e-8)
+        assert vecs.dtype == np.float64 and got.dtype == complex
+        assert np.abs(got.T @ got.conj() - vecs.T @ vecs.conj()).max() < 1e-12
+        assert len(got_theta) == len(theta)
+        assert np.abs(got_theta - theta).max(initial=0.0) < 1e-12
 
 
 @pytest.mark.parametrize("spec_name,energies,n", [
